@@ -15,9 +15,11 @@ A precision plan (node id -> mode) may pin individual nodes to f32, which
 models plugin layers: pinned nodes compute on dequantized inputs and their
 outputs are converted back at the first quantized consumer.
 
-Convolution is im2col + matmul. The matmul contraction makes results
-bit-stable across runs on a fixed machine configuration; see README for the
-reproducibility contract.
+Convolution is im2col + matmul. In f32/f16 the float32 matmul makes results
+bit-stable across runs on a fixed machine configuration only. The i8
+matmul sums integers exactly in float64 (see quant.conv_accumulator), so i8
+results are bit-identical across BLAS builds and thread counts; see README
+for the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -192,14 +194,13 @@ def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
         remaining_uses.setdefault(n.output, 0)
 
     head_outputs = {n.output for n in graph.head_nodes()}
-    weight_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     trace = ExecutionTrace(mode=mode)
 
     for node in graph.nodes:
         prec = node_mode[node.id]
         out_shape = shapes[node.output]
         if prec == I8:
-            buf = _run_node_i8(graph, node, buffers, qparams, out_shape, weight_cache)
+            buf = _run_node_i8(graph, node, buffers, qparams, out_shape)
         else:
             buf = _run_node_float(graph, node, buffers, out_shape, f16=(prec == F16))
         buffers[node.output] = buf
@@ -289,17 +290,16 @@ def _input_i8(buffers, qparams, tensor_id) -> TensorBuffer:
     return TensorBuffer(buf.shape, I8, qp.quantize(buf.data), qp)
 
 
-def _run_node_i8(graph: Graph, node, buffers, qparams, out_shape,
-                 weight_cache) -> TensorBuffer:
+def _run_node_i8(graph: Graph, node, buffers, qparams, out_shape) -> TensorBuffer:
     w = graph.weights
     kind = node.kind
 
     if kind == CONV:
         a = node.attrs
-        if node.id not in weight_cache:
-            kernel = w[(node.id, "kernel")].reshape(a["out_ch"], -1, a["kernel"], a["kernel"])
-            weight_cache[node.id] = quant.quantize_weights(kernel)
-        q_kernel, scales = weight_cache[node.id]
+        # quantized per node and dropped after it: a model-wide float64 copy
+        # would be twice the size of the float32 weights
+        levels, scales = quant.weight_levels(w[(node.id, "kernel")].reshape(a["out_ch"], -1))
+        q_kernel = levels.reshape(a["out_ch"], -1, a["kernel"], a["kernel"])
         bias = w.get((node.id, "bias")) if a["has_bias"] else None
         xb = _input_i8(buffers, qparams, node.inputs[0])
         real = quant.quantized_conv(xb.data, xb.qparams, q_kernel, scales, bias,

@@ -103,11 +103,27 @@ class QuantParams:
         return cls(lo=float(lo), hi=float(hi), scale=scale, zero_point=zero_point)
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
-        q = _round_half_up(np.asarray(x, dtype=np.float64) / self.scale) + self.zero_point
-        return np.clip(q, -128, 127).astype(np.int8)
+        """clip(floor(x / scale + 0.5) + zero_point, -128, 127) as int8, in
+        float64 on one temporary. Scalars and 0-d arrays give an int8 scalar."""
+        q = np.array(x, dtype=np.float64)
+        q /= self.scale
+        q += 0.5
+        np.floor(q, out=q)
+        q += self.zero_point
+        np.clip(q, -128, 127, out=q)
+        return _unwrap_0d(q.astype(np.int8))
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
-        return ((q.astype(np.float64) - self.zero_point) * self.scale).astype(np.float32)
+        """(q - zero_point) * scale as float32, in float64 on one temporary."""
+        r = np.array(q, dtype=np.float64)
+        r -= self.zero_point
+        r *= self.scale
+        return _unwrap_0d(r.astype(np.float32))
+
+
+def _unwrap_0d(a: np.ndarray):
+    # numpy arithmetic turns 0-d arrays into scalars; in-place arithmetic does not
+    return a[()] if a.ndim == 0 else a
 
 
 def _round_half_up(x):

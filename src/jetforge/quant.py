@@ -5,6 +5,12 @@ the integer convolution the executor uses in i8 mode.
 Activation ranges are affine per tensor (lo -> -128, hi -> 127); weights are
 symmetric per output channel (zero point 0), the standard pairing that keeps
 integer convolution a plain integer dot product.
+
+The integer dot products run as a float64 BLAS GEMM. Every partial sum is
+an integer below 2**53, which float64 holds exactly, so the accumulators
+equal int64 arithmetic bit for bit and do not depend on the BLAS build or
+its thread count: i8 results are reproducible across machines, unlike
+float32 ones.
 """
 
 from __future__ import annotations
@@ -16,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import executor as _executor
-from .graph import Graph, QuantParams, _round_half_up
+from .graph import Graph, QuantParams
 
 INT32_MAX = 2**31 - 1
+WEIGHT_QMAX = 127
+# float64 represents every integer of magnitude below this exactly
+FLOAT64_EXACT_LIMIT = 2**53
 
 
 class QuantError(Exception):
@@ -38,6 +47,10 @@ class NonFiniteActivation(QuantError):
 
 
 class AccumulatorOverflow(QuantError):
+    pass
+
+
+class InexactAccumulation(QuantError):
     pass
 
 
@@ -269,42 +282,89 @@ def quantize_weights(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric per-output-channel int8 weights.
 
     scale_c = max|w_c| / 127 (1.0 for all-zero channels); values round
-    half-up and clamp to [-127, 127].
+    half-up and clamp to [-WEIGHT_QMAX, WEIGHT_QMAX].
     """
     k = np.asarray(kernel, dtype=np.float32)
+    levels, scales = weight_levels(k)
+    return levels.astype(np.int8).reshape(k.shape), scales
+
+
+def weight_levels(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """quantize_weights' integer levels as a float64 [out_ch, K] matrix, the
+    operand conv_accumulator multiplies, computed in place on one temporary."""
+    k = np.asarray(kernel, dtype=np.float32)
     flat = k.reshape(k.shape[0], -1)
-    maxabs = np.abs(flat).max(axis=1)
+    maxabs = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     scales = np.where(maxabs > 0, maxabs / 127.0, 1.0).astype(np.float64)
-    q = _round_half_up(flat / scales[:, None])
-    q = np.clip(q, -127, 127).astype(np.int8).reshape(k.shape)
-    return q, scales
+    levels = flat / scales[:, None]
+    levels += 0.5
+    np.floor(levels, out=levels)
+    np.clip(levels, -WEIGHT_QMAX, WEIGHT_QMAX, out=levels)
+    return levels, scales
+
+
+def check_float64_exact(taps: int, max_abs_x: int) -> None:
+    """Raise InexactAccumulation unless a `taps`-long dot product of integers
+    |x| <= max_abs_x and |w| <= WEIGHT_QMAX is exact in float64 in any
+    summation order: every partial sum must stay below 2**53."""
+    if taps * max_abs_x * WEIGHT_QMAX >= FLOAT64_EXACT_LIMIT:
+        raise InexactAccumulation(
+            f"{taps} taps of |x| <= {max_abs_x} times |w| <= {WEIGHT_QMAX} can reach "
+            f"2**53; float64 accumulation would not be exact")
+
+
+def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
+                     stride: int, pad: int) -> np.ndarray:
+    """Integer accumulators of a convolution, [out_ch, out_h * out_w]: the
+    sums of (q - zero_point) * q_w, checked to fit in int32.
+
+    q_kernel is [out_ch, in_ch, k, k] and holds integers in
+    [-WEIGHT_QMAX, WEIGHT_QMAX] (int8, or the same values in float64). The
+    products are summed by a float64 BLAS GEMM, which equals int64
+    accumulation bit for bit: check_float64_exact and the int32 overflow
+    proof keep every partial sum an integer below 2**53, so the result
+    depends on neither the BLAS build nor its thread count.
+
+    The overflow proof is static per output channel and runs before the
+    data are touched: max|q - zero_point| * sum|q_w,c| <= INT32_MAX. Only
+    channels that fail it get the exact data bound |cols| @ |w_c|, and
+    AccumulatorOverflow is raised only when that bound exceeds INT32_MAX.
+    """
+    out_ch, _, k, _ = q_kernel.shape
+    max_abs_x = max(127 - zero_point, zero_point + 128)
+    check_float64_exact(q_kernel[0].size, max_abs_x)
+    w2d = q_kernel.reshape(out_ch, -1).astype(np.float64, copy=False)
+    abs_w = np.abs(w2d)
+    unproven = np.flatnonzero(max_abs_x * abs_w.sum(axis=1) > INT32_MAX)
+
+    shifted = x_q.astype(np.float64)
+    shifted -= zero_point
+    cols = _executor._im2col(shifted, k, stride, pad).T  # [K, out_h*out_w], C order
+
+    if unproven.size:
+        worst = (abs_w[unproven] @ np.abs(cols)).max(initial=0)
+        if worst > INT32_MAX:
+            raise AccumulatorOverflow(
+                f"conv accumulator would reach {int(worst)} (> int32); needs wider accumulation")
+    return w2d @ cols
 
 
 def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
                    scales: np.ndarray, bias: np.ndarray | None,
                    stride: int, pad: int) -> np.ndarray:
-    """Integer convolution: 32-bit accumulation of (q - zero_point) * q_w,
-    then real = acc * scale_in * scale_c + bias, returned as float32."""
-    out_ch = q_kernel.shape[0]
-    k = q_kernel.shape[2]
+    """Integer convolution: 32-bit accumulation of (q - zero_point) * q_w
+    (see conv_accumulator), then real = acc * scale_in * scale_c + bias,
+    returned as float32."""
+    out_ch, _, k, _ = q_kernel.shape
     _, _, h, w = x_q.shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
 
-    shifted = x_q.astype(np.int16) - np.int16(x_params.zero_point)
-    cols = _executor._im2col(shifted, k, stride, pad).astype(np.int64)
-    w2d = q_kernel.reshape(out_ch, -1).astype(np.int64)
-
-    worst = np.abs(cols) @ np.abs(w2d).T
-    if worst.max(initial=0) > INT32_MAX:
-        raise AccumulatorOverflow(
-            f"conv accumulator would reach {worst.max()} (> int32); needs wider accumulation")
-    acc = cols @ w2d.T
-
-    real = acc.astype(np.float64) * (x_params.scale * scales)[None, :]
+    acc = conv_accumulator(x_q, x_params.zero_point, q_kernel, stride, pad)
+    real = acc * (x_params.scale * scales)[:, None]
     if bias is not None:
-        real = real + bias[None, :]
-    return np.ascontiguousarray(real.T.reshape(1, out_ch, oh, ow), dtype=np.float32)
+        real += bias[:, None]
+    return real.reshape(1, out_ch, oh, ow).astype(np.float32)
 
 
 # --------------------------------------------------------------------------

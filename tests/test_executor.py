@@ -280,3 +280,46 @@ def test_plan_pins_nodes_to_f32(tiny_quantized, rng):
     trace = executor.execute(tiny_quantized, x, mode=executor.I8, plan=plan)
     out = tiny_quantized.nodes[3].output
     assert trace.buffers[out].dtype == executor.F32
+
+
+_I8_HEAD_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from jetforge import executor, graph
+gr = graph.load_container(sys.argv[1])
+trace = executor.execute(gr, np.load(sys.argv[2]), mode=executor.I8,
+                         retention=executor.RETAIN_HEADS)
+for head in sorted(trace.buffers):
+    print(head, hashlib.sha256(trace.buffers[head].data.tobytes()).hexdigest())
+"""
+
+
+def test_i8_heads_identical_across_blas_thread_counts(tiny_quantized, tmp_path):
+    """Integer conv sums are exact in float64, so their summation order (the
+    BLAS kernel, its thread count) cannot change an i8 result."""
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    from jetforge import fixtures
+    model, frame = tmp_path / "tiny_i8.uir", tmp_path / "frame.npy"
+    g.save_container(tiny_quantized, model)
+    img, _ = fixtures.random_scene(np.random.default_rng(27), negative_chance=0.0)
+    x = fixtures.scene_tensor(img)
+    np.save(frame, x)
+
+    src = os.path.dirname(os.path.dirname(executor.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _I8_HEAD_DIGESTS, str(model), str(frame)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    here = executor.execute(tiny_quantized, x, mode=executor.I8,
+                            retention=executor.RETAIN_HEADS)
+    want = "".join(f"{h} {hashlib.sha256(here.buffers[h].data.tobytes()).hexdigest()}\n"
+                   for h in sorted(here.buffers))
+    assert digests == [want, want]

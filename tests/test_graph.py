@@ -228,6 +228,40 @@ def test_qparams_boundary_mapping():
     assert -128 <= qp.zero_point <= 127
 
 
+def _quantize_formula(qp, x):
+    q = np.floor(np.asarray(x, dtype=np.float64) / qp.scale + 0.5) + qp.zero_point
+    return np.clip(q, -128, 127).astype(np.int8)
+
+
+@pytest.mark.parametrize("lo,hi", [(-16.0, 47.75), (-1.0, 1.0), (0.0, 6.0), (2.0, 3.0)])
+def test_qparams_quantize_matches_formula_at_half_boundaries(lo, hi):
+    """quantize/dequantize equal the plain float64 formulas bit for bit, at
+    exact .5 boundaries (exact with the power-of-two scale 0.25 of the first
+    range) and one ulp either side of them."""
+    qp = g.QuantParams.from_range(lo, hi)
+    halves = (np.arange(-700, 700) + 0.5) * qp.scale
+    xs = np.concatenate([halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf)])
+    for x in (xs, xs.astype(np.float32).reshape(3, 20, 70)):
+        q = qp.quantize(x)
+        assert q.dtype == np.int8 and q.shape == x.shape
+        assert np.array_equal(q, _quantize_formula(qp, x))
+        deq = ((q.astype(np.float64) - qp.zero_point) * qp.scale).astype(np.float32)
+        assert np.array_equal(qp.dequantize(q), deq)
+    if qp.scale == 0.25:
+        assert np.array_equal(qp.quantize(halves[:3]), np.array([-128, -128, -128]))
+        assert qp.quantize(0.125) == qp.zero_point + 1  # 0.5 rounds up
+
+
+def test_qparams_scalar_return_types():
+    qp = g.QuantParams.from_range(-1.0, 3.0)
+    for x in (1.3, np.float32(1.3), np.array(1.3), 2):
+        q = qp.quantize(x)
+        assert isinstance(q, np.int8) and q == _quantize_formula(qp, x)
+    for q in (np.int8(5), np.array(5, dtype=np.int8)):
+        assert isinstance(qp.dequantize(q), np.float32)
+    assert qp.quantize(np.array([1.3])).shape == (1,)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-50, max_value=49), st.floats(min_value=0.5, max_value=100))
 def test_qparams_roundtrip_bound(lo, width):

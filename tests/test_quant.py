@@ -323,6 +323,86 @@ def test_accumulator_overflow_detected():
         quant.quantized_conv(qp.quantize(x), qp, q_kernel, scales, None, 1, 0)
 
 
+def _int64_conv_oracle(x_q, zero_point, q_kernel, stride, pad):
+    """[out_ch, out_h * out_w] int64 sums of (q - zero_point) * q_w."""
+    k = q_kernel.shape[2]
+    shifted = x_q[0].astype(np.int64) - zero_point
+    padded = np.pad(shifted, ((0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    acc = np.einsum("chwij,ocij->ohw", windows, q_kernel.astype(np.int64))
+    return acc.reshape(q_kernel.shape[0], -1)
+
+
+@pytest.mark.parametrize("x_range,q_in,signs", [
+    ((0.0, 1.0), 127, "same"),     # zero point -128: q - zp = +255
+    ((-1.0, 0.0), -128, "same"),   # zero point 127: q - zp = -255
+    ((0.0, 1.0), 127, "mixed"),
+])
+def test_conv_accumulator_exact_at_worst_case_magnitude(x_range, q_in, signs):
+    """K = 4608 (yolov3's largest conv, 3x3x512) with every |q - zp| = 255 and
+    |q_w| = 127: the float64 GEMM accumulator equals int64 bit for bit."""
+    qp = g.QuantParams.from_range(*x_range)
+    assert abs(q_in - qp.zero_point) == 255
+    x_q = np.full((1, 512, 3, 3), q_in, dtype=np.int8)
+    rng = np.random.default_rng(5)
+    sign = np.sign(q_in - qp.zero_point)
+    if signs == "same":
+        q_kernel = np.full((4, 512, 3, 3), 127 * sign, dtype=np.int8)
+    else:
+        q_kernel = (127 * rng.choice([-1, 1], size=(4, 512, 3, 3))).astype(np.int8)
+    q_kernel[3] = 127 * sign  # one all-same-sign channel in every case
+
+    acc = quant.conv_accumulator(x_q, qp.zero_point, q_kernel, stride=1, pad=1)
+    want = _int64_conv_oracle(x_q, qp.zero_point, q_kernel, stride=1, pad=1)
+    assert acc.dtype == np.float64
+    assert want[3, 4] == 4608 * 255 * 127  # the centre tap sees no padding
+    assert np.array_equal(acc.astype(np.int64), want)
+    assert np.array_equal(acc, want.astype(np.float64))
+
+    scales = np.linspace(0.001, 0.01, 4)
+    got = quant.quantized_conv(x_q, qp, q_kernel, scales, None, stride=1, pad=1)
+    ref = (want.astype(np.float64) * (qp.scale * scales)[:, None]).astype(np.float32)
+    assert np.array_equal(got.reshape(4, -1), ref)
+
+
+def test_overflow_fallback_runs_when_data_stay_in_range():
+    """The 150000-tap layer of test_accumulator_overflow_detected fails the
+    static bound, but fed its zero point (plus a few thousand full-scale
+    taps) every accumulator fits in int32: the data bound lets it run."""
+    qp = g.QuantParams.from_range(-1.0, 1.0)
+    x = np.zeros((1, 150000, 1, 2), dtype=np.float32)
+    x[0, :3000, 0, 1] = 1.0
+    kernel = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
+    q_kernel, scales = quant.quantize_weights(kernel)
+    x_q = qp.quantize(x)
+    assert np.all(x_q[0, 3000:] == qp.zero_point)
+    max_abs_x = max(127 - qp.zero_point, qp.zero_point + 128)
+    assert max_abs_x * np.abs(q_kernel.astype(np.int64)).sum() > quant.INT32_MAX
+
+    acc = quant.conv_accumulator(x_q, qp.zero_point, q_kernel, stride=1, pad=0)
+    want = _int64_conv_oracle(x_q, qp.zero_point, q_kernel, stride=1, pad=0)
+    assert want.tolist() == [[0, 3000 * 128 * 127]]
+    assert np.array_equal(acc, want.astype(np.float64))
+    out = quant.quantized_conv(x_q, qp, q_kernel, scales, None, 1, 0)
+    assert np.array_equal(out.reshape(1, -1),
+                          (want * (qp.scale * scales)[:, None]).astype(np.float32))
+
+
+def test_float64_exact_limit_boundary():
+    per_tap = 255 * quant.WEIGHT_QMAX
+    last_exact = (2**53 - 1) // per_tap
+    assert last_exact * per_tap < 2**53 <= (last_exact + 1) * per_tap
+    quant.check_float64_exact(4608, 255)
+    quant.check_float64_exact(last_exact, 255)
+    with pytest.raises(quant.InexactAccumulation):
+        quant.check_float64_exact(last_exact + 1, 255)
+    # a zero point outside [-128, 127] widens |q - zp| and lowers the limit
+    quant.check_float64_exact(last_exact // 2, 510)
+    with pytest.raises(quant.InexactAccumulation):
+        quant.check_float64_exact(last_exact // 2 + 1, 510)
+
+
 def test_ranges_file_roundtrip(tmp_path):
     params = {"a": g.QuantParams.from_range(-1.0, 1.0),
               "b": g.QuantParams.from_range(0.0, 6.0)}
