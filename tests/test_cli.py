@@ -139,6 +139,18 @@ def test_calibrate_deterministic_given_seed(optimized_container, tiny_files, tmp
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--count", "0", "image_count"), ("--bins", "1", "bin_count"), ("--levels", "0", "levels")])
+def test_calibrate_invalid_config_exits_invalid_without_output(
+        optimized_container, tiny_files, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "ranges.json"
+    code = run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
+                "--seed", "1", flag, value, "-o", out])
+    assert code == cli.EXIT_INVALID
+    assert f"{field} must be an integer >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="session")
 def quantized_container(optimized_container, ranges_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("containers") / "tiny_i8.uir"

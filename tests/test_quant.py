@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import executor, quant
@@ -161,6 +162,155 @@ def test_entropy_calibrate_symmetric_for_signed():
     lo, hi = quant.entropy_calibrate(hist, levels=32)
     assert lo < 0 < hi
     assert lo == pytest.approx(-hi * 128.0 / 127.0)
+
+
+# --------------------------------------------------------------------------
+# the vectorized cut scan vs the exhaustive loop it replaced
+# --------------------------------------------------------------------------
+
+def exhaustive_scan(counts, levels):
+    """The per-cut loop _scan_candidates replaced: candidate_divergence at
+    every j in levels..bins, `kl <= best_kl` so ties go to the larger j."""
+    bins = len(counts)
+    best_j, best_kl = bins, float("inf")
+    for j in range(levels, bins + 1):
+        kl = quant.candidate_divergence(counts, j, levels)
+        if kl <= best_kl:
+            best_kl, best_j = kl, j
+    return best_j
+
+
+def scanned_counts(hist):
+    """The counts entropy_calibrate hands to _scan_candidates."""
+    counts = hist.counts.copy() if hist.lo >= 0 else quant._fold_absolute(hist)[0]
+    counts[0] = counts[1]
+    return counts
+
+
+def assert_scan_matches_loop(counts, levels):
+    counts = np.asarray(counts, dtype=np.int64)
+    assert quant._scan_candidates(counts, levels) == exhaustive_scan(counts, levels)
+    if levels > counts.size:
+        return
+    # the approximation is infinite exactly where the scalar divergence is,
+    # and elsewhere within the stated bound e (half the shortlist width)
+    approx = quant._cut_divergences(counts, levels)
+    exact = np.array([quant.candidate_divergence(counts, j, levels)
+                      for j in range(levels, counts.size + 1)])
+    assert np.array_equal(np.isinf(approx), np.isinf(exact))
+    finite = np.isfinite(exact)
+    if finite.any():
+        bound = quant._scan_tolerance(int(counts.sum()), counts.size, levels) / 2
+        assert np.abs(approx[finite] - exact[finite]).max() <= bound
+
+
+@st.composite
+def adversarial_histograms(draw):
+    """Integer histograms shaped to break a vectorized scan: exact ties,
+    long zero runs, outlier mass folded onto an empty bin j-1, and cuts
+    that are all (or all but one) infinite."""
+    bins = draw(st.integers(2, 96))
+    levels = draw(st.integers(1, bins + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "periodic", "zero_runs", "sparse_tail",
+                                  "all_zero", "last_bin_only", "random"]))
+    if shape == "uniform":
+        counts = np.full(bins, draw(st.integers(1, 10**6)))
+    elif shape == "periodic":
+        pattern = rng.integers(0, 50, size=draw(st.integers(1, 8)))
+        counts = np.resize(pattern, bins)
+    elif shape == "zero_runs":
+        counts = rng.integers(1, 1000, size=bins)
+        for _ in range(draw(st.integers(1, 4))):
+            a = int(rng.integers(bins))
+            counts[a:a + int(rng.integers(1, bins))] = 0
+    elif shape == "sparse_tail":
+        # a few occupied bins and a far tail: many cuts fold outliers onto
+        # an empty bin j-1, some onto an empty last bucket (infinite)
+        counts = np.zeros(bins, dtype=np.int64)
+        occupied = rng.choice(bins, size=int(rng.integers(1, min(bins, 6) + 1)), replace=False)
+        counts[occupied] = rng.integers(1, 10**6, size=occupied.size)
+    elif shape == "all_zero":
+        counts = np.zeros(bins, dtype=np.int64)
+    elif shape == "last_bin_only":
+        counts = np.zeros(bins, dtype=np.int64)
+        counts[-1] = draw(st.integers(1, 10**9))
+    else:
+        counts = rng.integers(0, 10 ** int(rng.integers(1, 10)), size=bins)
+    return np.asarray(counts, dtype=np.int64), levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_histograms())
+# exact ties: KL is 0.0 at cuts 4..32 and at cuts 39 and 40, so the `<=`
+# rule must keep the largest
+@example((np.append(np.full(4, 5), np.zeros(28, dtype=np.int64)), 4))
+@example((np.resize([3, 0], 40), 4))
+# all cuts infinite, and all but j = bins infinite
+@example((np.zeros(50, dtype=np.int64), 8))
+@example((np.append(np.zeros(49, dtype=np.int64), 9), 8))
+def test_scan_matches_exhaustive_loop(case):
+    counts, levels = case
+    assert_scan_matches_loop(counts, levels)
+
+
+def test_scan_matches_loop_on_full_size_tiny_detector_tensors(tiny_optimized):
+    """2048 bins, 256 levels: histograms of real tiny-detector activations,
+    one signed (scanned through the folded |x| histogram), one non-negative."""
+    from jetforge import fixtures
+    images = fixtures.calibration_images(8, seed=1)
+    hists = quant.collect_histograms(tiny_optimized, images,
+                                     quant.CalibrationConfig(image_count=8, seed=0))
+    for tid in ("conv5", "act0_e"):
+        hist = hists[tid]
+        assert hist.bin_count == 2048
+        counts = scanned_counts(hist)
+        assert np.count_nonzero(counts) > 300, tid
+        assert_scan_matches_loop(counts, 256)
+
+
+def test_scan_memory_stays_flat():
+    """The cuts are evaluated in chunks: one 2048-bin, 256-level scan peaks
+    at about 1.1 MiB; all 1793 cuts at once would take about 22 MiB."""
+    xs = np.arange(2048)
+    counts = (1e7 * np.exp(-0.5 * (xs / 300.0) ** 2)).astype(np.int64) + 1
+    tracemalloc.start()
+    try:
+        quant._scan_candidates(counts, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+# --------------------------------------------------------------------------
+# calibration settings
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("image_count", 0), ("image_count", -1), ("bin_count", 0), ("bin_count", 1),
+    ("levels", 0), ("levels", -3), ("levels", 2.5),
+])
+def test_invalid_calibration_config_fails_loudly(field, value):
+    config = quant.CalibrationConfig(image_count=1)
+    setattr(config, field, value)
+    images = [np.ones((1, 1, 32, 32), dtype=np.float32)]
+    with pytest.raises(quant.InvalidCalibrationConfig, match=field):
+        quant.collect_histograms(zero_output_graph(), images, config)
+    with pytest.raises(quant.InvalidCalibrationConfig, match=field):
+        quant.calibrate_graph(zero_output_graph(), images, config)
+
+
+@pytest.mark.parametrize("levels", [0, -3])
+def test_entropy_calibrate_rejects_levels_below_one(levels):
+    hist = make_hist(np.arange(64), 0.0, 1.0)
+    with pytest.raises(quant.InvalidCalibrationConfig, match="levels"):
+        quant.entropy_calibrate(hist, levels=levels)
+
+
+def test_entropy_calibrate_rejects_single_bin_histogram():
+    with pytest.raises(quant.InvalidCalibrationConfig, match="bin_count"):
+        quant.entropy_calibrate(make_hist([5], 0.0, 1.0), levels=16)
 
 
 # --------------------------------------------------------------------------
