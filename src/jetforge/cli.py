@@ -109,6 +109,18 @@ def _list_images(directory) -> list[str]:
     return [os.path.join(directory, n) for n in names]
 
 
+def _attach_ranges(graph: graphlib.Graph, qparams: dict) -> graphlib.Graph:
+    """The quantize stage: a copy of `graph` carrying `qparams`, which must
+    hold a range for the input and every node output."""
+    missing = [t for t in [graph.input_id] + [n.output for n in graph.nodes] if t not in qparams]
+    if missing:
+        raise CliError(f"ranges file misses tensors: {', '.join(missing[:8])}",
+                       code=EXIT_INVALID)
+    out = graph.copy()
+    out.qparams = qparams
+    return out
+
+
 def _load_calibration_tensors(directory, graph: graphlib.Graph) -> list[np.ndarray]:
     shape = graph.input_shape
     tensors = []
@@ -187,13 +199,13 @@ def cmd_calibrate(args, config: ConfigFile) -> int:
         "count": 1000, "bins": 2048, "levels": 256, "seed": None})
     seed = _resolve_seed(args)
     effective["seed"] = seed
+    if not args.output:
+        raise CliError("calibrate needs -o/--output")
     graph = _load_model(args.model)
     tensors = _load_calibration_tensors(args.images, graph)
     cfg = quant.CalibrationConfig(image_count=int(args.count), seed=seed,
                                   bin_count=int(args.bins), levels=int(args.levels))
     qparams = quant.calibrate_graph(graph, tensors, cfg)
-    if not args.output:
-        raise CliError("calibrate needs -o/--output")
     meta = {**_tool_meta(effective),
             "images_used": min(len(tensors), cfg.image_count),
             "bin_count": cfg.bin_count, "seed": seed}
@@ -204,17 +216,12 @@ def cmd_calibrate(args, config: ConfigFile) -> int:
 
 def cmd_quantize(args, config: ConfigFile) -> int:
     effective = config.fill(args, "quantize", {"model": None, "ranges": None, "output": None})
+    if not args.output:
+        raise CliError("quantize needs -o/--output")
     graph = _load_model(args.model)
     _require_file(args.ranges, "ranges file")
     qparams, _meta = quant.load_ranges(args.ranges)
-    out = graph.copy()
-    out.qparams = qparams
-    missing = [t for t in ([out.input_id] + [n.output for n in out.nodes])
-               if t not in qparams]
-    if missing:
-        print(f"ranges file misses tensors: {', '.join(missing[:8])}", file=sys.stderr)
-        return EXIT_INVALID
-    graphlib.save_container(out, args.output, _tool_meta(effective))
+    graphlib.save_container(_attach_ranges(graph, qparams), args.output, _tool_meta(effective))
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -376,8 +383,7 @@ def cmd_pipeline(args, config: ConfigFile) -> int:
                            "bin_count": cal_cfg.bin_count})
 
         stage = "quantize"
-        quantized = optimized.copy()
-        quantized.qparams = qparams
+        quantized = _attach_ranges(optimized, qparams)
         quant_path = os.path.join(out_dir, "model_i8.uir")
         graphlib.save_container(quantized, quant_path, _tool_meta(effective))
 

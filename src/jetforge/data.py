@@ -14,7 +14,8 @@ import numpy as np
 
 from . import tensorio
 
-# unified class set; list order fixes the id assignment
+# unified class set; list order fixes the id assignment, and the frontend
+# names a 6-class network's outputs with it
 CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
 CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
 IGNORE = "ignore"

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as g
-
-# the six detector classes, in the order the network metadata uses
-DEFAULT_CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
+from .data import CLASS_NAMES
 
 # cfg keys that belong to training runs: [net] ones are silently skipped
 # (darknet cfgs always carry them), [yolo] ones are skipped with a warning
@@ -283,8 +281,8 @@ def parse_cfg(text: str) -> g.Graph:
         else:
             raise UnknownSection(f"line {section.line_no}: [{section.name}]")
 
-    if num_classes == len(DEFAULT_CLASS_NAMES):
-        class_names = list(DEFAULT_CLASS_NAMES)
+    if num_classes == len(CLASS_NAMES):
+        class_names = list(CLASS_NAMES)
     elif num_classes:
         class_names = [f"class{k}" for k in range(num_classes)]
     else:

@@ -3,6 +3,8 @@ serialized model container every other stage exchanges.
 
 Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
+`Graph.copy` copies nodes but shares weight arrays, so no code writes a
+weight array in place; a changed weight is a new array bound to its key.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ class Graph:
             nodes=[n.copy() for n in self.nodes],
             input_id=self.input_id,
             input_shape=self.input_shape,
-            weights={k: v.copy() for k, v in self.weights.items()},
+            weights=dict(self.weights),
             metadata=GraphMetadata(
                 class_names=list(self.metadata.class_names),
                 anchors=[tuple(a) for a in self.metadata.anchors],
@@ -234,25 +236,39 @@ def conv_out_dim(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
+def _topo_order(graph: Graph) -> tuple[list[LayerNode], list[LayerNode]]:
+    """(nodes in an order where every input is produced first, nodes never
+    reached). Sweeps the pending list until a sweep resolves nothing, so the
+    node list may be in any order; unreached nodes (a cycle or a dangling
+    input) keep their list order."""
+    resolved = {graph.input_id}
+    order: list[LayerNode] = []
+    pending = list(graph.nodes)
+    while pending:
+        remaining = []
+        for node in pending:
+            if all(t in resolved for t in node.inputs):
+                order.append(node)
+                resolved.add(node.output)
+            else:
+                remaining.append(node)
+        if len(remaining) == len(pending):
+            break
+        pending = remaining
+    return order, pending
+
+
 def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
     """Resolve every tensor's shape; order-independent over valid topo orders."""
     if graph.input_id is None or graph.input_shape is None:
         raise ShapeMismatch("graph has no input")
     shapes: dict[str, TensorShape] = {graph.input_id: graph.input_shape}
-    pending = list(graph.nodes)
-    while pending:
-        progressed = False
-        remaining = []
-        for node in pending:
-            if all(t in shapes for t in node.inputs):
-                shapes[node.output] = _node_output_shape(node, [shapes[t] for t in node.inputs])
-                progressed = True
-            else:
-                remaining.append(node)
-        if not progressed:
-            stuck = ", ".join(n.id for n in remaining)
-            raise ShapeMismatch(f"unresolvable inputs (cycle or dangling reference): {stuck}")
-        pending = remaining
+    order, stuck = _topo_order(graph)
+    for node in order:
+        shapes[node.output] = _node_output_shape(node, [shapes[t] for t in node.inputs])
+    if stuck:
+        raise ShapeMismatch("unresolvable inputs (cycle or dangling reference): "
+                            + ", ".join(n.id for n in stuck))
     return shapes
 
 
@@ -337,9 +353,10 @@ def validate(graph: Graph) -> list[Diagnostic]:
             if t not in known:
                 diags.append(Diagnostic(n.id, f"input tensor '{t}' is never produced"))
 
-    cycle_nodes = _unreachable_in_topo(graph)
-    if cycle_nodes:
-        diags.append(Diagnostic(cycle_nodes[0], "cycle involving nodes: " + ", ".join(cycle_nodes)))
+    _, stuck = _topo_order(graph)
+    if stuck:
+        diags.append(Diagnostic(stuck[0].id, "cycle involving nodes: "
+                                + ", ".join(n.id for n in stuck)))
 
     for n in graph.nodes:
         diags.extend(_check_node_attrs(n))
@@ -360,20 +377,6 @@ def validate(graph: Graph) -> list[Diagnostic]:
             return diags
         diags.extend(_check_shape_invariants(graph, shapes))
     return diags
-
-
-def _unreachable_in_topo(graph: Graph) -> list[str]:
-    resolved = {graph.input_id}
-    pending = list(graph.nodes)
-    while pending:
-        remaining = [n for n in pending if not all(t in resolved for t in n.inputs)]
-        if len(remaining) == len(pending):
-            return [n.id for n in pending]
-        for n in pending:
-            if all(t in resolved for t in n.inputs):
-                resolved.add(n.output)
-        pending = remaining
-    return []
 
 
 def _check_node_attrs(n: LayerNode) -> list[Diagnostic]:

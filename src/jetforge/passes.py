@@ -4,7 +4,8 @@ scale-into-conv folding, leaky->ReLU swapping, and precision planning.
 
 All passes are pure: they copy the graph, never mutate the input, and leave
 non-matching patterns untouched. Applying any pass twice equals applying it
-once.
+once. The copy shares the input's weight arrays; passes only rebind
+`weights[key]` to new arrays and never write an array in place.
 """
 
 from __future__ import annotations
@@ -51,13 +52,75 @@ def _total_macs(graph: Graph) -> int:
     return frontend.model_stats(graph).total_macs
 
 
-def _rewire(nodes: list[LayerNode], old_tensor: str, new_tensor: str) -> None:
-    for n in nodes:
-        n.inputs = [new_tensor if t == old_tensor else t for t in n.inputs]
+def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
+    """Fold every node `matches` accepts into the convolution that produces
+    its first input, when that conv has no inline activation and the node is
+    its only consumer. `fold(weights, conv, node)` rebinds the conv's weights
+    and attrs; the node's consumers are rewired to the conv's output.
+
+    One sweep in list order over a live producer map and per-tensor consumer
+    lists (one entry per input slot). On a topologically ordered node list,
+    which the frontend, the container loader and every pass produce, a fold
+    changes only what later nodes see, so the sweep folds the same nodes in
+    the same order as rescanning from the start after every fold.
+    """
+    producers = out.producers()
+    consumers = out.consumers()
+    kept = []
+    for node in out.nodes:
+        conv = producers.get(node.inputs[0]) if matches(node) else None
+        if (conv is None or conv.kind != CONV or conv.attrs.get("act", LINEAR) != LINEAR
+                or len(consumers[conv.output]) != 1):
+            kept.append(node)
+            continue
+        fold(out.weights, conv, node)
+        readers = consumers.pop(node.output, [])
+        for reader in readers:
+            reader.inputs = [conv.output if t == node.output else t for t in reader.inputs]
+        consumers[conv.output] = readers
+        report.removed.append(node.id)
+    out.nodes = kept
 
 
-def _consumer_count(nodes: list[LayerNode], tensor: str) -> int:
-    return sum(t == tensor for n in nodes for t in n.inputs)
+def _fold_bn(weights, conv: LayerNode, bn: LayerNode) -> None:
+    gamma = weights[(bn.id, "bn_gamma")].astype(np.float64)
+    beta = weights[(bn.id, "bn_beta")].astype(np.float64)
+    mean = weights[(bn.id, "bn_mean")].astype(np.float64)
+    var = weights[(bn.id, "bn_var")].astype(np.float64)
+    inv = gamma / np.sqrt(var + bn.attrs["eps"])
+
+    kernel = weights[(conv.id, "kernel")].astype(np.float64)
+    oc = conv.attrs["out_ch"]
+    kernel = (kernel.reshape(oc, -1) * inv[:, None]).reshape(-1)
+    bias = weights.get((conv.id, "bias"))
+    bias = bias.astype(np.float64) if bias is not None else np.zeros(oc)
+    bias = (bias - mean) * inv + beta
+
+    weights[(conv.id, "kernel")] = kernel.astype(np.float32)
+    weights[(conv.id, "bias")] = bias.astype(np.float32)
+    conv.attrs["has_bias"] = True
+    for role in ("bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+        weights.pop((bn.id, role), None)
+
+
+def _fold_activation(weights, conv: LayerNode, act: LayerNode) -> None:
+    conv.attrs["act"] = act.attrs["act"]
+
+
+def _fold_scale(weights, conv: LayerNode, scale: LayerNode) -> None:
+    oc = conv.attrs["out_ch"]
+    factor = scale.attrs.get("factor")
+    if factor is not None:
+        per_ch = np.full(oc, factor, dtype=np.float64)
+    else:
+        per_ch = weights[(scale.id, "scale_factors")].astype(np.float64)
+    kernel = weights[(conv.id, "kernel")].astype(np.float64)
+    kernel = (kernel.reshape(oc, -1) * per_ch[:, None]).reshape(-1)
+    weights[(conv.id, "kernel")] = kernel.astype(np.float32)
+    if conv.attrs["has_bias"]:
+        bias = weights[(conv.id, "bias")].astype(np.float64)
+        weights[(conv.id, "bias")] = (bias * per_ch).astype(np.float32)
+    weights.pop((scale.id, "scale_factors"), None)
 
 
 def fuse_conv_bn(graph: Graph) -> tuple[Graph, PassReport]:
@@ -68,69 +131,17 @@ def fuse_conv_bn(graph: Graph) -> tuple[Graph, PassReport]:
     bias'   = (bias - mean) * gamma / sqrt(var + eps) + beta.
 
     Leaky activations are left standing: they model plugin layers, which
-    do not fuse. Only sole-consumer patterns are touched.
+    do not fuse. Only sole-consumer patterns are touched. All batchnorms
+    fold before any activation, so a linear activation between a conv and
+    a batchnorm keeps the batchnorm standing.
     """
     out = graph.copy()
     report = PassReport("fuse-conv-bn", nodes_before=len(graph.nodes), nodes_after=0)
     macs_before = _total_macs(graph)
-
-    # conv + batchnorm
-    changed = True
-    while changed:
-        changed = False
-        producers = {n.output: n for n in out.nodes}
-        for bn in list(out.nodes):
-            if bn.kind != BATCHNORM:
-                continue
-            conv = producers.get(bn.inputs[0])
-            if conv is None or conv.kind != CONV or conv.attrs.get("act", LINEAR) != LINEAR:
-                continue
-            if _consumer_count(out.nodes, conv.output) != 1:
-                continue
-            gamma = out.weights[(bn.id, "bn_gamma")].astype(np.float64)
-            beta = out.weights[(bn.id, "bn_beta")].astype(np.float64)
-            mean = out.weights[(bn.id, "bn_mean")].astype(np.float64)
-            var = out.weights[(bn.id, "bn_var")].astype(np.float64)
-            inv = gamma / np.sqrt(var + bn.attrs["eps"])
-
-            kernel = out.weights[(conv.id, "kernel")].astype(np.float64)
-            oc = conv.attrs["out_ch"]
-            kernel = (kernel.reshape(oc, -1) * inv[:, None]).reshape(-1)
-            bias = out.weights.get((conv.id, "bias"))
-            bias = bias.astype(np.float64) if bias is not None else np.zeros(oc)
-            bias = (bias - mean) * inv + beta
-
-            out.weights[(conv.id, "kernel")] = kernel.astype(np.float32)
-            out.weights[(conv.id, "bias")] = bias.astype(np.float32)
-            conv.attrs["has_bias"] = True
-            for role in ("bn_gamma", "bn_beta", "bn_mean", "bn_var"):
-                out.weights.pop((bn.id, role), None)
-            out.nodes.remove(bn)
-            _rewire(out.nodes, bn.output, conv.output)
-            report.removed.append(bn.id)
-            changed = True
-            break
-
-    # conv + native activation
-    changed = True
-    while changed:
-        changed = False
-        producers = {n.output: n for n in out.nodes}
-        for act in list(out.nodes):
-            if act.kind != ACTIVATION or act.attrs["act"] not in (RELU, LINEAR):
-                continue
-            conv = producers.get(act.inputs[0])
-            if conv is None or conv.kind != CONV or conv.attrs.get("act", LINEAR) != LINEAR:
-                continue
-            if _consumer_count(out.nodes, conv.output) != 1:
-                continue
-            conv.attrs["act"] = act.attrs["act"]
-            out.nodes.remove(act)
-            _rewire(out.nodes, act.output, conv.output)
-            report.removed.append(act.id)
-            changed = True
-            break
-
+    _fold_into_conv(out, report, lambda n: n.kind == BATCHNORM, _fold_bn)
+    _fold_into_conv(out, report,
+                    lambda n: n.kind == ACTIVATION and n.attrs["act"] in (RELU, LINEAR),
+                    _fold_activation)
     report.nodes_after = len(out.nodes)
     report.mac_delta = _total_macs(out) - macs_before
     return out, report
@@ -179,38 +190,7 @@ def fold_scale_into_conv(graph: Graph) -> tuple[Graph, PassReport]:
     out = graph.copy()
     report = PassReport("fold-scale", nodes_before=len(graph.nodes), nodes_after=0)
     macs_before = _total_macs(graph)
-
-    changed = True
-    while changed:
-        changed = False
-        producers = {n.output: n for n in out.nodes}
-        for scale in list(out.nodes):
-            if scale.kind != SCALE:
-                continue
-            conv = producers.get(scale.inputs[0])
-            if conv is None or conv.kind != CONV or conv.attrs.get("act", LINEAR) != LINEAR:
-                continue
-            if _consumer_count(out.nodes, conv.output) != 1:
-                continue
-            oc = conv.attrs["out_ch"]
-            factor = scale.attrs.get("factor")
-            if factor is not None:
-                per_ch = np.full(oc, factor, dtype=np.float64)
-            else:
-                per_ch = out.weights[(scale.id, "scale_factors")].astype(np.float64)
-            kernel = out.weights[(conv.id, "kernel")].astype(np.float64)
-            kernel = (kernel.reshape(oc, -1) * per_ch[:, None]).reshape(-1)
-            out.weights[(conv.id, "kernel")] = kernel.astype(np.float32)
-            if conv.attrs["has_bias"]:
-                bias = out.weights[(conv.id, "bias")].astype(np.float64)
-                out.weights[(conv.id, "bias")] = (bias * per_ch).astype(np.float32)
-            out.weights.pop((scale.id, "scale_factors"), None)
-            out.nodes.remove(scale)
-            _rewire(out.nodes, scale.output, conv.output)
-            report.removed.append(scale.id)
-            changed = True
-            break
-
+    _fold_into_conv(out, report, lambda n: n.kind == SCALE, _fold_scale)
     report.nodes_after = len(out.nodes)
     report.mac_delta = _total_macs(out) - macs_before
     return out, report

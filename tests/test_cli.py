@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from jetforge import bench, cli, data, detect, fixtures, frontend, tensorio
+from jetforge import bench, cli, data, detect, fixtures, frontend, quant, tensorio
 from jetforge import graph as g
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -149,6 +149,55 @@ def test_calibrate_invalid_config_exits_invalid_without_output(
     assert code == cli.EXIT_INVALID
     assert f"{field} must be an integer >=" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_calibrate_without_output_exits_2_before_calibrating(
+        optimized_container, tiny_files, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("calibrate_graph ran before the -o/--output check")
+    monkeypatch.setattr(cli.quant, "calibrate_graph", never)
+    code = run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
+                "--count", "10"])
+    assert code == cli.EXIT_USAGE
+    assert "calibrate needs -o/--output" in capsys.readouterr().err
+
+
+def test_quantize_without_output_exits_2(optimized_container, ranges_file, capsys):
+    code = run(["quantize", "-m", optimized_container, "--ranges", ranges_file])
+    assert code == cli.EXIT_USAGE
+    assert "quantize needs -o/--output" in capsys.readouterr().err
+
+
+def test_quantize_ranges_missing_a_tensor_exits_1(optimized_container, ranges_file,
+                                                   tmp_path, capsys):
+    qparams, meta = quant.load_ranges(ranges_file)
+    dropped = g.load_container(optimized_container).nodes[-1].output
+    del qparams[dropped]
+    partial = tmp_path / "partial.json"
+    quant.save_ranges(partial, qparams, meta)
+    out = tmp_path / "i8.uir"
+    code = run(["quantize", "-m", optimized_container, "--ranges", partial, "-o", out])
+    assert code == cli.EXIT_INVALID
+    assert f"ranges file misses tensors: {dropped}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_quantize_checks_ranges_cover_every_tensor(tiny_files, tmp_path,
+                                                            monkeypatch, capsys):
+    calibrate = quant.calibrate_graph
+
+    def partial(graph, images, config):
+        qparams = calibrate(graph, images[:2], config)
+        del qparams[graph.nodes[-1].output]
+        return qparams
+    monkeypatch.setattr(cli.quant, "calibrate_graph", partial)
+    out_dir = tmp_path / "out"
+    code = run(["pipeline", "--cfg", tiny_files["cfg"], "--weights", tiny_files["weights"],
+                "--calib-dir", tiny_files["calib"], "--out-dir", out_dir, "--count", "2"])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "stage 'quantize'" in err and "ranges file misses tensors" in err
+    assert not (out_dir / "model_i8.uir").exists()
 
 
 @pytest.fixture(scope="session")

@@ -89,6 +89,21 @@ def test_validate_cycle_names_nodes():
     assert cycle and "a" in cycle[0].reason and "b" in cycle[0].reason
 
 
+def test_unreached_nodes_reported_in_list_order():
+    """validate and infer_shapes name the nodes a topological walk never
+    reaches (the cycle and what hangs off it) in node-list order."""
+    ok = g.activation_node("ok", ["input"], "ok", g.RELU)
+    c = g.activation_node("c", ["b"], "c", g.RELU)
+    a = g.activation_node("a", ["b"], "a", g.RELU)
+    b = g.LayerNode("b", g.ADD, ["a", "ok"], "b")
+    gr = g.Graph(nodes=[c, ok, a, b], input_shape=g.TensorShape(1, 1, 32, 32))
+    cycle = [d for d in g.validate(gr) if "cycle" in d.reason]
+    assert [(d.node_id, d.reason) for d in cycle] == [("c", "cycle involving nodes: c, a, b")]
+    with pytest.raises(g.ShapeMismatch) as exc:
+        g.infer_shapes(gr)
+    assert str(exc.value) == "unresolvable inputs (cycle or dangling reference): c, a, b"
+
+
 def test_validate_yolo_head_channels():
     # 3 anchors x (5 + 6 classes) = 33 input channels is valid
     conv = g.conv_node("c", ["input"], "c", out_ch=33, kernel=1, stride=1, pad=0,

@@ -39,6 +39,182 @@ def random_conv_bn_net(rng, n_layers=None, channels=3, size=12):
     return gr
 
 
+def with_chains(gr, rng):
+    """Insert a second batchnorm after some batchnorms, and a per-channel
+    then a scalar scale after some convs. The original node's output is
+    renamed so its consumers read the end of the inserted chain. Half the
+    second batchnorms fork instead: an add reads both batchnorms, so the
+    first one's output has two consumers."""
+    nodes = []
+    for node in gr.nodes:
+        nodes.append(node)
+        if node.kind not in (g.CONV, g.BATCHNORM) or rng.random() < 0.5:
+            continue
+        tail, node.output = node.output, f"{node.id}_pre"
+        if node.kind == g.BATCHNORM:
+            c = gr.weights[(node.id, "bn_gamma")].size
+            fork = rng.random() < 0.5
+            bn = g.LayerNode(f"{node.id}x", g.BATCHNORM, [node.output],
+                             f"{node.id}x" if fork else tail, dict(node.attrs))
+            for role, lo, hi in (("bn_gamma", 0.5, 1.1), ("bn_beta", -0.3, 0.3),
+                                 ("bn_mean", -0.3, 0.3), ("bn_var", 0.8, 2.0)):
+                gr.weights[(bn.id, role)] = rng.uniform(lo, hi, c).astype(np.float32)
+            nodes.append(bn)
+            if fork:
+                nodes.append(g.LayerNode(f"{node.id}_y", g.ADD, [node.output, bn.output], tail))
+        else:
+            s1 = g.LayerNode(f"{node.id}_s1", g.SCALE, [node.output], f"{node.id}_s1")
+            gr.weights[(s1.id, "scale_factors")] = rng.uniform(
+                0.5, 1.5, node.attrs["out_ch"]).astype(np.float32)
+            s2 = g.LayerNode(f"{node.id}_s2", g.SCALE, [s1.output], tail,
+                             {"factor": float(rng.uniform(0.5, 1.5))})
+            nodes.extend([s1, s2])
+    gr.nodes = nodes
+    assert g.validate(gr) == []
+    return gr
+
+
+# The restart-on-every-match passes that _fold_into_conv replaced, kept as
+# the reference its single sweep must reproduce exactly.
+
+def _rewire(nodes, old_tensor, new_tensor):
+    for n in nodes:
+        n.inputs = [new_tensor if t == old_tensor else t for t in n.inputs]
+
+
+def _consumer_count(nodes, tensor):
+    return sum(t == tensor for n in nodes for t in n.inputs)
+
+
+def restart_fuse_conv_bn(graph):
+    out = graph.copy()
+    report = passes.PassReport("fuse-conv-bn", nodes_before=len(graph.nodes), nodes_after=0)
+    macs_before = passes._total_macs(graph)
+
+    changed = True
+    while changed:
+        changed = False
+        producers = {n.output: n for n in out.nodes}
+        for bn in list(out.nodes):
+            if bn.kind != g.BATCHNORM:
+                continue
+            conv = producers.get(bn.inputs[0])
+            if conv is None or conv.kind != g.CONV or conv.attrs.get("act", g.LINEAR) != g.LINEAR:
+                continue
+            if _consumer_count(out.nodes, conv.output) != 1:
+                continue
+            gamma = out.weights[(bn.id, "bn_gamma")].astype(np.float64)
+            beta = out.weights[(bn.id, "bn_beta")].astype(np.float64)
+            mean = out.weights[(bn.id, "bn_mean")].astype(np.float64)
+            var = out.weights[(bn.id, "bn_var")].astype(np.float64)
+            inv = gamma / np.sqrt(var + bn.attrs["eps"])
+
+            kernel = out.weights[(conv.id, "kernel")].astype(np.float64)
+            oc = conv.attrs["out_ch"]
+            kernel = (kernel.reshape(oc, -1) * inv[:, None]).reshape(-1)
+            bias = out.weights.get((conv.id, "bias"))
+            bias = bias.astype(np.float64) if bias is not None else np.zeros(oc)
+            bias = (bias - mean) * inv + beta
+
+            out.weights[(conv.id, "kernel")] = kernel.astype(np.float32)
+            out.weights[(conv.id, "bias")] = bias.astype(np.float32)
+            conv.attrs["has_bias"] = True
+            for role in ("bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+                out.weights.pop((bn.id, role), None)
+            out.nodes.remove(bn)
+            _rewire(out.nodes, bn.output, conv.output)
+            report.removed.append(bn.id)
+            changed = True
+            break
+
+    changed = True
+    while changed:
+        changed = False
+        producers = {n.output: n for n in out.nodes}
+        for act in list(out.nodes):
+            if act.kind != g.ACTIVATION or act.attrs["act"] not in (g.RELU, g.LINEAR):
+                continue
+            conv = producers.get(act.inputs[0])
+            if conv is None or conv.kind != g.CONV or conv.attrs.get("act", g.LINEAR) != g.LINEAR:
+                continue
+            if _consumer_count(out.nodes, conv.output) != 1:
+                continue
+            conv.attrs["act"] = act.attrs["act"]
+            out.nodes.remove(act)
+            _rewire(out.nodes, act.output, conv.output)
+            report.removed.append(act.id)
+            changed = True
+            break
+
+    report.nodes_after = len(out.nodes)
+    report.mac_delta = passes._total_macs(out) - macs_before
+    return out, report
+
+
+def restart_fold_scale(graph):
+    out = graph.copy()
+    report = passes.PassReport("fold-scale", nodes_before=len(graph.nodes), nodes_after=0)
+    macs_before = passes._total_macs(graph)
+
+    changed = True
+    while changed:
+        changed = False
+        producers = {n.output: n for n in out.nodes}
+        for scale in list(out.nodes):
+            if scale.kind != g.SCALE:
+                continue
+            conv = producers.get(scale.inputs[0])
+            if conv is None or conv.kind != g.CONV or conv.attrs.get("act", g.LINEAR) != g.LINEAR:
+                continue
+            if _consumer_count(out.nodes, conv.output) != 1:
+                continue
+            oc = conv.attrs["out_ch"]
+            factor = scale.attrs.get("factor")
+            if factor is not None:
+                per_ch = np.full(oc, factor, dtype=np.float64)
+            else:
+                per_ch = out.weights[(scale.id, "scale_factors")].astype(np.float64)
+            kernel = out.weights[(conv.id, "kernel")].astype(np.float64)
+            kernel = (kernel.reshape(oc, -1) * per_ch[:, None]).reshape(-1)
+            out.weights[(conv.id, "kernel")] = kernel.astype(np.float32)
+            if conv.attrs["has_bias"]:
+                bias = out.weights[(conv.id, "bias")].astype(np.float64)
+                out.weights[(conv.id, "bias")] = (bias * per_ch).astype(np.float32)
+            out.weights.pop((scale.id, "scale_factors"), None)
+            out.nodes.remove(scale)
+            _rewire(out.nodes, scale.output, conv.output)
+            report.removed.append(scale.id)
+            changed = True
+            break
+
+    report.nodes_after = len(out.nodes)
+    report.mac_delta = passes._total_macs(out) - macs_before
+    return out, report
+
+
+RESTART_PASSES = {**passes.PASSES, "fuse-conv-bn": restart_fuse_conv_bn,
+                  "fold-scale": restart_fold_scale}
+
+PASS_LISTS = (["fuse-conv-bn"], ["fold-scale"],
+              ["fuse-conv-bn", "decompose-leaky", "fold-scale"],
+              ["relu-swap", "fuse-conv-bn"],
+              ["decompose-leaky", "fuse-conv-bn", "fold-scale"])
+
+
+def assert_sweep_matches_restart(gr, names):
+    swept, reports = passes.apply_passes(gr, names)
+    want, want_reports = gr, []
+    for name in names:
+        want, report = RESTART_PASSES[name](want)
+        want_reports.append(report)
+    assert [r.to_dict() for r in reports] == [r.to_dict() for r in want_reports], names
+    assert swept.nodes == want.nodes, names
+    assert list(swept.weights) == list(want.weights), names
+    for key, arr in want.weights.items():
+        assert swept.weights[key].dtype == arr.dtype, key
+        assert swept.weights[key].tobytes() == arr.tobytes(), key
+
+
 def outputs_close(g1, g2, x, rtol=1e-4, atol=1e-6):
     """Head outputs of both graphs match; rewrites may rename terminal
     tensors, so outputs pair up positionally."""
@@ -268,3 +444,45 @@ def test_relu_variant_fuses_fully(yolov3_weighted):
     assert len(fused.nodes) == 105
     kinds = {n.kind for n in fused.nodes}
     assert g.ACTIVATION not in kinds and g.BATCHNORM not in kinds
+
+
+def test_sweep_matches_restart_loops_on_random_nets(rng):
+    def inserted(gr):
+        return {n.id for n in gr.nodes if n.id.endswith(("x", "_s1", "_s2"))}
+
+    folded = set()
+    for _ in range(12):
+        gr = with_chains(random_conv_bn_net(rng, size=1), rng)
+        for names in PASS_LISTS:
+            assert_sweep_matches_restart(gr, names)
+        rewritten, _ = passes.apply_passes(gr, ["fuse-conv-bn", "fold-scale"])
+        folded |= inserted(gr) - inserted(rewritten)
+    # both links of bn->bn and scale->scale chains were folded somewhere
+    assert {i[-1] for i in folded} >= {"x", "1", "2"}
+
+
+def test_sweep_matches_restart_loops_on_yolov3(yolov3_weighted):
+    for names in PASS_LISTS[2:4]:
+        assert_sweep_matches_restart(yolov3_weighted, names)
+
+
+def test_passes_never_write_weight_arrays(rng):
+    """Copies share weight arrays, so passes must not write them in place:
+    every pass runs on read-only arrays and leaves its input unchanged."""
+    for model in (with_chains(random_conv_bn_net(rng, size=1), rng),
+                  fixtures.build_tiny_detector()):
+        for arr in model.weights.values():
+            arr.flags.writeable = False
+        nodes_before = [n.copy() for n in model.nodes]
+        weights_before = {k: v.tobytes() for k, v in model.weights.items()}
+
+        copy = model.copy()
+        assert all(copy.weights[k] is v for k, v in model.weights.items())
+        for a, b in zip(copy.nodes, model.nodes):
+            assert a == b and a is not b
+            assert a.inputs is not b.inputs and a.attrs is not b.attrs
+
+        for names in PASS_LISTS + (["relu-swap"], ["decompose-leaky"]):
+            passes.apply_passes(model, names)
+        assert model.nodes == nodes_before
+        assert {k: v.tobytes() for k, v in model.weights.items()} == weights_before
