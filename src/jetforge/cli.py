@@ -109,30 +109,71 @@ def _list_images(directory) -> list[str]:
     return [os.path.join(directory, n) for n in names]
 
 
-def _attach_ranges(graph: graphlib.Graph, qparams: dict) -> graphlib.Graph:
-    """The quantize stage: a copy of `graph` carrying `qparams`, which must
-    hold a range for the input and every node output."""
+def _load_image(path, graph: graphlib.Graph) -> np.ndarray:
+    """An image or raw tensor file as h,w,c floats with `graph`'s input channels."""
+    _require_file(path, "image")
+    return tensorio.load_input(path, channels=graph.input_shape.c)[0].transpose(1, 2, 0)
+
+
+# --------------------------------------------------------------------------
+# stages: the subcommands and the pipeline run the same code
+# --------------------------------------------------------------------------
+
+def _convert(cfg_path, weights_path) -> graphlib.Graph:
+    _require_file(cfg_path, "cfg file")
+    _require_file(weights_path, "weights file")
+    with open(cfg_path, "r", encoding="utf-8") as f:
+        graph = frontend.parse_cfg(f.read())
+    with open(weights_path, "rb") as f:
+        return frontend.load_weights(f.read(), graph)
+
+
+def _calibrate(graph: graphlib.Graph, images_dir, cfg: quant.CalibrationConfig,
+               path, tool_meta: dict) -> dict:
+    """Ranges for `graph` from the images in `images_dir`, letterboxed to its
+    input, saved to `path` with the images used, bin count and seed."""
+    shape = graph.input_shape
+    tensors = [detect.letterbox(_load_image(p, graph), shape.w, shape.h)[0]
+               for p in _list_images(images_dir)]
+    qparams = quant.calibrate_graph(graph, tensors, cfg)
+    quant.save_ranges(path, qparams, {
+        **tool_meta, "images_used": min(len(tensors), cfg.image_count),
+        "bin_count": cfg.bin_count, "seed": cfg.seed})
+    return qparams
+
+
+def _quantize(graph: graphlib.Graph, qparams: dict, path, tool_meta: dict) -> graphlib.Graph:
+    """A copy of `graph` carrying `qparams`, which must hold a range for the
+    input and every node output, saved to `path`."""
     missing = [t for t in [graph.input_id] + [n.output for n in graph.nodes] if t not in qparams]
     if missing:
         raise CliError(f"ranges file misses tensors: {', '.join(missing[:8])}",
                        code=EXIT_INVALID)
     out = graph.copy()
     out.qparams = qparams
+    graphlib.save_container(out, path, tool_meta)
     return out
 
 
-def _load_calibration_tensors(directory, graph: graphlib.Graph) -> list[np.ndarray]:
-    shape = graph.input_shape
-    tensors = []
-    for path in _list_images(directory):
-        x = tensorio.load_input(path, channels=shape.c)
-        if x.ndim == 4 and tuple(x.shape) == tuple(shape):
-            tensors.append(x)
-        else:
-            img = x[0].transpose(1, 2, 0) if x.ndim == 4 else x
-            boxed, _ = detect.letterbox(img, shape.w, shape.h)
-            tensors.append(boxed)
-    return tensors
+def _detect(graph: graphlib.Graph, images: dict[str, str], mode, conf, nms,
+            path, tool_meta: dict) -> dict[str, list[dict]]:
+    """Detections per name of `images` ({name: file}), written to `path` if given."""
+    per_image = {name: detect.detect_image(graph, _load_image(p, graph), mode=mode,
+                                           conf_threshold=conf, nms_iou=nms)
+                 for name, p in images.items()}
+    if path:
+        detect.write_detections_jsonl(path, per_image, tool_meta)
+    return per_image
+
+
+def _evaluate(dets_path, manifest: data.Manifest, path, tool_meta: dict,
+              iou=evaluation.DEFAULT_IOU_THRESH, apply_ignore=True) -> evaluation.EvalReport:
+    """Scores a detections file against `manifest`, saved to `path` if given."""
+    report = evaluation.evaluate(detect.read_detections_jsonl(dets_path), manifest,
+                                 iou_thresh=iou, apply_ignore=apply_ignore)
+    if path:
+        evaluation.save_report(path, report, tool_meta)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -141,19 +182,9 @@ def _load_calibration_tensors(directory, graph: graphlib.Graph) -> list[np.ndarr
 
 def cmd_convert(args, config: ConfigFile) -> int:
     effective = config.fill(args, "convert", {"cfg": None, "weights": None, "output": None})
-    _require_file(args.cfg, "cfg file")
-    _require_file(args.weights, "weights file")
     if not args.output:
         raise CliError("convert needs -o/--output")
-    with open(args.cfg, "r", encoding="utf-8") as f:
-        graph = frontend.parse_cfg(f.read())
-    with open(args.weights, "rb") as f:
-        graph = frontend.load_weights(f.read(), graph)
-    diags = graphlib.validate(graph)
-    if diags:
-        for d in diags:
-            print(f"invalid: {d}", file=sys.stderr)
-        return EXIT_INVALID
+    graph = _convert(args.cfg, args.weights)
     graphlib.save_container(graph, args.output, _tool_meta(effective))
     stats = frontend.model_stats(graph)
     print(f"wrote {args.output}")
@@ -202,14 +233,9 @@ def cmd_calibrate(args, config: ConfigFile) -> int:
     if not args.output:
         raise CliError("calibrate needs -o/--output")
     graph = _load_model(args.model)
-    tensors = _load_calibration_tensors(args.images, graph)
     cfg = quant.CalibrationConfig(image_count=int(args.count), seed=seed,
                                   bin_count=int(args.bins), levels=int(args.levels))
-    qparams = quant.calibrate_graph(graph, tensors, cfg)
-    meta = {**_tool_meta(effective),
-            "images_used": min(len(tensors), cfg.image_count),
-            "bin_count": cfg.bin_count, "seed": seed}
-    quant.save_ranges(args.output, qparams, meta)
+    qparams = _calibrate(graph, args.images, cfg, args.output, _tool_meta(effective))
     print(f"wrote {args.output} ({len(qparams)} tensor ranges)")
     return EXIT_OK
 
@@ -221,7 +247,7 @@ def cmd_quantize(args, config: ConfigFile) -> int:
     graph = _load_model(args.model)
     _require_file(args.ranges, "ranges file")
     qparams, _meta = quant.load_ranges(args.ranges)
-    graphlib.save_container(_attach_ranges(graph, qparams), args.output, _tool_meta(effective))
+    _quantize(graph, qparams, args.output, _tool_meta(effective))
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -233,17 +259,9 @@ def cmd_detect(args, config: ConfigFile) -> int:
     graph = _load_model(args.model)
     if args.mode == executor.I8 and graph.qparams is None:
         raise CliError("i8 mode needs a quantized container (run quantize first)")
-    per_image = {}
-    for path in args.images:
-        _require_file(path, "image")
-        img_tensor = tensorio.load_input(path, channels=graph.input_shape.c)
-        img = img_tensor[0].transpose(1, 2, 0)
-        dets = detect.detect_image(graph, img, mode=args.mode,
-                                   conf_threshold=float(args.conf),
-                                   nms_iou=float(args.nms))
-        per_image[os.path.basename(path)] = dets
+    per_image = _detect(graph, {os.path.basename(p): p for p in args.images}, args.mode,
+                        float(args.conf), float(args.nms), args.output, _tool_meta(effective))
     if args.output:
-        detect.write_detections_jsonl(args.output, per_image, _tool_meta(effective))
         print(f"wrote {args.output}")
     else:
         for image, dets in per_image.items():
@@ -258,13 +276,10 @@ def cmd_eval(args, config: ConfigFile) -> int:
         "iou": 0.5, "ignore_eval": "on"})
     _require_file(args.dets, "detections file")
     _require_file(args.manifest, "manifest")
-    detections = detect.read_detections_jsonl(args.dets)
-    manifest = data.load_manifest(args.manifest)
-    report = evaluation.evaluate(detections, manifest, iou_thresh=float(args.iou),
-                                 apply_ignore=(args.ignore_eval == "on"))
+    report = _evaluate(args.dets, data.load_manifest(args.manifest), args.output,
+                       _tool_meta(effective), float(args.iou), args.ignore_eval == "on")
     print(report.table())
     if args.output:
-        evaluation.save_report(args.output, report, _tool_meta(effective))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -351,41 +366,30 @@ def cmd_pipeline(args, config: ConfigFile) -> int:
     if not out_dir:
         raise CliError("pipeline needs --out-dir")
     os.makedirs(out_dir, exist_ok=True)
+    meta = _tool_meta(effective)
+    produced = []
+
+    def out(name):
+        produced.append(os.path.join(out_dir, name))
+        return produced[-1]
+
     stage = "convert"
     try:
-        _require_file(args.cfg, "cfg file")
-        _require_file(args.weights, "weights file")
-        with open(args.cfg, "r", encoding="utf-8") as f:
-            graph = frontend.parse_cfg(f.read())
-        with open(args.weights, "rb") as f:
-            graph = frontend.load_weights(f.read(), graph)
-        diags = graphlib.validate(graph)
-        if diags:
-            raise CliError("; ".join(map(str, diags)), code=EXIT_INVALID)
-        model_path = os.path.join(out_dir, "model.uir")
-        graphlib.save_container(graph, model_path, _tool_meta(effective))
+        graph = _convert(args.cfg, args.weights)
+        graphlib.save_container(graph, out("model.uir"), meta)
 
         stage = "optimize"
         optimized, reports = passes.apply_passes(
             graph, ["fuse-conv-bn", "decompose-leaky", "fold-scale"])
-        opt_path = os.path.join(out_dir, "model_opt.uir")
-        graphlib.save_container(optimized, opt_path, _tool_meta(effective))
+        graphlib.save_container(optimized, out("model_opt.uir"), meta)
 
         stage = "calibrate"
         _require_file(args.calib_dir, "calibration directory")
-        tensors = _load_calibration_tensors(args.calib_dir, optimized)
         cal_cfg = quant.CalibrationConfig(image_count=int(args.count), seed=seed)
-        qparams = quant.calibrate_graph(optimized, tensors, cal_cfg)
-        ranges_path = os.path.join(out_dir, "ranges.json")
-        quant.save_ranges(ranges_path, qparams,
-                          {**_tool_meta(effective), "seed": seed,
-                           "images_used": min(len(tensors), cal_cfg.image_count),
-                           "bin_count": cal_cfg.bin_count})
+        qparams = _calibrate(optimized, args.calib_dir, cal_cfg, out("ranges.json"), meta)
 
         stage = "quantize"
-        quantized = _attach_ranges(optimized, qparams)
-        quant_path = os.path.join(out_dir, "model_i8.uir")
-        graphlib.save_container(quantized, quant_path, _tool_meta(effective))
+        quantized = _quantize(optimized, qparams, out("model_i8.uir"), meta)
 
         stage = "bench"
         iters, warmup = int(args.iters), int(args.warmup)
@@ -395,41 +399,30 @@ def cmd_pipeline(args, config: ConfigFile) -> int:
             bench.run_bench(optimized, executor.F16, iters, warmup, variant="optimized"),
             bench.run_bench(quantized, executor.I8, iters, warmup, variant="optimized"),
         ]
-        bench_path = os.path.join(out_dir, "bench.csv")
-        bench.write_csv(bench_path, rows, _tool_meta(effective))
+        bench.write_csv(out("bench.csv"), rows, meta)
 
         stage = "eval"
-        produced = [model_path, opt_path, ranges_path, quant_path, bench_path]
         if args.eval_manifest:
+            if graph.metadata.class_names != data.CLASS_NAMES:
+                raise CliError(f"eval scores the classes {data.CLASS_NAMES}, "
+                               f"the model has {graph.metadata.class_names}", code=EXIT_INVALID)
             _require_file(args.eval_manifest, "eval manifest")
             manifest = data.load_manifest(args.eval_manifest)
             images_dir = args.eval_images or os.path.dirname(args.eval_manifest)
+            images = {rec.image: os.path.join(images_dir, rec.image) for rec in manifest.records}
             for mode, model in ((executor.F32, graph), (executor.I8, quantized)):
-                per_image = {}
-                for rec in manifest.records:
-                    img_path = os.path.join(images_dir, rec.image)
-                    _require_file(img_path, "eval image")
-                    tensor = tensorio.load_input(img_path, channels=model.input_shape.c)
-                    img = tensor[0].transpose(1, 2, 0)
-                    per_image[rec.image] = detect.detect_image(
-                        model, img, mode=mode,
-                        conf_threshold=detect.EVAL_CONF_THRESHOLD)
-                dets_path = os.path.join(out_dir, f"dets_{mode}.jsonl")
-                detect.write_detections_jsonl(dets_path, per_image, _tool_meta(effective))
-                dets = detect.read_detections_jsonl(dets_path)
-                report = evaluation.evaluate(dets, manifest)
-                report_path = os.path.join(out_dir, f"eval_{mode}.json")
-                evaluation.save_report(report_path, report, _tool_meta(effective))
-                produced.extend([dets_path, report_path])
+                dets_path = out(f"dets_{mode}.jsonl")
+                _detect(model, images, mode, detect.EVAL_CONF_THRESHOLD, detect.DEFAULT_NMS_IOU,
+                        dets_path, meta)
+                report = _evaluate(dets_path, manifest, out(f"eval_{mode}.json"), meta)
                 print(f"eval[{mode}] mAP@0.5 = {report.map50:.4f}")
 
-        manifest_path = os.path.join(out_dir, "pipeline_manifest.json")
         doc = {
-            "meta": _tool_meta(effective),
+            "meta": meta,
             "files": {os.path.basename(p): _sha256(p) for p in produced},
             "pass_reports": [r.to_dict() for r in reports],
         }
-        with open(manifest_path, "w", encoding="utf-8") as f:
+        with open(os.path.join(out_dir, "pipeline_manifest.json"), "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"pipeline complete: {len(produced) + 1} artifacts in {out_dir}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CLASS_NAMES, IGNORE, Manifest
+from .detect import corners
 
 TP = "tp"
 FP = "fp"
@@ -35,33 +36,28 @@ class UnknownClassId(EvalError):
     pass
 
 
-def _corners(bbox):
-    x, y, w, h = bbox
-    return x, y, x + w, y + h
+def _intersection(a, b) -> float:
+    """Overlap area of two [x, y, w, h] rects, 0.0 when they do not overlap."""
+    ax1, ay1, ax2, ay2 = corners(a)
+    bx1, by1, bx2, by2 = corners(b)
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    return 0.0 if iw <= 0 or ih <= 0 else iw * ih
 
 
 def _iou_xywh(a, b) -> float:
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
+    # union from w*h, not detect.iou's corner differences: merging the two
+    # could move a ratio by one ulp across the >= iou_thresh comparison
+    inter = _intersection(a, b)
     union = a[2] * a[3] + b[2] * b[3] - inter
     return inter / union if union > 0 else 0.0
 
 
 def _ignore_overlap(det_bbox, region_bbox) -> float:
     """intersection(det, region) / area(det)."""
-    ax1, ay1, ax2, ay2 = _corners(det_bbox)
-    bx1, by1, bx2, by2 = _corners(region_bbox)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
+    inter = _intersection(det_bbox, region_bbox)
     area = det_bbox[2] * det_bbox[3]
-    return (iw * ih) / area if area > 0 else 0.0
+    return inter / area if area > 0 else 0.0
 
 
 @dataclass

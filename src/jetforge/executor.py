@@ -224,11 +224,6 @@ def _require_qparams(qparams: dict[str, QuantParams], tensor_id: str) -> QuantPa
     return qp
 
 
-def _input_f32(buffers: dict[str, TensorBuffer], tensor_id: str) -> np.ndarray:
-    # both storage paths already hold float32; avoid a copy per consumer
-    return buffers[tensor_id].as_f32()
-
-
 def _run_node_float(graph: Graph, node, buffers, out_shape, f16: bool) -> TensorBuffer:
     """f32 evaluation; with f16=True weights and the node output are rounded
     to the binary16 grid (accumulation stays f32)."""
@@ -241,20 +236,20 @@ def _run_node_float(graph: Graph, node, buffers, out_shape, f16: bool) -> Tensor
         kernel = w[(node.id, "kernel")].reshape(
             a["out_ch"], -1, a["kernel"], a["kernel"])
         bias = w.get((node.id, "bias")) if a["has_bias"] else None
-        x = _input_f32(buffers, node.inputs[0])
+        x = buffers[node.inputs[0]].as_f32()
         y = conv2d(x, rnd(kernel), rnd(bias) if bias is not None else None,
                    a["stride"], a["pad"])
         y = apply_activation(y, a.get("act", LINEAR), a.get("alpha"))
     elif kind == BATCHNORM:
-        x = _input_f32(buffers, node.inputs[0])
+        x = buffers[node.inputs[0]].as_f32()
         y = batchnorm(x, rnd(w[(node.id, "bn_gamma")]), rnd(w[(node.id, "bn_beta")]),
                       rnd(w[(node.id, "bn_mean")]), rnd(w[(node.id, "bn_var")]),
                       node.attrs["eps"])
     elif kind == ACTIVATION:
-        x = _input_f32(buffers, node.inputs[0])
+        x = buffers[node.inputs[0]].as_f32()
         y = apply_activation(x, node.attrs["act"], node.attrs.get("alpha"))
     elif kind == SCALE:
-        x = _input_f32(buffers, node.inputs[0])
+        x = buffers[node.inputs[0]].as_f32()
         factor = node.attrs.get("factor")
         if factor is None:
             factors = rnd(w[(node.id, "scale_factors")])
@@ -262,18 +257,18 @@ def _run_node_float(graph: Graph, node, buffers, out_shape, f16: bool) -> Tensor
         else:
             y = x * np.float32(factor)
     elif kind == UPSAMPLE:
-        y = upsample_nearest(_input_f32(buffers, node.inputs[0]), node.attrs["factor"])
+        y = upsample_nearest(buffers[node.inputs[0]].as_f32(), node.attrs["factor"])
     elif kind == MAXPOOL:
-        y = maxpool2d(_input_f32(buffers, node.inputs[0]),
+        y = maxpool2d(buffers[node.inputs[0]].as_f32(),
                       node.attrs["kernel"], node.attrs["stride"])
     elif kind == ADD:
-        y = _input_f32(buffers, node.inputs[0])
+        y = buffers[node.inputs[0]].as_f32()
         for t in node.inputs[1:]:
-            y = y + _input_f32(buffers, t)
+            y = y + buffers[t].as_f32()
     elif kind == CONCAT:
-        y = np.concatenate([_input_f32(buffers, t) for t in node.inputs], axis=1)
+        y = np.concatenate([buffers[t].as_f32() for t in node.inputs], axis=1)
     elif kind == YOLO_HEAD:
-        y = _input_f32(buffers, node.inputs[0])
+        y = buffers[node.inputs[0]].as_f32()
     else:
         raise ExecutionError(f"{node.id}: cannot execute kind '{kind}'")
 

@@ -166,7 +166,6 @@ def parse_cfg(text: str) -> g.Graph:
 
     nodes: list[g.LayerNode] = []
     layer_outputs: list[str] = []   # darknet layer index -> output tensor id
-    layer_channels: list[int] = []  # tracked for kernel sizing at weight load
     anchors: list[tuple[float, float]] = []
     num_classes = None
 
@@ -180,7 +179,6 @@ def parse_cfg(text: str) -> g.Graph:
     for section in sections[1:]:
         i = len(layer_outputs)
         prev = layer_outputs[-1] if layer_outputs else "input"
-        prev_c = layer_channels[-1] if layer_channels else channels
         if section.name not in KNOWN_KEYS:
             raise UnknownSection(f"line {section.line_no}: [{section.name}]")
         _warn_unknown_keys(section)
@@ -212,7 +210,6 @@ def parse_cfg(text: str) -> g.Graph:
                 nodes.append(anode)
                 out = anode.output
             layer_outputs.append(out)
-            layer_channels.append(filters)
 
         elif section.name == "shortcut":
             frm = section.get_int("from")
@@ -222,7 +219,6 @@ def parse_cfg(text: str) -> g.Graph:
             node = g.LayerNode(f"add{i}", g.ADD, [layer_outputs[i - 1], layer_outputs[src]], f"add{i}")
             nodes.append(node)
             layer_outputs.append(node.output)
-            layer_channels.append(layer_channels[i - 1])
 
         elif section.name == "route":
             raw = section.get("layers")
@@ -232,20 +228,17 @@ def parse_cfg(text: str) -> g.Graph:
             if len(refs) == 1:
                 # plain re-wire, no node emitted
                 layer_outputs.append(layer_outputs[refs[0]])
-                layer_channels.append(layer_channels[refs[0]])
             else:
                 node = g.LayerNode(f"concat{i}", g.CONCAT,
                                    [layer_outputs[r] for r in refs], f"concat{i}")
                 nodes.append(node)
                 layer_outputs.append(node.output)
-                layer_channels.append(sum(layer_channels[r] for r in refs))
 
         elif section.name == "upsample":
             factor = section.get_int("stride", 2)
             node = g.LayerNode(f"up{i}", g.UPSAMPLE, [prev], f"up{i}", {"factor": factor})
             nodes.append(node)
             layer_outputs.append(node.output)
-            layer_channels.append(prev_c)
 
         elif section.name == "maxpool":
             size = section.get_int("size", 2)
@@ -254,7 +247,6 @@ def parse_cfg(text: str) -> g.Graph:
                                {"kernel": size, "stride": stride})
             nodes.append(node)
             layer_outputs.append(node.output)
-            layer_channels.append(prev_c)
 
         elif section.name == "yolo":
             mask = _parse_int_list(section.get("mask", "0"))
@@ -274,12 +266,9 @@ def parse_cfg(text: str) -> g.Graph:
                                {"anchor_indices": mask, "num_classes": classes})
             nodes.append(node)
             layer_outputs.append(node.output)
-            layer_channels.append(prev_c)
 
         elif section.name == "net":
             raise CfgSyntaxError(section.line_no, "duplicate [net] section")
-        else:
-            raise UnknownSection(f"line {section.line_no}: [{section.name}]")
 
     if num_classes == len(CLASS_NAMES):
         class_names = list(CLASS_NAMES)
@@ -301,17 +290,10 @@ def parse_cfg(text: str) -> g.Graph:
 
 def _conv_layers_in_order(graph: g.Graph) -> list[tuple[g.LayerNode, g.LayerNode | None]]:
     """(conv, following batchnorm or None) pairs in cfg order."""
-    producers = graph.producers()
-    out = []
-    for n in graph.nodes:
-        if n.kind == g.CONV:
-            bn = None
-            for m in graph.nodes:
-                if m.kind == g.BATCHNORM and m.inputs[0] == n.output:
-                    bn = m
-                    break
-            out.append((n, bn))
-    return out
+    consumers = graph.consumers()
+    return [(n, next((m for m in consumers.get(n.output, ())
+                      if m.kind == g.BATCHNORM and m.inputs[0] == n.output), None))
+            for n in graph.nodes if n.kind == g.CONV]
 
 
 def parse_weights_header(data: bytes) -> tuple[WeightsHeader, int]:
@@ -428,11 +410,6 @@ def model_stats(graph: g.Graph) -> ModelStats:
             a = n.attrs
             macs[n.id] = s_out.h * s_out.w * a["out_ch"] * s_in.c * a["kernel"] * a["kernel"]
         in_c = shapes[n.inputs[0]].c if n.inputs else 0
-        for want in _expected_param_counts(n, in_c).values():
-            params += want
+        params += sum(g._expected_weight_lens(n, in_c).values())
     return ModelStats(node_counts=node_counts, activation_counts=act_counts,
                       parameter_count=params, per_layer_macs=macs)
-
-
-def _expected_param_counts(n: g.LayerNode, in_c: int) -> dict[str, int]:
-    return g._expected_weight_lens(n, in_c)

@@ -361,20 +361,14 @@ def validate(graph: Graph) -> list[Diagnostic]:
     for n in graph.nodes:
         diags.extend(_check_node_attrs(n))
 
-    if graph.weights:
+    if graph.weights or not diags:
         try:
             shapes = infer_shapes(graph)
         except GraphError as e:
             diags.append(Diagnostic("<graph>", f"shape inference failed: {e}"))
             return diags
-        diags.extend(_check_weights(graph, shapes))
-        diags.extend(_check_shape_invariants(graph, shapes))
-    elif not diags:
-        try:
-            shapes = infer_shapes(graph)
-        except GraphError as e:
-            diags.append(Diagnostic("<graph>", f"shape inference failed: {e}"))
-            return diags
+        if graph.weights:
+            diags.extend(_check_weights(graph, shapes))
         diags.extend(_check_shape_invariants(graph, shapes))
     return diags
 
@@ -406,9 +400,6 @@ def _check_node_attrs(n: LayerNode) -> list[Diagnostic]:
             out.append(Diagnostic(n.id, "yolo head needs at least one anchor index"))
         if a.get("num_classes", 0) < 1:
             out.append(Diagnostic(n.id, "yolo head needs num_classes >= 1"))
-    elif n.kind == SCALE:
-        if a.get("factor") is None and "factor" in a:
-            pass  # per-channel factors live in the weight store
     if n.kind in (ADD, CONCAT) and len(n.inputs) < 2:
         out.append(Diagnostic(n.id, f"{n.kind} needs at least two inputs"))
     return out

@@ -216,11 +216,7 @@ def candidate_divergence(counts: np.ndarray, j: int, levels: int) -> float:
     if qs == 0:
         return float("inf")
     q /= qs
-
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return kl_divergence(p, q)
 
 
 def _scan_candidates(counts: np.ndarray, levels: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -237,6 +238,48 @@ def test_eval_command(quantized_container, tiny_files, tmp_path, capsys):
     assert doc["map50"] >= 0.98
 
 
+def _container_without_tool(path):
+    """(manifest without its `tool` echo, weight blob) of a .uir file."""
+    raw = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", raw, 8)
+    manifest = json.loads(raw[16:16 + mlen])
+    del manifest["tool"]
+    return manifest, raw[16 + mlen:]
+
+
+def test_pipeline_artifacts_equal_the_subcommands(tiny_files, tiny_container,
+                                                  optimized_container, ranges_file,
+                                                  quantized_container, tmp_path):
+    out_dir = tmp_path / "pipe"
+    assert run(["pipeline", "--cfg", tiny_files["cfg"], "--weights", tiny_files["weights"],
+                "--calib-dir", tiny_files["calib"], "--out-dir", out_dir,
+                "--eval-manifest", tiny_files["manifest"],
+                "--eval-images", tiny_files["eval_dir"],
+                "--count", "60", "--seed", "3", "--iters", "1", "--warmup", "0"]) == 0
+    for name, container in (("model.uir", tiny_container), ("model_opt.uir", optimized_container),
+                            ("model_i8.uir", quantized_container)):
+        assert _container_without_tool(out_dir / name) == _container_without_tool(container), name
+
+    def without_echo(path):
+        doc = json.loads(path.read_text())
+        doc["meta"] = {k: v for k, v in doc["meta"].items() if k not in ("tool", "config")}
+        return doc
+    assert without_echo(out_dir / "ranges.json") == without_echo(ranges_file)
+
+    images = sorted(tiny_files["eval_dir"].glob("*.ppm"))
+    for mode, model in (("f32", tiny_container), ("i8", quantized_container)):
+        dets = tmp_path / f"dets_{mode}.jsonl"
+        report = tmp_path / f"eval_{mode}.json"
+        assert run(["detect", "-m", model, "-i", *images, "--mode", mode,
+                    "--conf", "0.005", "-o", dets]) == 0
+        assert run(["eval", "--dets", dets, "--manifest", tiny_files["manifest"],
+                    "-o", report]) == 0
+        piped = (out_dir / f"dets_{mode}.jsonl").read_text().splitlines()
+        assert piped[1:] == dets.read_text().splitlines()[1:], mode
+        assert len(piped) > 1
+        assert without_echo(out_dir / f"eval_{mode}.json") == without_echo(report), mode
+
+
 def test_bench_zero_iters_rejected(tiny_container, tmp_path, capsys):
     code = run(["bench", "-m", tiny_container, "--iters", "0",
                 "-o", tmp_path / "b.csv"])
@@ -350,6 +393,44 @@ def test_pipeline_missing_calib_aborts_at_calibrate(tiny_files, tmp_path, capsys
                 "--out-dir", tmp_path / "out"])
     assert code != 0
     assert "calibrate" in capsys.readouterr().err
+
+
+def test_pipeline_eval_refuses_a_model_without_the_unified_classes(tmp_path, monkeypatch,
+                                                                     capsys, tiny_files):
+    cfg_text = fixtures.tiny_cfg().replace("classes=6", "classes=3").replace(
+        "filters=11", "filters=8")
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(cfg_text)
+    weights = tmp_path / "three.weights"
+    weights.write_bytes(fixtures.random_weights(frontend.parse_cfg(cfg_text), seed=4))
+
+    def never(*args, **kwargs):
+        raise AssertionError("detection ran on a model eval cannot score")
+    monkeypatch.setattr(cli.detect, "detect_image", never)
+    out_dir = tmp_path / "out"
+    code = run(["pipeline", "--cfg", cfg, "--weights", weights,
+                "--calib-dir", tiny_files["calib"], "--out-dir", out_dir,
+                "--eval-manifest", tiny_files["manifest"],
+                "--eval-images", tiny_files["eval_dir"],
+                "--count", "2", "--iters", "1", "--warmup", "0"])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "pipeline aborted at stage 'eval'" in err
+    assert str(data.CLASS_NAMES) in err and "['class0', 'class1', 'class2']" in err
+    assert not list(out_dir.glob("dets_*")) and not list(out_dir.glob("eval_*"))
+
+
+def test_convert_invalid_graph_lists_every_diagnostic(tiny_files, tmp_path, monkeypatch,
+                                                     capsys):
+    diags = [g.Diagnostic("conv0", "first problem"), g.Diagnostic("conv1", "second problem")]
+    monkeypatch.setattr(g, "validate", lambda graph: diags)
+    out = tmp_path / "x.uir"
+    code = run(["convert", "--cfg", tiny_files["cfg"], "--weights", tiny_files["weights"],
+                "-o", out])
+    assert code == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "conv0: first problem" in err and "conv1: second problem" in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):
