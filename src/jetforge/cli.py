@@ -1,10 +1,15 @@
 """Command line front door: convert, optimize, calibrate, quantize, detect,
 eval, bench, dataset and the end-to-end pipeline.
 
-Flags can come from an INI config file (section name = subcommand); explicit
-command-line flags win. JETFORGE_SEED is the seed fallback when neither is
-given. Exit codes: 0 success, 1 validation/diagnostic failure, 2 I/O or
-usage errors.
+`build_parser` declares every option once: its type, choices and default.
+An INI config file (`--config`) sets defaults for them, one section per
+subcommand (`dataset-merge` and `dataset-anchors` for the dataset tools), keyed
+by the option's dest name (`pass_names`, `ignore_eval`, `calib_dir`, ...). Config
+values are converted and checked like flags; list inputs (`-i`, `--coco`,
+`--visdrone`) are command-line only. Precedence: command-line flag > config
+file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes: 0 success,
+1 validation/diagnostic failure, 2 I/O or usage errors, a bad config value or
+unknown config key included.
 """
 
 from __future__ import annotations
@@ -35,13 +40,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _tool_meta(config: dict) -> dict:
-    """Version + effective-config echo for output files. Output locations are
-    dropped and input paths reduced to basenames so reruns with the same
-    inputs produce byte-identical artifacts wherever they land."""
+# output locations, then parsed entries that are not options of the subcommand
+_NOT_ECHOED = ("output", "out_dir", "command", "dataset_command", "config", "func")
+
+
+def _tool_meta(args) -> dict:
+    """Version + echo of the subcommand's options for output files. Output
+    locations and list inputs are dropped and input paths reduced to
+    basenames so reruns with the same inputs produce byte-identical artifacts
+    wherever they land."""
     echo = {}
-    for key, value in config.items():
-        if key in ("output", "out_dir"):
+    for key, value in vars(args).items():
+        if key in _NOT_ECHOED or isinstance(value, list):
             continue
         if isinstance(value, str) and (os.sep in value or value.endswith((
                 ".cfg", ".weights", ".uir", ".json", ".jsonl", ".csv"))):
@@ -50,37 +60,44 @@ def _tool_meta(config: dict) -> dict:
     return {"tool": f"jetforge {__version__}", "config": echo}
 
 
-class ConfigFile:
-    def __init__(self, path: str | None):
-        self.parser = configparser.ConfigParser()
-        if path:
-            if not os.path.exists(path):
-                raise CliError(f"config file not found: {path}")
-            self.parser.read(path)
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Makes the subcommand's section of the --config file the defaults of
+    its parser, each value converted and checked like the flag's own."""
+    _require_file(args.config, "config file")
+    names = [args.command] + ([args.dataset_command] if args.command == "dataset" else [])
+    section = "-".join(names)
+    ini = configparser.ConfigParser()
+    try:
+        ini.read(args.config)
+        items = ini.items(section) if ini.has_section(section) else []
+    except configparser.Error as e:
+        raise CliError(f"config file {args.config}: {e}") from e
+    for name in names:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    options = {a.dest: a for a in parser._actions if a.option_strings and a.nargs is None}
+    defaults = {}
+    for key, raw in items:
+        action = options.get(key)
+        if action is None:
+            raise CliError(f"[{section}] {key} is not an option of {' '.join(names)}; "
+                           f"valid keys: {', '.join(options)}")
+        try:
+            value = action.type(raw) if action.type else raw
+        except ValueError:
+            raise CliError(f"[{section}] {key}: invalid {action.type.__name__} value: "
+                           f"{raw!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise CliError(f"[{section}] {key}: invalid choice {raw!r} "
+                           f"(choose from {', '.join(action.choices)})")
+        defaults[key] = value
+    parser.set_defaults(**defaults)
 
-    def fill(self, args: argparse.Namespace, section: str, defaults: dict) -> dict:
-        """CLI flag > config file > default. Returns the effective map."""
-        effective = {}
-        for key, default in defaults.items():
-            flag = getattr(args, key, None)
-            if flag is not None:
-                effective[key] = flag
-            elif self.parser.has_option(section, key):
-                raw = self.parser.get(section, key)
-                effective[key] = type(default)(raw) if default is not None else raw
-            else:
-                effective[key] = default
-            setattr(args, key, effective[key])
-        return effective
 
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("JETFORGE_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+def _require_quantized(graph: graphlib.Graph, mode) -> None:
+    if mode == executor.I8 and graph.qparams is None:
+        raise CliError("i8 mode needs a quantized container (run quantize first)",
+                       code=EXIT_INVALID)
 
 
 def _require_file(path, what: str):
@@ -180,12 +197,11 @@ def _evaluate(dets_path, manifest: data.Manifest, path, tool_meta: dict,
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_convert(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "convert", {"cfg": None, "weights": None, "output": None})
+def cmd_convert(args) -> int:
     if not args.output:
         raise CliError("convert needs -o/--output")
     graph = _convert(args.cfg, args.weights)
-    graphlib.save_container(graph, args.output, _tool_meta(effective))
+    graphlib.save_container(graph, args.output, _tool_meta(args))
     stats = frontend.model_stats(graph)
     print(f"wrote {args.output}")
     print(f"nodes: {sum(stats.node_counts.values())} "
@@ -197,21 +213,19 @@ def cmd_convert(args, config: ConfigFile) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "optimize", {
-        "model": None, "output": None, "pass_names": "fuse-conv-bn", "report": None})
+def cmd_optimize(args) -> int:
     graph = _load_model(args.model)
     names = [p.strip() for p in args.pass_names.split(",") if p.strip()]
     graph, reports = passes.apply_passes(graph, names)
-    diags = graphlib.validate(graph)
-    if diags:
+    if args.output:
+        # save_container refuses an invalid graph and lists every diagnostic
+        graphlib.save_container(graph, args.output, _tool_meta(args))
+        print(f"wrote {args.output}")
+    elif diags := graphlib.validate(graph):
         for d in diags:
             print(f"invalid after passes: {d}", file=sys.stderr)
         return EXIT_INVALID
-    if args.output:
-        graphlib.save_container(graph, args.output, _tool_meta(effective))
-        print(f"wrote {args.output}")
-    doc = {"meta": _tool_meta(effective), "reports": [r.to_dict() for r in reports]}
+    doc = {"meta": _tool_meta(args), "reports": [r.to_dict() for r in reports]}
     if args.report:
         with open(args.report, "w", encoding="utf-8") as f:
             json.dump(doc, f, indent=2, sort_keys=True)
@@ -224,43 +238,33 @@ def cmd_optimize(args, config: ConfigFile) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "calibrate", {
-        "model": None, "images": None, "output": None,
-        "count": 1000, "bins": 2048, "levels": 256, "seed": None})
-    seed = _resolve_seed(args)
-    effective["seed"] = seed
+def cmd_calibrate(args) -> int:
     if not args.output:
         raise CliError("calibrate needs -o/--output")
     graph = _load_model(args.model)
-    cfg = quant.CalibrationConfig(image_count=int(args.count), seed=seed,
-                                  bin_count=int(args.bins), levels=int(args.levels))
-    qparams = _calibrate(graph, args.images, cfg, args.output, _tool_meta(effective))
+    cfg = quant.CalibrationConfig(image_count=args.count, seed=args.seed,
+                                  bin_count=args.bins, levels=args.levels)
+    qparams = _calibrate(graph, args.images, cfg, args.output, _tool_meta(args))
     print(f"wrote {args.output} ({len(qparams)} tensor ranges)")
     return EXIT_OK
 
 
-def cmd_quantize(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "quantize", {"model": None, "ranges": None, "output": None})
+def cmd_quantize(args) -> int:
     if not args.output:
         raise CliError("quantize needs -o/--output")
     graph = _load_model(args.model)
     _require_file(args.ranges, "ranges file")
     qparams, _meta = quant.load_ranges(args.ranges)
-    _quantize(graph, qparams, args.output, _tool_meta(effective))
+    _quantize(graph, qparams, args.output, _tool_meta(args))
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_detect(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "detect", {
-        "model": None, "output": None, "mode": "f32",
-        "conf": detect.DEMO_CONF_THRESHOLD, "nms": detect.DEFAULT_NMS_IOU})
+def cmd_detect(args) -> int:
     graph = _load_model(args.model)
-    if args.mode == executor.I8 and graph.qparams is None:
-        raise CliError("i8 mode needs a quantized container (run quantize first)")
+    _require_quantized(graph, args.mode)
     per_image = _detect(graph, {os.path.basename(p): p for p in args.images}, args.mode,
-                        float(args.conf), float(args.nms), args.output, _tool_meta(effective))
+                        args.conf, args.nms, args.output, _tool_meta(args))
     if args.output:
         print(f"wrote {args.output}")
     else:
@@ -270,33 +274,26 @@ def cmd_detect(args, config: ConfigFile) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "eval", {
-        "dets": None, "manifest": None, "output": None,
-        "iou": 0.5, "ignore_eval": "on"})
+def cmd_eval(args) -> int:
     _require_file(args.dets, "detections file")
     _require_file(args.manifest, "manifest")
     report = _evaluate(args.dets, data.load_manifest(args.manifest), args.output,
-                       _tool_meta(effective), float(args.iou), args.ignore_eval == "on")
+                       _tool_meta(args), args.iou, args.ignore_eval == "on")
     print(report.table())
     if args.output:
         print(f"wrote {args.output}")
     return EXIT_OK
 
 
-def cmd_bench(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "bench", {
-        "model": None, "output": None, "mode": "f32", "iters": bench.DEFAULT_ITERS,
-        "warmup": bench.DEFAULT_WARMUP, "variant": "model"})
-    if int(args.iters) < 1:
+def cmd_bench(args) -> int:
+    if args.iters < 1:
         raise CliError("need at least 1 iteration")
     graph = _load_model(args.model)
-    if args.mode == executor.I8 and graph.qparams is None:
-        raise quant.MissingRanges("i8 bench needs a quantized container")
-    stats = bench.run_bench(graph, args.mode, iters=int(args.iters),
-                            warmup=int(args.warmup), variant=args.variant)
+    _require_quantized(graph, args.mode)
+    stats = bench.run_bench(graph, args.mode, iters=args.iters,
+                            warmup=args.warmup, variant=args.variant)
     if args.output:
-        bench.write_csv(args.output, [stats], _tool_meta(effective))
+        bench.write_csv(args.output, [stats], _tool_meta(args))
         print(f"wrote {args.output}")
     print(f"{stats.variant}/{stats.mode}: median {stats.median_ns / 1e6:.3f} ms "
           f"(p5 {stats.p5_ns / 1e6:.3f}, p95 {stats.p95_ns / 1e6:.3f}), "
@@ -304,17 +301,16 @@ def cmd_bench(args, config: ConfigFile) -> int:
     return EXIT_OK
 
 
-def cmd_dataset_merge(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "dataset-merge", {"output": None, "default_size": None})
+def cmd_dataset_merge(args) -> int:
     lists = []
-    for path in args.coco or []:
+    for path in args.coco:
         _require_file(path, "coco json")
         lists.append(data.ingest_coco(path))
     default_size = None
     if args.default_size:
         w, h = args.default_size.lower().split("x")
         default_size = (int(w), int(h))
-    for directory in args.visdrone or []:
+    for directory in args.visdrone:
         _require_file(directory, "visdrone annotation dir")
         lists.append(data.ingest_visdrone(
             directory, images_dir=args.visdrone_images,
@@ -322,24 +318,19 @@ def cmd_dataset_merge(args, config: ConfigFile) -> int:
     if not lists:
         raise CliError("dataset merge needs --coco and/or --visdrone inputs")
     manifest = data.merge(lists)
-    data.save_manifest(args.output, manifest, _tool_meta(effective))
+    data.save_manifest(args.output, manifest, _tool_meta(args))
     print(f"wrote {args.output}")
     print(json.dumps(manifest.summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_dataset_anchors(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "dataset-anchors", {
-        "manifest": None, "output": None, "k": 9, "net_w": 608, "net_h": 352,
-        "seed": None})
-    seed = _resolve_seed(args)
-    effective["seed"] = seed
+def cmd_dataset_anchors(args) -> int:
     _require_file(args.manifest, "manifest")
     manifest = data.load_manifest(args.manifest)
-    boxes = data.anchor_boxes_from_manifest(manifest, int(args.net_w), int(args.net_h))
-    result = data.kmeans_anchors(boxes, int(args.k), seed=seed)
+    boxes = data.anchor_boxes_from_manifest(manifest, args.net_w, args.net_h)
+    result = data.kmeans_anchors(boxes, args.k, seed=args.seed)
     doc = {
-        "meta": _tool_meta(effective),
+        "meta": _tool_meta(args),
         "anchors": [[round(float(w), 4), round(float(h), 4)] for w, h in result.anchors],
         "mean_iou": result.mean_iou,
         "iterations": result.iterations,
@@ -355,18 +346,12 @@ def cmd_dataset_anchors(args, config: ConfigFile) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args, config: ConfigFile) -> int:
-    effective = config.fill(args, "pipeline", {
-        "cfg": None, "weights": None, "calib_dir": None, "out_dir": None,
-        "eval_manifest": None, "eval_images": None,
-        "count": 200, "iters": 5, "warmup": 1, "seed": None})
-    seed = _resolve_seed(args)
-    effective["seed"] = seed
+def cmd_pipeline(args) -> int:
     out_dir = args.out_dir
     if not out_dir:
         raise CliError("pipeline needs --out-dir")
     os.makedirs(out_dir, exist_ok=True)
-    meta = _tool_meta(effective)
+    meta = _tool_meta(args)
     produced = []
 
     def out(name):
@@ -385,14 +370,14 @@ def cmd_pipeline(args, config: ConfigFile) -> int:
 
         stage = "calibrate"
         _require_file(args.calib_dir, "calibration directory")
-        cal_cfg = quant.CalibrationConfig(image_count=int(args.count), seed=seed)
+        cal_cfg = quant.CalibrationConfig(image_count=args.count, seed=args.seed)
         qparams = _calibrate(optimized, args.calib_dir, cal_cfg, out("ranges.json"), meta)
 
         stage = "quantize"
         quantized = _quantize(optimized, qparams, out("model_i8.uir"), meta)
 
         stage = "bench"
-        iters, warmup = int(args.iters), int(args.warmup)
+        iters, warmup = args.iters, args.warmup
         rows = [
             bench.run_bench(graph, executor.F32, iters, warmup, variant="baseline"),
             bench.run_bench(optimized, executor.F32, iters, warmup, variant="optimized"),
@@ -445,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jetforge {__version__}")
     parser.add_argument("--config", help="INI config file ([section] per subcommand)")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("JETFORGE_SEED", 0)  # argparse converts a string with type=int
 
     p = sub.add_parser("convert", help="cfg + weights -> model container")
     p.add_argument("--cfg")
@@ -454,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="apply rewrite passes")
     p.add_argument("-m", "--model")
-    p.add_argument("--passes", dest="pass_names",
+    p.add_argument("--passes", dest="pass_names", default="fuse-conv-bn",
                    help="comma list: fuse-conv-bn,decompose-leaky,fold-scale,relu-swap")
     p.add_argument("-o", "--output")
     p.add_argument("--report", help="write pass reports as JSON")
@@ -463,10 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="collect histograms and entropy-calibrate ranges")
     p.add_argument("-m", "--model")
     p.add_argument("--images", help="directory of calibration images")
-    p.add_argument("--count", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--bins", type=int, default=2048)
+    p.add_argument("--levels", type=int, default=256)
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_calibrate)
 
@@ -479,26 +465,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run detection on images")
     p.add_argument("-m", "--model")
     p.add_argument("-i", "--images", nargs="+", required=True)
-    p.add_argument("--mode", choices=executor.MODES)
-    p.add_argument("--conf", type=float)
-    p.add_argument("--nms", type=float)
+    p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
+    p.add_argument("--conf", type=float, default=detect.DEMO_CONF_THRESHOLD)
+    p.add_argument("--nms", type=float, default=detect.DEFAULT_NMS_IOU)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score detections against a manifest")
     p.add_argument("--dets")
     p.add_argument("--manifest")
-    p.add_argument("--iou", type=float)
-    p.add_argument("--ignore-eval", dest="ignore_eval", choices=("on", "off"))
+    p.add_argument("--iou", type=float, default=evaluation.DEFAULT_IOU_THRESH)
+    p.add_argument("--ignore-eval", dest="ignore_eval", choices=("on", "off"), default="on")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="latency microbenchmark")
     p.add_argument("-m", "--model")
-    p.add_argument("--mode", choices=executor.MODES)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--variant")
+    p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
+    p.add_argument("--iters", type=int, default=bench.DEFAULT_ITERS)
+    p.add_argument("--warmup", type=int, default=bench.DEFAULT_WARMUP)
+    p.add_argument("--variant", default="model")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bench)
 
@@ -506,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="dataset_command", required=True)
 
     dm = dsub.add_parser("merge", help="ingest + merge COCO/Visdrone annotations")
-    dm.add_argument("--coco", nargs="*", default=None)
-    dm.add_argument("--visdrone", nargs="*", default=None)
+    dm.add_argument("--coco", nargs="*", default=[])
+    dm.add_argument("--visdrone", nargs="*", default=[])
     dm.add_argument("--visdrone-images", dest="visdrone_images")
     dm.add_argument("--category-map", dest="category_map")
     dm.add_argument("--default-size", dest="default_size", help="WxH for images without files")
@@ -516,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     da = dsub.add_parser("anchors", help="recluster anchors over a manifest")
     da.add_argument("--manifest")
-    da.add_argument("-k", type=int)
-    da.add_argument("--net-w", dest="net_w", type=int)
-    da.add_argument("--net-h", dest="net_h", type=int)
-    da.add_argument("--seed", type=int)
+    da.add_argument("-k", type=int, default=9)
+    da.add_argument("--net-w", dest="net_w", type=int, default=608)
+    da.add_argument("--net-h", dest="net_h", type=int, default=352)
+    da.add_argument("--seed", type=int, default=seed)
     da.add_argument("-o", "--output")
     da.set_defaults(func=cmd_dataset_anchors)
 
@@ -530,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--eval-manifest", dest="eval_manifest")
     p.add_argument("--eval-images", dest="eval_images")
-    p.add_argument("--count", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--iters", type=int, default=5)
+    p.add_argument("--warmup", type=int, default=1)
+    p.add_argument("--seed", type=int, default=seed)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -543,8 +529,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = ConfigFile(args.config)
-        return args.func(args, config)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -17,7 +17,6 @@ from . import tensorio
 # unified class set; list order fixes the id assignment, and the frontend
 # names a 6-class network's outputs with it
 CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
-CLASS_IDS = {name: i for i, name in enumerate(CLASS_NAMES)}
 IGNORE = "ignore"
 
 # COCO category names -> unified names (everything else is dropped)
@@ -28,24 +27,6 @@ COCO_REMAP = {
     "motorcycle": "motorbike",
     "bus": "bus",
     "truck": "truck",
-}
-
-# Visdrone2018 numeric ids per the dataset's published convention; also
-# shipped as data/visdrone_categories.json so dataset-version drift is a
-# config edit, not a code change.
-VISDRONE_DEFAULT_CATEGORIES = {
-    "0": {"name": "ignored-regions", "unified": IGNORE},
-    "1": {"name": "pedestrian", "unified": "person"},
-    "2": {"name": "people", "unified": "person"},
-    "3": {"name": "bicycle", "unified": "bicycle"},
-    "4": {"name": "car", "unified": "car"},
-    "5": {"name": "van", "unified": "car"},
-    "6": {"name": "truck", "unified": "truck"},
-    "7": {"name": "tricycle", "unified": IGNORE},
-    "8": {"name": "awning-tricycle", "unified": IGNORE},
-    "9": {"name": "bus", "unified": "bus"},
-    "10": {"name": "motor", "unified": "motorbike"},
-    "11": {"name": "others", "unified": IGNORE},
 }
 
 
@@ -101,7 +82,7 @@ def _clip_box(x, y, w, h, img_w, img_h):
     return [x, y, x2 - x, y2 - y]
 
 
-def ingest_coco(path, source_tag: str = "coco") -> list[AnnotationRecord]:
+def ingest_coco(path) -> list[AnnotationRecord]:
     """COCO instances JSON -> records under the unified class set.
 
     Supported-class crowds (iscrowd=1) become ignore regions; annotations of
@@ -122,7 +103,7 @@ def ingest_coco(path, source_tag: str = "coco") -> list[AnnotationRecord]:
     for im in doc["images"]:
         records[im["id"]] = AnnotationRecord(
             image=im["file_name"], width=im["width"], height=im["height"],
-            source=source_tag)
+            source="coco")
 
     for ann in doc["annotations"]:
         cid = ann["category_id"]
@@ -144,23 +125,23 @@ def ingest_coco(path, source_tag: str = "coco") -> list[AnnotationRecord]:
 
 
 def load_visdrone_categories(path=None) -> dict[str, str]:
+    """Visdrone2018 numeric category id -> unified name. The default table,
+    the dataset's published convention, ships as data/visdrone_categories.json
+    so dataset-version drift is a config edit, not a code change."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "visdrone_categories.json")
-        if not os.path.exists(path):
-            return {k: v["unified"] for k, v in VISDRONE_DEFAULT_CATEGORIES.items()}
     with open(path, "r", encoding="utf-8") as f:
         table = json.load(f)
     return {k: v["unified"] for k, v in table.items()}
 
 
-def ingest_visdrone(annotation_dir, images_dir=None, image_sizes=None,
-                    default_size=None, categories_path=None,
-                    source_tag: str = "visdrone") -> list[AnnotationRecord]:
+def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,
+                    categories_path=None) -> list[AnnotationRecord]:
     """Visdrone per-image CSV files -> records.
 
     Line format: left,top,width,height,score,category,truncation,occlusion.
-    Image dimensions come from a sibling .ppm/.pgm in images_dir, the
-    image_sizes map, or default_size, in that order.
+    Image dimensions come from a sibling .ppm/.pgm in images_dir, else from
+    default_size.
     """
     remap = load_visdrone_categories(categories_path)
     records = []
@@ -169,9 +150,9 @@ def ingest_visdrone(annotation_dir, images_dir=None, image_sizes=None,
             continue
         stem = fname[:-4]
         image_name, width, height = _resolve_visdrone_image(
-            stem, images_dir, image_sizes, default_size)
+            stem, images_dir, default_size)
         rec = AnnotationRecord(image=image_name, width=width, height=height,
-                               source=source_tag)
+                               source="visdrone")
         path = os.path.join(annotation_dir, fname)
         with open(path, "r", encoding="utf-8") as f:
             for line_no, raw in enumerate(f, start=1):
@@ -197,20 +178,17 @@ def ingest_visdrone(annotation_dir, images_dir=None, image_sizes=None,
     return records
 
 
-def _resolve_visdrone_image(stem, images_dir, image_sizes, default_size):
+def _resolve_visdrone_image(stem, images_dir, default_size):
     if images_dir is not None:
         for ext in (".ppm", ".pgm"):
             candidate = os.path.join(images_dir, stem + ext)
             if os.path.exists(candidate):
                 img = tensorio.load_image(candidate)
                 return stem + ext, img.shape[1], img.shape[0]
-    if image_sizes is not None and stem in image_sizes:
-        w, h = image_sizes[stem]
-        return stem + ".jpg", w, h
     if default_size is not None:
         return stem + ".jpg", default_size[0], default_size[1]
     raise DataError(f"cannot determine image size for '{stem}' "
-                    "(no readable image, no size map, no default)")
+                    "(no readable image, no default size)")
 
 
 @dataclass

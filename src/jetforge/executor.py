@@ -76,12 +76,6 @@ class ExecutionTrace:
     mode: str
     buffers: dict[str, TensorBuffer] = field(default_factory=dict)
 
-    def __getitem__(self, tensor_id: str) -> TensorBuffer:
-        return self.buffers[tensor_id]
-
-    def __contains__(self, tensor_id: str) -> bool:
-        return tensor_id in self.buffers
-
     def as_f32(self, tensor_id: str) -> np.ndarray:
         return self.buffers[tensor_id].as_f32()
 

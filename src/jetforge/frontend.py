@@ -87,10 +87,6 @@ class CfgSection:
         v = self.options.get(key)
         return default if v is None else int(v)
 
-    def get_float(self, key, default=None):
-        v = self.options.get(key)
-        return default if v is None else float(v)
-
 
 @dataclass
 class WeightsHeader:

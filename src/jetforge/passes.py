@@ -15,12 +15,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import frontend
+from .executor import F16, F32, I8
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, LEAKY, LINEAR, PLUGIN_ONLY,
                     RELU, SCALE, Graph, LayerNode, activation_node)
-
-F32 = "f32"
-F16 = "f16"
-I8 = "i8"
 
 LEAKY_AS_PLUGIN = "leaky_as_plugin"
 LEAKY_NATIVE = "leaky_native"

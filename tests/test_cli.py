@@ -447,3 +447,102 @@ def test_module_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "jetforge" in proc.stdout
+
+
+def _ini(tmp_path, text):
+    ini = tmp_path / "jetforge.ini"
+    ini.write_text(text)
+    return ini
+
+
+@pytest.mark.parametrize("line,message", [
+    ("count = many", "[calibrate] count: invalid int value: 'many'"),
+    ("seed = 1.5", "[calibrate] seed: invalid int value: '1.5'")], ids=["count", "seed"])
+def test_config_value_of_the_wrong_type_exits_2_without_output(
+        optimized_container, tiny_files, tmp_path, capsys, line, message):
+    out = tmp_path / "ranges.json"
+    ini = _ini(tmp_path, f"[calibrate]\n{line}\n")
+    code = run(["--config", ini, "calibrate", "-m", optimized_container,
+                "--images", tiny_files["calib"], "-o", out])
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_value_outside_the_choices_exits_2(tiny_container, tiny_files, tmp_path,
+                                                  capsys):
+    dets = tmp_path / "dets.jsonl"
+    detect.write_detections_jsonl(dets, {}, {})
+    ini = _ini(tmp_path, "[eval]\nignore_eval = of\n[detect]\nmode = i9\n")
+    assert run(["--config", ini, "eval", "--dets", dets,
+                "--manifest", tiny_files["manifest"]]) == cli.EXIT_USAGE
+    assert "[eval] ignore_eval: invalid choice 'of'" in capsys.readouterr().err
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    assert run(["--config", ini, "detect", "-m", tiny_container, "-i", image]) == cli.EXIT_USAGE
+    assert "[detect] mode: invalid choice 'i9'" in capsys.readouterr().err
+
+
+def test_config_key_that_is_no_option_exits_2_listing_the_keys(tiny_container, tmp_path,
+                                                               capsys):
+    out = tmp_path / "opt.uir"
+    ini = _ini(tmp_path, "[optimize]\npasses = fuse-conv-bn,decompose-leaky\n")
+    assert run(["--config", ini, "optimize", "-m", tiny_container, "-o", out]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "[optimize] passes is not an option" in err and "pass_names" in err
+    assert not out.exists()
+
+
+def test_env_seed_that_is_not_an_int_exits_2(optimized_container, tiny_files, tmp_path,
+                                             monkeypatch):
+    monkeypatch.setenv("JETFORGE_SEED", "abc")
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
+             "--count", "10", "-o", out])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_config_seed_beats_env_seed(optimized_container, tiny_files, tmp_path, monkeypatch):
+    monkeypatch.setenv("JETFORGE_SEED", "77")
+    ini = _ini(tmp_path, "[calibrate]\nseed = 5\n")
+    out = tmp_path / "r.json"
+    assert run(["--config", ini, "calibrate", "-m", optimized_container, "--images",
+                tiny_files["calib"], "--count", "10", "-o", out]) == 0
+    assert json.loads(out.read_text())["meta"]["seed"] == 5
+
+
+def test_detect_i8_requires_ranges(tiny_container, tiny_files, tmp_path, capsys):
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    out = tmp_path / "dets.jsonl"
+    assert run(["detect", "-m", tiny_container, "-i", image, "--mode", "i8",
+                "-o", out]) == cli.EXIT_INVALID
+    assert "i8 mode needs a quantized container" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_optimize_validates_once_and_lists_every_diagnostic(tiny_container, tmp_path,
+                                                            monkeypatch, capsys):
+    calls = []
+    validate = g.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+    monkeypatch.setattr(g, "validate", counted)
+    assert run(["optimize", "-m", tiny_container, "-o", tmp_path / "ok.uir"]) == 0
+    assert len(calls) == 1
+
+    diags = [g.Diagnostic("conv0", "first problem"), g.Diagnostic("conv1", "second problem")]
+    monkeypatch.setattr(g, "validate", lambda graph: diags)
+    out = tmp_path / "x.uir"
+    assert run(["optimize", "-m", tiny_container, "-o", out]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "conv0: first problem" in err and "conv1: second problem" in err
+    assert not out.exists()
+
+
+def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, capsys):
+    ini = _ini(tmp_path, "iters = 2\n")
+    assert run(["--config", ini, "bench", "-m", tiny_container]) == cli.EXIT_USAGE
+    assert "config file" in capsys.readouterr().err
