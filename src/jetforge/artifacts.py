@@ -1,0 +1,78 @@
+"""The JSON files stages hand each other: documents (ranges, reports) and
+JSON lines led by a `{"_meta": ...}` line (detections, dataset manifests),
+all with sorted keys. Readers check that each document or line is a JSON
+object holding the fields their caller reads, else raise
+`ArtifactError("<path>[:<line>]: ...")`.
+"""
+
+from __future__ import annotations
+
+import json
+
+NO_FIELDS = frozenset()
+
+
+class ArtifactError(Exception):
+    pass
+
+
+def require(obj, fields: frozenset, where, *keys) -> dict:
+    """`obj` if it is a JSON object holding `fields`; the error names `where`
+    (path or path:line) and the `keys` leading to `obj`."""
+    if isinstance(obj, dict) and fields <= obj.keys():
+        return obj
+    at = "".join(f"{k}: " for k in keys)
+    if isinstance(obj, dict):
+        raise ArtifactError(f"{where}: {at}missing {', '.join(sorted(fields - obj.keys()))}")
+    raise ArtifactError(f"{where}: {at}expected a JSON object, got {json.dumps(obj)[:40]}")
+
+
+def parse_json(text: str | bytes, where, fields: frozenset = NO_FIELDS) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise ArtifactError(f"{where}: not JSON: {e}") from None
+    return require(doc, fields, where)
+
+
+def write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def read_json(path, fields: frozenset = NO_FIELDS) -> dict:
+    with open(path, "rb") as f:
+        return parse_json(f.read(), path, fields)
+
+
+def write_jsonl(path, meta: dict, records) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def read_jsonl(path, fields: frozenset) -> tuple[dict, list[dict]]:
+    """(the `_meta` object or {}, the objects of the lines holding `fields`);
+    skips blank lines. Any other line is an error."""
+    meta, records, line_no, rec = {}, [], 0, None
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            for line_no, line in enumerate(f, start=1):
+                if line.isspace():
+                    continue
+                rec = json.loads(line)
+                if fields <= rec.keys():  # AttributeError unless rec is an object
+                    records.append(rec)
+                elif "_meta" in rec:
+                    meta = require(rec["_meta"], NO_FIELDS, f"{path}:{line_no}", "_meta")
+                else:
+                    require(rec, fields, f"{path}:{line_no}")
+        except UnicodeDecodeError as e:
+            raise ArtifactError(f"{path}: not UTF-8: {e.reason}") from None
+        except json.JSONDecodeError as e:
+            raise ArtifactError(f"{path}:{line_no}: not JSON: {e.msg}, column {e.colno}") from None
+        except AttributeError:
+            require(rec, fields, f"{path}:{line_no}")
+    return meta, records

@@ -8,8 +8,8 @@ by the option's dest name (`pass_names`, `ignore_eval`, `calib_dir`, ...). Confi
 values are converted and checked like flags; list inputs (`-i`, `--coco`,
 `--visdrone`) are command-line only. Precedence: command-line flag > config
 file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes: 0 success,
-1 validation/diagnostic failure, 2 I/O or usage errors, a bad config value or
-unknown config key included.
+1 validation/diagnostic failure or a malformed JSON artifact, 2 I/O or usage
+errors, a bad config value or unknown config key included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bench, data, detect, evaluation, executor
+from . import __version__, artifacts, bench, data, detect, evaluation, executor
 from . import frontend, passes, quant, tensorio
 from . import graph as graphlib
 
@@ -92,6 +92,14 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
                            f"(choose from {', '.join(action.choices)})")
         defaults[key] = value
     parser.set_defaults(**defaults)
+
+
+def image_size(text: str) -> tuple[int, int]:
+    """'WxH' -> (w, h), both positive; ValueError otherwise."""
+    w, h = map(int, text.lower().split("x"))
+    if w < 1 or h < 1:
+        raise ValueError(text)
+    return w, h
 
 
 def _require_quantized(graph: graphlib.Graph, mode) -> None:
@@ -225,11 +233,9 @@ def cmd_optimize(args) -> int:
         for d in diags:
             print(f"invalid after passes: {d}", file=sys.stderr)
         return EXIT_INVALID
-    doc = {"meta": _tool_meta(args), "reports": [r.to_dict() for r in reports]}
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        artifacts.write_json(args.report, {"meta": _tool_meta(args),
+                                           "reports": [r.to_dict() for r in reports]})
     for r in reports:
         print(f"pass {r.name}: nodes {r.nodes_before} -> {r.nodes_after}, "
               f"mac delta {r.mac_delta}")
@@ -306,15 +312,11 @@ def cmd_dataset_merge(args) -> int:
     for path in args.coco:
         _require_file(path, "coco json")
         lists.append(data.ingest_coco(path))
-    default_size = None
-    if args.default_size:
-        w, h = args.default_size.lower().split("x")
-        default_size = (int(w), int(h))
     for directory in args.visdrone:
         _require_file(directory, "visdrone annotation dir")
         lists.append(data.ingest_visdrone(
             directory, images_dir=args.visdrone_images,
-            default_size=default_size, categories_path=args.category_map))
+            default_size=args.default_size, categories_path=args.category_map))
     if not lists:
         raise CliError("dataset merge needs --coco and/or --visdrone inputs")
     manifest = data.merge(lists)
@@ -329,16 +331,13 @@ def cmd_dataset_anchors(args) -> int:
     manifest = data.load_manifest(args.manifest)
     boxes = data.anchor_boxes_from_manifest(manifest, args.net_w, args.net_h)
     result = data.kmeans_anchors(boxes, args.k, seed=args.seed)
-    doc = {
-        "meta": _tool_meta(args),
-        "anchors": [[round(float(w), 4), round(float(h), 4)] for w, h in result.anchors],
-        "mean_iou": result.mean_iou,
-        "iterations": result.iterations,
-    }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        artifacts.write_json(args.output, {
+            "meta": _tool_meta(args),
+            "anchors": [[round(float(w), 4), round(float(h), 4)] for w, h in result.anchors],
+            "mean_iou": result.mean_iou,
+            "iterations": result.iterations,
+        })
         print(f"wrote {args.output}")
     print(f"mean IoU: {result.mean_iou:.4f} over {len(boxes)} boxes")
     for w, h in result.anchors:
@@ -402,14 +401,11 @@ def cmd_pipeline(args) -> int:
                 report = _evaluate(dets_path, manifest, out(f"eval_{mode}.json"), meta)
                 print(f"eval[{mode}] mAP@0.5 = {report.map50:.4f}")
 
-        doc = {
+        artifacts.write_json(os.path.join(out_dir, "pipeline_manifest.json"), {
             "meta": meta,
             "files": {os.path.basename(p): _sha256(p) for p in produced},
             "pass_reports": [r.to_dict() for r in reports],
-        }
-        with open(os.path.join(out_dir, "pipeline_manifest.json"), "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        })
         print(f"pipeline complete: {len(produced) + 1} artifacts in {out_dir}")
         return EXIT_OK
     except CliError as e:
@@ -496,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     dm.add_argument("--visdrone", nargs="*", default=[])
     dm.add_argument("--visdrone-images", dest="visdrone_images")
     dm.add_argument("--category-map", dest="category_map")
-    dm.add_argument("--default-size", dest="default_size", help="WxH for images without files")
+    dm.add_argument("--default-size", dest="default_size", type=image_size, metavar="WxH",
+                    help="size of images without files")
     dm.add_argument("-o", "--output", required=True)
     dm.set_defaults(func=cmd_dataset_merge)
 
@@ -536,8 +533,8 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (frontend.FrontendError, graphlib.GraphError, passes.PassError,
-            quant.QuantError, data.DataError, evaluation.EvalError,
+    except (artifacts.ArtifactError, frontend.FrontendError, graphlib.GraphError,
+            passes.PassError, quant.QuantError, data.DataError, evaluation.EvalError,
             detect.DetectError, bench.BenchError, executor.ExecutionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorio
+from . import artifacts, tensorio
 
 # unified class set; list order fixes the id assignment, and the frontend
 # names a 6-class network's outputs with it
@@ -130,9 +130,9 @@ def load_visdrone_categories(path=None) -> dict[str, str]:
     so dataset-version drift is a config edit, not a code change."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "visdrone_categories.json")
-    with open(path, "r", encoding="utf-8") as f:
-        table = json.load(f)
-    return {k: v["unified"] for k, v in table.items()}
+    table = artifacts.read_json(path)
+    return {k: artifacts.require(v, frozenset({"unified"}), path, k)["unified"]
+            for k, v in table.items()}
 
 
 def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,
@@ -235,32 +235,19 @@ def merge(record_lists: list[list[AnnotationRecord]]) -> Manifest:
 
 
 def save_manifest(path, manifest: Manifest, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        head = {"_meta": {**(meta or {}), "summary": manifest.summary}}
-        f.write(json.dumps(head, sort_keys=True) + "\n")
-        for rec in manifest.records:
-            f.write(json.dumps({
-                "image": rec.image, "width": rec.width, "height": rec.height,
-                "source": rec.source, "boxes": rec.boxes,
-            }, sort_keys=True) + "\n")
+    artifacts.write_jsonl(path, {**(meta or {}), "summary": manifest.summary}, (
+        {"image": rec.image, "width": rec.width, "height": rec.height,
+         "source": rec.source, "boxes": rec.boxes} for rec in manifest.records))
+
+
+RECORD_FIELDS = frozenset({"image", "width", "height", "boxes"})
 
 
 def load_manifest(path) -> Manifest:
-    records = []
-    summary = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if "_meta" in doc:
-                summary = doc["_meta"].get("summary", {})
-                continue
-            records.append(AnnotationRecord(
-                image=doc["image"], width=doc["width"], height=doc["height"],
-                boxes=doc["boxes"], source=doc.get("source", "")))
-    return Manifest(records=records, summary=summary)
+    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS)
+    records = [AnnotationRecord(image=d["image"], width=d["width"], height=d["height"],
+                                boxes=d["boxes"], source=d.get("source", "")) for d in docs]
+    return Manifest(records=records, summary=meta.get("summary", {}))
 
 
 # --------------------------------------------------------------------------

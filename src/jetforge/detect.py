@@ -7,13 +7,12 @@ the pipeline; they leave as pixel rectangles in the original image frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import executor
+from . import artifacts, executor, tensorio
 from .graph import Graph
 
 DEFAULT_NMS_IOU = 0.45
@@ -108,9 +107,8 @@ def letterbox(img: np.ndarray, target_w: int, target_h: int
     canvas = np.full((target_h, target_w, c), LETTERBOX_PAD_VALUE, dtype=np.float32)
     canvas[pad_y:pad_y + content_h, pad_x:pad_x + content_w] = _bilinear_resize(
         img, content_w, content_h)
-    tensor = np.ascontiguousarray(canvas.transpose(2, 0, 1)[None], dtype=np.float32)
-    return tensor, LetterboxTransform(scale=scale, pad_x=pad_x, pad_y=pad_y,
-                                      src_w=w, src_h=h, dst_w=target_w, dst_h=target_h)
+    return tensorio.image_to_nchw(canvas), LetterboxTransform(
+        scale=scale, pad_x=pad_x, pad_y=pad_y, src_w=w, src_h=h, dst_w=target_w, dst_h=target_h)
 
 
 def _sigmoid(x):
@@ -238,26 +236,15 @@ def detect_image(graph: Graph, img: np.ndarray, mode: str = executor.F32,
     return unletterbox(nms(dets, nms_iou), tf)
 
 
+DETECTION_FIELDS = frozenset({"image", "class", "confidence", "bbox"})
+
+
 def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -> None:
     """JSON-lines: a _meta header line, then one line per detection."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"_meta": meta}, sort_keys=True) + "\n")
-        for image in sorted(per_image):
-            for d in per_image[image]:
-                rec = {"image": image, "class": d["class"],
-                       "confidence": d["confidence"], "bbox": d["bbox"]}
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+    artifacts.write_jsonl(path, meta, (
+        {"image": image, "class": d["class"], "confidence": d["confidence"], "bbox": d["bbox"]}
+        for image in sorted(per_image) for d in per_image[image]))
 
 
 def read_detections_jsonl(path) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "_meta" in rec:
-                continue
-            out.append(rec)
-    return out
+    return artifacts.read_jsonl(path, DETECTION_FIELDS)[1]

@@ -8,11 +8,11 @@ envelope). mAP averages classes that have at least one ground-truth box.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .data import CLASS_NAMES, IGNORE, Manifest
 from .detect import corners
 
@@ -224,7 +224,4 @@ def evaluate(detections: list[dict], manifest: Manifest,
 
 
 def save_report(path, report: EvalReport, meta: dict | None = None) -> None:
-    doc = {"meta": meta or {}, **report.to_dict()}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(path, {"meta": meta or {}, **report.to_dict()})

@@ -31,7 +31,7 @@ import numpy as np
 from . import quant
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
-                    QuantParams, TensorShape, infer_shapes)
+                    QuantParams, _topo_order, conv_out_dim, infer_shapes)
 
 F32 = "f32"
 F16 = "f16"
@@ -60,7 +60,6 @@ class NonFiniteDetected(ExecutionError):
 
 @dataclass
 class TensorBuffer:
-    shape: TensorShape
     dtype: str  # f32 | f16 | i8
     data: np.ndarray  # n,c,h,w; float32 for f32/f16, int8 for i8
     qparams: QuantParams | None = None
@@ -109,9 +108,8 @@ def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
+    _, _, h, w = x.shape
+    oh, ow = conv_out_dim(h, kernel, stride, 0), conv_out_dim(w, kernel, stride, 0)
     out = None
     for kh in range(kernel):
         for kw in range(kernel):
@@ -126,8 +124,7 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
     _, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - kernel) // stride + 1
-    ow = (w + 2 * pad - kernel) // stride + 1
+    oh, ow = conv_out_dim(h, kernel, stride, pad), conv_out_dim(w, kernel, stride, pad)
     cols = np.empty((c, kernel, kernel, oh, ow), dtype=x.dtype)
     for kh in range(kernel):
         for kw in range(kernel):
@@ -141,8 +138,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
     """Direct f32 convolution; kernel is [out_ch, in_ch, k, k]."""
     out_ch, in_c, k, _ = kernel.shape
     _, _, h, w = x.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
+    oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
     cols = _im2col(x, k, stride, pad)
     out = cols @ kernel.reshape(out_ch, in_c * k * k).T
     if bias is not None:
@@ -161,14 +157,15 @@ def _check_finite(node_id: str, x: np.ndarray) -> None:
 
 def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
             retention: str = RETAIN_ALL, plan: dict[str, str] | None = None) -> ExecutionTrace:
-    """Run the graph on one input tensor (float32 n,c,h,w, n = 1)."""
+    """Run the graph on one input tensor (float32 n,c,h,w, n = 1). Nodes run
+    in dataflow order, whatever the order of the node list."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     x = np.ascontiguousarray(input_data, dtype=np.float32)
     if graph.input_shape is None or tuple(x.shape) != tuple(graph.input_shape):
         raise ShapeMismatch(
             f"input shape {tuple(x.shape)} does not match graph input {graph.input_shape}")
-    shapes = infer_shapes(graph)
+    infer_shapes(graph)  # raises on a shape or ordering fault before any node runs
     qparams = graph.qparams or {}
     node_mode = {n.id: (plan.get(n.id, mode) if plan else mode) for n in graph.nodes}
 
@@ -177,9 +174,9 @@ def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
         x = _f16(x)
     if mode == I8:
         in_q = _require_qparams(qparams, graph.input_id)
-        buffers[graph.input_id] = TensorBuffer(graph.input_shape, I8, in_q.quantize(x), in_q)
+        buffers[graph.input_id] = TensorBuffer(I8, in_q.quantize(x), in_q)
     else:
-        buffers[graph.input_id] = TensorBuffer(graph.input_shape, F32, x)
+        buffers[graph.input_id] = TensorBuffer(F32, x)
 
     remaining_uses = {graph.input_id: 0}
     for n in graph.nodes:
@@ -190,13 +187,12 @@ def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
     head_outputs = {n.output for n in graph.head_nodes()}
     trace = ExecutionTrace(mode=mode)
 
-    for node in graph.nodes:
+    for node in _topo_order(graph)[0]:
         prec = node_mode[node.id]
-        out_shape = shapes[node.output]
         if prec == I8:
-            buf = _run_node_i8(graph, node, buffers, qparams, out_shape)
+            buf = _run_node_i8(graph, node, buffers, qparams)
         else:
-            buf = _run_node_float(graph, node, buffers, out_shape, f16=(prec == F16))
+            buf = _run_node_float(graph, node, buffers, f16=(prec == F16))
         buffers[node.output] = buf
 
         if retention == RETAIN_ALL or node.output in head_outputs:
@@ -218,7 +214,7 @@ def _require_qparams(qparams: dict[str, QuantParams], tensor_id: str) -> QuantPa
     return qp
 
 
-def _run_node_float(graph: Graph, node, buffers, out_shape, f16: bool) -> TensorBuffer:
+def _run_node_float(graph: Graph, node, buffers, f16: bool) -> TensorBuffer:
     """f32 evaluation; with f16=True weights and the node output are rounded
     to the binary16 grid (accumulation stays f32)."""
     w = graph.weights
@@ -268,7 +264,7 @@ def _run_node_float(graph: Graph, node, buffers, out_shape, f16: bool) -> Tensor
 
     y = rnd(np.ascontiguousarray(y, dtype=np.float32))
     _check_finite(node.id, y)
-    return TensorBuffer(out_shape, F16 if f16 else F32, y)
+    return TensorBuffer(F16 if f16 else F32, y)
 
 
 def _input_i8(buffers, qparams, tensor_id) -> TensorBuffer:
@@ -276,10 +272,10 @@ def _input_i8(buffers, qparams, tensor_id) -> TensorBuffer:
     if buf.dtype == I8:
         return buf
     qp = _require_qparams(qparams, tensor_id)
-    return TensorBuffer(buf.shape, I8, qp.quantize(buf.data), qp)
+    return TensorBuffer(I8, qp.quantize(buf.data), qp)
 
 
-def _run_node_i8(graph: Graph, node, buffers, qparams, out_shape) -> TensorBuffer:
+def _run_node_i8(graph: Graph, node, buffers, qparams) -> TensorBuffer:
     w = graph.weights
     kind = node.kind
 
@@ -296,19 +292,19 @@ def _run_node_i8(graph: Graph, node, buffers, qparams, out_shape) -> TensorBuffe
         real = apply_activation(real, a.get("act", LINEAR), a.get("alpha"))
         _check_finite(node.id, real)
         out_q = _require_qparams(qparams, node.output)
-        return TensorBuffer(out_shape, I8, out_q.quantize(real), out_q)
+        return TensorBuffer(I8, out_q.quantize(real), out_q)
 
     if kind == MAXPOOL:
         xb = _input_i8(buffers, qparams, node.inputs[0])
         y = maxpool2d(xb.data, node.attrs["kernel"], node.attrs["stride"])
-        return TensorBuffer(out_shape, I8, y, xb.qparams)
+        return TensorBuffer(I8, y, xb.qparams)
 
     if kind == UPSAMPLE:
         xb = _input_i8(buffers, qparams, node.inputs[0])
         y = upsample_nearest(xb.data, node.attrs["factor"])
-        return TensorBuffer(out_shape, I8, y, xb.qparams)
+        return TensorBuffer(I8, y, xb.qparams)
 
     # remaining kinds: dequantize, compute in f32, requantize to own range
-    float_buf = _run_node_float(graph, node, buffers, out_shape, f16=False)
+    float_buf = _run_node_float(graph, node, buffers, f16=False)
     out_q = _require_qparams(qparams, node.output)
-    return TensorBuffer(out_shape, I8, out_q.quantize(float_buf.data), out_q)
+    return TensorBuffer(I8, out_q.quantize(float_buf.data), out_q)

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import artifacts
+
 FORMAT_MAGIC = b"UIR1"
 FORMAT_VERSION = 1
 
@@ -91,6 +93,8 @@ class TensorShape(NamedTuple):
 class QuantParams:
     """Affine per-tensor activation range: lo maps to -128, hi to 127."""
 
+    FIELDS = frozenset({"lo", "hi", "scale", "zero_point"})
+
     lo: float
     hi: float
     scale: float
@@ -103,6 +107,15 @@ class QuantParams:
         scale = (hi - lo) / 255.0
         zero_point = int(-128 - _round_half_up(lo / scale))
         return cls(lo=float(lo), hi=float(hi), scale=scale, zero_point=zero_point)
+
+    def to_dict(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "scale": self.scale, "zero_point": self.zero_point}
+
+    @classmethod
+    def from_dict(cls, d, where, *keys) -> "QuantParams":
+        """The record `to_dict` wrote; `where` and `keys` locate it for errors."""
+        d = artifacts.require(d, cls.FIELDS, where, *keys)
+        return cls(lo=d["lo"], hi=d["hi"], scale=d["scale"], zero_point=d["zero_point"])
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """clip(floor(x / scale + 0.5) + zero_point, -128, 127) as int8, in
@@ -247,7 +260,7 @@ def _topo_order(graph: Graph) -> tuple[list[LayerNode], list[LayerNode]]:
     while pending:
         remaining = []
         for node in pending:
-            if all(t in resolved for t in node.inputs):
+            if resolved.issuperset(node.inputs):
                 order.append(node)
                 resolved.add(node.output)
             else:
@@ -284,8 +297,8 @@ def _node_output_shape(node: LayerNode, in_shapes: list[TensorShape]) -> TensorS
         return TensorShape(s.n, a["out_ch"], oh, ow)
     if kind == MAXPOOL:
         a = node.attrs
-        oh = (s.h - a["kernel"]) // a["stride"] + 1
-        ow = (s.w - a["kernel"]) // a["stride"] + 1
+        oh = conv_out_dim(s.h, a["kernel"], a["stride"], 0)
+        ow = conv_out_dim(s.w, a["kernel"], a["stride"], 0)
         if oh < 1 or ow < 1:
             raise UnderflowShape(f"{node.id}: maxpool output {oh}x{ow} underflows")
         return TensorShape(s.n, s.c, oh, ow)
@@ -480,9 +493,7 @@ def graph_manifest(graph: Graph, tool_meta: dict | None = None) -> dict:
         },
         "nodes": [_node_to_json(n) for n in graph.nodes],
         "qparams": None if graph.qparams is None else {
-            t: {"lo": q.lo, "hi": q.hi, "scale": q.scale, "zero_point": q.zero_point}
-            for t, q in graph.qparams.items()
-        },
+            t: q.to_dict() for t, q in graph.qparams.items()},
         "weights": weights_index,
         "tool": tool_meta or {},
     }
@@ -518,7 +529,8 @@ def load_container(path) -> Graph:
     (mlen,) = struct.unpack_from("<Q", data, 8)
     if len(data) < 16 + mlen:
         raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {len(data) - 16}")
-    manifest = json.loads(data[16:16 + mlen].decode("utf-8"))
+    manifest = artifacts.parse_json(data[16:16 + mlen], path,
+                                    frozenset({"input", "metadata", "nodes", "weights"}))
 
     blob = data[16 + mlen:]
     want_floats = sum(e["len"] for e in manifest["weights"])
@@ -546,7 +558,6 @@ def load_container(path) -> Graph:
             extra=dict(meta.get("extra", {})),
         ),
         qparams=None if qp is None else {
-            t: QuantParams(lo=d["lo"], hi=d["hi"], scale=d["scale"], zero_point=d["zero_point"])
-            for t, d in qp.items()
-        },
+            t: QuantParams.from_dict(d, path, "qparams", t)
+            for t, d in artifacts.require(qp, artifacts.NO_FIELDS, path, "qparams").items()},
     )

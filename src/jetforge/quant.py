@@ -16,14 +16,14 @@ float32 ones.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from . import executor as _executor
-from .graph import Graph, QuantParams
+from .graph import Graph, QuantParams, conv_out_dim
 
 INT32_MAX = 2**31 - 1
 WEIGHT_QMAX = 127
@@ -465,8 +465,7 @@ def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
     returned as float32."""
     out_ch, _, k, _ = q_kernel.shape
     _, _, h, w = x_q.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
+    oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
 
     acc = conv_accumulator(x_q, x_params.zero_point, q_kernel, stride, pad)
     real = acc * (x_params.scale * scales)[:, None]
@@ -480,26 +479,15 @@ def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
 # --------------------------------------------------------------------------
 
 def save_ranges(path, qparams: dict[str, QuantParams], meta: dict | None = None) -> None:
-    doc = {
-        "meta": meta or {},
-        "tensors": {
-            t: {"lo": q.lo, "hi": q.hi, "scale": q.scale, "zero_point": q.zero_point}
-            for t, q in sorted(qparams.items())
-        },
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    artifacts.write_json(path, {"meta": meta or {},
+                                "tensors": {t: q.to_dict() for t, q in qparams.items()}})
 
 
 def load_ranges(path) -> tuple[dict[str, QuantParams], dict]:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = artifacts.read_json(path, frozenset({"tensors"}))
     except FileNotFoundError:
         raise MissingRanges(f"ranges file not found: {path}")
-    tensors = {
-        t: QuantParams(lo=d["lo"], hi=d["hi"], scale=d["scale"], zero_point=d["zero_point"])
-        for t, d in doc["tensors"].items()
-    }
-    return tensors, doc.get("meta", {})
+    tensors = artifacts.require(doc["tensors"], artifacts.NO_FIELDS, path, "tensors")
+    return ({t: QuantParams.from_dict(d, path, "tensors", t) for t, d in tensors.items()},
+            doc.get("meta", {}))

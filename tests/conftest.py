@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 from jetforge import fixtures, frontend, passes, quant
+
+# pyproject's `pythonpath` puts src/ on this process's path only; the
+# subprocesses some tests start (`python -m jetforge.cli`) need it too
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fixtures.__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

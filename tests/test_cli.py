@@ -546,3 +546,55 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     ini = _ini(tmp_path, "iters = 2\n")
     assert run(["--config", ini, "bench", "-m", tiny_container]) == cli.EXIT_USAGE
     assert "config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    "ranges-without-tensors", "ranges-tensor-without-zero-point", "dets-line-not-json",
+    "manifest-line-without-width", "container-manifest-not-json", "category-map-not-json"])
+def test_malformed_artifact_exits_1_naming_the_file_and_line(
+        case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
+    bad, out, line = tmp_path / "bad", tmp_path / "out", None
+    quantize = ["quantize", "-m", optimized_container, "--ranges", bad, "-o", out]
+    if case == "ranges-without-tensors":
+        bad.write_text("{}\n")
+        argv = quantize
+    elif case == "ranges-tensor-without-zero-point":
+        doc = json.loads(ranges_file.read_text())
+        del doc["tensors"]["input"]["zero_point"]
+        bad.write_text(json.dumps(doc))
+        argv = quantize
+    elif case == "dets-line-not-json":
+        bad.write_text("not json\n")
+        argv, line = ["eval", "--dets", bad, "--manifest", tiny_files["manifest"], "-o", out], 1
+    elif case == "manifest-line-without-width":
+        lines = tiny_files["manifest"].read_text().splitlines()
+        rec = json.loads(lines[2])
+        del rec["width"]
+        bad.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+        argv, line = ["dataset", "anchors", "--manifest", bad, "-o", out], 3
+    elif case == "container-manifest-not-json":
+        bad.write_bytes(g.FORMAT_MAGIC + struct.pack("<IQ", g.FORMAT_VERSION, 5) + b"{abcd")
+        image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+        argv = ["detect", "-m", bad, "-i", image, "-o", out]
+    else:
+        bad.write_text("{not json")
+        argv = ["dataset", "merge", "--visdrone", os.path.join(FIXTURES, "visdrone"),
+                "--default-size", "200x160", "--category-map", bad, "-o", out]
+    assert run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    where = bad if line is None else f"{bad}:{line}"
+    assert len(err) == 1 and err[0].startswith(f"error: {where}: ")
+    assert not out.exists()
+
+
+def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.jsonl"
+    argv = ["dataset", "merge", "--visdrone", os.path.join(FIXTURES, "visdrone"), "-o", out]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--default-size", "200"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --default-size" in capsys.readouterr().err
+    ini = _ini(tmp_path, "[dataset-merge]\ndefault_size = 200\n")
+    assert run(["--config", ini] + argv) == cli.EXIT_USAGE
+    assert "[dataset-merge] default_size" in capsys.readouterr().err
+    assert not out.exists()

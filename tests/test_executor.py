@@ -323,3 +323,24 @@ def test_i8_heads_identical_across_blas_thread_counts(tiny_quantized, tmp_path):
     want = "".join(f"{h} {hashlib.sha256(here.buffers[h].data.tobytes()).hexdigest()}\n"
                    for h in sorted(here.buffers))
     assert digests == [want, want]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_execution_follows_the_dataflow_not_the_node_list(tiny_quantized, order):
+    """A node list in any valid order gives the same heads as the sorted one."""
+    from jetforge import fixtures, tensorio
+    moved = tiny_quantized.copy()
+    if order == "reversed":
+        moved.nodes.reverse()
+    else:
+        moved.nodes = [moved.nodes[i] for i in
+                       np.random.default_rng(5).permutation(len(moved.nodes))]
+    assert moved.nodes != tiny_quantized.nodes and g.validate(moved) == []
+    img, _ = fixtures.random_scene(np.random.default_rng(8), negative_chance=0.0)
+    x = tensorio.image_to_nchw(img)
+    for mode in (executor.F32, executor.I8):
+        want = executor.execute(tiny_quantized, x, mode=mode, retention=executor.RETAIN_HEADS)
+        got = executor.execute(moved, x, mode=mode, retention=executor.RETAIN_HEADS)
+        assert sorted(got.buffers) == sorted(want.buffers)
+        for head, buf in want.buffers.items():
+            assert np.array_equal(got.buffers[head].data, buf.data), (mode, head)
