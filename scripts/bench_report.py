@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Run the perfbench workloads and record them as BENCH_<pr>.json.
+
+    python scripts/bench_report.py --pr 8 [--baseline HEAD]
+
+Each workload of BENCHMARK.json runs once per seed of SEEDS untraced (the
+end-to-end metrics) and once traced at seed 0 (the per-layer metrics),
+each run a fresh `python3 perfbench/run.py` process in the working tree,
+for BENCHMARK.json's run length.
+With --baseline, the same runs are made in a temporary copy of that git
+revision, alternating with the working tree's run by run, and recorded
+next to them. The file holds perfbench's machine block and, per workload,
+every run's verdict and metrics and the median and quartiles of every
+metric.
+
+The diff printed at the end compares the medians with the newest earlier
+BENCH_*.json in the repository root, or with the baseline when there is
+none; regressions come first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import io
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ten untraced runs per workload: enough pairs to tell a gain from the
+# host's drift (a gain should win at least nine of ten)
+SEEDS = tuple(range(10))
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--pr", type=int, required=True, help="number in the file name BENCH_<pr>.json")
+    p.add_argument("--baseline", metavar="REV", help="git revision to measure alongside")
+    return p.parse_args(argv)
+
+
+def perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench process: its verdict, metrics and machine block."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    machine = json.loads(re.search(r"machine=(\{.*\})$", lines[0]).group(1))
+    return {"seed": seed, "trace": trace, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"], "machine": machine,
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def export(rev: str, into: str) -> str:
+    """The repository's files at git revision `rev`, written under `into`;
+    returns the commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return commit
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Median and quartiles of every metric over the runs that report it."""
+    names = sorted({name for r in runs for name in r["metrics"]})
+    return {name: quartiles([r["metrics"][name] for r in runs if name in r["metrics"]])
+            for name in names}
+
+
+def measure(checkouts: dict[str, str], spec: dict) -> tuple[dict, dict]:
+    """({label: {workload: {"runs", "summary"}}}, the machine block),
+    alternating between the checkouts run by run."""
+    out, machine = {label: {} for label in checkouts}, {}
+    for wl in (w["name"] for w in spec["workloads"]):
+        plan = [(seed, 0) for seed in SEEDS] + [(0, 1)]
+        runs = {label: [] for label in checkouts}
+        for seed, trace in plan:
+            for label, path in checkouts.items():
+                run = perfbench(path, wl, seed, spec["run_seconds"], trace)
+                machine = run.pop("machine")
+                print(f"{label} {wl} seed={seed} trace={trace} correct={run['correct']} "
+                      f"failed={run['failed']} {json.dumps(run['metrics'])[:160]}", flush=True)
+                runs[label].append(run)
+        for label in checkouts:
+            out[label][wl] = {"runs": runs[label], "summary": summarize(runs[label])}
+    return out, machine
+
+
+def previous_bench(pr: int) -> tuple[str, dict] | None:
+    found = []
+    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
+        m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+        if m and int(m.group(1)) < pr:
+            found.append((int(m.group(1)), path))
+    if not found:
+        return None
+    path = max(found)[1]
+    with open(path, encoding="utf-8") as f:
+        return os.path.basename(path), json.load(f)["workloads"]
+
+
+def diff(old: dict, new: dict, spec: dict) -> list[str]:
+    """One line per metric whose median both sides report, regressions
+    first (largest first), then the rest from best to least improved."""
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    rows = []
+    for wl, data in new.items():
+        before = old.get(wl, {}).get("summary", {})
+        for name, stats in data["summary"].items():
+            if name not in before or name not in better:
+                continue
+            a, b = before[name]["median"], stats["median"]
+            change = (b - a) / abs(a) if a else (0.0 if a == b else float("inf"))
+            worse = change if better[name] == "lower" else -change
+            rows.append((-worse, f"{'REGRESSION ' if worse > 0 else ''}{wl} {name}: "
+                                 f"{a:.6g} -> {b:.6g} ({change:+.1%})"))
+    rows.sort(key=lambda r: r[0])
+    return [text for _, text in rows]
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        spec = json.load(f)
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"change": ROOT}
+        if args.baseline:
+            commit = export(args.baseline, tmp)
+            checkouts["baseline"] = tmp
+        results, machine = measure(checkouts, spec)
+
+    doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": spec["run_seconds"], "machine": machine,
+           "command": " ".join(["python", "scripts/bench_report.py"] + (argv or sys.argv[1:])),
+           "workloads": results["change"]}
+    if args.baseline:
+        doc["baseline"] = {"commit": commit, "workloads": results["baseline"]}
+    path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {path}")
+
+    prev = previous_bench(args.pr)
+    if prev is not None:
+        name, old = prev
+    elif args.baseline:
+        name, old = "the baseline", results["baseline"]
+    else:
+        return 0
+    print(f"medians against {name}:")
+    for line in diff(old, results["change"], spec):
+        print("  " + line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

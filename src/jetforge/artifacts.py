@@ -27,6 +27,17 @@ def require(obj, fields: frozenset, where, *keys) -> dict:
     raise ArtifactError(f"{where}: {at}expected a JSON object, got {json.dumps(obj)[:40]}")
 
 
+def require_each(items, fields: frozenset, where, *keys) -> list:
+    """`items` if it is a JSON list of objects that each hold `fields`; the
+    error names `where`, the `keys` leading to the list and the index."""
+    if not isinstance(items, list):
+        at = "".join(f"{k}: " for k in keys)
+        raise ArtifactError(f"{where}: {at}expected a JSON list, got {json.dumps(items)[:40]}")
+    for i, item in enumerate(items):
+        require(item, fields, where, *keys, i)
+    return items
+
+
 def parse_json(text: str | bytes, where, fields: frozenset = NO_FIELDS) -> dict:
     try:
         doc = json.loads(text)
@@ -53,9 +64,11 @@ def write_jsonl(path, meta: dict, records) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_jsonl(path, fields: frozenset) -> tuple[dict, list[dict]]:
+def read_jsonl(path, fields: frozenset, nested: dict[str, frozenset] | None = None
+               ) -> tuple[dict, list[dict]]:
     """(the `_meta` object or {}, the objects of the lines holding `fields`);
-    skips blank lines. Any other line is an error."""
+    skips blank lines. Any other line is an error, and so is a record whose
+    list field `key` in `nested` holds an item without `nested[key]`."""
     meta, records, line_no, rec = {}, [], 0, None
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -64,6 +77,8 @@ def read_jsonl(path, fields: frozenset) -> tuple[dict, list[dict]]:
                     continue
                 rec = json.loads(line)
                 if fields <= rec.keys():  # AttributeError unless rec is an object
+                    for key, inner in (nested or {}).items():
+                        require_each(rec[key], inner, f"{path}:{line_no}", key)
                     records.append(rec)
                 elif "_meta" in rec:
                     meta = require(rec["_meta"], NO_FIELDS, f"{path}:{line_no}", "_meta")

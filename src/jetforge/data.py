@@ -241,10 +241,11 @@ def save_manifest(path, manifest: Manifest, meta: dict | None = None) -> None:
 
 
 RECORD_FIELDS = frozenset({"image", "width", "height", "boxes"})
+BOX_FIELDS = frozenset({"bbox", "label"})
 
 
 def load_manifest(path) -> Manifest:
-    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS)
+    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS, {"boxes": BOX_FIELDS})
     records = [AnnotationRecord(image=d["image"], width=d["width"], height=d["height"],
                                 boxes=d["boxes"], source=d.get("source", "")) for d in docs]
     return Manifest(records=records, summary=meta.get("summary", {}))

@@ -15,6 +15,35 @@ A precision plan (node id -> mode) may pin individual nodes to f32, which
 models plugin layers: pinned nodes compute on dequantized inputs and their
 outputs are converted back at the first quantized consumer.
 
+Compile once, run many. `compile(graph, mode, plan)` does everything that
+does not depend on the input, once: shape inference, the dataflow order,
+when each tensor is last used, each node's mode and the format of every
+buffer, and the weights each mode reads (binary16-rounded kernels, biases,
+batchnorm coefficients and scale vectors for f16; int8 weight levels,
+per-channel scales and the sums the static overflow proof needs for i8).
+`Program.run(x, retention)` then only computes. A program holds no
+reference to its graph.
+
+`execute()` is the one entry point. It keeps each graph's programs in a
+private cache keyed by mode and plan, and reuses a program only while the
+graph still holds everything compile read: the input id and shape, every
+node's id, kind, inputs, output and attrs (in list order), the identity of
+every weight array read, and the value of every quantization range read.
+Editing any of these recompiles on the next call. Weight arrays are never
+written in place (see graph), so identity stands for content. `Graph.copy`
+starts with an empty cache.
+
+int8 elementwise layers by table. An i8 `activation`, scalar `scale` or
+`yolo_head` node maps one int8 level to one int8 level, and a two-input
+`add` maps a pair of levels. Compile runs the node's float path on every
+level (every pair for `add`) once, with the input and output ranges of
+this program, and keeps the 256 (65,536) resulting levels; a run is one
+table lookup. The table is the float path's output, so the result is the
+same by construction. Levels whose float value is not finite are marked,
+and NonFiniteDetected is raised only when an input holds one. Other kinds,
+and inputs that come from nodes a plan pins to a float mode, run the float
+path.
+
 Convolution is im2col + matmul. In f32/f16 the float32 matmul makes results
 bit-stable across runs on a fixed machine configuration only. The i8
 matmul sums integers exactly in float64 (see quant.conv_accumulator), so i8
@@ -24,7 +53,9 @@ for the reproducibility contract.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +71,13 @@ MODES = (F32, F16, I8)
 
 RETAIN_ALL = "all"
 RETAIN_HEADS = "heads"
+
+# every int8 level, at the index of its uint8 byte: tables built over it are
+# looked up with the levels' bytes
+_LEVELS = np.arange(256, dtype=np.uint8).view(np.int8)
+# rows of the 256x256 add table built at once: bounds the float64
+# temporaries at 32 KiB
+_TABLE_ROWS = 16
 
 
 class ExecutionError(Exception):
@@ -100,11 +138,17 @@ def upsample_nearest(x: np.ndarray, factor: int) -> np.ndarray:
     return np.repeat(np.repeat(x, factor, axis=2), factor, axis=3)
 
 
-def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
-    """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel."""
+def _bn_affine(gamma, beta, mean, var, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """batchnorm's per-channel (inv, shift), broadcastable over n,c,h,w."""
     inv = (np.asarray(gamma) / np.sqrt(np.asarray(var) + eps)).astype(np.float32)
     shift = (np.asarray(beta) - np.asarray(mean) * inv).astype(np.float32)
-    return x * inv[None, :, None, None] + shift[None, :, None, None]
+    return inv[None, :, None, None], shift[None, :, None, None]
+
+
+def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
+    """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel."""
+    inv, shift = _bn_affine(gamma, beta, mean, var, eps)
+    return x * inv + shift
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -119,18 +163,30 @@ def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return out
 
 
+def _inside(tap: int, stride: int, pad: int, size: int, out: int) -> tuple[int, int]:
+    """[first, last) output positions i whose tap i * stride + tap - pad
+    lands inside [0, size)."""
+    return max(0, -((tap - pad) // stride)), min(out, (size - 1 + pad - tap) // stride + 1)
+
+
 def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """n=1 NCHW -> [out_h*out_w, c*kernel*kernel] patch matrix (zero padded)."""
+    """n=1 NCHW -> [c*kernel*kernel, out_h*out_w] patch matrix in C order.
+    Taps that fall in the padding are zero. A 1x1, stride-1, unpadded conv
+    gets x itself, which already has this layout."""
     _, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    if kernel == 1 and stride == 1 and pad == 0:
+        return x[0].reshape(c, h * w)
     oh, ow = conv_out_dim(h, kernel, stride, pad), conv_out_dim(w, kernel, stride, pad)
-    cols = np.empty((c, kernel, kernel, oh, ow), dtype=x.dtype)
+    cols = (np.zeros if pad else np.empty)((c, kernel, kernel, oh, ow), dtype=x.dtype)
     for kh in range(kernel):
+        i0, i1 = _inside(kh, stride, pad, h, oh)
         for kw in range(kernel):
-            cols[:, kh, kw] = x[0, :, kh:kh + (oh - 1) * stride + 1:stride,
-                                      kw:kw + (ow - 1) * stride + 1:stride]
-    return cols.reshape(c * kernel * kernel, oh * ow).T
+            j0, j1 = _inside(kw, stride, pad, w, ow)
+            if i0 < i1 and j0 < j1:
+                top, left = i0 * stride + kh - pad, j0 * stride + kw - pad
+                cols[:, kh, kw, i0:i1, j0:j1] = x[0, :, top:top + (i1 - i0 - 1) * stride + 1:stride,
+                                                        left:left + (j1 - j0 - 1) * stride + 1:stride]
+    return cols.reshape(c * kernel * kernel, oh * ow)
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
@@ -140,7 +196,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
     _, _, h, w = x.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
     cols = _im2col(x, k, stride, pad)
-    out = cols @ kernel.reshape(out_ch, in_c * k * k).T
+    out = cols.T @ kernel.reshape(out_ch, in_c * k * k).T
     if bias is not None:
         out = out + bias[None, :]
     return np.ascontiguousarray(out.T.reshape(1, out_ch, oh, ow), dtype=np.float32)
@@ -155,156 +211,308 @@ def _check_finite(node_id: str, x: np.ndarray) -> None:
         raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
 
 
+def _check_input(shape, x: np.ndarray) -> None:
+    if shape is None or tuple(x.shape) != tuple(shape):
+        raise ShapeMismatch(f"input shape {tuple(x.shape)} does not match graph input {shape}")
+
+
 def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
             retention: str = RETAIN_ALL, plan: dict[str, str] | None = None) -> ExecutionTrace:
     """Run the graph on one input tensor (float32 n,c,h,w, n = 1). Nodes run
-    in dataflow order, whatever the order of the node list."""
+    in dataflow order, whatever the order of the node list. The graph's
+    program for (mode, plan) is compiled on first use and reused while the
+    graph is unchanged (see the module docstring)."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     x = np.ascontiguousarray(input_data, dtype=np.float32)
-    if graph.input_shape is None or tuple(x.shape) != tuple(graph.input_shape):
-        raise ShapeMismatch(
-            f"input shape {tuple(x.shape)} does not match graph input {graph.input_shape}")
-    infer_shapes(graph)  # raises on a shape or ordering fault before any node runs
-    qparams = graph.qparams or {}
-    node_mode = {n.id: (plan.get(n.id, mode) if plan else mode) for n in graph.nodes}
+    _check_input(graph.input_shape, x)
+    key = (mode, tuple(sorted(plan.items())) if plan else None)
+    program = graph._programs.get(key)
+    if program is None or not program.matches(graph):
+        program = graph._programs[key] = compile(graph, mode, plan)
+    return program.run(x, retention)
 
-    buffers: dict[str, TensorBuffer] = {}
-    if mode == F16:
-        x = _f16(x)
-    if mode == I8:
-        in_q = _require_qparams(qparams, graph.input_id)
-        buffers[graph.input_id] = TensorBuffer(I8, in_q.quantize(x), in_q)
-    else:
-        buffers[graph.input_id] = TensorBuffer(F32, x)
 
-    remaining_uses = {graph.input_id: 0}
-    for n in graph.nodes:
-        for t in n.inputs:
-            remaining_uses[t] = remaining_uses.get(t, 0) + 1
-        remaining_uses.setdefault(n.output, 0)
+class _Format(NamedTuple):
+    """What compile knows of a tensor's buffer before any data exist."""
+    dtype: str
+    qparams: QuantParams | None = None
+    f16_grid: bool = False  # every value is already a binary16 value
 
-    head_outputs = {n.output for n in graph.head_nodes()}
-    trace = ExecutionTrace(mode=mode)
 
-    for node in _topo_order(graph)[0]:
-        prec = node_mode[node.id]
+class _Step(NamedTuple):
+    output: str
+    run: Callable[[dict], TensorBuffer]
+    head: bool              # kept in every trace
+    frees: tuple[str, ...]  # tensors this step uses last (heads excepted)
+
+
+@dataclass(eq=False)
+class Program:
+    """A graph compiled for one mode and plan. Holds what its steps read and
+    a snapshot of what compile read from the graph, never the graph."""
+
+    mode: str
+    input_id: str
+    input_shape: tuple[int, ...]
+    input_qparams: QuantParams | None
+    steps: list[_Step]
+    nodes_read: list[tuple]
+    weights_read: list[tuple[tuple[str, str], np.ndarray | None]]
+    qparams_read: list[tuple[str, QuantParams]]
+
+    def matches(self, graph: Graph) -> bool:
+        """Whether `graph` still holds everything this program was compiled
+        from."""
+        if (graph.input_id != self.input_id or graph.input_shape is None
+                or tuple(graph.input_shape) != self.input_shape
+                or len(graph.nodes) != len(self.nodes_read)):
+            return False
+        for n, (nid, kind, inputs, output, attrs) in zip(graph.nodes, self.nodes_read):
+            if (n.id != nid or n.kind != kind or n.inputs != inputs or n.output != output
+                    or n.attrs != attrs):
+                return False
+        weights = graph.weights
+        if any(weights.get(key) is not arr for key, arr in self.weights_read):
+            return False
+        qparams = graph.qparams or {}
+        return all(qparams.get(t) == qp for t, qp in self.qparams_read)
+
+    def run(self, x: np.ndarray, retention: str = RETAIN_ALL) -> ExecutionTrace:
+        """Run on one input tensor (float32 n,c,h,w, n = 1)."""
+        x = np.ascontiguousarray(x, dtype=np.float32)
+        _check_input(self.input_shape, x)
+        if self.mode == F16:
+            x = _f16(x)
+        if self.mode == I8:
+            first = TensorBuffer(I8, self.input_qparams.quantize(x), self.input_qparams)
+        else:
+            first = TensorBuffer(F32, x)
+        buffers = {self.input_id: first}
+        keep_all = retention == RETAIN_ALL
+        trace = ExecutionTrace(mode=self.mode)
+        for step in self.steps:
+            buf = buffers[step.output] = step.run(buffers)
+            if keep_all or step.head:
+                trace.buffers[step.output] = buf
+            if not keep_all:
+                for t in step.frees:
+                    del buffers[t]
+        if keep_all:
+            trace.buffers[self.input_id] = first
+        return trace
+
+
+def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None) -> Program:
+    """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
+    modes. Raises on a shape or ordering fault, and MissingQParams for a
+    range an i8 node needs, before any node runs."""
+    if mode not in MODES:
+        raise ExecutionError(f"unknown mode '{mode}'")
+    infer_shapes(graph)  # raises on a shape or ordering fault
+    order = _topo_order(graph)[0]
+    graph_qparams = graph.qparams or {}
+    weights_read: dict[tuple[str, str], np.ndarray | None] = {}
+    qparams_read: dict[str, QuantParams] = {}
+
+    def weight(node, role):
+        """The graph's array, recorded for the cache check; a missing bias
+        is None, any other missing role a KeyError."""
+        arr = weights_read[(node.id, role)] = graph.weights.get((node.id, role))
+        if arr is None and role != "bias":
+            raise KeyError((node.id, role))
+        return arr
+
+    def require(tensor_id):
+        qp = graph_qparams.get(tensor_id)
+        if qp is None:
+            raise MissingQParams(f"no quantization range for tensor '{tensor_id}'")
+        qparams_read[tensor_id] = qp
+        return qp
+
+    input_qparams = require(graph.input_id) if mode == I8 else None
+    formats = {graph.input_id: _Format(I8, input_qparams) if mode == I8
+               else _Format(F32, f16_grid=(mode == F16))}
+    last_use = {t: i for i, node in enumerate(order) for t in node.inputs}
+    heads = {n.output for n in graph.head_nodes()}
+    steps = []
+    for i, node in enumerate(order):
+        prec = plan.get(node.id, mode) if plan else mode
+        ins = [formats[t] for t in node.inputs]
         if prec == I8:
-            buf = _run_node_i8(graph, node, buffers, qparams)
+            run, formats[node.output] = _i8_step(node, ins, weight, require)
         else:
-            buf = _run_node_float(graph, node, buffers, f16=(prec == F16))
-        buffers[node.output] = buf
+            run, formats[node.output] = _float_step(node, ins, prec == F16, weight)
+        frees = tuple(t for t in dict.fromkeys(node.inputs) if last_use[t] == i and t not in heads)
+        steps.append(_Step(node.output, run, node.output in heads, frees))
 
-        if retention == RETAIN_ALL or node.output in head_outputs:
-            trace.buffers[node.output] = buf
-        for t in node.inputs:
-            remaining_uses[t] -= 1
-            if remaining_uses[t] == 0 and retention != RETAIN_ALL and t not in head_outputs:
-                buffers.pop(t, None)
-
-    if retention == RETAIN_ALL:
-        trace.buffers[graph.input_id] = buffers[graph.input_id]
-    return trace
+    return Program(
+        mode=mode, input_id=graph.input_id, input_shape=tuple(graph.input_shape),
+        input_qparams=input_qparams, steps=steps,
+        nodes_read=[(n.id, n.kind, list(n.inputs), n.output, copy.deepcopy(n.attrs))
+                    for n in graph.nodes],
+        weights_read=list(weights_read.items()), qparams_read=list(qparams_read.items()))
 
 
-def _require_qparams(qparams: dict[str, QuantParams], tensor_id: str) -> QuantParams:
-    qp = qparams.get(tensor_id)
-    if qp is None:
-        raise MissingQParams(f"no quantization range for tensor '{tensor_id}'")
-    return qp
-
-
-def _run_node_float(graph: Graph, node, buffers, f16: bool) -> TensorBuffer:
-    """f32 evaluation; with f16=True weights and the node output are rounded
-    to the binary16 grid (accumulation stays f32)."""
-    w = graph.weights
+def _node_op(node, weight, f16: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
+    """The node's computation on its input arrays (float32; max-pool and
+    upsample also move int8 levels), with its weights read once and rounded
+    to binary16 when f16."""
     rnd = _f16 if f16 else (lambda a: a)
-    kind = node.kind
+    kind, a = node.kind, node.attrs
 
     if kind == CONV:
-        a = node.attrs
-        kernel = w[(node.id, "kernel")].reshape(
-            a["out_ch"], -1, a["kernel"], a["kernel"])
-        bias = w.get((node.id, "bias")) if a["has_bias"] else None
-        x = buffers[node.inputs[0]].as_f32()
-        y = conv2d(x, rnd(kernel), rnd(bias) if bias is not None else None,
-                   a["stride"], a["pad"])
-        y = apply_activation(y, a.get("act", LINEAR), a.get("alpha"))
-    elif kind == BATCHNORM:
-        x = buffers[node.inputs[0]].as_f32()
-        y = batchnorm(x, rnd(w[(node.id, "bn_gamma")]), rnd(w[(node.id, "bn_beta")]),
-                      rnd(w[(node.id, "bn_mean")]), rnd(w[(node.id, "bn_var")]),
-                      node.attrs["eps"])
-    elif kind == ACTIVATION:
-        x = buffers[node.inputs[0]].as_f32()
-        y = apply_activation(x, node.attrs["act"], node.attrs.get("alpha"))
-    elif kind == SCALE:
-        x = buffers[node.inputs[0]].as_f32()
-        factor = node.attrs.get("factor")
-        if factor is None:
-            factors = rnd(w[(node.id, "scale_factors")])
-            y = x * factors[None, :, None, None]
+        kernel = rnd(weight(node, "kernel").reshape(a["out_ch"], -1, a["kernel"], a["kernel"]))
+        bias = weight(node, "bias") if a["has_bias"] else None
+        bias = rnd(bias) if bias is not None else None
+        stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
+        return lambda xs: apply_activation(conv2d(xs[0], kernel, bias, stride, pad), act, alpha)
+    if kind == BATCHNORM:
+        inv, shift = _bn_affine(*(rnd(weight(node, role)) for role in
+                                  ("bn_gamma", "bn_beta", "bn_mean", "bn_var")), a["eps"])
+        return lambda xs: xs[0] * inv + shift
+    if kind == ACTIVATION:
+        act, alpha = a["act"], a.get("alpha")
+        return lambda xs: apply_activation(xs[0], act, alpha)
+    if kind == SCALE:
+        if a.get("factor") is None:
+            factors = rnd(weight(node, "scale_factors"))[None, :, None, None]
         else:
-            y = x * np.float32(factor)
-    elif kind == UPSAMPLE:
-        y = upsample_nearest(buffers[node.inputs[0]].as_f32(), node.attrs["factor"])
-    elif kind == MAXPOOL:
-        y = maxpool2d(buffers[node.inputs[0]].as_f32(),
-                      node.attrs["kernel"], node.attrs["stride"])
-    elif kind == ADD:
-        y = buffers[node.inputs[0]].as_f32()
-        for t in node.inputs[1:]:
-            y = y + buffers[t].as_f32()
-    elif kind == CONCAT:
-        y = np.concatenate([buffers[t].as_f32() for t in node.inputs], axis=1)
-    elif kind == YOLO_HEAD:
-        y = buffers[node.inputs[0]].as_f32()
-    else:
-        raise ExecutionError(f"{node.id}: cannot execute kind '{kind}'")
-
-    y = rnd(np.ascontiguousarray(y, dtype=np.float32))
-    _check_finite(node.id, y)
-    return TensorBuffer(F16 if f16 else F32, y)
-
-
-def _input_i8(buffers, qparams, tensor_id) -> TensorBuffer:
-    buf = buffers[tensor_id]
-    if buf.dtype == I8:
-        return buf
-    qp = _require_qparams(qparams, tensor_id)
-    return TensorBuffer(I8, qp.quantize(buf.data), qp)
+            factors = np.float32(a["factor"])
+        return lambda xs: xs[0] * factors
+    if kind == UPSAMPLE:
+        factor = a["factor"]
+        return lambda xs: upsample_nearest(xs[0], factor)
+    if kind == MAXPOOL:
+        k, stride = a["kernel"], a["stride"]
+        return lambda xs: maxpool2d(xs[0], k, stride)
+    if kind == ADD:
+        def add(xs):
+            y = xs[0]
+            for t in xs[1:]:
+                y = y + t
+            return y
+        return add
+    if kind == CONCAT:
+        return lambda xs: np.concatenate(xs, axis=1)
+    if kind == YOLO_HEAD:
+        return lambda xs: xs[0]
+    raise ExecutionError(f"{node.id}: cannot execute kind '{kind}'")
 
 
-def _run_node_i8(graph: Graph, node, buffers, qparams) -> TensorBuffer:
-    w = graph.weights
-    kind = node.kind
+def _keeps_f16_grid(node) -> bool:
+    """Whether the node's output values are all among its input values (or
+    zero), so binary16 inputs give a binary16 output."""
+    if node.kind == ACTIVATION:
+        return node.attrs["act"] == RELU
+    return node.kind in (MAXPOOL, UPSAMPLE, CONCAT, YOLO_HEAD)
+
+
+def _float_step(node, ins: list[_Format], f16: bool, weight):
+    """f32 evaluation; with f16 the weights and the node output are rounded
+    to the binary16 grid (accumulation stays f32). Rounding a binary16
+    value again is the identity, so the output round is skipped where it
+    cannot change a value."""
+    op = _node_op(node, weight, f16)
+    node_id, inputs, dtype = node.id, tuple(node.inputs), F16 if f16 else F32
+    round_out = f16 and not (_keeps_f16_grid(node) and all(f.f16_grid for f in ins))
+
+    def run(buffers):
+        y = np.ascontiguousarray(op([buffers[t].as_f32() for t in inputs]), dtype=np.float32)
+        if round_out:
+            y = _f16(y)
+        _check_finite(node_id, y)
+        return TensorBuffer(dtype, y)
+    return run, _Format(dtype, f16_grid=f16)
+
+
+def _i8_levels(tensor_id: str, fmt: _Format, require):
+    """(a function reading the tensor's int8 levels from the buffers, their
+    QuantParams); float buffers are quantized to the tensor's own range."""
+    if fmt.dtype == I8:
+        return (lambda buffers: buffers[tensor_id].data), fmt.qparams
+    qp = require(tensor_id)
+    return (lambda buffers: qp.quantize(buffers[tensor_id].data)), qp
+
+
+def _i8_step(node, ins: list[_Format], weight, require):
+    kind, a, node_id = node.kind, node.attrs, node.id
 
     if kind == CONV:
-        a = node.attrs
-        # quantized per node and dropped after it: a model-wide float64 copy
-        # would be twice the size of the float32 weights
-        levels, scales = quant.weight_levels(w[(node.id, "kernel")].reshape(a["out_ch"], -1))
-        q_kernel = levels.reshape(a["out_ch"], -1, a["kernel"], a["kernel"])
-        bias = w.get((node.id, "bias")) if a["has_bias"] else None
-        xb = _input_i8(buffers, qparams, node.inputs[0])
-        real = quant.quantized_conv(xb.data, xb.qparams, q_kernel, scales, bias,
-                                    a["stride"], a["pad"])
-        real = apply_activation(real, a.get("act", LINEAR), a.get("alpha"))
-        _check_finite(node.id, real)
-        out_q = _require_qparams(qparams, node.output)
-        return TensorBuffer(I8, out_q.quantize(real), out_q)
+        read, x_params = _i8_levels(node.inputs[0], ins[0], require)
+        qk = quant.quantize_kernel(weight(node, "kernel").reshape(
+            a["out_ch"], -1, a["kernel"], a["kernel"]))
+        bias = weight(node, "bias") if a["has_bias"] else None
+        stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
+        out_q = require(node.output)
 
-    if kind == MAXPOOL:
-        xb = _input_i8(buffers, qparams, node.inputs[0])
-        y = maxpool2d(xb.data, node.attrs["kernel"], node.attrs["stride"])
-        return TensorBuffer(I8, y, xb.qparams)
+        def conv(buffers):
+            real = quant.quantized_conv(read(buffers), x_params, qk.levels, qk.scales, bias,
+                                        stride, pad, abs_sums=qk.abs_sums)
+            real = apply_activation(real, act, alpha)
+            _check_finite(node_id, real)
+            return TensorBuffer(I8, out_q.quantize(real), out_q)
+        return conv, _Format(I8, out_q)
 
-    if kind == UPSAMPLE:
-        xb = _input_i8(buffers, qparams, node.inputs[0])
-        y = upsample_nearest(xb.data, node.attrs["factor"])
-        return TensorBuffer(I8, y, xb.qparams)
+    if kind in (MAXPOOL, UPSAMPLE):
+        read, qp = _i8_levels(node.inputs[0], ins[0], require)
+        op = _node_op(node, weight, f16=False)
+        return (lambda buffers: TensorBuffer(I8, op([read(buffers)]), qp)), _Format(I8, qp)
+
+    out_q = require(node.output)
+    tabled = (kind in (ACTIVATION, YOLO_HEAD) or (kind == SCALE and a.get("factor") is not None)
+              or (kind == ADD and len(node.inputs) == 2))
+    if tabled and all(f.dtype == I8 for f in ins):
+        table, bad = _level_table(_node_op(node, weight, f16=False),
+                                  [f.qparams for f in ins], out_q)
+        return _lookup(node_id, node.inputs, table, bad, out_q), _Format(I8, out_q)
 
     # remaining kinds: dequantize, compute in f32, requantize to own range
-    float_buf = _run_node_float(graph, node, buffers, f16=False)
-    out_q = _require_qparams(qparams, node.output)
-    return TensorBuffer(I8, out_q.quantize(float_buf.data), out_q)
+    float_run, _ = _float_step(node, ins, False, weight)
+    return ((lambda buffers: TensorBuffer(I8, out_q.quantize(float_run(buffers).data), out_q)),
+            _Format(I8, out_q))
+
+
+def _level_table(op, in_qparams: list[QuantParams], out_q: QuantParams):
+    """(out_q's levels of op on every input level or pair of levels, the
+    entries whose float value is not finite, or None when all are finite),
+    flat and indexed by the input levels' uint8 bytes (the first input's in
+    the high byte)."""
+    with np.errstate(all="ignore"):  # the marked entries raise when an input hits them
+        values = [qp.dequantize(_LEVELS) for qp in in_qparams]
+        if len(values) == 1:
+            y = np.ascontiguousarray(op(values), dtype=np.float32)
+            bad, table = ~np.isfinite(y), out_q.quantize(y)
+        else:
+            table = np.empty((256, 256), dtype=np.int8)
+            bad = np.empty((256, 256), dtype=bool)
+            for r in range(0, 256, _TABLE_ROWS):
+                rows = slice(r, r + _TABLE_ROWS)
+                y = np.ascontiguousarray(op([values[0][rows, None], values[1][None, :]]),
+                                         dtype=np.float32)
+                bad[rows], table[rows] = ~np.isfinite(y), out_q.quantize(y)
+    return table.ravel(), (bad.ravel() if bad.any() else None)
+
+
+def _lookup(node_id: str, inputs: list[str], table: np.ndarray, bad: np.ndarray | None,
+            out_q: QuantParams):
+    if len(inputs) == 1:
+        (t,) = inputs
+
+        def index(buffers):
+            return buffers[t].data.view(np.uint8)
+    else:
+        t0, t1 = inputs
+
+        def index(buffers):
+            i = buffers[t0].data.view(np.uint8).astype(np.uint16)
+            i <<= 8
+            i |= buffers[t1].data.view(np.uint8)
+            return i
+
+    def run(buffers):
+        i = index(buffers)
+        if bad is not None and bad.take(i).any():
+            raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
+        return TensorBuffer(I8, table.take(i), out_q)
+    return run

@@ -182,10 +182,6 @@ def random_scene(rng: np.random.Generator, max_blobs: int = 4,
     return img.astype(np.float32), boxes
 
 
-def scene_tensor(img: np.ndarray) -> np.ndarray:
-    return tensorio.image_to_nchw(img)
-
-
 def write_scene_dataset(out_dir, count: int, seed: int = 0) -> Manifest:
     """Write `count` scenes as PPM files plus a manifest with ground truth."""
     os.makedirs(out_dir, exist_ok=True)
@@ -214,7 +210,7 @@ def calibration_images(count: int, seed: int = 1) -> list[np.ndarray]:
                                   intensity=(0.1, 1.0), spacing=1)
         else:
             img, _ = random_scene(rng)
-        out.append(scene_tensor(img))
+        out.append(tensorio.image_to_nchw(img))
     return out
 
 
@@ -304,7 +300,7 @@ def build_tiny_detector() -> Graph:
     for k in range(6):
         img = np.full((TINY_H, TINY_W, 3), BACKGROUND, dtype=np.float32)
         img[32:40, 48:56] = CLASS_COLORS[k]
-        trace = executor.execute(graph, scene_tensor(img))
+        trace = executor.execute(graph, tensorio.image_to_nchw(img))
         feat = trace.as_f32("act4")[0, k]
         responses[k] = feat[4, 6]
         masked = feat.copy()

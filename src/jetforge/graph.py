@@ -202,6 +202,8 @@ class Graph:
     weights: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     metadata: GraphMetadata = field(default_factory=GraphMetadata)
     qparams: dict[str, QuantParams] | None = None
+    # the executor's compiled programs by (mode, plan); not copied or compared
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node_by_id(self, nid: str) -> LayerNode:
         for n in self.nodes:
@@ -466,6 +468,14 @@ def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnos
 # container serialization
 # --------------------------------------------------------------------------
 
+# fields the loader reads from each manifest record
+_MANIFEST_FIELDS = frozenset({"input", "metadata", "nodes", "weights"})
+_INPUT_FIELDS = frozenset({"id", "shape"})
+_METADATA_FIELDS = frozenset({"class_names", "anchors"})
+_NODE_FIELDS = frozenset({"id", "kind", "inputs", "output", "attrs"})
+_WEIGHT_FIELDS = frozenset({"layer", "role", "len"})
+
+
 def _node_to_json(n: LayerNode) -> dict:
     return {"id": n.id, "kind": n.kind, "inputs": n.inputs, "output": n.output,
             "attrs": n.attrs, "precision_class": n.precision_class}
@@ -529,8 +539,11 @@ def load_container(path) -> Graph:
     (mlen,) = struct.unpack_from("<Q", data, 8)
     if len(data) < 16 + mlen:
         raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {len(data) - 16}")
-    manifest = artifacts.parse_json(data[16:16 + mlen], path,
-                                    frozenset({"input", "metadata", "nodes", "weights"}))
+    manifest = artifacts.parse_json(data[16:16 + mlen], path, _MANIFEST_FIELDS)
+    artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input")
+    artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
+    artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes")
+    artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
 
     blob = data[16 + mlen:]
     want_floats = sum(e["len"] for e in manifest["weights"])

@@ -45,10 +45,6 @@ class PassReport:
         return asdict(self)
 
 
-def _total_macs(graph: Graph) -> int:
-    return frontend.model_stats(graph).total_macs
-
-
 def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
     """Fold every node `matches` accepts into the convolution that produces
     its first input, when that conv has no inline activation and the node is
@@ -134,13 +130,13 @@ def fuse_conv_bn(graph: Graph) -> tuple[Graph, PassReport]:
     """
     out = graph.copy()
     report = PassReport("fuse-conv-bn", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = _total_macs(graph)
+    macs_before = frontend.model_stats(graph).total_macs
     _fold_into_conv(out, report, lambda n: n.kind == BATCHNORM, _fold_bn)
     _fold_into_conv(out, report,
                     lambda n: n.kind == ACTIVATION and n.attrs["act"] in (RELU, LINEAR),
                     _fold_activation)
     report.nodes_after = len(out.nodes)
-    report.mac_delta = _total_macs(out) - macs_before
+    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
     return out, report
 
 
@@ -155,7 +151,7 @@ def decompose_leaky(graph: Graph) -> tuple[Graph, PassReport]:
     """
     out = graph.copy()
     report = PassReport("decompose-leaky", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = _total_macs(graph)
+    macs_before = frontend.model_stats(graph).total_macs
 
     new_nodes: list[LayerNode] = []
     for node in out.nodes:
@@ -176,7 +172,7 @@ def decompose_leaky(graph: Graph) -> tuple[Graph, PassReport]:
 
     out.nodes = new_nodes
     report.nodes_after = len(out.nodes)
-    report.mac_delta = _total_macs(out) - macs_before
+    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
     return out, report
 
 
@@ -186,10 +182,10 @@ def fold_scale_into_conv(graph: Graph) -> tuple[Graph, PassReport]:
     inline activation (scaling does not commute with one in general)."""
     out = graph.copy()
     report = PassReport("fold-scale", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = _total_macs(graph)
+    macs_before = frontend.model_stats(graph).total_macs
     _fold_into_conv(out, report, lambda n: n.kind == SCALE, _fold_scale)
     report.nodes_after = len(out.nodes)
-    report.mac_delta = _total_macs(out) - macs_before
+    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
     return out, report
 
 

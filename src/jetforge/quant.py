@@ -392,14 +392,24 @@ def quantize_weights(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale_c = max|w_c| / 127 (1.0 for all-zero channels); values round
     half-up and clamp to [-WEIGHT_QMAX, WEIGHT_QMAX].
     """
-    k = np.asarray(kernel, dtype=np.float32)
-    levels, scales = weight_levels(k)
-    return levels.astype(np.int8).reshape(k.shape), scales
+    qk = quantize_kernel(kernel)
+    return qk.levels, qk.scales
 
 
-def weight_levels(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """quantize_weights' integer levels as a float64 [out_ch, K] matrix, the
-    operand conv_accumulator multiplies, computed in place on one temporary."""
+@dataclass(frozen=True)
+class QuantizedKernel:
+    """A conv kernel quantized once, for every call that runs it: the int8
+    levels (widened to float64 only inside a call), the per-channel scales,
+    and sum|q_w,c| per output channel, the static overflow proof's operand."""
+
+    levels: np.ndarray
+    scales: np.ndarray
+    abs_sums: np.ndarray
+
+
+def quantize_kernel(kernel: np.ndarray) -> QuantizedKernel:
+    """quantize_weights' levels and scales, computed in place on one
+    float64 temporary, plus sum|q_w,c| as int64."""
     k = np.asarray(kernel, dtype=np.float32)
     flat = k.reshape(k.shape[0], -1)
     maxabs = np.maximum(flat.max(axis=1), -flat.min(axis=1))
@@ -408,7 +418,8 @@ def weight_levels(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     levels += 0.5
     np.floor(levels, out=levels)
     np.clip(levels, -WEIGHT_QMAX, WEIGHT_QMAX, out=levels)
-    return levels, scales
+    q = levels.astype(np.int8)
+    return QuantizedKernel(q.reshape(k.shape), scales, np.abs(q).sum(axis=1, dtype=np.int64))
 
 
 def check_float64_exact(taps: int, max_abs_x: int) -> None:
@@ -422,7 +433,7 @@ def check_float64_exact(taps: int, max_abs_x: int) -> None:
 
 
 def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
-                     stride: int, pad: int) -> np.ndarray:
+                     stride: int, pad: int, abs_sums: np.ndarray | None = None) -> np.ndarray:
     """Integer accumulators of a convolution, [out_ch, out_h * out_w]: the
     sums of (q - zero_point) * q_w, checked to fit in int32.
 
@@ -434,7 +445,8 @@ def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
     depends on neither the BLAS build nor its thread count.
 
     The overflow proof is static per output channel and runs before the
-    data are touched: max|q - zero_point| * sum|q_w,c| <= INT32_MAX. Only
+    data are touched: max|q - zero_point| * sum|q_w,c| <= INT32_MAX
+    (`abs_sums` holds the sums when a QuantizedKernel has them). Only
     channels that fail it get the exact data bound |cols| @ |w_c|, and
     AccumulatorOverflow is raised only when that bound exceeds INT32_MAX.
     """
@@ -442,15 +454,16 @@ def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
     max_abs_x = max(127 - zero_point, zero_point + 128)
     check_float64_exact(q_kernel[0].size, max_abs_x)
     w2d = q_kernel.reshape(out_ch, -1).astype(np.float64, copy=False)
-    abs_w = np.abs(w2d)
-    unproven = np.flatnonzero(max_abs_x * abs_w.sum(axis=1) > INT32_MAX)
+    if abs_sums is None:
+        abs_sums = np.abs(w2d).sum(axis=1)
+    unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
 
     shifted = x_q.astype(np.float64)
     shifted -= zero_point
-    cols = _executor._im2col(shifted, k, stride, pad).T  # [K, out_h*out_w], C order
+    cols = _executor._im2col(shifted, k, stride, pad)  # [K, out_h*out_w], C order
 
     if unproven.size:
-        worst = (abs_w[unproven] @ np.abs(cols)).max(initial=0)
+        worst = (np.abs(w2d[unproven]) @ np.abs(cols)).max(initial=0)
         if worst > INT32_MAX:
             raise AccumulatorOverflow(
                 f"conv accumulator would reach {int(worst)} (> int32); needs wider accumulation")
@@ -459,7 +472,7 @@ def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
 
 def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
                    scales: np.ndarray, bias: np.ndarray | None,
-                   stride: int, pad: int) -> np.ndarray:
+                   stride: int, pad: int, abs_sums: np.ndarray | None = None) -> np.ndarray:
     """Integer convolution: 32-bit accumulation of (q - zero_point) * q_w
     (see conv_accumulator), then real = acc * scale_in * scale_c + bias,
     returned as float32."""
@@ -467,7 +480,7 @@ def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
     _, _, h, w = x_q.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
 
-    acc = conv_accumulator(x_q, x_params.zero_point, q_kernel, stride, pad)
+    acc = conv_accumulator(x_q, x_params.zero_point, q_kernel, stride, pad, abs_sums)
     real = acc * (x_params.scale * scales)[:, None]
     if bias is not None:
         real += bias[:, None]

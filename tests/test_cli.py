@@ -550,7 +550,8 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
 
 @pytest.mark.parametrize("case", [
     "ranges-without-tensors", "ranges-tensor-without-zero-point", "dets-line-not-json",
-    "manifest-line-without-width", "container-manifest-not-json", "category-map-not-json"])
+    "manifest-line-without-width", "manifest-box-without-label", "container-manifest-not-json",
+    "container-node-without-attrs", "category-map-not-json"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
     bad, out, line = tmp_path / "bad", tmp_path / "out", None
@@ -572,8 +573,24 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
         del rec["width"]
         bad.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
         argv, line = ["dataset", "anchors", "--manifest", bad, "-o", out], 3
+    elif case == "manifest-box-without-label":
+        lines = tiny_files["manifest"].read_text().splitlines()
+        i = next(i for i, text in enumerate(lines) if json.loads(text).get("boxes"))
+        rec = json.loads(lines[i])
+        del rec["boxes"][0]["label"]
+        bad.write_text("\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1:]) + "\n")
+        argv, line = ["dataset", "anchors", "--manifest", bad, "-o", out], i + 1
     elif case == "container-manifest-not-json":
         bad.write_bytes(g.FORMAT_MAGIC + struct.pack("<IQ", g.FORMAT_VERSION, 5) + b"{abcd")
+        image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+        argv = ["detect", "-m", bad, "-i", image, "-o", out]
+    elif case == "container-node-without-attrs":
+        data = open(optimized_container, "rb").read()
+        (length,) = struct.unpack_from("<Q", data, 8)
+        manifest = json.loads(data[16:16 + length])
+        del manifest["nodes"][0]["attrs"]
+        blob = json.dumps(manifest).encode()
+        bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + length:])
         image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
         argv = ["detect", "-m", bad, "-i", image, "-o", out]
     else:

@@ -302,11 +302,11 @@ def test_i8_heads_identical_across_blas_thread_counts(tiny_quantized, tmp_path):
     import subprocess
     import sys
 
-    from jetforge import fixtures
+    from jetforge import fixtures, tensorio
     model, frame = tmp_path / "tiny_i8.uir", tmp_path / "frame.npy"
     g.save_container(tiny_quantized, model)
     img, _ = fixtures.random_scene(np.random.default_rng(27), negative_chance=0.0)
-    x = fixtures.scene_tensor(img)
+    x = tensorio.image_to_nchw(img)
     np.save(frame, x)
 
     src = os.path.dirname(os.path.dirname(executor.__file__))
@@ -344,3 +344,210 @@ def test_execution_follows_the_dataflow_not_the_node_list(tiny_quantized, order)
         assert sorted(got.buffers) == sorted(want.buffers)
         for head, buf in want.buffers.items():
             assert np.array_equal(got.buffers[head].data, buf.data), (mode, head)
+
+
+# --------------------------------------------------------------------------
+# pad-free im2col
+# --------------------------------------------------------------------------
+
+def _im2col_padded(x, k, stride, pad):
+    """The patch matrix from an explicitly zero-padded copy (oracle)."""
+    _, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    cols = np.empty((c, k, k, oh, ow), dtype=x.dtype)
+    for kh in range(k):
+        for kw in range(k):
+            cols[:, kh, kw] = padded[0, :, kh:kh + (oh - 1) * stride + 1:stride,
+                                     kw:kw + (ow - 1) * stride + 1:stride]
+    return cols.reshape(c * k * k, oh * ow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), stride=st.integers(1, 3), pad=st.integers(0, 3),
+       h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_im2col_equals_the_padded_copy(k, stride, pad, h, w, seed):
+    from hypothesis import assume
+    assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    x = np.random.default_rng(seed).normal(size=(1, 2, h, w)).astype(np.float32)
+    got = executor._im2col(x, k, stride, pad)
+    want = _im2col_padded(x, k, stride, pad)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+# --------------------------------------------------------------------------
+# compiled programs and their cache
+# --------------------------------------------------------------------------
+
+def _scene(seed):
+    from jetforge import fixtures, tensorio
+    img, _ = fixtures.random_scene(np.random.default_rng(seed), negative_chance=0.0)
+    return tensorio.image_to_nchw(img)
+
+
+def _trace_bytes(trace):
+    return {t: (b.dtype, b.data.dtype.str, b.data.tobytes(), b.qparams)
+            for t, b in trace.buffers.items()}
+
+
+def _same_as_fresh(gr, x, plan=None):
+    """Each mode's trace on `gr` (its programs cached) equals the one of a
+    copy, which starts without programs."""
+    for mode in executor.MODES:
+        got = executor.execute(gr, x, mode=mode, plan=plan)
+        want = executor.execute(gr.copy(), x, mode=mode, plan=plan)
+        assert _trace_bytes(got) == _trace_bytes(want), mode
+
+
+def test_program_cache_follows_every_edit(tiny_quantized):
+    gr = tiny_quantized.copy()
+    x = _scene(41)
+    _same_as_fresh(gr, x)
+
+    gr.weights[("conv2", "kernel")] = gr.weights[("conv2", "kernel")] * np.float32(0.5)
+    _same_as_fresh(gr, x)
+
+    gr.node_by_id("act1_e").attrs["factor"] = 5.0
+    _same_as_fresh(gr, x)
+
+    lo, hi = gr.qparams["conv1"].lo, gr.qparams["conv1"].hi
+    gr.qparams["conv1"] = g.QuantParams.from_range(2 * lo, 2 * hi)  # edited in place
+    _same_as_fresh(gr, x)
+    gr.qparams = {**gr.qparams, "act1_e": g.QuantParams.from_range(0.0, 1.0)}
+    _same_as_fresh(gr, x)
+
+    plan = {"act2_r": executor.F32}
+    _same_as_fresh(gr, x, plan)
+    plan["act2_e"] = executor.F32  # the same dict, edited
+    _same_as_fresh(gr, x, plan)
+
+
+def test_interleaved_modes_equal_separate_fresh_runs(tiny_quantized):
+    shared = tiny_quantized.copy()
+    for seed in (3, 4):
+        x = _scene(seed)
+        for mode in (executor.F32, executor.F16, executor.I8, executor.F16, executor.F32):
+            got = executor.execute(shared, x, mode=mode)
+            want = executor.execute(tiny_quantized.copy(), x, mode=mode)
+            assert _trace_bytes(got) == _trace_bytes(want), (seed, mode)
+
+
+def test_executed_graph_dies_without_the_cycle_collector(tiny_quantized):
+    """A program holds nothing of its graph, so the graph and its cached
+    programs are freed by reference counting alone."""
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        gr = tiny_quantized.copy()
+        for mode in executor.MODES:
+            executor.execute(gr, _scene(5), mode=mode, plan={"act0_r": executor.F32})
+        assert len(gr._programs) == 3
+        ref = weakref.ref(gr)
+        del gr
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_graph_copy_and_equality_ignore_the_cache(tiny_quantized):
+    gr = tiny_quantized.copy()
+    executor.execute(gr, _scene(6), mode=executor.I8)
+    assert gr._programs and not gr.copy()._programs
+    assert gr == tiny_quantized.copy()
+
+
+# --------------------------------------------------------------------------
+# int8 elementwise tables and f16 rounding
+# --------------------------------------------------------------------------
+
+_LEVELS = np.arange(-128, 128).astype(np.int8)
+
+_RANGES = st.one_of(
+    st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 100.0)).map(lambda t: (t[0], t[0] + t[1])),
+    st.sampled_from([(-1e30, 1e30), (-3e38, 3e38), (1e-30, 2e-30), (0.0, 1e-40),
+                     (1000.0, 1000.5), (-7.0, -6.0)]))
+
+_FACTORS = st.one_of(st.floats(-100.0, 100.0), st.sampled_from([1e38, -3e38, 0.0]))
+
+
+def _elementwise_graph(kind, factor, ranges):
+    shape = g.TensorShape(1, 1, 1, 256)
+    if kind == "add":
+        nodes = [g.activation_node("a", ["input"], "a", g.LINEAR),
+                 g.activation_node("b", ["input"], "b", g.LINEAR),
+                 g.LayerNode("y", g.ADD, ["a", "b"], "y")]
+    elif kind == "relu":
+        nodes = [g.activation_node("y", ["input"], "y", g.RELU)]
+    elif kind == "scale":
+        nodes = [g.LayerNode("y", g.SCALE, ["input"], "y", {"factor": factor})]
+    else:
+        nodes = [g.LayerNode("y", g.YOLO_HEAD, ["input"], "y",
+                             {"anchor_indices": [0], "num_classes": 1})]
+    gr = g.Graph(nodes=nodes, input_shape=shape)
+    gr.qparams = {t: g.QuantParams.from_range(*r) for t, r in zip(("input", "a", "b", "y"), ranges)}
+    return gr
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["relu", "scale", "yolo_head", "add"]), factor=_FACTORS,
+       ranges=st.tuples(_RANGES, _RANGES, _RANGES, _RANGES))
+def test_i8_tables_equal_dequantize_float_quantize(kind, factor, ranges):
+    """Every level (every pair for add) looked up gives what dequantize ->
+    the float op -> quantize gives, and NonFiniteDetected fires exactly
+    when an input holds a level whose float value is not finite."""
+    gr = _elementwise_graph(kind, factor, ranges)
+    q = gr.qparams
+    with np.errstate(all="ignore"):
+        if kind == "add":
+            a = np.repeat(_LEVELS, 256)
+            b = np.tile(_LEVELS, 256)
+            ins = {"a": a, "b": b}
+            y = q["a"].dequantize(a) + q["b"].dequantize(b)
+        else:
+            ins = {"input": _LEVELS}
+            x = q["input"].dequantize(_LEVELS)
+            y = {"relu": lambda: np.maximum(x, 0), "yolo_head": lambda: x,
+                 "scale": lambda: x * np.float32(factor)}[kind]()
+        finite = np.isfinite(y)
+        want = q["y"].quantize(y[finite])
+
+    step = next(s for s in executor.compile(gr, executor.I8).steps if s.output == "y")
+
+    def run(mask):
+        bufs = {t: executor.TensorBuffer(executor.I8, v[mask].reshape(1, 1, 1, -1), q[t])
+                for t, v in ins.items()}
+        return step.run(bufs)
+
+    out = run(finite)
+    assert out.dtype == executor.I8 and out.qparams == q["y"]
+    assert np.array_equal(out.data.ravel(), want)
+    if not finite.all():
+        with pytest.raises(executor.NonFiniteDetected, match="'y'"):
+            run(np.ones_like(finite))
+        with pytest.raises(executor.NonFiniteDetected):
+            run(~finite & (np.cumsum(~finite) == 1))  # one bad level among none else
+
+
+def test_scale_that_overflows_float32_raises_only_on_the_bad_levels():
+    gr = _elementwise_graph("scale", 1e38, [(-10.0, 10.0)] * 4)
+    small = np.full((1, 1, 1, 256), 0.02, dtype=np.float32)  # x * 1e38 stays finite
+    assert np.all(np.isfinite(executor.execute(gr, small, mode=executor.I8).as_f32("y")))
+    big = np.full((1, 1, 1, 256), 9.0, dtype=np.float32)
+    with pytest.raises(executor.NonFiniteDetected, match="'y'"):
+        executor.execute(gr, big, mode=executor.I8)
+
+
+def test_f16_rounds_relu_fed_by_a_pinned_f32_node():
+    """The output round of relu is skipped only for binary16 inputs: fed by
+    a node pinned to f32, relu still rounds."""
+    kernel = np.full((1, 1, 1, 1), 1 + 2.0 ** -12, dtype=np.float32)  # not a binary16 value
+    gr = one_conv_graph(kernel, pad=0)
+    gr.nodes.append(g.activation_node("r", ["c"], "r", g.RELU))
+    x = np.ones((1, 1, 32, 32), dtype=np.float32)
+    pinned = executor.execute(gr, x, mode=executor.F16, plan={"c": executor.F32})
+    assert np.all(pinned.as_f32("c") == np.float32(1 + 2.0 ** -12))
+    assert np.all(pinned.as_f32("r") == 1.0)
+    plain = executor.execute(gr, x, mode=executor.F16)
+    assert np.all(plain.as_f32("c") == 1.0) and np.all(plain.as_f32("r") == 1.0)

@@ -89,7 +89,7 @@ def _consumer_count(nodes, tensor):
 def restart_fuse_conv_bn(graph):
     out = graph.copy()
     report = passes.PassReport("fuse-conv-bn", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = passes._total_macs(graph)
+    macs_before = frontend.model_stats(graph).total_macs
 
     changed = True
     while changed:
@@ -147,14 +147,14 @@ def restart_fuse_conv_bn(graph):
             break
 
     report.nodes_after = len(out.nodes)
-    report.mac_delta = passes._total_macs(out) - macs_before
+    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
     return out, report
 
 
 def restart_fold_scale(graph):
     out = graph.copy()
     report = passes.PassReport("fold-scale", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = passes._total_macs(graph)
+    macs_before = frontend.model_stats(graph).total_macs
 
     changed = True
     while changed:
@@ -188,7 +188,7 @@ def restart_fold_scale(graph):
             break
 
     report.nodes_after = len(out.nodes)
-    report.mac_delta = passes._total_macs(out) - macs_before
+    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
     return out, report
 
 

@@ -578,11 +578,11 @@ def test_activation_roundtrip_bound_one_million_values():
 
 def test_i8_head_outputs_track_f32(tiny_optimized, tiny_quantized):
     """Per-head correlation between i8 and f32 execution stays >= 0.99."""
-    from jetforge import fixtures
+    from jetforge import fixtures, tensorio
     rng = np.random.default_rng(314)
     for _ in range(4):
         img, _ = fixtures.random_scene(rng, negative_chance=0.0)
-        x = fixtures.scene_tensor(img)
+        x = tensorio.image_to_nchw(img)
         tf = executor.execute(tiny_optimized, x, retention=executor.RETAIN_HEADS)
         tq = executor.execute(tiny_quantized, x, mode=executor.I8,
                               retention=executor.RETAIN_HEADS)
