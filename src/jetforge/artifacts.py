@@ -16,23 +16,29 @@ class ArtifactError(Exception):
     pass
 
 
+def reject(value, expected: str, where, *keys):
+    """Raise the error for `value` where `expected` was wanted; it names
+    `where` (path or path:line) and the `keys` leading to `value`."""
+    at = "".join(f"{k}: " for k in keys)
+    raise ArtifactError(f"{where}: {at}expected {expected}, got {json.dumps(value)[:40]}")
+
+
 def require(obj, fields: frozenset, where, *keys) -> dict:
     """`obj` if it is a JSON object holding `fields`; the error names `where`
     (path or path:line) and the `keys` leading to `obj`."""
     if isinstance(obj, dict) and fields <= obj.keys():
         return obj
-    at = "".join(f"{k}: " for k in keys)
     if isinstance(obj, dict):
+        at = "".join(f"{k}: " for k in keys)
         raise ArtifactError(f"{where}: {at}missing {', '.join(sorted(fields - obj.keys()))}")
-    raise ArtifactError(f"{where}: {at}expected a JSON object, got {json.dumps(obj)[:40]}")
+    reject(obj, "a JSON object", where, *keys)
 
 
 def require_each(items, fields: frozenset, where, *keys) -> list:
     """`items` if it is a JSON list of objects that each hold `fields`; the
     error names `where`, the `keys` leading to the list and the index."""
     if not isinstance(items, list):
-        at = "".join(f"{k}: " for k in keys)
-        raise ArtifactError(f"{where}: {at}expected a JSON list, got {json.dumps(items)[:40]}")
+        reject(items, "a JSON list", where, *keys)
     for i, item in enumerate(items):
         require(item, fields, where, *keys, i)
     return items
@@ -64,11 +70,10 @@ def write_jsonl(path, meta: dict, records) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_jsonl(path, fields: frozenset, nested: dict[str, frozenset] | None = None
-               ) -> tuple[dict, list[dict]]:
+def read_jsonl(path, fields: frozenset, check=None) -> tuple[dict, list[dict]]:
     """(the `_meta` object or {}, the objects of the lines holding `fields`);
-    skips blank lines. Any other line is an error, and so is a record whose
-    list field `key` in `nested` holds an item without `nested[key]`."""
+    skips blank lines. Any other line is an error, and so is a record that
+    `check(record, "<path>:<line>")` rejects by raising ArtifactError."""
     meta, records, line_no, rec = {}, [], 0, None
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -77,8 +82,8 @@ def read_jsonl(path, fields: frozenset, nested: dict[str, frozenset] | None = No
                     continue
                 rec = json.loads(line)
                 if fields <= rec.keys():  # AttributeError unless rec is an object
-                    for key, inner in (nested or {}).items():
-                        require_each(rec[key], inner, f"{path}:{line_no}", key)
+                    if check is not None:
+                        check(rec, f"{path}:{line_no}")
                     records.append(rec)
                 elif "_meta" in rec:
                     meta = require(rec["_meta"], NO_FIELDS, f"{path}:{line_no}", "_meta")

@@ -244,8 +244,12 @@ RECORD_FIELDS = frozenset({"image", "width", "height", "boxes"})
 BOX_FIELDS = frozenset({"bbox", "label"})
 
 
+def _check_boxes(rec: dict, where: str) -> None:
+    artifacts.require_each(rec["boxes"], BOX_FIELDS, where, "boxes")
+
+
 def load_manifest(path) -> Manifest:
-    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS, {"boxes": BOX_FIELDS})
+    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS, _check_boxes)
     records = [AnnotationRecord(image=d["image"], width=d["width"], height=d["height"],
                                 boxes=d["boxes"], source=d.get("source", "")) for d in docs]
     return Manifest(records=records, summary=meta.get("summary", {}))

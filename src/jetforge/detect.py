@@ -246,5 +246,20 @@ def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -
         for image in sorted(per_image) for d in per_image[image]))
 
 
+_NUMBER = frozenset({int, float})
+
+
+def _check_detection(rec: dict, where: str) -> None:
+    # json.loads gives int, float or bool for a JSON number or boolean, and
+    # bool is not a number here, so comparing exact types is the whole check
+    bbox = rec["bbox"]
+    if type(bbox) is not list or len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
+        artifacts.reject(bbox, "4 numbers", where, "bbox")
+    if type(rec["class"]) is not int:
+        artifacts.reject(rec["class"], "an integer", where, "class")
+    if type(rec["confidence"]) not in _NUMBER:
+        artifacts.reject(rec["confidence"], "a number", where, "confidence")
+
+
 def read_detections_jsonl(path) -> list[dict]:
-    return artifacts.read_jsonl(path, DETECTION_FIELDS)[1]
+    return artifacts.read_jsonl(path, DETECTION_FIELDS, _check_detection)[1]

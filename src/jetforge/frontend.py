@@ -163,6 +163,7 @@ def parse_cfg(text: str) -> g.Graph:
     nodes: list[g.LayerNode] = []
     layer_outputs: list[str] = []   # darknet layer index -> output tensor id
     anchors: list[tuple[float, float]] = []
+    masks: list[tuple[CfgSection, list[int]]] = []  # checked once all anchors are known
     num_classes = None
 
     def resolve(ref: int, at: int, section: CfgSection) -> int:
@@ -258,6 +259,7 @@ def parse_cfg(text: str) -> g.Graph:
             if num_classes is not None and classes != num_classes:
                 raise CfgSyntaxError(section.line_no, "[yolo] classes differ between heads")
             num_classes = classes
+            masks.append((section, mask))
             node = g.LayerNode(f"yolo{i}", g.YOLO_HEAD, [prev], f"yolo{i}",
                                {"anchor_indices": mask, "num_classes": classes})
             nodes.append(node)
@@ -265,6 +267,12 @@ def parse_cfg(text: str) -> g.Graph:
 
         elif section.name == "net":
             raise CfgSyntaxError(section.line_no, "duplicate [net] section")
+
+    for section, mask in masks:
+        outside = [m for m in mask if not 0 <= m < len(anchors)]
+        if outside:
+            raise CfgSyntaxError(section.line_no, f"[yolo] mask {outside} outside the "
+                                                  f"{len(anchors)} anchors")
 
     if num_classes == len(CLASS_NAMES):
         class_names = list(CLASS_NAMES)

@@ -251,12 +251,13 @@ def conv_out_dim(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def _topo_order(graph: Graph) -> tuple[list[LayerNode], list[LayerNode]]:
+def _topo_order(graph: Graph, given=()) -> tuple[list[LayerNode], list[LayerNode]]:
     """(nodes in an order where every input is produced first, nodes never
-    reached). Sweeps the pending list until a sweep resolves nothing, so the
-    node list may be in any order; unreached nodes (a cycle or a dangling
-    input) keep their list order."""
-    resolved = {graph.input_id}
+    reached). The graph input and the tensors in `given` count as produced.
+    Sweeps the pending list until a sweep resolves nothing, so the node list
+    may be in any order; unreached nodes (a cycle or a dangling input) keep
+    their list order."""
+    resolved = {graph.input_id, *given}
     order: list[LayerNode] = []
     pending = list(graph.nodes)
     while pending:
@@ -363,20 +364,24 @@ def validate(graph: Graph) -> list[Diagnostic]:
             diags.append(Diagnostic(n.id, f"unknown kind '{n.kind}'"))
 
     known = set(producers) | {graph.input_id}
+    dangling = set()
     for n in graph.nodes:
         for t in n.inputs:
             if t not in known:
+                dangling.add(t)
                 diags.append(Diagnostic(n.id, f"input tensor '{t}' is never produced"))
 
-    _, stuck = _topo_order(graph)
+    # a dangling input is reported above; only a real cycle leaves nodes stuck
+    _, stuck = _topo_order(graph, dangling)
     if stuck:
         diags.append(Diagnostic(stuck[0].id, "cycle involving nodes: "
                                 + ", ".join(n.id for n in stuck)))
 
     for n in graph.nodes:
-        diags.extend(_check_node_attrs(n))
+        diags.extend(_check_node_attrs(n, len(graph.metadata.anchors)))
 
-    if graph.weights or not diags:
+    # shape inference cannot get past a dangling input or a cycle
+    if (graph.weights or not diags) and not (dangling or stuck):
         try:
             shapes = infer_shapes(graph)
         except GraphError as e:
@@ -388,7 +393,7 @@ def validate(graph: Graph) -> list[Diagnostic]:
     return diags
 
 
-def _check_node_attrs(n: LayerNode) -> list[Diagnostic]:
+def _check_node_attrs(n: LayerNode, anchor_count: int) -> list[Diagnostic]:
     out = []
     a = n.attrs
     if n.kind == CONV:
@@ -413,6 +418,10 @@ def _check_node_attrs(n: LayerNode) -> list[Diagnostic]:
     elif n.kind == YOLO_HEAD:
         if not a.get("anchor_indices"):
             out.append(Diagnostic(n.id, "yolo head needs at least one anchor index"))
+        outside = [i for i in a.get("anchor_indices") or () if not 0 <= i < anchor_count]
+        if outside:
+            out.append(Diagnostic(n.id, f"anchor indices {outside} outside the model's "
+                                        f"{anchor_count} anchors"))
         if a.get("num_classes", 0) < 1:
             out.append(Diagnostic(n.id, "yolo head needs num_classes >= 1"))
     if n.kind in (ADD, CONCAT) and len(n.inputs) < 2:

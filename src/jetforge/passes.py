@@ -6,6 +6,15 @@ All passes are pure: they copy the graph, never mutate the input, and leave
 non-matching patterns untouched. Applying any pass twice equals applying it
 once. The copy shares the input's weight arrays; passes only rebind
 `weights[key]` to new arrays and never write an array in place.
+
+Every pass runs the same way: `_pass(name)` enters a body in `PASSES`, and
+the entered function copies the graph, creates the `PassReport`, runs the
+body on the copy (the body only rewrites and records what it removed,
+created or warns about), then fills in `nodes_after` and `mac_delta`.
+
+One fold rule: a batchnorm or scale folds into a conv as a per-channel
+float64 multiplier and a float64 bias. Each float32 kernel row times its
+multiplier is the float64 product, rounded to float32 once per fold.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ import numpy as np
 
 from . import frontend
 from .executor import F16, F32, I8
-from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, LEAKY, LINEAR, PLUGIN_ONLY,
-                    RELU, SCALE, Graph, LayerNode, activation_node)
+from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, LEAKY, LINEAR, PLUGIN_ONLY, RELU, SCALE,
+                    WEIGHT_ROLES, Graph, LayerNode, activation_node)
 
 LEAKY_AS_PLUGIN = "leaky_as_plugin"
 LEAKY_NATIVE = "leaky_native"
@@ -43,6 +52,27 @@ class PassReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+PASSES = {}
+
+
+def _pass(name: str):
+    """Register `body(out, report)` as the pass `name`. The registered
+    function keeps the body's name and docstring."""
+    def register(body):
+        def run(graph: Graph) -> tuple[Graph, PassReport]:
+            out = graph.copy()
+            report = PassReport(name, nodes_before=len(graph.nodes), nodes_after=0)
+            macs_before = frontend.model_stats(graph).total_macs
+            body(out, report)
+            report.nodes_after = len(out.nodes)
+            report.mac_delta = frontend.model_stats(out).total_macs - macs_before
+            return out, report
+        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        PASSES[name] = run
+        return run
+    return register
 
 
 def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
@@ -75,25 +105,28 @@ def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
     out.nodes = kept
 
 
+def _scale_conv(weights, conv: LayerNode, multiplier: np.ndarray, bias: np.ndarray | None) -> None:
+    """The fold rule: kernel row c becomes the float64 product of the row and
+    `multiplier[c]`, rounded to float32 once; `bias`, when given, replaces
+    the conv's bias, rounded to float32."""
+    kernel = weights[(conv.id, "kernel")]
+    rows = conv.attrs["out_ch"]
+    scaled = np.empty(kernel.size, dtype=np.float32)
+    np.multiply(kernel.reshape(rows, -1), multiplier[:, None], dtype=np.float64,
+                out=scaled.reshape(rows, -1))
+    weights[(conv.id, "kernel")] = scaled
+    if bias is not None:
+        weights[(conv.id, "bias")] = bias.astype(np.float32)
+
+
 def _fold_bn(weights, conv: LayerNode, bn: LayerNode) -> None:
-    gamma = weights[(bn.id, "bn_gamma")].astype(np.float64)
-    beta = weights[(bn.id, "bn_beta")].astype(np.float64)
-    mean = weights[(bn.id, "bn_mean")].astype(np.float64)
-    var = weights[(bn.id, "bn_var")].astype(np.float64)
+    gamma, beta, mean, var = (weights.pop((bn.id, role)).astype(np.float64)
+                              for role in WEIGHT_ROLES[BATCHNORM])
     inv = gamma / np.sqrt(var + bn.attrs["eps"])
-
-    kernel = weights[(conv.id, "kernel")].astype(np.float64)
-    oc = conv.attrs["out_ch"]
-    kernel = (kernel.reshape(oc, -1) * inv[:, None]).reshape(-1)
     bias = weights.get((conv.id, "bias"))
-    bias = bias.astype(np.float64) if bias is not None else np.zeros(oc)
-    bias = (bias - mean) * inv + beta
-
-    weights[(conv.id, "kernel")] = kernel.astype(np.float32)
-    weights[(conv.id, "bias")] = bias.astype(np.float32)
+    bias = bias.astype(np.float64) if bias is not None else np.zeros(conv.attrs["out_ch"])
+    _scale_conv(weights, conv, inv, (bias - mean) * inv + beta)
     conv.attrs["has_bias"] = True
-    for role in ("bn_gamma", "bn_beta", "bn_mean", "bn_var"):
-        weights.pop((bn.id, role), None)
 
 
 def _fold_activation(weights, conv: LayerNode, act: LayerNode) -> None:
@@ -101,22 +134,16 @@ def _fold_activation(weights, conv: LayerNode, act: LayerNode) -> None:
 
 
 def _fold_scale(weights, conv: LayerNode, scale: LayerNode) -> None:
-    oc = conv.attrs["out_ch"]
     factor = scale.attrs.get("factor")
-    if factor is not None:
-        per_ch = np.full(oc, factor, dtype=np.float64)
-    else:
-        per_ch = weights[(scale.id, "scale_factors")].astype(np.float64)
-    kernel = weights[(conv.id, "kernel")].astype(np.float64)
-    kernel = (kernel.reshape(oc, -1) * per_ch[:, None]).reshape(-1)
-    weights[(conv.id, "kernel")] = kernel.astype(np.float32)
-    if conv.attrs["has_bias"]:
-        bias = weights[(conv.id, "bias")].astype(np.float64)
-        weights[(conv.id, "bias")] = (bias * per_ch).astype(np.float32)
-    weights.pop((scale.id, "scale_factors"), None)
+    factors = weights.pop((scale.id, "scale_factors"), None)
+    per_ch = (factors.astype(np.float64) if factor is None
+              else np.full(conv.attrs["out_ch"], factor, dtype=np.float64))
+    bias = weights[(conv.id, "bias")] * per_ch if conv.attrs["has_bias"] else None
+    _scale_conv(weights, conv, per_ch, bias)
 
 
-def fuse_conv_bn(graph: Graph) -> tuple[Graph, PassReport]:
+@_pass("fuse-conv-bn")
+def fuse_conv_bn(out: Graph, report: PassReport) -> None:
     """Fold batchnorm into the preceding convolution and inline native
     activations (relu/linear) that directly follow a conv.
 
@@ -128,19 +155,14 @@ def fuse_conv_bn(graph: Graph) -> tuple[Graph, PassReport]:
     fold before any activation, so a linear activation between a conv and
     a batchnorm keeps the batchnorm standing.
     """
-    out = graph.copy()
-    report = PassReport("fuse-conv-bn", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = frontend.model_stats(graph).total_macs
     _fold_into_conv(out, report, lambda n: n.kind == BATCHNORM, _fold_bn)
     _fold_into_conv(out, report,
                     lambda n: n.kind == ACTIVATION and n.attrs["act"] in (RELU, LINEAR),
                     _fold_activation)
-    report.nodes_after = len(out.nodes)
-    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
-    return out, report
 
 
-def decompose_leaky(graph: Graph) -> tuple[Graph, PassReport]:
+@_pass("decompose-leaky")
+def decompose_leaky(out: Graph, report: PassReport) -> None:
     """Replace every leaky activation with natively quantizable layers:
 
         s = alpha * x;  y = s + ((1 - alpha) / alpha) * relu(s)
@@ -149,10 +171,6 @@ def decompose_leaky(graph: Graph) -> tuple[Graph, PassReport]:
     read the scale's output), which is what lets fold_scale_into_conv absorb
     it, mirroring a fused engine's treatment of the leading scale.
     """
-    out = graph.copy()
-    report = PassReport("decompose-leaky", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = frontend.model_stats(graph).total_macs
-
     new_nodes: list[LayerNode] = []
     for node in out.nodes:
         if node.kind != ACTIVATION or node.attrs["act"] != LEAKY:
@@ -169,32 +187,22 @@ def decompose_leaky(graph: Graph) -> tuple[Graph, PassReport]:
         new_nodes.extend([scale1, relu, scale2, add])
         report.removed.append(node.id)
         report.created.extend([scale1.id, relu.id, scale2.id, add.id])
-
     out.nodes = new_nodes
-    report.nodes_after = len(out.nodes)
-    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
-    return out, report
 
 
-def fold_scale_into_conv(graph: Graph) -> tuple[Graph, PassReport]:
+@_pass("fold-scale")
+def fold_scale_into_conv(out: Graph, report: PassReport) -> None:
     """Multiply a scale layer into the preceding convolution's kernel and
     bias when the scale is that conv's only consumer and the conv has no
     inline activation (scaling does not commute with one in general)."""
-    out = graph.copy()
-    report = PassReport("fold-scale", nodes_before=len(graph.nodes), nodes_after=0)
-    macs_before = frontend.model_stats(graph).total_macs
     _fold_into_conv(out, report, lambda n: n.kind == SCALE, _fold_scale)
-    report.nodes_after = len(out.nodes)
-    report.mac_delta = frontend.model_stats(out).total_macs - macs_before
-    return out, report
 
 
-def replace_leaky_with_relu(graph: Graph) -> tuple[Graph, PassReport]:
+@_pass("relu-swap")
+def replace_leaky_with_relu(out: Graph, report: PassReport) -> None:
     """Swap every leaky activation for a plain ReLU. The weights are NOT
     equivalent under this rewrite; the report carries a warning that the
     network requires retraining before its outputs mean anything."""
-    out = graph.copy()
-    report = PassReport("relu-swap", nodes_before=len(graph.nodes), nodes_after=len(graph.nodes))
     swapped = 0
     for node in out.nodes:
         if node.kind == ACTIVATION and node.attrs["act"] == LEAKY:
@@ -209,15 +217,6 @@ def replace_leaky_with_relu(graph: Graph) -> tuple[Graph, PassReport]:
             f"replaced {swapped} leaky activations with ReLU: existing weights are NOT "
             "valid for this structure without retraining; expect degraded accuracy until "
             "the model is retrained")
-    return out, report
-
-
-PASSES = {
-    "fuse-conv-bn": fuse_conv_bn,
-    "decompose-leaky": decompose_leaky,
-    "fold-scale": fold_scale_into_conv,
-    "relu-swap": replace_leaky_with_relu,
-}
 
 
 def apply_passes(graph: Graph, names: list[str]) -> tuple[Graph, list[PassReport]]:
@@ -245,19 +244,10 @@ class PrecisionPlan:
     def conversion_count(self) -> int:
         return len(self.conversions)
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "plugin_policy": self.plugin_policy,
-                "node_precision": self.node_precision,
-                "conversions": [list(c) for c in self.conversions]}
-
 
 def _is_pinned(node: LayerNode, plugin_policy: str) -> bool:
-    if node.precision_class == PLUGIN_ONLY:
-        return True
-    if plugin_policy == LEAKY_AS_PLUGIN:
-        if node.kind == ACTIVATION and node.attrs["act"] == LEAKY:
-            return True
-    return False
+    return node.precision_class == PLUGIN_ONLY or (
+        plugin_policy == LEAKY_AS_PLUGIN and node.kind == ACTIVATION and node.attrs["act"] == LEAKY)
 
 
 def plan_precision(graph: Graph, mode: str, plugin_policy: str = LEAKY_NATIVE) -> PrecisionPlan:
@@ -274,7 +264,7 @@ def plan_precision(graph: Graph, mode: str, plugin_policy: str = LEAKY_NATIVE) -
         raise PassError(f"unknown plugin policy '{plugin_policy}'")
 
     precision = {n.id: (F32 if _is_pinned(n, plugin_policy) else mode) for n in graph.nodes}
-    producers = {n.output: n for n in graph.nodes}
+    producers = graph.producers()
 
     seen: set[tuple[str, str]] = set()
     conversions: list[tuple[str, str, str]] = []

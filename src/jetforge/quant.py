@@ -94,7 +94,6 @@ class ActivationHistogram:
     hi: float          # observed max
     edges: np.ndarray  # bin_count + 1 uniform edges
     counts: np.ndarray # int64 per-bin counts
-    samples: int
 
     @property
     def bin_width(self) -> float:
@@ -153,17 +152,15 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
         edges[tid] = np.linspace(a, b, bins + 1)
         counts[tid] = np.zeros(bins, dtype=np.int64)
 
-    samples = {tid: 0 for tid in lo}
     for im in sample:
         trace = _executor.execute(graph, im, mode=_executor.F32)
         for tid, buf in trace.buffers.items():
             c, _ = np.histogram(buf.data, bins=edges[tid])
             counts[tid] += c
-            samples[tid] += buf.data.size
 
     return {
         tid: ActivationHistogram(tensor_id=tid, bin_count=bins, lo=lo[tid], hi=hi[tid],
-                                 edges=edges[tid], counts=counts[tid], samples=samples[tid])
+                                 edges=edges[tid], counts=counts[tid])
         for tid in sorted(lo)
     }
 

@@ -63,13 +63,19 @@ def test_convert_missing_weights_exits_2(tiny_files, tmp_path, capsys):
     assert "nope.weights" in capsys.readouterr().err
 
 
-def test_invalid_cfg_exits_1(tiny_files, tmp_path):
+def test_invalid_cfg_exits_1(tiny_files, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[net]\nwidth=608\nheight=352\n[convolutional]\nfilters=1\n"
-                   "size=1\nstride=1\nactivation=linear\n[route]\nlayers=-9\n")
-    code = run(["convert", "--cfg", bad, "--weights", tiny_files["weights"],
-                "-o", tmp_path / "x.uir"])
-    assert code == 1
+    bad_route = ("[net]\nwidth=608\nheight=352\n[convolutional]\nfilters=1\n"
+                 "size=1\nstride=1\nactivation=linear\n[route]\nlayers=-9\n")
+    bad_mask = fixtures.tiny_cfg().replace("mask=1", "mask=5")  # the cfg has 2 anchors
+    for text, error in ((bad_route, "reference -9 out of range"),
+                        (bad_mask, "line 48: [yolo] mask [5] outside the 2 anchors")):
+        bad.write_text(text)
+        code = run(["convert", "--cfg", bad, "--weights", tiny_files["weights"],
+                    "-o", tmp_path / "x.uir"])
+        assert code == 1
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "x.uir").exists()
 
 
 @pytest.fixture(scope="session")
@@ -550,6 +556,7 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
 
 @pytest.mark.parametrize("case", [
     "ranges-without-tensors", "ranges-tensor-without-zero-point", "dets-line-not-json",
+    "dets-bbox-of-three-numbers", "dets-class-not-an-integer",
     "manifest-line-without-width", "manifest-box-without-label", "container-manifest-not-json",
     "container-node-without-attrs", "category-map-not-json"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
@@ -567,6 +574,12 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
     elif case == "dets-line-not-json":
         bad.write_text("not json\n")
         argv, line = ["eval", "--dets", bad, "--manifest", tiny_files["manifest"], "-o", out], 1
+    elif case in ("dets-bbox-of-three-numbers", "dets-class-not-an-integer"):
+        image = json.loads(tiny_files["manifest"].read_text().splitlines()[1])["image"]
+        det = {"image": image, "class": 0, "confidence": 0.9, "bbox": [1, 2, 8, 8]}
+        det.update({"bbox": [1, 2, 8]} if case == "dets-bbox-of-three-numbers" else {"class": "car"})
+        bad.write_text(json.dumps({"_meta": {}}) + "\n" + json.dumps(det) + "\n")
+        argv, line = ["eval", "--dets", bad, "--manifest", tiny_files["manifest"], "-o", out], 2
     elif case == "manifest-line-without-width":
         lines = tiny_files["manifest"].read_text().splitlines()
         rec = json.loads(lines[2])

@@ -131,6 +131,15 @@ def test_parse_errors():
                            "size=1\nstride=1\nactivation=mish\n")
 
 
+def test_yolo_mask_outside_the_anchors_rejected():
+    """The tiny detector's cfg has 2 anchors; its first head's mask is on line 48."""
+    for mask in ("5", "-1"):
+        with pytest.raises(frontend.CfgSyntaxError) as exc:
+            frontend.parse_cfg(fixtures.tiny_cfg().replace("mask=1", f"mask={mask}"))
+        assert exc.value.line_no == 48
+        assert f"mask [{mask}] outside the 2 anchors" in str(exc.value)
+
+
 def test_unknown_keys_warn_not_fail():
     with pytest.warns(UserWarning):
         gr = frontend.parse_cfg("[net]\nwidth=32\nheight=32\nwormhole=9\n"

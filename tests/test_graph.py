@@ -104,18 +104,35 @@ def test_unreached_nodes_reported_in_list_order():
     assert str(exc.value) == "unresolvable inputs (cycle or dangling reference): c, a, b"
 
 
+def test_dangling_input_gives_its_one_diagnostic(tiny_detector):
+    gr = tiny_detector.copy()
+    gr.node_by_id("conv1").inputs = ["nope"]
+    assert g.validate(gr) == [g.Diagnostic("conv1", "input tensor 'nope' is never produced")]
+
+
+def test_validate_flags_anchor_indices_outside_the_anchors(tiny_detector, tmp_path):
+    gr = tiny_detector.copy()
+    gr.node_by_id("yolo6").attrs["anchor_indices"] = [2]
+    assert g.validate(gr) == [g.Diagnostic("yolo6", "anchor indices [2] outside the "
+                                                    "model's 2 anchors")]
+    with pytest.raises(g.GraphError):
+        g.save_container(gr, tmp_path / "x.uir")
+
+
 def test_validate_yolo_head_channels():
     # 3 anchors x (5 + 6 classes) = 33 input channels is valid
     conv = g.conv_node("c", ["input"], "c", out_ch=33, kernel=1, stride=1, pad=0,
                        has_bias=True)
     head = g.LayerNode("y", g.YOLO_HEAD, ["c"], "y",
                        {"anchor_indices": [0, 1, 2], "num_classes": 6})
-    gr = g.Graph(nodes=[conv, head], input_shape=g.TensorShape(1, 3, 32, 32))
+    anchors = g.GraphMetadata(anchors=[(10, 13), (16, 30), (33, 23)])
+    gr = g.Graph(nodes=[conv, head], input_shape=g.TensorShape(1, 3, 32, 32), metadata=anchors)
     assert g.validate(gr) == []
 
     bad_head = g.LayerNode("y", g.YOLO_HEAD, ["c"], "y",
                            {"anchor_indices": [0, 1], "num_classes": 6})
-    gr = g.Graph(nodes=[conv, bad_head], input_shape=g.TensorShape(1, 3, 32, 32))
+    gr = g.Graph(nodes=[conv, bad_head], input_shape=g.TensorShape(1, 3, 32, 32),
+                 metadata=anchors)
     assert any("channels" in d.reason for d in g.validate(gr))
 
 

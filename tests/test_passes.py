@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -464,6 +466,41 @@ def test_sweep_matches_restart_loops_on_random_nets(rng):
 def test_sweep_matches_restart_loops_on_yolov3(yolov3_weighted):
     for names in PASS_LISTS[2:4]:
         assert_sweep_matches_restart(yolov3_weighted, names)
+
+
+def test_each_fold_allocates_about_one_kernel(rng):
+    """A fold writes the float64 products straight into the new float32
+    kernel: folding a batchnorm, then a per-channel scale, into a conv of
+    1.2M weights peaks below 2x the kernel's bytes above what is held, and
+    the result equals the restart loops' float64 round trip byte for byte."""
+    oc, ic, k = 256, 512, 3
+    conv = g.conv_node("c", ["input"], "c", out_ch=oc, kernel=k, stride=1, pad=1,
+                       has_bias=False)
+    bn = g.LayerNode("bn", g.BATCHNORM, ["c"], "bn", {"eps": 1e-5})
+    scale = g.LayerNode("s", g.SCALE, ["bn"], "s")
+    gr = g.Graph(nodes=[conv, bn, scale], input_shape=g.TensorShape(1, ic, 32, 32))
+    gr.weights[("c", "kernel")] = rng.normal(0, 0.1, oc * ic * k * k).astype(np.float32)
+    for role, lo, hi in (("bn_gamma", 0.5, 1.1), ("bn_beta", -0.3, 0.3),
+                         ("bn_mean", -0.3, 0.3), ("bn_var", 0.8, 2.0)):
+        gr.weights[("bn", role)] = rng.uniform(lo, hi, oc).astype(np.float32)
+    gr.weights[("s", "scale_factors")] = rng.uniform(0.5, 1.5, oc).astype(np.float32)
+    kernel_bytes = gr.weights[("c", "kernel")].nbytes
+    assert kernel_bytes >= 4 * 10**6
+
+    peaks, folded = [], gr
+    tracemalloc.start()
+    try:
+        for fold in (passes.fuse_conv_bn, passes.fold_scale_into_conv):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            folded, report = fold(folded)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            assert len(report.removed) == 1
+    finally:
+        tracemalloc.stop()
+    assert [n.id for n in folded.nodes] == ["c"]
+    assert max(peaks) < 2 * kernel_bytes, [p / kernel_bytes for p in peaks]
+    assert_sweep_matches_restart(gr, ["fuse-conv-bn", "fold-scale"])
 
 
 def test_passes_never_write_weight_arrays(rng):

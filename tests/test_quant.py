@@ -14,8 +14,7 @@ def make_hist(counts, lo, hi, tensor_id="t"):
     counts = np.asarray(counts, dtype=np.int64)
     return quant.ActivationHistogram(
         tensor_id=tensor_id, bin_count=counts.size, lo=lo, hi=hi,
-        edges=np.linspace(lo, hi, counts.size + 1), counts=counts,
-        samples=int(counts.sum()))
+        edges=np.linspace(lo, hi, counts.size + 1), counts=counts)
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def test_entropy_calibrate_symmetric_for_signed():
     values = rng.normal(0, 1, 20000)
     counts, edges = np.histogram(values, bins=256)
     hist = quant.ActivationHistogram("t", 256, float(values.min()), float(values.max()),
-                                     edges, counts.astype(np.int64), values.size)
+                                     edges, counts.astype(np.int64))
     lo, hi = quant.entropy_calibrate(hist, levels=32)
     assert lo < 0 < hi
     assert lo == pytest.approx(-hi * 128.0 / 127.0)
