@@ -82,21 +82,30 @@ def _clip_box(x, y, w, h, img_w, img_h):
     return [x, y, x2 - x, y2 - y]
 
 
+# the fields ingest_coco reads from each record of each top-level list
+_COCO_FIELDS = {
+    "images": frozenset({"id", "file_name", "width", "height"}),
+    "annotations": frozenset({"image_id", "category_id", "bbox"}),
+    "categories": frozenset({"id", "name"}),
+}
+
+
 def ingest_coco(path) -> list[AnnotationRecord]:
     """COCO instances JSON -> records under the unified class set.
 
     Supported-class crowds (iscrowd=1) become ignore regions; annotations of
     unsupported classes are dropped; images left with no boxes stay in as
-    negatives.
+    negatives. Text that is not JSON raises MalformedJson; a record missing
+    a field of _COCO_FIELDS raises ArtifactError naming the list and index.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MalformedJson(f"{path}: {e}")
-    for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise MalformedJson(f"{path}: missing top-level '{key}'")
+    artifacts.require(doc, frozenset(_COCO_FIELDS), path)
+    for key, fields in _COCO_FIELDS.items():
+        artifacts.require_each(doc[key], fields, path, key)
 
     cat_names = {c["id"]: c["name"] for c in doc["categories"]}
     records: dict = {}
@@ -131,8 +140,13 @@ def load_visdrone_categories(path=None) -> dict[str, str]:
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "visdrone_categories.json")
     table = artifacts.read_json(path)
-    return {k: artifacts.require(v, frozenset({"unified"}), path, k)["unified"]
-            for k, v in table.items()}
+    names = {}
+    for k, v in table.items():
+        name = names[k] = artifacts.require(v, frozenset({"unified"}), path, k)["unified"]
+        if name != IGNORE and name not in CLASS_NAMES:
+            artifacts.reject(name, f"one of {', '.join(CLASS_NAMES)} or {IGNORE}", path, k,
+                             "unified")
+    return names
 
 
 def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,

@@ -246,19 +246,21 @@ def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -
         for image in sorted(per_image) for d in per_image[image]))
 
 
-_NUMBER = frozenset({int, float})
+def _finite_number(value) -> bool:
+    # json.loads gives int, float or bool for a JSON number or boolean, and
+    # also float NaN and +-inf for NaN and +-Infinity; bool is not a number
+    # here, so comparing exact types rejects it
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _check_detection(rec: dict, where: str) -> None:
-    # json.loads gives int, float or bool for a JSON number or boolean, and
-    # bool is not a number here, so comparing exact types is the whole check
     bbox = rec["bbox"]
-    if type(bbox) is not list or len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
-        artifacts.reject(bbox, "4 numbers", where, "bbox")
+    if type(bbox) is not list or len(bbox) != 4 or not all(map(_finite_number, bbox)):
+        artifacts.reject(bbox, "4 finite numbers", where, "bbox")
     if type(rec["class"]) is not int:
         artifacts.reject(rec["class"], "an integer", where, "class")
-    if type(rec["confidence"]) not in _NUMBER:
-        artifacts.reject(rec["confidence"], "a number", where, "confidence")
+    if not _finite_number(rec["confidence"]):
+        artifacts.reject(rec["confidence"], "a finite number", where, "confidence")
 
 
 def read_detections_jsonl(path) -> list[dict]:

@@ -44,11 +44,15 @@ and NonFiniteDetected is raised only when an input holds one. Other kinds,
 and inputs that come from nodes a plan pins to a float mode, run the float
 path.
 
-Convolution is im2col + matmul. In f32/f16 the float32 matmul makes results
-bit-stable across runs on a fixed machine configuration only. The i8
-matmul sums integers exactly in float64 (see quant.conv_accumulator), so i8
-results are bit-identical across BLAS builds and thread counts; see README
-for the reproducibility contract.
+One window routine. `_im2col` lays out every kernel window of a tensor as
+a [c*k*k, out_h*out_w] patch matrix, and it has two callers. `conv2d` is
+every convolution: one GEMM kernel[out_ch, c*k*k] @ patches in the
+operands' dtype, float32 for f32 and f16, float64 for the i8 accumulator
+and its overflow bound (quant.conv_accumulator). `maxpool2d` is the max
+over each column's k*k taps. The float32 GEMM makes f32/f16 results
+bit-stable across runs on a fixed machine configuration only. The float64
+GEMM sums integers exactly, so i8 results are bit-identical across BLAS
+builds and thread counts; see README for the reproducibility contract.
 """
 
 from __future__ import annotations
@@ -152,15 +156,12 @@ def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    _, _, h, w = x.shape
+    """Max over each kernel x kernel window of an n=1 NCHW tensor, unpadded;
+    exact on floats and int8 levels alike, as max does not depend on order."""
+    _, c, h, w = x.shape
     oh, ow = conv_out_dim(h, kernel, stride, 0), conv_out_dim(w, kernel, stride, 0)
-    out = None
-    for kh in range(kernel):
-        for kw in range(kernel):
-            window = x[:, :, kh:kh + (oh - 1) * stride + 1:stride,
-                          kw:kw + (ow - 1) * stride + 1:stride]
-            out = window if out is None else np.maximum(out, window)
-    return out
+    windows = _im2col(x, kernel, stride, 0).reshape(c, kernel * kernel, oh * ow)
+    return windows.max(axis=1).reshape(1, c, oh, ow)
 
 
 def _inside(tap: int, stride: int, pad: int, size: int, out: int) -> tuple[int, int]:
@@ -191,15 +192,17 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
-    """Direct f32 convolution; kernel is [out_ch, in_ch, k, k]."""
-    out_ch, in_c, k, _ = kernel.shape
+    """Convolution of an n=1 NCHW tensor with kernel [out_ch, in_ch, k, k]:
+    one GEMM kernel[out_ch, K] @ im2col[K, out_h*out_w] in the operands'
+    dtype, the bias added in place. Returns a C-contiguous
+    [1, out_ch, out_h, out_w] array."""
+    out_ch, _, k, _ = kernel.shape
     _, _, h, w = x.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
-    cols = _im2col(x, k, stride, pad)
-    out = cols.T @ kernel.reshape(out_ch, in_c * k * k).T
+    out = kernel.reshape(out_ch, -1) @ _im2col(x, k, stride, pad)
     if bias is not None:
-        out = out + bias[None, :]
-    return np.ascontiguousarray(out.T.reshape(1, out_ch, oh, ow), dtype=np.float32)
+        out += bias[:, None]
+    return out.reshape(1, out_ch, oh, ow)
 
 
 def _f16(x: np.ndarray) -> np.ndarray:

@@ -383,16 +383,6 @@ def calibrate_graph(graph: Graph, images, config: CalibrationConfig | None = Non
 # weights and integer convolution
 # --------------------------------------------------------------------------
 
-def quantize_weights(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-output-channel int8 weights.
-
-    scale_c = max|w_c| / 127 (1.0 for all-zero channels); values round
-    half-up and clamp to [-WEIGHT_QMAX, WEIGHT_QMAX].
-    """
-    qk = quantize_kernel(kernel)
-    return qk.levels, qk.scales
-
-
 @dataclass(frozen=True)
 class QuantizedKernel:
     """A conv kernel quantized once, for every call that runs it: the int8
@@ -405,8 +395,10 @@ class QuantizedKernel:
 
 
 def quantize_kernel(kernel: np.ndarray) -> QuantizedKernel:
-    """quantize_weights' levels and scales, computed in place on one
-    float64 temporary, plus sum|q_w,c| as int64."""
+    """Symmetric per-output-channel int8 weights, computed in place on one
+    float64 temporary: scale_c = max|w_c| / 127 (1.0 for all-zero
+    channels); levels round half-up and clamp to [-WEIGHT_QMAX,
+    WEIGHT_QMAX]. Also sum|q_w,c| as int64."""
     k = np.asarray(kernel, dtype=np.float32)
     flat = k.reshape(k.shape[0], -1)
     maxabs = np.maximum(flat.max(axis=1), -flat.min(axis=1))
@@ -436,35 +428,37 @@ def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
 
     q_kernel is [out_ch, in_ch, k, k] and holds integers in
     [-WEIGHT_QMAX, WEIGHT_QMAX] (int8, or the same values in float64). The
-    products are summed by a float64 BLAS GEMM, which equals int64
-    accumulation bit for bit: check_float64_exact and the int32 overflow
-    proof keep every partial sum an integer below 2**53, so the result
-    depends on neither the BLAS build nor its thread count.
+    accumulator is executor.conv2d on the shifted levels and the kernel,
+    both widened to float64: its GEMM equals int64 accumulation bit for
+    bit, as check_float64_exact and the int32 overflow proof keep every
+    partial sum an integer below 2**53, so the result depends on neither
+    the BLAS build nor its thread count.
 
     The overflow proof is static per output channel and runs before the
     data are touched: max|q - zero_point| * sum|q_w,c| <= INT32_MAX
     (`abs_sums` holds the sums when a QuantizedKernel has them). Only
-    channels that fail it get the exact data bound |cols| @ |w_c|, and
+    channels that fail it get the exact data bound, conv2d of
+    |q - zero_point| with |q_w,c| (exact because the padding is zero, so
+    the windows of |x| are the absolute windows of x), and
     AccumulatorOverflow is raised only when that bound exceeds INT32_MAX.
     """
-    out_ch, _, k, _ = q_kernel.shape
+    out_ch = q_kernel.shape[0]
     max_abs_x = max(127 - zero_point, zero_point + 128)
     check_float64_exact(q_kernel[0].size, max_abs_x)
-    w2d = q_kernel.reshape(out_ch, -1).astype(np.float64, copy=False)
+    w = q_kernel.astype(np.float64, copy=False)
     if abs_sums is None:
-        abs_sums = np.abs(w2d).sum(axis=1)
+        abs_sums = np.abs(w).reshape(out_ch, -1).sum(axis=1)
     unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
 
     shifted = x_q.astype(np.float64)
     shifted -= zero_point
-    cols = _executor._im2col(shifted, k, stride, pad)  # [K, out_h*out_w], C order
-
     if unproven.size:
-        worst = (np.abs(w2d[unproven]) @ np.abs(cols)).max(initial=0)
+        worst = _executor.conv2d(np.abs(shifted), np.abs(w[unproven]), None, stride,
+                                 pad).max(initial=0)
         if worst > INT32_MAX:
             raise AccumulatorOverflow(
                 f"conv accumulator would reach {int(worst)} (> int32); needs wider accumulation")
-    return w2d @ cols
+    return _executor.conv2d(shifted, w, None, stride, pad).reshape(out_ch, -1)
 
 
 def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,

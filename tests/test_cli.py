@@ -558,7 +558,8 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     "ranges-without-tensors", "ranges-tensor-without-zero-point", "dets-line-not-json",
     "dets-bbox-of-three-numbers", "dets-class-not-an-integer",
     "manifest-line-without-width", "manifest-box-without-label", "container-manifest-not-json",
-    "container-node-without-attrs", "category-map-not-json"])
+    "container-node-without-attrs", "category-map-not-json", "category-map-unknown-name",
+    "coco-image-without-file-name"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
     bad, out, line = tmp_path / "bad", tmp_path / "out", None
@@ -606,8 +607,16 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
         bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + length:])
         image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
         argv = ["detect", "-m", bad, "-i", image, "-o", out]
+    elif case == "coco-image-without-file-name":
+        doc = json.loads(open(os.path.join(FIXTURES, "coco_fixture.json")).read())
+        del doc["images"][1]["file_name"]
+        bad.write_text(json.dumps(doc))
+        argv = ["dataset", "merge", "--coco", bad, "-o", out]
     else:
-        bad.write_text("{not json")
+        if case == "category-map-not-json":
+            bad.write_text("{not json")
+        else:
+            bad.write_text(json.dumps({"9": {"unified": "van"}}))
         argv = ["dataset", "merge", "--visdrone", os.path.join(FIXTURES, "visdrone"),
                 "--default-size", "200x160", "--category-map", bad, "-o", out]
     assert run(argv) == cli.EXIT_INVALID
@@ -615,6 +624,24 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
     where = bad if line is None else f"{bad}:{line}"
     assert len(err) == 1 and err[0].startswith(f"error: {where}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["confidence", "bbox"])
+def test_non_finite_detection_exits_1_in_either_line_order(field, value, tiny_files, tmp_path,
+                                                           capsys):
+    image = json.loads(tiny_files["manifest"].read_text().splitlines()[1])["image"]
+    good = json.dumps({"image": image, "class": 1, "confidence": 0.9, "bbox": [1, 2, 8, 8]})
+    bad = good.replace("0.9", value) if field == "confidence" else good.replace("8]", value + "]")
+    assert bad != good and value in bad
+    for lines, line in (([good, bad], 3), ([bad, good], 2)):
+        dets, out = tmp_path / "dets.jsonl", tmp_path / "report.json"
+        dets.write_text("\n".join([json.dumps({"_meta": {}})] + lines) + "\n")
+        argv = ["eval", "--dets", dets, "--manifest", tiny_files["manifest"], "-o", out]
+        assert run(argv) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dets}:{line}: {field}: expected ")
+        assert not out.exists()
 
 
 def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):

@@ -376,6 +376,37 @@ def test_im2col_equals_the_padded_copy(k, stride, pad, h, w, seed):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 4), stride=st.integers(1, 3), h=st.integers(1, 9),
+       w=st.integers(1, 9), int8=st.booleans(), seed=st.integers(0, 2**16))
+def test_maxpool_equals_the_sliding_window_max(k, stride, h, w, int8, seed):
+    from hypothesis import assume
+    assume(k <= h and k <= w)
+    rng = np.random.default_rng(seed)
+    if int8:
+        x = rng.integers(-128, 128, size=(1, 3, h, w)).astype(np.int8)
+    else:
+        x = rng.normal(size=(1, 3, h, w)).astype(np.float32)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    want = windows[:, :, ::stride, ::stride].max(axis=(4, 5))
+    got = executor.maxpool2d(x, k, stride)
+    assert got.dtype == x.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1), (3, 2, 1)])
+def test_conv2d_returns_contiguous_array_of_operand_dtype(dtype, k, stride, pad):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(1, 2, 7, 6)).astype(dtype)
+    kernel = rng.normal(size=(4, 2, k, k)).astype(dtype)
+    for bias in (None, rng.normal(size=4).astype(dtype)):
+        out = executor.conv2d(x, kernel, bias, stride, pad)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert out.shape == (1, 4, g.conv_out_dim(7, k, stride, pad),
+                             g.conv_out_dim(6, k, stride, pad))
+
+
 # --------------------------------------------------------------------------
 # compiled programs and their cache
 # --------------------------------------------------------------------------

@@ -383,7 +383,8 @@ def test_empty_calibration_set():
 
 def test_quantize_weights_example():
     kernel = np.array([[0.5, -1.27]], dtype=np.float32)
-    q, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q, scales = qk.levels, qk.scales
     assert scales[0] == pytest.approx(0.01)
     assert q.tolist() == [[50, -127]]
 
@@ -391,7 +392,8 @@ def test_quantize_weights_example():
 def test_quantize_weights_zero_channel():
     kernel = np.zeros((2, 3), dtype=np.float32)
     kernel[1] = [0.1, 0.2, -0.3]
-    q, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q, scales = qk.levels, qk.scales
     assert scales[0] == 1.0
     assert np.all(q[0] == 0)
 
@@ -401,7 +403,8 @@ def test_quantize_weights_zero_channel():
 def test_quantize_weights_roundtrip_bound(seed):
     rng = np.random.default_rng(seed)
     kernel = rng.normal(0, rng.uniform(0.01, 10), size=(4, 250)).astype(np.float32)
-    q, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q, scales = qk.levels, qk.scales
     deq = q.astype(np.float64) * scales[:, None]
     err = np.abs(deq - kernel)
     assert np.all(err <= scales[:, None] / 2 + 1e-12)
@@ -412,7 +415,8 @@ def test_quantized_conv_identity_bound():
     xs = (qp.dequantize(np.arange(-128, 128, dtype=np.int8))
           .reshape(1, 1, 16, 16).astype(np.float32))
     kernel = np.ones((1, 1, 1, 1), dtype=np.float32)
-    q_kernel, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q_kernel, scales = qk.levels, qk.scales
     out = quant.quantized_conv(qp.quantize(xs), qp, q_kernel, scales, None, 1, 0)
     assert np.abs(out - xs).max() <= qp.scale / 2 + 1e-7
 
@@ -424,7 +428,8 @@ def test_quantized_conv_vs_f32_oracle(rng):
     ref = executor.conv2d(x, kernel, bias, stride=1, pad=1)
 
     in_q = g.QuantParams.from_range(float(x.min()), float(x.max()))
-    q_kernel, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q_kernel, scales = qk.levels, qk.scales
     got = quant.quantized_conv(in_q.quantize(x), in_q, q_kernel, scales, bias, 1, 1)
 
     out_q = g.QuantParams.from_range(float(ref.min()), float(ref.max()))
@@ -437,7 +442,8 @@ def test_quantized_conv_integer_accumulation_bit_exact(rng):
     kernel = rng.normal(0, 0.5, size=(3, 2, 3, 3)).astype(np.float32)
     in_q = g.QuantParams.from_range(-1.0, 1.0)
     q_x = in_q.quantize(x)
-    q_kernel, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q_kernel, scales = qk.levels, qk.scales
     got = quant.quantized_conv(q_x, in_q, q_kernel, scales, None, stride=1, pad=1)
 
     padded = np.zeros((1, 2, 8, 8), dtype=np.int64)
@@ -467,7 +473,8 @@ def test_accumulator_overflow_detected():
     qp = g.QuantParams.from_range(-1.0, 1.0)
     x = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
     kernel = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
-    q_kernel, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q_kernel, scales = qk.levels, qk.scales
     with pytest.raises(quant.AccumulatorOverflow):
         quant.quantized_conv(qp.quantize(x), qp, q_kernel, scales, None, 1, 0)
 
@@ -523,7 +530,8 @@ def test_overflow_fallback_runs_when_data_stay_in_range():
     x = np.zeros((1, 150000, 1, 2), dtype=np.float32)
     x[0, :3000, 0, 1] = 1.0
     kernel = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
-    q_kernel, scales = quant.quantize_weights(kernel)
+    qk = quant.quantize_kernel(kernel)
+    q_kernel, scales = qk.levels, qk.scales
     x_q = qp.quantize(x)
     assert np.all(x_q[0, 3000:] == qp.zero_point)
     max_abs_x = max(127 - qp.zero_point, qp.zero_point + 128)
