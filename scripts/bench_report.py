@@ -13,9 +13,9 @@ next to them. The file holds perfbench's machine block and, per workload,
 every run's verdict and metrics and the median and quartiles of every
 metric.
 
-The diff printed at the end compares the medians with the newest earlier
-BENCH_*.json in the repository root, or with the baseline when there is
-none; regressions come first.
+The diff printed at the end compares the medians with the baseline's,
+measured in the same session; without --baseline, with the newest earlier
+BENCH_*.json in the repository root. Regressions come first.
 """
 
 from __future__ import annotations
@@ -157,11 +157,10 @@ def main(argv=None) -> int:
         f.write("\n")
     print(f"wrote {path}")
 
-    prev = previous_bench(args.pr)
-    if prev is not None:
+    if args.baseline:
+        name, old = f"the baseline {commit[:12]}", results["baseline"]
+    elif (prev := previous_bench(args.pr)) is not None:
         name, old = prev
-    elif args.baseline:
-        name, old = "the baseline", results["baseline"]
     else:
         return 0
     print(f"medians against {name}:")

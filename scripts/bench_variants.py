@@ -16,7 +16,7 @@ from jetforge import bench, executor, fixtures, frontend, passes  # noqa: E402
 
 
 def build_variants(seed):
-    base = frontend.parse_cfg(fixtures.bundled_cfg())
+    base = frontend.parse_cfg(fixtures.yolov3_cfg())
     base = frontend.load_weights(fixtures.random_weights(base, seed=seed), base)
 
     leaky_a, _ = passes.apply_passes(base, ["fuse-conv-bn"])

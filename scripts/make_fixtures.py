@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Regenerate everything a desk run needs: bundled cfgs, the tiny detector's
-darknet weights, calibration images and a labeled evaluation set.
+"""Regenerate everything a desk run needs: the tiny detector's and yolov3's
+cfg text from their generators, the tiny detector's darknet weights,
+calibration images and a labeled evaluation set.
 
     python scripts/make_fixtures.py --out-dir runs/fixtures
 """

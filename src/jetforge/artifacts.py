@@ -8,12 +8,25 @@ object holding the fields their caller reads, else raise
 from __future__ import annotations
 
 import json
+import math
 
 NO_FIELDS = frozenset()
 
 
 class ArtifactError(Exception):
     pass
+
+
+def finite_number(value) -> bool:
+    # json.loads gives int, float or bool for a JSON number or boolean, and
+    # also float NaN and +-inf for NaN and +-Infinity; bool is not a number
+    # here, so comparing exact types rejects it
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def finite_bbox(value) -> bool:
+    """Whether `value` is a JSON list of 4 finite numbers."""
+    return type(value) is list and len(value) == 4 and all(map(finite_number, value))
 
 
 def reject(value, expected: str, where, *keys):

@@ -29,8 +29,6 @@ class BenchStats:
     variant: str
     mode: str
     latencies_ns: list[int] = field(default_factory=list)
-    warmup: int = 0
-    iterations: int = 0
     nodes: int = 0
     macs: int = 0
 
@@ -67,8 +65,8 @@ def run_bench(graph: Graph, mode: str, iters: int = DEFAULT_ITERS,
         raise BenchError("warmup cannot be negative")
     stats_src = frontend.model_stats(graph)
     x = bench_input(graph)
-    stats = BenchStats(variant=variant, mode=mode, warmup=warmup, iterations=iters,
-                       nodes=len(graph.nodes), macs=stats_src.total_macs)
+    stats = BenchStats(variant=variant, mode=mode, nodes=len(graph.nodes),
+                       macs=stats_src.total_macs)
     for _ in range(warmup):
         executor.execute(graph, x, mode=mode, retention=executor.RETAIN_HEADS, plan=plan)
     for _ in range(iters):

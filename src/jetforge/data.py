@@ -82,11 +82,27 @@ def _clip_box(x, y, w, h, img_w, img_h):
     return [x, y, x2 - x, y2 - y]
 
 
-# the fields ingest_coco reads from each record of each top-level list
+def _int(value) -> bool:
+    return type(value) is int  # bool is not an id or a size
+
+
+def _positive_int(value) -> bool:
+    return _int(value) and value > 0
+
+
+def _str(value) -> bool:
+    return type(value) is str
+
+
+# the fields ingest_coco reads from each record of each top-level list, each
+# with the test its value must pass and what that test expects
 _COCO_FIELDS = {
-    "images": frozenset({"id", "file_name", "width", "height"}),
-    "annotations": frozenset({"image_id", "category_id", "bbox"}),
-    "categories": frozenset({"id", "name"}),
+    "images": {"id": (_int, "an integer"), "file_name": (_str, "a string"),
+               "width": (_positive_int, "a positive integer"),
+               "height": (_positive_int, "a positive integer")},
+    "annotations": {"image_id": (_int, "an integer"), "category_id": (_int, "an integer"),
+                    "bbox": (artifacts.finite_bbox, "4 finite numbers")},
+    "categories": {"id": (_int, "an integer"), "name": (_str, "a string")},
 }
 
 
@@ -96,7 +112,8 @@ def ingest_coco(path) -> list[AnnotationRecord]:
     Supported-class crowds (iscrowd=1) become ignore regions; annotations of
     unsupported classes are dropped; images left with no boxes stay in as
     negatives. Text that is not JSON raises MalformedJson; a record missing
-    a field of _COCO_FIELDS raises ArtifactError naming the list and index.
+    a field of _COCO_FIELDS, or holding a value its test rejects, raises
+    ArtifactError naming the list, index and field.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -105,7 +122,10 @@ def ingest_coco(path) -> list[AnnotationRecord]:
         raise MalformedJson(f"{path}: {e}")
     artifacts.require(doc, frozenset(_COCO_FIELDS), path)
     for key, fields in _COCO_FIELDS.items():
-        artifacts.require_each(doc[key], fields, path, key)
+        for i, rec in enumerate(artifacts.require_each(doc[key], frozenset(fields), path, key)):
+            for name, (ok, expected) in fields.items():
+                if not ok(rec[name]):
+                    artifacts.reject(rec[name], expected, path, key, i, name)
 
     cat_names = {c["id"]: c["name"] for c in doc["categories"]}
     records: dict = {}
@@ -288,6 +308,9 @@ class AnchorResult:
     iterations: int
 
 
+KMEANS_MAX_ITERATIONS = 300
+
+
 def _kmeanspp_init(boxes: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centroids = [boxes[rng.integers(len(boxes))]]
     while len(centroids) < k:
@@ -301,7 +324,7 @@ def _kmeanspp_init(boxes: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return np.array(centroids, dtype=np.float64)
 
 
-def kmeans_anchors(boxes, k: int, seed: int = 0, max_iterations: int = 300) -> AnchorResult:
+def kmeans_anchors(boxes, k: int, seed: int = 0) -> AnchorResult:
     """IoU k-means over (w,h) boxes: k-means++ seeding, Lloyd iterations with
     per-cluster coordinate means, empty clusters re-seeded to the farthest box.
 
@@ -309,7 +332,7 @@ def kmeans_anchors(boxes, k: int, seed: int = 0, max_iterations: int = 300) -> A
     the loop keeps iterating only while an update improves mean IoU (the
     previous codebook is kept otherwise); the recorded per-update history is
     therefore non-decreasing. Stops on stable assignments, a non-improving
-    update, or max_iterations.
+    update, or KMEANS_MAX_ITERATIONS updates.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 2)
     if boxes.size == 0:
@@ -327,7 +350,7 @@ def kmeans_anchors(boxes, k: int, seed: int = 0, max_iterations: int = 300) -> A
     assign, best_iou = assignment(centroids)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(KMEANS_MAX_ITERATIONS):
         iterations += 1
         new_centroids = centroids.copy()
         for c in range(k):

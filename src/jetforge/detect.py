@@ -52,7 +52,6 @@ class DetectionBox:
     class_id: int
     confidence: float
     cell: tuple[int, int] = (-1, -1)
-    anchor: int = -1
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def decode_head(feature: np.ndarray, anchors: list[tuple[float, float]],
                 if conf[k, i, j] >= conf_threshold:
                     out.append(DetectionBox(box=box, class_id=k,
                                             confidence=float(conf[k, i, j]),
-                                            cell=(int(i), int(j)), anchor=a))
+                                            cell=(int(i), int(j))))
     return out
 
 
@@ -246,20 +245,12 @@ def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -
         for image in sorted(per_image) for d in per_image[image]))
 
 
-def _finite_number(value) -> bool:
-    # json.loads gives int, float or bool for a JSON number or boolean, and
-    # also float NaN and +-inf for NaN and +-Infinity; bool is not a number
-    # here, so comparing exact types rejects it
-    return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
 def _check_detection(rec: dict, where: str) -> None:
-    bbox = rec["bbox"]
-    if type(bbox) is not list or len(bbox) != 4 or not all(map(_finite_number, bbox)):
-        artifacts.reject(bbox, "4 finite numbers", where, "bbox")
+    if not artifacts.finite_bbox(rec["bbox"]):
+        artifacts.reject(rec["bbox"], "4 finite numbers", where, "bbox")
     if type(rec["class"]) is not int:
         artifacts.reject(rec["class"], "an integer", where, "class")
-    if not _finite_number(rec["confidence"]):
+    if not artifacts.finite_number(rec["confidence"]):
         artifacts.reject(rec["confidence"], "a finite number", where, "confidence")
 
 

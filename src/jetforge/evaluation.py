@@ -69,14 +69,13 @@ class MatchResult:
 
 def match_detections(dets: list[dict], gts: list[list[float]],
                      ignore_regions: list[list[float]],
-                     iou_thresh: float = DEFAULT_IOU_THRESH,
-                     ignore_overlap: float = DEFAULT_IGNORE_OVERLAP) -> MatchResult:
+                     iou_thresh: float = DEFAULT_IOU_THRESH) -> MatchResult:
     """Greedy matching for one image and one class.
 
     `dets` must already be sorted by confidence descending. Each detection
     takes the highest-IoU unmatched ground truth at IoU >= iou_thresh; failing
     that it is IGNORED if intersection with any ignore region covers at least
-    `ignore_overlap` of the detection, else FP.
+    DEFAULT_IGNORE_OVERLAP of the detection, else FP.
     """
     labels: list[str] = []
     matched_gt: list[int] = []
@@ -94,7 +93,8 @@ def match_detections(dets: list[dict], gts: list[list[float]],
             matched_gt.append(best_gt)
             gt_matched_by[best_gt] = di
             continue
-        if any(_ignore_overlap(det["bbox"], r) >= ignore_overlap for r in ignore_regions):
+        if any(_ignore_overlap(det["bbox"], r) >= DEFAULT_IGNORE_OVERLAP
+               for r in ignore_regions):
             labels.append(IGNORED)
             matched_gt.append(-1)
             continue
@@ -163,8 +163,7 @@ class EvalReport:
 
 def evaluate(detections: list[dict], manifest: Manifest,
              iou_thresh: float = DEFAULT_IOU_THRESH,
-             apply_ignore: bool = True,
-             ignore_overlap: float = DEFAULT_IGNORE_OVERLAP) -> EvalReport:
+             apply_ignore: bool = True) -> EvalReport:
     """Score a detection list (dicts with image/class/confidence/bbox)
     against a dataset manifest."""
     by_image = {rec.image: rec for rec in manifest.records}
@@ -193,7 +192,7 @@ def evaluate(detections: list[dict], manifest: Manifest,
             total_gt += len(gts)
             dets = [d for d in detections if d["image"] == image and int(d["class"]) == cid]
             dets.sort(key=lambda d: -d["confidence"])  # stable on ties
-            result = match_detections(dets, gts, regions, iou_thresh, ignore_overlap)
+            result = match_detections(dets, gts, regions, iou_thresh)
             for det, label in zip(dets, result.det_labels):
                 if label == IGNORED:
                     ign_total += 1
@@ -219,7 +218,7 @@ def evaluate(detections: list[dict], manifest: Manifest,
         per_class_ap=per_class_ap, map50=map50, gt_counts=gt_counts,
         tp_counts=tp_counts, fp_counts=fp_counts, ignored_counts=ignored_counts,
         config={"iou_thresh": iou_thresh, "apply_ignore": apply_ignore,
-                "ignore_overlap": ignore_overlap},
+                "ignore_overlap": DEFAULT_IGNORE_OVERLAP},
     )
 
 

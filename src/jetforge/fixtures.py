@@ -1,6 +1,5 @@
-"""Deterministic fixtures: the full yolov3 network as cfg text (also bundled
-as package data), synthetic blob scenes, and a tiny hand-weighted detector
-that actually detects them.
+"""Deterministic fixtures: the full yolov3 network as cfg text, synthetic
+blob scenes, and a tiny hand-weighted detector that actually detects them.
 
 The tiny detector is a matched-filter network: six color-selective filters
 feed smoothing/downsampling stages and a head whose objectness/class rows
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import detect, executor, frontend, tensorio
 from .data import CLASS_NAMES, AnnotationRecord, Manifest, merge
-from .graph import Graph, infer_shapes
+from .graph import Graph
 
 # one distinct pure color per class: 3 single-channel + 3 two-channel
 CLASS_COLORS = np.array([
@@ -107,15 +106,6 @@ def yolov3_cfg(width: int = 608, height: int = 352, classes: int = 6) -> str:
     lines.extend(yolo_section("0,1,2"))
 
     return "\n".join(lines)
-
-
-def bundled_cfg_path(name: str = "yolov3_608x352.cfg") -> str:
-    return os.path.join(os.path.dirname(__file__), "data", name)
-
-
-def bundled_cfg(name: str = "yolov3_608x352.cfg") -> str:
-    with open(bundled_cfg_path(name), "r", encoding="utf-8") as f:
-        return f.read()
 
 
 def tiny_cfg() -> str:
@@ -350,19 +340,12 @@ def random_weights(graph, seed: int = 0) -> bytes:
     batchnorm stats, so the parsed network executes with sane activations."""
     rng = np.random.default_rng(seed)
     filled = graph.copy()
-    shapes = infer_shapes(graph)
-    for conv, bn in frontend._conv_layers_in_order(graph):
-        a = conv.attrs
-        in_c = shapes[conv.inputs[0]].c
-        fan_in = in_c * a["kernel"] * a["kernel"]
-        kernel = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                            size=a["out_ch"] * fan_in).astype(np.float32)
-        filled.weights[(conv.id, "kernel")] = kernel
-        if bn is not None:
-            filled.weights[(bn.id, "bn_gamma")] = np.ones(a["out_ch"], dtype=np.float32)
-            filled.weights[(bn.id, "bn_beta")] = np.zeros(a["out_ch"], dtype=np.float32)
-            filled.weights[(bn.id, "bn_mean")] = np.zeros(a["out_ch"], dtype=np.float32)
-            filled.weights[(bn.id, "bn_var")] = np.ones(a["out_ch"], dtype=np.float32)
+    for (layer, role), count in frontend._darknet_layout(graph):
+        if role == "kernel":
+            fan_in = count // layer.attrs["out_ch"]
+            value = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=count).astype(np.float32)
         else:
-            filled.weights[(conv.id, "bias")] = np.zeros(a["out_ch"], dtype=np.float32)
+            value = np.full(count, 1.0 if role in ("bn_gamma", "bn_var") else 0.0,
+                            dtype=np.float32)
+        filled.weights[(layer.id, role)] = value
     return frontend.save_weights(filled)

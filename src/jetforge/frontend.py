@@ -8,7 +8,6 @@ only inference structure matters here.
 
 from __future__ import annotations
 
-import io
 import struct
 import warnings
 from dataclasses import dataclass
@@ -292,12 +291,23 @@ def parse_cfg(text: str) -> g.Graph:
 # binary weights
 # --------------------------------------------------------------------------
 
-def _conv_layers_in_order(graph: g.Graph) -> list[tuple[g.LayerNode, g.LayerNode | None]]:
-    """(conv, following batchnorm or None) pairs in cfg order."""
+def _darknet_layout(graph: g.Graph) -> list[tuple[tuple[g.LayerNode, str], int]]:
+    """((layer, role), float count) in darknet file order: per conv, its
+    batchnorm's beta, gamma, mean, var (else its bias), then its kernel."""
+    shapes = g.infer_shapes(graph)
     consumers = graph.consumers()
-    return [(n, next((m for m in consumers.get(n.output, ())
-                      if m.kind == g.BATCHNORM and m.inputs[0] == n.output), None))
-            for n in graph.nodes if n.kind == g.CONV]
+    layout = []
+    for conv in (n for n in graph.nodes if n.kind == g.CONV):
+        out_ch, k = conv.attrs["out_ch"], conv.attrs["kernel"]
+        bn = next((m for m in consumers.get(conv.output, ())
+                   if m.kind == g.BATCHNORM and m.inputs[0] == conv.output), None)
+        if bn is not None:
+            layout += [((bn, role), out_ch)
+                       for role in ("bn_beta", "bn_gamma", "bn_mean", "bn_var")]
+        else:
+            layout.append(((conv, "bias"), out_ch))
+        layout.append(((conv, "kernel"), out_ch * shapes[conv.inputs[0]].c * k * k))
+    return layout
 
 
 def parse_weights_header(data: bytes) -> tuple[WeightsHeader, int]:
@@ -324,34 +334,17 @@ def parse_weights_header(data: bytes) -> tuple[WeightsHeader, int]:
 def load_weights(data: bytes, graph: g.Graph) -> g.Graph:
     """Fill the weight store from darknet binary bytes; consumes the file exactly."""
     header, offset = parse_weights_header(data)
-    shapes = g.infer_shapes(graph)
-    out = graph.copy()
-    floats = np.frombuffer(data, dtype="<f4", offset=offset)
     if (len(data) - offset) % 4:
         raise TrailingBytes(f"{(len(data) - offset) % 4} stray bytes after float payload")
+    floats = np.frombuffer(data, dtype="<f4", offset=offset)
+    out = graph.copy()
     pos = 0
-
-    def take(count: int, what: str) -> np.ndarray:
-        nonlocal pos
+    for (layer, role), count in _darknet_layout(graph):
         if pos + count > floats.size:
-            raise Truncated(f"file ends inside {what}: need {count} floats, have {floats.size - pos}")
-        arr = floats[pos:pos + count].astype(np.float32)
+            raise Truncated(f"file ends inside {layer.id} {role}: need {count} floats, "
+                            f"have {floats.size - pos}")
+        out.weights[(layer.id, role)] = floats[pos:pos + count].astype(np.float32)
         pos += count
-        return arr
-
-    for conv, bn in _conv_layers_in_order(graph):
-        in_c = shapes[conv.inputs[0]].c
-        a = conv.attrs
-        ksize = a["out_ch"] * in_c * a["kernel"] * a["kernel"]
-        if bn is not None:
-            out.weights[(bn.id, "bn_beta")] = take(a["out_ch"], f"{bn.id} beta")
-            out.weights[(bn.id, "bn_gamma")] = take(a["out_ch"], f"{bn.id} gamma")
-            out.weights[(bn.id, "bn_mean")] = take(a["out_ch"], f"{bn.id} mean")
-            out.weights[(bn.id, "bn_var")] = take(a["out_ch"], f"{bn.id} var")
-        else:
-            out.weights[(conv.id, "bias")] = take(a["out_ch"], f"{conv.id} bias")
-        out.weights[(conv.id, "kernel")] = take(ksize, f"{conv.id} kernel")
-
     if pos != floats.size:
         raise TrailingBytes(f"{floats.size - pos} unread floats after the last layer")
     out.metadata.extra["weights_header"] = {
@@ -361,23 +354,12 @@ def load_weights(data: bytes, graph: g.Graph) -> g.Graph:
     return out
 
 
-def save_weights(graph: g.Graph, header: WeightsHeader | None = None) -> bytes:
-    """Inverse of load_weights, used to build synthetic fixtures."""
-    header = header or WeightsHeader(0, 2, 0, 0)
-    buf = io.BytesIO()
-    buf.write(struct.pack("<iii", header.major, header.minor, header.revision))
-    if header.major * 10 + header.minor >= 2:
-        buf.write(struct.pack("<q", header.seen))
-    else:
-        buf.write(struct.pack("<i", header.seen))
-    for conv, bn in _conv_layers_in_order(graph):
-        if bn is not None:
-            for role in ("bn_beta", "bn_gamma", "bn_mean", "bn_var"):
-                buf.write(np.ascontiguousarray(graph.weights[(bn.id, role)], dtype="<f4").tobytes())
-        else:
-            buf.write(np.ascontiguousarray(graph.weights[(conv.id, "bias")], dtype="<f4").tobytes())
-        buf.write(np.ascontiguousarray(graph.weights[(conv.id, "kernel")], dtype="<f4").tobytes())
-    return buf.getvalue()
+def save_weights(graph: g.Graph) -> bytes:
+    """Inverse of load_weights under a version 0.2.0 header with seen 0,
+    used to build synthetic fixtures."""
+    return struct.pack("<iiiq", 0, 2, 0, 0) + b"".join(
+        np.ascontiguousarray(graph.weights[(layer.id, role)], dtype="<f4").tobytes()
+        for (layer, role), _ in _darknet_layout(graph))
 
 
 # --------------------------------------------------------------------------

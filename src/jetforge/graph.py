@@ -84,10 +84,6 @@ class TensorShape(NamedTuple):
     h: int
     w: int
 
-    @property
-    def size(self) -> int:
-        return self.n * self.c * self.h * self.w
-
 
 @dataclass(frozen=True)
 class QuantParams:

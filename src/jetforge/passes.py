@@ -235,8 +235,6 @@ def apply_passes(graph: Graph, names: list[str]) -> tuple[Graph, list[PassReport
 
 @dataclass
 class PrecisionPlan:
-    mode: str
-    plugin_policy: str
     node_precision: dict[str, str]
     conversions: list[tuple[str, str, str]]  # (tensor id, from, to)
 
@@ -277,5 +275,4 @@ def plan_precision(graph: Graph, mode: str, plugin_policy: str = LEAKY_NATIVE) -
             if src != dst and (t, dst) not in seen:
                 seen.add((t, dst))
                 conversions.append((t, src, dst))
-    return PrecisionPlan(mode=mode, plugin_policy=plugin_policy,
-                         node_precision=precision, conversions=conversions)
+    return PrecisionPlan(node_precision=precision, conversions=conversions)

@@ -35,7 +35,7 @@ def tiny_quantized(tiny_optimized):
 
 @pytest.fixture(scope="session")
 def yolov3_graph():
-    return frontend.parse_cfg(fixtures.bundled_cfg())
+    return frontend.parse_cfg(fixtures.yolov3_cfg())
 
 
 @pytest.fixture(scope="session")

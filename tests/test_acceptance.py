@@ -66,8 +66,9 @@ def test_criterion_02_fusion_equivalence():
 
 
 def test_criterion_03_precision_boundary_reproduction(yolov3_graph):
-    """Bundled yolov3 cfg: exactly 72 leaky activations at parse time and
-    exactly 144 conversion points with leaky pinned as a plugin in i8."""
+    """The yolov3 cfg of fixtures.yolov3_cfg(): exactly 72 leaky activations
+    at parse time and exactly 144 conversion points with leaky pinned as a
+    plugin in i8."""
     leaky = sum(1 for n in yolov3_graph.nodes
                 if n.kind == g.ACTIVATION and n.attrs["act"] == g.LEAKY)
     plan = passes.plan_precision(yolov3_graph, passes.I8, passes.LEAKY_AS_PLUGIN)

@@ -63,6 +63,20 @@ def test_convert_missing_weights_exits_2(tiny_files, tmp_path, capsys):
     assert "nope.weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stray", [1, 2, 3])
+def test_weights_with_stray_bytes_exit_1(stray, tiny_files, tmp_path, capsys):
+    cfg = frontend.parse_cfg(tiny_files["cfg"].read_text())
+    weights = tmp_path / "stray.weights"
+    weights.write_bytes(tiny_files["weights"].read_bytes() + b"\x00" * stray)
+    with pytest.raises(frontend.TrailingBytes):
+        frontend.load_weights(weights.read_bytes(), cfg)
+    out = tmp_path / "x.uir"
+    assert run(["convert", "--cfg", tiny_files["cfg"], "--weights", weights, "-o", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "stray bytes" in err[0]
+    assert not out.exists()
+
+
 def test_invalid_cfg_exits_1(tiny_files, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad_route = ("[net]\nwidth=608\nheight=352\n[convolutional]\nfilters=1\n"

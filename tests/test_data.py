@@ -1,9 +1,12 @@
+import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from jetforge import data
+from jetforge.artifacts import ArtifactError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 COCO_JSON = os.path.join(FIXTURES, "coco_fixture.json")
@@ -42,7 +45,6 @@ def test_coco_negatives_retained(coco_records):
 
 
 def test_coco_unknown_category_id(tmp_path):
-    import json
     with open(COCO_JSON) as f:
         doc = json.load(f)
     doc["annotations"][0]["category_id"] = 999
@@ -56,6 +58,29 @@ def test_coco_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(data.MalformedJson):
+        data.ingest_coco(bad)
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("images", "id", "1"),
+    ("images", "file_name", 7),
+    ("images", "width", "640"),
+    ("images", "height", 0),
+    ("annotations", "image_id", 1.0),
+    ("annotations", "category_id", [3]),
+    ("annotations", "bbox", [1, 2, 3]),
+    ("annotations", "bbox", [1, 2, 3, float("nan")]),
+    ("categories", "id", True),
+    ("categories", "name", None)], ids=str)
+def test_coco_value_of_the_wrong_kind_names_file_list_index_and_field(key, field, value,
+                                                                      tmp_path):
+    with open(COCO_JSON) as f:
+        doc = json.load(f)
+    doc[key][1][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    where = re.escape(f"{bad}: {key}: 1: {field}: expected ")
+    with pytest.raises(ArtifactError, match="^" + where):
         data.ingest_coco(bad)
 
 
