@@ -8,7 +8,8 @@ end-to-end metrics) and once traced at seed 0 (the per-layer metrics),
 each run a fresh `python3 perfbench/run.py` process in the working tree,
 for BENCHMARK.json's run length.
 With --baseline, the same runs are made in a temporary copy of that git
-revision, alternating with the working tree's run by run, and recorded
+revision, alternating with the working tree's run by run (the working tree
+first in even pairs, the baseline first in odd ones), and recorded
 next to them. The file holds perfbench's machine block and, per workload,
 every run's verdict and metrics and the median and quartiles of every
 metric.
@@ -86,13 +87,16 @@ def summarize(runs: list[dict]) -> dict:
 
 def measure(checkouts: dict[str, str], spec: dict) -> tuple[dict, dict]:
     """({label: {workload: {"runs", "summary"}}}, the machine block),
-    alternating between the checkouts run by run."""
+    alternating between the checkouts run by run; which checkout runs first
+    alternates from pair to pair, so an order effect of the host falls on
+    both sides."""
     out, machine = {label: {} for label in checkouts}, {}
     for wl in (w["name"] for w in spec["workloads"]):
         plan = [(seed, 0) for seed in SEEDS] + [(0, 1)]
         runs = {label: [] for label in checkouts}
-        for seed, trace in plan:
-            for label, path in checkouts.items():
+        for i, (seed, trace) in enumerate(plan):
+            order = list(checkouts.items())
+            for label, path in order[::-1] if i % 2 else order:
                 run = perfbench(path, wl, seed, spec["run_seconds"], trace)
                 machine = run.pop("machine")
                 print(f"{label} {wl} seed={seed} trace={trace} correct={run['correct']} "

@@ -122,7 +122,8 @@ def _load_model(path) -> graphlib.Graph:
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-        digest.update(f.read())
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

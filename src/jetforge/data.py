@@ -111,9 +111,11 @@ def ingest_coco(path) -> list[AnnotationRecord]:
 
     Supported-class crowds (iscrowd=1) become ignore regions; annotations of
     unsupported classes are dropped; images left with no boxes stay in as
-    negatives. Text that is not JSON raises MalformedJson; a record missing
-    a field of _COCO_FIELDS, or holding a value its test rejects, raises
-    ArtifactError naming the list, index and field.
+    negatives. Text that is not JSON, or an annotation whose image_id names
+    no image (whatever its class), raises MalformedJson; a record missing a
+    field of _COCO_FIELDS, holding a value its test rejects, or an image
+    repeating an earlier image's id, raises ArtifactError naming the list,
+    index and field.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -129,7 +131,9 @@ def ingest_coco(path) -> list[AnnotationRecord]:
 
     cat_names = {c["id"]: c["name"] for c in doc["categories"]}
     records: dict = {}
-    for im in doc["images"]:
+    for i, im in enumerate(doc["images"]):
+        if im["id"] in records:
+            artifacts.reject(im["id"], "an id no earlier image has", path, "images", i, "id")
         records[im["id"]] = AnnotationRecord(
             image=im["file_name"], width=im["width"], height=im["height"],
             source="coco")
@@ -138,12 +142,12 @@ def ingest_coco(path) -> list[AnnotationRecord]:
         cid = ann["category_id"]
         if cid not in cat_names:
             raise UnknownCategoryId(f"{path}: annotation {ann.get('id')} references category {cid}")
-        name = cat_names[cid]
-        if name not in COCO_REMAP:
-            continue  # unsupported class: dropped, image stays as negative
         rec = records.get(ann["image_id"])
         if rec is None:
             raise MalformedJson(f"{path}: annotation {ann.get('id')} references unknown image")
+        name = cat_names[cid]
+        if name not in COCO_REMAP:
+            continue  # unsupported class: dropped, image stays as negative
         label = IGNORE if ann.get("iscrowd", 0) == 1 else COCO_REMAP[name]
         bbox = _clip_box(*ann["bbox"], rec.width, rec.height)
         if bbox is None:

@@ -10,6 +10,7 @@ weight array in place; a changed weight is a new array bound to its key.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -528,40 +529,51 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
         f.write(blob)
         for entry in manifest["weights"]:
             arr = graph.weights[(entry["layer"], entry["role"])]
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+
+def _weight_len(entry: dict, path, i: int) -> int:
+    n = entry["len"]
+    if type(n) is not int or n < 0:  # bool is not a count
+        artifacts.reject(n, "a non-negative integer", path, "weights", i, "len")
+    return n
 
 
 def load_container(path) -> Graph:
+    """The graph a container holds. Reads the header and the manifest, checks
+    them and the declared weight sizes against the file size, then reads
+    each weight from the file into its own float32 array, so the weights
+    are held once."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 16:
-        raise TruncatedFile(f"{path}: only {len(data)} bytes")
-    if data[:4] != FORMAT_MAGIC:
-        raise BadMagic(f"{path}: magic {data[:4]!r}, expected {FORMAT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise VersionUnsupported(f"{path}: format version {version}")
-    (mlen,) = struct.unpack_from("<Q", data, 8)
-    if len(data) < 16 + mlen:
-        raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {len(data) - 16}")
-    manifest = artifacts.parse_json(data[16:16 + mlen], path, _MANIFEST_FIELDS)
-    artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input")
-    artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
-    artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes")
-    artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(16)
+        if len(header) < 16:
+            raise TruncatedFile(f"{path}: only {len(header)} bytes")
+        if header[:4] != FORMAT_MAGIC:
+            raise BadMagic(f"{path}: magic {header[:4]!r}, expected {FORMAT_MAGIC!r}")
+        (version,) = struct.unpack_from("<I", header, 4)
+        if version != FORMAT_VERSION:
+            raise VersionUnsupported(f"{path}: format version {version}")
+        (mlen,) = struct.unpack_from("<Q", header, 8)
+        if size - 16 < mlen:
+            raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {size - 16}")
+        manifest = artifacts.parse_json(f.read(mlen), path, _MANIFEST_FIELDS)
+        artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input")
+        artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
+        artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes")
+        entries = artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
 
-    blob = data[16 + mlen:]
-    want_floats = sum(e["len"] for e in manifest["weights"])
-    if len(blob) != want_floats * 4:
-        raise ManifestWeightMismatch(
-            f"{path}: manifest declares {want_floats} floats, blob holds {len(blob) // 4}")
-    weights: dict[tuple[str, str], np.ndarray] = {}
-    offset = 0
-    for e in manifest["weights"]:
-        n = e["len"]
-        weights[(e["layer"], e["role"])] = np.frombuffer(
-            blob, dtype="<f4", count=n, offset=offset).astype(np.float32)
-        offset += n * 4
+        lens = [_weight_len(e, path, i) for i, e in enumerate(entries)]
+        want_floats, blob_bytes = sum(lens), size - 16 - mlen
+        if blob_bytes != want_floats * 4:
+            raise ManifestWeightMismatch(
+                f"{path}: manifest declares {want_floats} floats, blob holds {blob_bytes // 4}")
+        weights: dict[tuple[str, str], np.ndarray] = {}
+        for e, n in zip(entries, lens):
+            arr = np.empty(n, dtype="<f4")
+            if f.readinto(arr) != arr.nbytes:
+                raise TruncatedFile(f"{path}: file ends inside weights {e['layer']} {e['role']}")
+            weights[(e["layer"], e["role"])] = arr.astype(np.float32, copy=False)
 
     meta = manifest["metadata"]
     qp = manifest.get("qparams")

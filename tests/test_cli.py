@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -669,3 +670,10 @@ def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
     assert run(["--config", ini] + argv) == cli.EXIT_USAGE
     assert "[dataset-merge] default_size" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [0, 5, (3 << 20) + 5])
+def test_sha256_in_chunks_matches_the_one_shot_digest(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -84,6 +84,29 @@ def test_coco_value_of_the_wrong_kind_names_file_list_index_and_field(key, field
         data.ingest_coco(bad)
 
 
+def test_coco_repeated_image_id_names_the_second_image(tmp_path):
+    with open(COCO_JSON) as f:
+        doc = json.load(f)
+    doc["images"][1]["id"] = doc["images"][0]["id"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    where = re.escape(f"{bad}: images: 1: id: expected an id no earlier image has, got 1")
+    with pytest.raises(ArtifactError, match="^" + where):
+        data.ingest_coco(bad)
+
+
+@pytest.mark.parametrize("category", [2, 4], ids=["car", "pizza"])
+def test_coco_annotation_of_an_unknown_image_raises_whatever_its_class(tmp_path, category):
+    with open(COCO_JSON) as f:
+        doc = json.load(f)
+    doc["annotations"].append({"id": 99, "image_id": 12345, "category_id": category,
+                               "bbox": [1, 2, 3, 4]})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(data.MalformedJson, match="annotation 99 references unknown image"):
+        data.ingest_coco(bad)
+
+
 def test_visdrone_remaps(visdrone_records):
     by_img = boxes_by_image(visdrone_records)
     assert [b["label"] for b in by_img["vd_0002.jpg"]] == ["person", "car"]  # people, van

@@ -1,9 +1,15 @@
+import json
+import re
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetforge import graph as g
+from jetforge.artifacts import ArtifactError
 
 
 def chain_graph(kinds):
@@ -229,6 +235,89 @@ def test_container_manifest_weight_mismatch(tmp_path):
     path.write_bytes(data[:-8])  # drop two floats from the blob
     with pytest.raises(g.ManifestWeightMismatch):
         g.load_container(path)
+
+
+def _rewrite_weight_len(path, index: int, value, blob_floats: int):
+    """Set weights[index].len in the manifest of the container at `path` to
+    `value`, and cut or zero-pad its blob to `blob_floats` floats."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack_from("<Q", data, 8)
+    manifest = json.loads(data[16:16 + mlen])
+    manifest["weights"][index]["len"] = value
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    blob = data[16 + mlen:16 + mlen + blob_floats * 4].ljust(blob_floats * 4, b"\0")
+    path.write_bytes(data[:8] + struct.pack("<Q", len(text)) + text + blob)
+
+
+def test_container_bytes_after_the_blob(tmp_path):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(g.ManifestWeightMismatch):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("overshoot", [1, 2**62], ids=["one-byte", "2**62"])
+def test_container_manifest_length_past_the_end(tmp_path, overshoot):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    size = path.stat().st_size
+    mlen = size - 16 + 1 if overshoot == 1 else overshoot
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<Q", mlen) + data[16:])
+    with pytest.raises(g.TruncatedFile, match=f"manifest declares {mlen} bytes"):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("size", [0, 4, 15])
+def test_container_header_shorter_than_16_bytes(tmp_path, size):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(g.TruncatedFile, match=f"only {size} bytes"):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("value", [-1, "4", 4.0, True], ids=repr)
+def test_container_weight_len_that_is_no_count(tmp_path, value):
+    # the blob matches the total the manifest declares, read as a number, so
+    # only the check on `len` itself can reject the file
+    path = tmp_path / "x.uir"
+    gr = _small_weighted_graph()
+    g.save_container(gr, path)
+    total = sum(a.size for a in gr.weights.values())
+    first = g.graph_manifest(gr)["weights"][0]["len"]
+    _rewrite_weight_len(path, 0, value, total - first + int(value))
+    where = re.escape(f"{path}: weights: 0: len: expected a non-negative integer, got ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+def test_container_weights_own_their_memory(tmp_path):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    for arr in g.load_container(path).weights.values():
+        assert arr.dtype == np.float32
+        assert arr.flags.c_contiguous and arr.flags.owndata and arr.base is None
+
+
+def test_container_load_holds_one_copy_of_the_weights(tmp_path):
+    gr = _small_weighted_graph()
+    big = 1 << 21  # 8 MiB of float32 kernel
+    gr.nodes[0] = g.conv_node("c", ["input"], "c", out_ch=2, kernel=1, stride=1, pad=0,
+                              has_bias=True)
+    gr.input_shape = g.TensorShape(1, big // 2, 32, 32)
+    gr.weights[("c", "kernel")] = np.ones(big, dtype=np.float32)
+    path = tmp_path / "big.uir"
+    g.save_container(gr, path)
+    tracemalloc.start()
+    try:
+        loaded = g.load_container(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.weights[("c", "kernel")], gr.weights[("c", "kernel")])
+    assert peak < 1.25 * big * 4
 
 
 @settings(max_examples=25, deadline=None)
