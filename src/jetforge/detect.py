@@ -51,7 +51,6 @@ class DetectionBox:
     box: Box
     class_id: int
     confidence: float
-    cell: tuple[int, int] = (-1, -1)
 
 
 @dataclass(frozen=True)
@@ -148,8 +147,7 @@ def decode_head(feature: np.ndarray, anchors: list[tuple[float, float]],
             for k in range(num_classes):
                 if conf[k, i, j] >= conf_threshold:
                     out.append(DetectionBox(box=box, class_id=k,
-                                            confidence=float(conf[k, i, j]),
-                                            cell=(int(i), int(j))))
+                                            confidence=float(conf[k, i, j])))
     return out
 
 

@@ -7,9 +7,10 @@ Three precision modes:
          (round-to-nearest-even) while arithmetic stays in float32. This
          simulates half-float inference without half hardware.
 * i8: convolutions run in true integer arithmetic (32-bit accumulation
-         over (q - zero_point) * q_w products); max-pool and upsample act
-         directly on int8 values; all other layers dequantize, compute in
-         float32 and requantize to the output tensor's calibrated range.
+         over (q - zero_point) * q_w products, see "Integer convolution"
+         below); max-pool and upsample act directly on int8 values; all
+         other layers dequantize, compute in float32 and requantize to the
+         output tensor's calibrated range.
 
 A precision plan (node id -> mode) may pin individual nodes to f32, which
 models plugin layers: pinned nodes compute on dequantized inputs and their
@@ -19,8 +20,8 @@ Compile once, run many. `compile(graph, mode, plan)` does everything that
 does not depend on the input, once: shape inference, the dataflow order,
 when each tensor is last used, each node's mode and the format of every
 buffer, and the weights each mode reads (binary16-rounded kernels, biases,
-batchnorm coefficients and scale vectors for f16; int8 weight levels,
-per-channel scales and the sums the static overflow proof needs for i8).
+batchnorm coefficients and scale vectors for f16; for i8 the int8 weight
+levels, the per-channel output multipliers and each integer conv's checks).
 `Program.run(x, retention)` then only computes. A program holds no
 reference to its graph.
 
@@ -48,11 +49,22 @@ One window routine. `_im2col` lays out every kernel window of a tensor as
 a [c*k*k, out_h*out_w] patch matrix, and it has two callers. `conv2d` is
 every convolution: one GEMM kernel[out_ch, c*k*k] @ patches in the
 operands' dtype, float32 for f32 and f16, float64 for the i8 accumulator
-and its overflow bound (quant.conv_accumulator). `maxpool2d` is the max
-over each column's k*k taps. The float32 GEMM makes f32/f16 results
-bit-stable across runs on a fixed machine configuration only. The float64
-GEMM sums integers exactly, so i8 results are bit-identical across BLAS
-builds and thread counts; see README for the reproducibility contract.
+and its overflow bound (integer_conv). `maxpool2d` is the max over each
+column's k*k taps. The float32 GEMM makes f32/f16 results bit-stable
+across runs on a fixed machine configuration only.
+
+Integer convolution. Weights are quantized once, at compile: symmetric int8
+levels per output channel (zero point 0), so the conv of activation levels
+q with weight levels q_w is a plain integer dot product of (q - zero_point)
+and q_w. Its accumulators are the float64 GEMM of conv2d. Compile proves
+that every partial sum is an integer below 2**53 (check_float64_exact),
+which float64 holds exactly, so the accumulators equal int64 arithmetic bit
+for bit whatever the BLAS build or its thread count: i8 results are
+reproducible across machines, unlike float32 ones; see README for the
+reproducibility contract. Compile also proves the int32 bound per output
+channel, max|q - zero_point| * sum|q_w,c| <= INT32_MAX; only the channels
+it cannot prove get a data bound on each call, and AccumulatorOverflow is
+raised only when that bound exceeds int32.
 """
 
 from __future__ import annotations
@@ -63,7 +75,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import quant
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
                     QuantParams, _topo_order, conv_out_dim, infer_shapes)
@@ -82,6 +93,10 @@ _LEVELS = np.arange(256, dtype=np.uint8).view(np.int8)
 # rows of the 256x256 add table built at once: bounds the float64
 # temporaries at 32 KiB
 _TABLE_ROWS = 16
+INT32_MAX = 2**31 - 1
+WEIGHT_QMAX = 127
+# float64 represents every integer of magnitude below this exactly
+FLOAT64_EXACT_LIMIT = 2**53
 
 
 class ExecutionError(Exception):
@@ -97,6 +112,14 @@ class ShapeMismatch(ExecutionError):
 
 
 class NonFiniteDetected(ExecutionError):
+    pass
+
+
+class AccumulatorOverflow(ExecutionError):
+    pass
+
+
+class InexactAccumulation(ExecutionError):
     pass
 
 
@@ -203,6 +226,79 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
     if bias is not None:
         out += bias[:, None]
     return out.reshape(1, out_ch, oh, ow)
+
+
+def quantize_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(int8 levels, float64 scales) of symmetric per-output-channel weights,
+    computed in place on one float64 temporary: scale_c = max|w_c| / 127
+    (1.0 for all-zero channels); levels round half-up and clamp to
+    [-WEIGHT_QMAX, WEIGHT_QMAX]."""
+    k = np.asarray(kernel, dtype=np.float32)
+    flat = k.reshape(k.shape[0], -1)
+    maxabs = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    scales = np.where(maxabs > 0, maxabs / 127.0, 1.0).astype(np.float64)
+    levels = flat / scales[:, None]
+    levels += 0.5
+    np.floor(levels, out=levels)
+    np.clip(levels, -WEIGHT_QMAX, WEIGHT_QMAX, out=levels)
+    return levels.astype(np.int8).reshape(k.shape), scales
+
+
+def check_float64_exact(taps: int, max_abs_x: int) -> None:
+    """Raise InexactAccumulation unless a `taps`-long dot product of integers
+    |x| <= max_abs_x and |w| <= WEIGHT_QMAX is exact in float64 in any
+    summation order: every partial sum must stay below 2**53."""
+    if taps * max_abs_x * WEIGHT_QMAX >= FLOAT64_EXACT_LIMIT:
+        raise InexactAccumulation(
+            f"{taps} taps of |x| <= {max_abs_x} times |w| <= {WEIGHT_QMAX} can reach "
+            f"2**53; float64 accumulation would not be exact")
+
+
+def integer_conv(levels: np.ndarray, zero_point: int, stride: int,
+                 pad: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The convolution with int8 weight levels [out_ch, in_ch, k, k] in
+    [-WEIGHT_QMAX, WEIGHT_QMAX], prepared once with its checks (see
+    "Integer convolution" above): a function from int8 activation levels to
+    the float64 [1, out_ch, out_h, out_w] sums of (q - zero_point) * q_w.
+    A channel's data bound is conv2d of |q - zero_point| and |q_w,c|, exact
+    because the padding is zero, so the windows of |x| are the absolute
+    windows of x."""
+    max_abs_x = max(127 - zero_point, zero_point + 128)
+    check_float64_exact(levels[0].size, max_abs_x)
+    abs_sums = np.abs(levels.reshape(len(levels), -1)).sum(axis=1, dtype=np.int64)
+    unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
+    abs_unproven = np.abs(levels[unproven].astype(np.float64)) if unproven.size else None
+
+    def run(x_q: np.ndarray) -> np.ndarray:
+        shifted = x_q.astype(np.float64)
+        shifted -= zero_point
+        if abs_unproven is not None:
+            worst = conv2d(np.abs(shifted), abs_unproven, None, stride, pad).max(initial=0)
+            if worst > INT32_MAX:
+                raise AccumulatorOverflow(
+                    f"conv accumulator would reach {int(worst)} (> int32); "
+                    f"needs wider accumulation")
+        return conv2d(shifted, levels.astype(np.float64), None, stride, pad)
+    return run
+
+
+def quantized_conv(levels: np.ndarray, scales: np.ndarray, bias: np.ndarray | None,
+                   x_params: QuantParams, stride: int,
+                   pad: int) -> Callable[[np.ndarray], np.ndarray]:
+    """integer_conv prepared for input range `x_params`, then
+    real = acc * (scale_in * scale_c) + bias in float64, returned as
+    float32; the multipliers are computed once."""
+    accumulate = integer_conv(levels, x_params.zero_point, stride, pad)
+    multipliers = (x_params.scale * scales)[:, None, None]
+    bias = None if bias is None else bias[:, None, None]
+
+    def run(x_q: np.ndarray) -> np.ndarray:
+        real = accumulate(x_q)
+        real *= multipliers
+        if bias is not None:
+            real += bias
+        return real.astype(np.float32)
+    return run
 
 
 def _f16(x: np.ndarray) -> np.ndarray:
@@ -443,16 +539,15 @@ def _i8_step(node, ins: list[_Format], weight, require):
 
     if kind == CONV:
         read, x_params = _i8_levels(node.inputs[0], ins[0], require)
-        qk = quant.quantize_kernel(weight(node, "kernel").reshape(
+        levels, scales = quantize_kernel(weight(node, "kernel").reshape(
             a["out_ch"], -1, a["kernel"], a["kernel"]))
         bias = weight(node, "bias") if a["has_bias"] else None
-        stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
+        real_conv = quantized_conv(levels, scales, bias, x_params, a["stride"], a["pad"])
+        act, alpha = a.get("act", LINEAR), a.get("alpha")
         out_q = require(node.output)
 
         def conv(buffers):
-            real = quant.quantized_conv(read(buffers), x_params, qk.levels, qk.scales, bias,
-                                        stride, pad, abs_sums=qk.abs_sums)
-            real = apply_activation(real, act, alpha)
+            real = apply_activation(real_conv(read(buffers)), act, alpha)
             _check_finite(node_id, real)
             return TensorBuffer(I8, out_q.quantize(real), out_q)
         return conv, _Format(I8, out_q)

@@ -539,6 +539,23 @@ def _weight_len(entry: dict, path, i: int) -> int:
     return n
 
 
+def _weight_key(entry: dict, path, i: int) -> tuple[str, str]:
+    for field in ("layer", "role"):
+        if type(entry[field]) is not str:
+            artifacts.reject(entry[field], "a string", path, "weights", i, field)
+    return entry["layer"], entry["role"]
+
+
+def _input(inp: dict, path) -> tuple[str, TensorShape]:
+    if type(inp["id"]) is not str:
+        artifacts.reject(inp["id"], "a string", path, "input", "id")
+    shape = inp["shape"]
+    if (type(shape) is not list or len(shape) != 4
+            or any(type(d) is not int or d < 1 for d in shape)):  # bool is not a dimension
+        artifacts.reject(shape, "a list of 4 positive integers", path, "input", "shape")
+    return inp["id"], TensorShape(*shape)
+
+
 def load_container(path) -> Graph:
     """The graph a container holds. Reads the header and the manifest, checks
     them and the declared weight sizes against the file size, then reads
@@ -558,29 +575,36 @@ def load_container(path) -> Graph:
         if size - 16 < mlen:
             raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {size - 16}")
         manifest = artifacts.parse_json(f.read(mlen), path, _MANIFEST_FIELDS)
-        artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input")
+        input_id, input_shape = _input(
+            artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input"), path)
         artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
         artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes")
         entries = artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
 
-        lens = [_weight_len(e, path, i) for i, e in enumerate(entries)]
-        want_floats, blob_bytes = sum(lens), size - 16 - mlen
+        lens: dict[tuple[str, str], int] = {}  # in blob order
+        for i, e in enumerate(entries):
+            key = _weight_key(e, path, i)
+            if key in lens:
+                artifacts.reject(list(key), "a (layer, role) not listed before", path,
+                                 "weights", i, "layer, role")
+            lens[key] = _weight_len(e, path, i)
+        want_floats, blob_bytes = sum(lens.values()), size - 16 - mlen
         if blob_bytes != want_floats * 4:
             raise ManifestWeightMismatch(
                 f"{path}: manifest declares {want_floats} floats, blob holds {blob_bytes // 4}")
         weights: dict[tuple[str, str], np.ndarray] = {}
-        for e, n in zip(entries, lens):
+        for (layer, role), n in lens.items():
             arr = np.empty(n, dtype="<f4")
             if f.readinto(arr) != arr.nbytes:
-                raise TruncatedFile(f"{path}: file ends inside weights {e['layer']} {e['role']}")
-            weights[(e["layer"], e["role"])] = arr.astype(np.float32, copy=False)
+                raise TruncatedFile(f"{path}: file ends inside weights {layer} {role}")
+            weights[(layer, role)] = arr.astype(np.float32, copy=False)
 
     meta = manifest["metadata"]
     qp = manifest.get("qparams")
     return Graph(
         nodes=[_node_from_json(d) for d in manifest["nodes"]],
-        input_id=manifest["input"]["id"],
-        input_shape=TensorShape(*manifest["input"]["shape"]),
+        input_id=input_id,
+        input_shape=input_shape,
         weights=weights,
         metadata=GraphMetadata(
             class_names=list(meta["class_names"]),

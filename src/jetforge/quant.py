@@ -1,16 +1,9 @@
 """Post-training quantization: histogram collection over a calibration set,
-entropy (KL-divergence) range selection, per-channel weight quantization and
-the integer convolution the executor uses in i8 mode.
+entropy (KL-divergence) range selection and the ranges file.
 
-Activation ranges are affine per tensor (lo -> -128, hi -> 127); weights are
-symmetric per output channel (zero point 0), the standard pairing that keeps
-integer convolution a plain integer dot product.
-
-The integer dot products run as a float64 BLAS GEMM. Every partial sum is
-an integer below 2**53, which float64 holds exactly, so the accumulators
-equal int64 arithmetic bit for bit and do not depend on the BLAS build or
-its thread count: i8 results are reproducible across machines, unlike
-float32 ones.
+Activation ranges are affine per tensor (lo -> -128, hi -> 127). Weights
+are quantized by the executor when it compiles a graph for i8, which also
+owns the integer convolution and its float64/int32 exactness contract.
 """
 
 from __future__ import annotations
@@ -22,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from . import executor as _executor
-from .graph import Graph, QuantParams, conv_out_dim
+from .executor import execute
+from .graph import Graph, QuantParams
 
-INT32_MAX = 2**31 - 1
-WEIGHT_QMAX = 127
-# float64 represents every integer of magnitude below this exactly
-FLOAT64_EXACT_LIMIT = 2**53
 # cuts the entropy scan evaluates together: bounds its [cuts, levels]
 # temporaries at a few hundred KiB each whatever the bin count
 SCAN_CHUNK = 64
@@ -47,14 +36,6 @@ class EmptyCalibrationSet(QuantError):
 
 
 class NonFiniteActivation(QuantError):
-    pass
-
-
-class AccumulatorOverflow(QuantError):
-    pass
-
-
-class InexactAccumulation(QuantError):
     pass
 
 
@@ -132,7 +113,7 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
     for im in sample:
-        trace = _executor.execute(graph, im, mode=_executor.F32)
+        trace = execute(graph, im)
         for tid, buf in trace.buffers.items():
             data = buf.data
             if not np.all(np.isfinite(data)):
@@ -153,7 +134,7 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
         counts[tid] = np.zeros(bins, dtype=np.int64)
 
     for im in sample:
-        trace = _executor.execute(graph, im, mode=_executor.F32)
+        trace = execute(graph, im)
         for tid, buf in trace.buffers.items():
             c, _ = np.histogram(buf.data, bins=edges[tid])
             counts[tid] += c
@@ -377,105 +358,6 @@ def calibrate_graph(graph: Graph, images, config: CalibrationConfig | None = Non
         lo, hi = entropy_calibrate(hist, config.levels)
         out[tid] = QuantParams.from_range(lo, hi)
     return out
-
-
-# --------------------------------------------------------------------------
-# weights and integer convolution
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuantizedKernel:
-    """A conv kernel quantized once, for every call that runs it: the int8
-    levels (widened to float64 only inside a call), the per-channel scales,
-    and sum|q_w,c| per output channel, the static overflow proof's operand."""
-
-    levels: np.ndarray
-    scales: np.ndarray
-    abs_sums: np.ndarray
-
-
-def quantize_kernel(kernel: np.ndarray) -> QuantizedKernel:
-    """Symmetric per-output-channel int8 weights, computed in place on one
-    float64 temporary: scale_c = max|w_c| / 127 (1.0 for all-zero
-    channels); levels round half-up and clamp to [-WEIGHT_QMAX,
-    WEIGHT_QMAX]. Also sum|q_w,c| as int64."""
-    k = np.asarray(kernel, dtype=np.float32)
-    flat = k.reshape(k.shape[0], -1)
-    maxabs = np.maximum(flat.max(axis=1), -flat.min(axis=1))
-    scales = np.where(maxabs > 0, maxabs / 127.0, 1.0).astype(np.float64)
-    levels = flat / scales[:, None]
-    levels += 0.5
-    np.floor(levels, out=levels)
-    np.clip(levels, -WEIGHT_QMAX, WEIGHT_QMAX, out=levels)
-    q = levels.astype(np.int8)
-    return QuantizedKernel(q.reshape(k.shape), scales, np.abs(q).sum(axis=1, dtype=np.int64))
-
-
-def check_float64_exact(taps: int, max_abs_x: int) -> None:
-    """Raise InexactAccumulation unless a `taps`-long dot product of integers
-    |x| <= max_abs_x and |w| <= WEIGHT_QMAX is exact in float64 in any
-    summation order: every partial sum must stay below 2**53."""
-    if taps * max_abs_x * WEIGHT_QMAX >= FLOAT64_EXACT_LIMIT:
-        raise InexactAccumulation(
-            f"{taps} taps of |x| <= {max_abs_x} times |w| <= {WEIGHT_QMAX} can reach "
-            f"2**53; float64 accumulation would not be exact")
-
-
-def conv_accumulator(x_q: np.ndarray, zero_point: int, q_kernel: np.ndarray,
-                     stride: int, pad: int, abs_sums: np.ndarray | None = None) -> np.ndarray:
-    """Integer accumulators of a convolution, [out_ch, out_h * out_w]: the
-    sums of (q - zero_point) * q_w, checked to fit in int32.
-
-    q_kernel is [out_ch, in_ch, k, k] and holds integers in
-    [-WEIGHT_QMAX, WEIGHT_QMAX] (int8, or the same values in float64). The
-    accumulator is executor.conv2d on the shifted levels and the kernel,
-    both widened to float64: its GEMM equals int64 accumulation bit for
-    bit, as check_float64_exact and the int32 overflow proof keep every
-    partial sum an integer below 2**53, so the result depends on neither
-    the BLAS build nor its thread count.
-
-    The overflow proof is static per output channel and runs before the
-    data are touched: max|q - zero_point| * sum|q_w,c| <= INT32_MAX
-    (`abs_sums` holds the sums when a QuantizedKernel has them). Only
-    channels that fail it get the exact data bound, conv2d of
-    |q - zero_point| with |q_w,c| (exact because the padding is zero, so
-    the windows of |x| are the absolute windows of x), and
-    AccumulatorOverflow is raised only when that bound exceeds INT32_MAX.
-    """
-    out_ch = q_kernel.shape[0]
-    max_abs_x = max(127 - zero_point, zero_point + 128)
-    check_float64_exact(q_kernel[0].size, max_abs_x)
-    w = q_kernel.astype(np.float64, copy=False)
-    if abs_sums is None:
-        abs_sums = np.abs(w).reshape(out_ch, -1).sum(axis=1)
-    unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
-
-    shifted = x_q.astype(np.float64)
-    shifted -= zero_point
-    if unproven.size:
-        worst = _executor.conv2d(np.abs(shifted), np.abs(w[unproven]), None, stride,
-                                 pad).max(initial=0)
-        if worst > INT32_MAX:
-            raise AccumulatorOverflow(
-                f"conv accumulator would reach {int(worst)} (> int32); needs wider accumulation")
-    return _executor.conv2d(shifted, w, None, stride, pad).reshape(out_ch, -1)
-
-
-def quantized_conv(x_q: np.ndarray, x_params: QuantParams, q_kernel: np.ndarray,
-                   scales: np.ndarray, bias: np.ndarray | None,
-                   stride: int, pad: int, abs_sums: np.ndarray | None = None) -> np.ndarray:
-    """Integer convolution: 32-bit accumulation of (q - zero_point) * q_w
-    (see conv_accumulator), then real = acc * scale_in * scale_c + bias,
-    returned as float32."""
-    out_ch, _, k, _ = q_kernel.shape
-    _, _, h, w = x_q.shape
-    oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
-
-    acc = conv_accumulator(x_q, x_params.zero_point, q_kernel, stride, pad, abs_sums)
-    real = acc * (x_params.scale * scales)[:, None]
-    if bias is not None:
-        real += bias[:, None]
-    return real.reshape(1, out_ch, oh, ow).astype(np.float32)
 
 
 # --------------------------------------------------------------------------

@@ -573,11 +573,13 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     "ranges-without-tensors", "ranges-tensor-without-zero-point", "dets-line-not-json",
     "dets-bbox-of-three-numbers", "dets-class-not-an-integer",
     "manifest-line-without-width", "manifest-box-without-label", "container-manifest-not-json",
-    "container-node-without-attrs", "category-map-not-json", "category-map-unknown-name",
+    "container-node-without-attrs", "container-weight-repeated",
+    "container-weight-layer-not-a-string", "container-input-shape-of-two",
+    "container-input-id-not-a-string", "category-map-not-json", "category-map-unknown-name",
     "coco-image-without-file-name"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
-    bad, out, line = tmp_path / "bad", tmp_path / "out", None
+    bad, out, line, field = tmp_path / "bad", tmp_path / "out", None, ""
     quantize = ["quantize", "-m", optimized_container, "--ranges", bad, "-o", out]
     if case == "ranges-without-tensors":
         bad.write_text("{}\n")
@@ -613,11 +615,22 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
         bad.write_bytes(g.FORMAT_MAGIC + struct.pack("<IQ", g.FORMAT_VERSION, 5) + b"{abcd")
         image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
         argv = ["detect", "-m", bad, "-i", image, "-o", out]
-    elif case == "container-node-without-attrs":
+    elif case.startswith("container-"):
         data = open(optimized_container, "rb").read()
         (length,) = struct.unpack_from("<Q", data, 8)
         manifest = json.loads(data[16:16 + length])
-        del manifest["nodes"][0]["attrs"]
+        weights = manifest["weights"]
+        if case == "container-node-without-attrs":
+            del manifest["nodes"][0]["attrs"]
+        elif case == "container-weight-repeated":
+            weights[1].update(layer=weights[0]["layer"], role=weights[0]["role"])
+            field = "weights: 1: layer, role: "
+        elif case == "container-weight-layer-not-a-string":
+            weights[0]["layer"], field = [1], "weights: 0: layer: "
+        elif case == "container-input-shape-of-two":
+            manifest["input"]["shape"], field = [1, 3], "input: shape: "
+        else:
+            manifest["input"]["id"], field = 5, "input: id: "
         blob = json.dumps(manifest).encode()
         bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + length:])
         image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
@@ -637,7 +650,7 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
     assert run(argv) == cli.EXIT_INVALID
     err = capsys.readouterr().err.splitlines()
     where = bad if line is None else f"{bad}:{line}"
-    assert len(err) == 1 and err[0].startswith(f"error: {where}: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {where}: {field}")
     assert not out.exists()
 
 

@@ -61,7 +61,7 @@ def test_decode_zero_logits_centered():
     assert d.box.cy == pytest.approx(0.5 / 11)
     assert d.box.w == pytest.approx(16 / 608)
     assert d.box.h == pytest.approx(16 / 352)
-    assert d.class_id == 0 and d.cell == (0, 0)
+    assert d.class_id == 0
 
 
 def test_decode_saturated_negative_objectness():

@@ -325,6 +325,38 @@ def test_i8_heads_identical_across_blas_thread_counts(tiny_quantized, tmp_path):
     assert digests == [want, want]
 
 
+def test_i8_conv_beyond_the_static_int32_proof_runs_while_its_data_fit():
+    """A one-conv i8 graph whose 150000-tap 1x1 kernel fails the static
+    int32 proof: execute runs it while the data keep every accumulator
+    within int32, and raises AccumulatorOverflow once they do not."""
+    taps = 150000
+    kernel = np.ones((1, taps, 1, 1), dtype=np.float32)
+    gr = one_conv_graph(kernel, pad=0, in_shape=(1, taps, 1, 2))
+    x_q = g.QuantParams.from_range(-1.0, 1.0)
+    gr.qparams = {"input": x_q, "c": g.QuantParams.from_range(-4000.0, 4000.0)}
+    levels, scales = executor.quantize_kernel(kernel)
+    max_abs_x = max(127 - x_q.zero_point, x_q.zero_point + 128)
+    assert max_abs_x * np.abs(levels.astype(np.int64)).sum() > executor.INT32_MAX
+
+    x = np.zeros((1, taps, 1, 2), dtype=np.float32)
+    x[0, :3000, 0, 1] = 1.0  # 3000 full-scale taps: 3000 * 128 * 127 fits
+    got = executor.execute(gr, x, mode=executor.I8).as_f32("c")
+    want = np.array([0, 3000 * 128 * 127]) * x_q.scale * scales[0]
+    assert np.abs(got.ravel() - want).max() <= gr.qparams["c"].scale / 2 + 1e-3
+    with pytest.raises(executor.AccumulatorOverflow):
+        executor.execute(gr, np.ones_like(x), mode=executor.I8)
+
+
+def test_importing_the_executor_leaves_quant_unloaded():
+    import subprocess
+    import sys
+    code = "import sys, jetforge.executor; print('jetforge.quant' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 def test_execution_follows_the_dataflow_not_the_node_list(tiny_quantized, order):
     """A node list in any valid order gives the same heads as the sorted one."""

@@ -237,16 +237,24 @@ def test_container_manifest_weight_mismatch(tmp_path):
         g.load_container(path)
 
 
-def _rewrite_weight_len(path, index: int, value, blob_floats: int):
-    """Set weights[index].len in the manifest of the container at `path` to
-    `value`, and cut or zero-pad its blob to `blob_floats` floats."""
+def _edit_manifest(path, edit, blob_floats: int | None = None):
+    """Apply `edit` to the manifest of the container at `path`; with
+    `blob_floats`, also cut or zero-pad its blob to that many floats."""
     data = path.read_bytes()
     (mlen,) = struct.unpack_from("<Q", data, 8)
     manifest = json.loads(data[16:16 + mlen])
-    manifest["weights"][index]["len"] = value
+    edit(manifest)
     text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    blob = data[16 + mlen:16 + mlen + blob_floats * 4].ljust(blob_floats * 4, b"\0")
+    blob = data[16 + mlen:]
+    if blob_floats is not None:
+        blob = blob[:blob_floats * 4].ljust(blob_floats * 4, b"\0")
     path.write_bytes(data[:8] + struct.pack("<Q", len(text)) + text + blob)
+
+
+def _rewrite_weight_len(path, index: int, value, blob_floats: int):
+    """Set weights[index].len in the manifest of the container at `path` to
+    `value`, and cut or zero-pad its blob to `blob_floats` floats."""
+    _edit_manifest(path, lambda m: m["weights"][index].update(len=value), blob_floats)
 
 
 def test_container_bytes_after_the_blob(tmp_path):
@@ -290,6 +298,40 @@ def test_container_weight_len_that_is_no_count(tmp_path, value):
     _rewrite_weight_len(path, 0, value, total - first + int(value))
     where = re.escape(f"{path}: weights: 0: len: expected a non-negative integer, got ")
     with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+def test_container_repeated_weight_entry(tmp_path):
+    # weights[1] (the bias) takes weights[0]'s (layer, role); the blob still
+    # matches the declared total, so only the repeat can reject the file
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    _edit_manifest(path, lambda m: m["weights"][1].update(layer="c", role="kernel"))
+    where = re.escape(f'{path}: weights: 1: layer, role: expected a (layer, role) not listed '
+                      f'before, got ["c", "kernel"]')
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("field,value", [("layer", [1]), ("layer", None), ("role", 7)],
+                         ids=repr)
+def test_container_weight_layer_or_role_that_is_no_string(tmp_path, field, value):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    _edit_manifest(path, lambda m: m["weights"][1].update({field: value}))
+    where = re.escape(f"{path}: weights: 1: {field}: expected a string, got ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("shape", [1, 3]), ("shape", [1, 3, 32, True]), ("shape", [1, 3, 32, 0]),
+    ("shape", [1, 3, 32, 32.0]), ("shape", "1x3x32x32"), ("id", 5), ("id", None)], ids=repr)
+def test_container_input_shape_or_id_malformed(tmp_path, field, value):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    _edit_manifest(path, lambda m: m["input"].update({field: value}))
+    with pytest.raises(ArtifactError, match="^" + re.escape(f"{path}: input: {field}: expected ")):
         g.load_container(path)
 
 

@@ -378,13 +378,12 @@ def test_empty_calibration_set():
 
 
 # --------------------------------------------------------------------------
-# weight quantization and integer convolution
+# weight quantization and integer convolution (both in the executor)
 # --------------------------------------------------------------------------
 
 def test_quantize_weights_example():
     kernel = np.array([[0.5, -1.27]], dtype=np.float32)
-    qk = quant.quantize_kernel(kernel)
-    q, scales = qk.levels, qk.scales
+    q, scales = executor.quantize_kernel(kernel)
     assert scales[0] == pytest.approx(0.01)
     assert q.tolist() == [[50, -127]]
 
@@ -392,8 +391,7 @@ def test_quantize_weights_example():
 def test_quantize_weights_zero_channel():
     kernel = np.zeros((2, 3), dtype=np.float32)
     kernel[1] = [0.1, 0.2, -0.3]
-    qk = quant.quantize_kernel(kernel)
-    q, scales = qk.levels, qk.scales
+    q, scales = executor.quantize_kernel(kernel)
     assert scales[0] == 1.0
     assert np.all(q[0] == 0)
 
@@ -403,8 +401,7 @@ def test_quantize_weights_zero_channel():
 def test_quantize_weights_roundtrip_bound(seed):
     rng = np.random.default_rng(seed)
     kernel = rng.normal(0, rng.uniform(0.01, 10), size=(4, 250)).astype(np.float32)
-    qk = quant.quantize_kernel(kernel)
-    q, scales = qk.levels, qk.scales
+    q, scales = executor.quantize_kernel(kernel)
     deq = q.astype(np.float64) * scales[:, None]
     err = np.abs(deq - kernel)
     assert np.all(err <= scales[:, None] / 2 + 1e-12)
@@ -415,9 +412,8 @@ def test_quantized_conv_identity_bound():
     xs = (qp.dequantize(np.arange(-128, 128, dtype=np.int8))
           .reshape(1, 1, 16, 16).astype(np.float32))
     kernel = np.ones((1, 1, 1, 1), dtype=np.float32)
-    qk = quant.quantize_kernel(kernel)
-    q_kernel, scales = qk.levels, qk.scales
-    out = quant.quantized_conv(qp.quantize(xs), qp, q_kernel, scales, None, 1, 0)
+    q_kernel, scales = executor.quantize_kernel(kernel)
+    out = executor.quantized_conv(q_kernel, scales, None, qp, 1, 0)(qp.quantize(xs))
     assert np.abs(out - xs).max() <= qp.scale / 2 + 1e-7
 
 
@@ -428,9 +424,8 @@ def test_quantized_conv_vs_f32_oracle(rng):
     ref = executor.conv2d(x, kernel, bias, stride=1, pad=1)
 
     in_q = g.QuantParams.from_range(float(x.min()), float(x.max()))
-    qk = quant.quantize_kernel(kernel)
-    q_kernel, scales = qk.levels, qk.scales
-    got = quant.quantized_conv(in_q.quantize(x), in_q, q_kernel, scales, bias, 1, 1)
+    q_kernel, scales = executor.quantize_kernel(kernel)
+    got = executor.quantized_conv(q_kernel, scales, bias, in_q, 1, 1)(in_q.quantize(x))
 
     out_q = g.QuantParams.from_range(float(ref.min()), float(ref.max()))
     assert np.abs(got - ref).mean() <= 2 * out_q.scale
@@ -442,9 +437,8 @@ def test_quantized_conv_integer_accumulation_bit_exact(rng):
     kernel = rng.normal(0, 0.5, size=(3, 2, 3, 3)).astype(np.float32)
     in_q = g.QuantParams.from_range(-1.0, 1.0)
     q_x = in_q.quantize(x)
-    qk = quant.quantize_kernel(kernel)
-    q_kernel, scales = qk.levels, qk.scales
-    got = quant.quantized_conv(q_x, in_q, q_kernel, scales, None, stride=1, pad=1)
+    q_kernel, scales = executor.quantize_kernel(kernel)
+    got = executor.quantized_conv(q_kernel, scales, None, in_q, stride=1, pad=1)(q_x)
 
     padded = np.zeros((1, 2, 8, 8), dtype=np.int64)
     padded[0, :, 1:7, 1:7] = q_x[0].astype(np.int64) - in_q.zero_point
@@ -473,10 +467,10 @@ def test_accumulator_overflow_detected():
     qp = g.QuantParams.from_range(-1.0, 1.0)
     x = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
     kernel = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
-    qk = quant.quantize_kernel(kernel)
-    q_kernel, scales = qk.levels, qk.scales
-    with pytest.raises(quant.AccumulatorOverflow):
-        quant.quantized_conv(qp.quantize(x), qp, q_kernel, scales, None, 1, 0)
+    q_kernel, scales = executor.quantize_kernel(kernel)
+    conv = executor.quantized_conv(q_kernel, scales, None, qp, 1, 0)
+    with pytest.raises(executor.AccumulatorOverflow):
+        conv(qp.quantize(x))
 
 
 def _int64_conv_oracle(x_q, zero_point, q_kernel, stride, pad):
@@ -509,7 +503,7 @@ def test_conv_accumulator_exact_at_worst_case_magnitude(x_range, q_in, signs):
         q_kernel = (127 * rng.choice([-1, 1], size=(4, 512, 3, 3))).astype(np.int8)
     q_kernel[3] = 127 * sign  # one all-same-sign channel in every case
 
-    acc = quant.conv_accumulator(x_q, qp.zero_point, q_kernel, stride=1, pad=1)
+    acc = executor.integer_conv(q_kernel, qp.zero_point, stride=1, pad=1)(x_q).reshape(4, -1)
     want = _int64_conv_oracle(x_q, qp.zero_point, q_kernel, stride=1, pad=1)
     assert acc.dtype == np.float64
     assert want[3, 4] == 4608 * 255 * 127  # the centre tap sees no padding
@@ -517,7 +511,7 @@ def test_conv_accumulator_exact_at_worst_case_magnitude(x_range, q_in, signs):
     assert np.array_equal(acc, want.astype(np.float64))
 
     scales = np.linspace(0.001, 0.01, 4)
-    got = quant.quantized_conv(x_q, qp, q_kernel, scales, None, stride=1, pad=1)
+    got = executor.quantized_conv(q_kernel, scales, None, qp, stride=1, pad=1)(x_q)
     ref = (want.astype(np.float64) * (qp.scale * scales)[:, None]).astype(np.float32)
     assert np.array_equal(got.reshape(4, -1), ref)
 
@@ -530,34 +524,33 @@ def test_overflow_fallback_runs_when_data_stay_in_range():
     x = np.zeros((1, 150000, 1, 2), dtype=np.float32)
     x[0, :3000, 0, 1] = 1.0
     kernel = np.full((1, 150000, 1, 1), 1.0, dtype=np.float32)
-    qk = quant.quantize_kernel(kernel)
-    q_kernel, scales = qk.levels, qk.scales
+    q_kernel, scales = executor.quantize_kernel(kernel)
     x_q = qp.quantize(x)
     assert np.all(x_q[0, 3000:] == qp.zero_point)
     max_abs_x = max(127 - qp.zero_point, qp.zero_point + 128)
-    assert max_abs_x * np.abs(q_kernel.astype(np.int64)).sum() > quant.INT32_MAX
+    assert max_abs_x * np.abs(q_kernel.astype(np.int64)).sum() > executor.INT32_MAX
 
-    acc = quant.conv_accumulator(x_q, qp.zero_point, q_kernel, stride=1, pad=0)
+    acc = executor.integer_conv(q_kernel, qp.zero_point, stride=1, pad=0)(x_q).reshape(1, -1)
     want = _int64_conv_oracle(x_q, qp.zero_point, q_kernel, stride=1, pad=0)
     assert want.tolist() == [[0, 3000 * 128 * 127]]
     assert np.array_equal(acc, want.astype(np.float64))
-    out = quant.quantized_conv(x_q, qp, q_kernel, scales, None, 1, 0)
+    out = executor.quantized_conv(q_kernel, scales, None, qp, 1, 0)(x_q)
     assert np.array_equal(out.reshape(1, -1),
                           (want * (qp.scale * scales)[:, None]).astype(np.float32))
 
 
 def test_float64_exact_limit_boundary():
-    per_tap = 255 * quant.WEIGHT_QMAX
+    per_tap = 255 * executor.WEIGHT_QMAX
     last_exact = (2**53 - 1) // per_tap
     assert last_exact * per_tap < 2**53 <= (last_exact + 1) * per_tap
-    quant.check_float64_exact(4608, 255)
-    quant.check_float64_exact(last_exact, 255)
-    with pytest.raises(quant.InexactAccumulation):
-        quant.check_float64_exact(last_exact + 1, 255)
+    executor.check_float64_exact(4608, 255)
+    executor.check_float64_exact(last_exact, 255)
+    with pytest.raises(executor.InexactAccumulation):
+        executor.check_float64_exact(last_exact + 1, 255)
     # a zero point outside [-128, 127] widens |q - zp| and lowers the limit
-    quant.check_float64_exact(last_exact // 2, 510)
-    with pytest.raises(quant.InexactAccumulation):
-        quant.check_float64_exact(last_exact // 2 + 1, 510)
+    executor.check_float64_exact(last_exact // 2, 510)
+    with pytest.raises(executor.InexactAccumulation):
+        executor.check_float64_exact(last_exact // 2 + 1, 510)
 
 
 def test_ranges_file_roundtrip(tmp_path):
