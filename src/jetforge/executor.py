@@ -5,7 +5,8 @@ Three precision modes:
 * f32: plain float32.
 * f16: every weight and every layer output is rounded to IEEE binary16
          (round-to-nearest-even) while arithmetic stays in float32. This
-         simulates half-float inference without half hardware.
+         simulates half-float inference without half hardware (see "f16
+         rounding" below).
 * i8: convolutions run in true integer arithmetic (32-bit accumulation
          over (q - zero_point) * q_w products, see "Integer convolution"
          below); max-pool and upsample act directly on int8 values; all
@@ -53,6 +54,26 @@ and its overflow bound (integer_conv). `maxpool2d` is the max over each
 column's k*k taps. The float32 GEMM makes f32/f16 results bit-stable
 across runs on a fixed machine configuration only.
 
+f16 rounding. A step rounds its output in place, on the float32 bits u,
+and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
+(astype remains the reference the tests check against). Three ranges of
+|x| are told apart on the input bits:
+* zeros and 2**-14 <= |x| < 65520, binary16's normal range: the integer
+  round to 10 mantissa bits, (u + 0x0FFF + ((u >> 13) & 1)) & 0xFFFFE000,
+  which adds just under half of the 13 dropped bits' unit, and one more
+  when the kept part is odd, so ties go to even (IEEE 754-2008 4.3.1);
+* 0 < |x| < 2**-14, binary16's subnormals, multiples of 2**-24:
+  (|x| + 0.5) - 0.5 in float32. The unit in the last place of 0.5 is
+  2**-24, so the sum rounds to that grid with ties to even, and the
+  difference is exact; the sign is copied back, so -0 stays -0;
+* |x| >= 65520, inf and NaN: astype on these values alone.
+A maximum and a minimum over the bits tell which ranges occur, so a
+branch builds its mask only when the array holds a value of its range.
+Rounding in place writes only arrays the step allocated: the f16 weights
+and the input are rounded copies, and a step whose op result shares memory
+with one of its inputs (yolo_head and a linear activation hand back their
+input) rounds a copy of it.
+
 Integer convolution. Weights are quantized once, at compile: symmetric int8
 levels per output channel (zero point 0), so the conv of activation levels
 q with weight levels q_w is a plain integer dot product of (q - zero_point)
@@ -97,6 +118,10 @@ INT32_MAX = 2**31 - 1
 WEIGHT_QMAX = 127
 # float64 represents every integer of magnitude below this exactly
 FLOAT64_EXACT_LIMIT = 2**53
+# float32 bit patterns of |x|: binary16's smallest normal, 2**-14, and
+# 65520, from which binary16 rounds to inf
+_F16_MIN_NORMAL = 0x38800000
+_F16_OVERFLOW = 0x477FF000
 
 
 class ExecutionError(Exception):
@@ -301,12 +326,42 @@ def quantized_conv(levels: np.ndarray, scales: np.ndarray, bias: np.ndarray | No
     return run
 
 
+def _round_f16(x: np.ndarray) -> None:
+    """Round the float32 array `x` in place to binary16 values, exactly as
+    `x.astype(np.float16).astype(np.float32)` does (see "f16 rounding"
+    above). The ranges are told apart on the input bits; a range's branch
+    runs only when the array holds one of its values."""
+    u = x.view(np.uint32)
+    a = u & 0x7FFFFFFF  # the bits of |x|
+    big = small = None
+    if a.max(initial=0) >= _F16_OVERFLOW:
+        big = np.flatnonzero(a >= _F16_OVERFLOW)
+        big_values = np.take(x, big).astype(np.float16).astype(np.float32)
+    a -= 1  # 0 wraps round to the top, so the min is the smallest nonzero |x|, less 1
+    if a.min(initial=_F16_MIN_NORMAL) < _F16_MIN_NORMAL - 1:
+        small = np.flatnonzero(a < _F16_MIN_NORMAL - 1)
+        s = np.take(x, small)
+        small_values = np.copysign((np.abs(s) + 0.5) - 0.5, s)
+    np.right_shift(u, 13, out=a)
+    a &= 1
+    a += 0x0FFF
+    u += a
+    u &= 0xFFFFE000
+    if small is not None:
+        np.put(x, small, small_values)
+    if big is not None:
+        np.put(x, big, big_values)
+
+
 def _f16(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float16).astype(np.float32)
+    """A float32 copy of `x` rounded to binary16 values."""
+    y = np.array(x, dtype=np.float32)
+    _round_f16(y)
+    return y
 
 
 def _check_finite(node_id: str, x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
 
 
@@ -511,15 +566,20 @@ def _float_step(node, ins: list[_Format], f16: bool, weight):
     """f32 evaluation; with f16 the weights and the node output are rounded
     to the binary16 grid (accumulation stays f32). Rounding a binary16
     value again is the identity, so the output round is skipped where it
-    cannot change a value."""
+    cannot change a value. The output is rounded in place, on a copy when
+    it shares memory with an input, which the trace or a later step may
+    read."""
     op = _node_op(node, weight, f16)
     node_id, inputs, dtype = node.id, tuple(node.inputs), F16 if f16 else F32
     round_out = f16 and not (_keeps_f16_grid(node) and all(f.f16_grid for f in ins))
 
     def run(buffers):
-        y = np.ascontiguousarray(op([buffers[t].as_f32() for t in inputs]), dtype=np.float32)
+        xs = [buffers[t].as_f32() for t in inputs]
+        y = np.ascontiguousarray(op(xs), dtype=np.float32)
         if round_out:
-            y = _f16(y)
+            if any(np.may_share_memory(y, x) for x in xs):
+                y = y.copy()
+            _round_f16(y)
         _check_finite(node_id, y)
         return TensorBuffer(dtype, y)
     return run, _Format(dtype, f16_grid=f16)

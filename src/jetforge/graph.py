@@ -375,7 +375,8 @@ def validate(graph: Graph) -> list[Diagnostic]:
                                 + ", ".join(n.id for n in stuck)))
 
     for n in graph.nodes:
-        diags.extend(_check_node_attrs(n, len(graph.metadata.anchors)))
+        diags.extend(Diagnostic(n.id, reason)
+                     for _, reason in _node_faults(n, len(graph.metadata.anchors)))
 
     # shape inference cannot get past a dangling input or a cycle
     if (graph.weights or not diags) and not (dangling or stuck):
@@ -390,39 +391,46 @@ def validate(graph: Graph) -> list[Diagnostic]:
     return diags
 
 
-def _check_node_attrs(n: LayerNode, anchor_count: int) -> list[Diagnostic]:
+def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
+    """(field, reason) for each rule of its kind that the node breaks; the
+    field is `attrs: <key>` or `inputs`. Assumes the attributes have the
+    types of _ATTR_TYPES."""
     out = []
     a = n.attrs
     if n.kind == CONV:
         for key in ("out_ch", "kernel", "stride"):
             if a.get(key, 0) < 1:
-                out.append(Diagnostic(n.id, f"conv {key} must be >= 1"))
+                out.append((f"attrs: {key}", f"conv {key} must be >= 1"))
         if a.get("pad", 0) < 0:
-            out.append(Diagnostic(n.id, "conv pad must be >= 0"))
-        if a.get("act") == LEAKY and not (0.0 < a.get("alpha", 0.0) < 1.0):
-            out.append(Diagnostic(n.id, f"leaky alpha must be in (0,1), got {a.get('alpha')}"))
+            out.append(("attrs: pad", "conv pad must be >= 0"))
+        if a.get("act", LINEAR) not in (LINEAR, RELU, LEAKY):
+            out.append(("attrs: act", f"unknown activation '{a.get('act')}'"))
     elif n.kind == ACTIVATION:
         if a.get("act") not in (LINEAR, RELU, LEAKY):
-            out.append(Diagnostic(n.id, f"unknown activation '{a.get('act')}'"))
-        if a.get("act") == LEAKY and not (0.0 < a.get("alpha", 0.0) < 1.0):
-            out.append(Diagnostic(n.id, f"leaky alpha must be in (0,1), got {a.get('alpha')}"))
+            out.append(("attrs: act", f"unknown activation '{a.get('act')}'"))
     elif n.kind == UPSAMPLE:
         if int(a.get("factor", 0)) < 2:
-            out.append(Diagnostic(n.id, f"upsample factor must be an integer >= 2, got {a.get('factor')}"))
+            out.append(("attrs: factor",
+                        f"upsample factor must be an integer >= 2, got {a.get('factor')}"))
     elif n.kind == MAXPOOL:
-        if a.get("kernel", 0) < 1 or a.get("stride", 0) < 1:
-            out.append(Diagnostic(n.id, "maxpool kernel and stride must be >= 1"))
+        for key in ("kernel", "stride"):
+            if a.get(key, 0) < 1:
+                out.append((f"attrs: {key}", "maxpool kernel and stride must be >= 1"))
+                break
     elif n.kind == YOLO_HEAD:
         if not a.get("anchor_indices"):
-            out.append(Diagnostic(n.id, "yolo head needs at least one anchor index"))
+            out.append(("attrs: anchor_indices", "yolo head needs at least one anchor index"))
         outside = [i for i in a.get("anchor_indices") or () if not 0 <= i < anchor_count]
         if outside:
-            out.append(Diagnostic(n.id, f"anchor indices {outside} outside the model's "
-                                        f"{anchor_count} anchors"))
+            out.append(("attrs: anchor_indices", f"anchor indices {outside} outside the "
+                                                 f"model's {anchor_count} anchors"))
         if a.get("num_classes", 0) < 1:
-            out.append(Diagnostic(n.id, "yolo head needs num_classes >= 1"))
+            out.append(("attrs: num_classes", "yolo head needs num_classes >= 1"))
+    if (n.kind in (CONV, ACTIVATION) and a.get("act") == LEAKY
+            and not 0.0 < a.get("alpha", 0.0) < 1.0):
+        out.append(("attrs: alpha", f"leaky alpha must be in (0,1), got {a.get('alpha')}"))
     if n.kind in (ADD, CONCAT) and len(n.inputs) < 2:
-        out.append(Diagnostic(n.id, f"{n.kind} needs at least two inputs"))
+        out.append(("inputs", f"{n.kind} needs at least two inputs"))
     return out
 
 
@@ -480,6 +488,34 @@ _INPUT_FIELDS = frozenset({"id", "shape"})
 _METADATA_FIELDS = frozenset({"class_names", "anchors"})
 _NODE_FIELDS = frozenset({"id", "kind", "inputs", "output", "attrs"})
 _WEIGHT_FIELDS = frozenset({"layer", "role", "len"})
+
+
+_INTEGER = (lambda v: type(v) is int, "an integer")  # bool is not an integer
+_NUMBER = (artifacts.finite_number, "a finite number")
+_BOOLEAN = (lambda v: type(v) is bool, "a boolean")
+_STRING = (lambda v: type(v) is str, "a string")
+_INTEGERS = (lambda v: type(v) is list and all(type(i) is int for i in v), "a list of integers")
+
+# per kind: the JSON type of each node attribute the stages read
+_ATTR_TYPES = {
+    CONV: {"out_ch": _INTEGER, "kernel": _INTEGER, "stride": _INTEGER, "pad": _INTEGER,
+           "has_bias": _BOOLEAN, "act": _STRING, "alpha": _NUMBER},
+    BATCHNORM: {"eps": _NUMBER},
+    ACTIVATION: {"act": _STRING, "alpha": _NUMBER},
+    SCALE: {"factor": _NUMBER},
+    UPSAMPLE: {"factor": _INTEGER},
+    MAXPOOL: {"kernel": _INTEGER, "stride": _INTEGER},
+    YOLO_HEAD: {"anchor_indices": _INTEGERS, "num_classes": _INTEGER},
+}
+# per kind: the attributes every node of the kind holds
+_REQUIRED_ATTRS = {
+    CONV: frozenset({"out_ch", "kernel", "stride", "pad", "has_bias"}),
+    BATCHNORM: frozenset({"eps"}),
+    ACTIVATION: frozenset({"act"}),
+    UPSAMPLE: frozenset({"factor"}),
+    MAXPOOL: frozenset({"kernel", "stride"}),
+    YOLO_HEAD: frozenset({"anchor_indices", "num_classes"}),
+}
 
 
 def _node_to_json(n: LayerNode) -> dict:
@@ -556,6 +592,38 @@ def _input(inp: dict, path) -> tuple[str, TensorShape]:
     return inp["id"], TensorShape(*shape)
 
 
+def _anchors(meta: dict, path) -> list[tuple[float, float]]:
+    anchors = meta["anchors"]
+    if type(anchors) is not list or not all(
+            type(a) is list and len(a) == 2
+            and all(artifacts.finite_number(v) and v > 0 for v in a) for a in anchors):
+        artifacts.reject(anchors, "a list of [w, h] pairs of positive numbers", path,
+                         "metadata", "anchors")
+    return [tuple(a) for a in anchors]
+
+
+def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
+    """The nodes of the manifest, each checked against validate's rules
+    for its kind once its attributes have the types the stages read."""
+    nodes = []
+    for i, d in enumerate(records):
+        kind = d["kind"]
+        if type(kind) is not str:
+            artifacts.reject(kind, "a string", path, "nodes", i, "kind")
+        attrs = artifacts.require(d["attrs"], _REQUIRED_ATTRS.get(kind, artifacts.NO_FIELDS),
+                                  path, "nodes", i, "attrs")
+        for key, (is_type, expected) in _ATTR_TYPES.get(kind, {}).items():
+            if key in attrs and not is_type(attrs[key]):
+                artifacts.reject(attrs[key], expected, path, "nodes", i, "attrs", key)
+        node = _node_from_json(d)
+        faults = _node_faults(node, anchor_count)
+        if faults:
+            field, reason = faults[0]
+            raise artifacts.ArtifactError(f"{path}: nodes: {i}: {field}: {reason}")
+        nodes.append(node)
+    return nodes
+
+
 def load_container(path) -> Graph:
     """The graph a container holds. Reads the header and the manifest, checks
     them and the declared weight sizes against the file size, then reads
@@ -577,8 +645,10 @@ def load_container(path) -> Graph:
         manifest = artifacts.parse_json(f.read(mlen), path, _MANIFEST_FIELDS)
         input_id, input_shape = _input(
             artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input"), path)
-        artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
-        artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes")
+        meta = artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
+        anchors = _anchors(meta, path)
+        nodes = _nodes(artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes"),
+                       len(anchors), path)
         entries = artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
 
         lens: dict[tuple[str, str], int] = {}  # in blob order
@@ -599,16 +669,15 @@ def load_container(path) -> Graph:
                 raise TruncatedFile(f"{path}: file ends inside weights {layer} {role}")
             weights[(layer, role)] = arr.astype(np.float32, copy=False)
 
-    meta = manifest["metadata"]
     qp = manifest.get("qparams")
     return Graph(
-        nodes=[_node_from_json(d) for d in manifest["nodes"]],
+        nodes=nodes,
         input_id=input_id,
         input_shape=input_shape,
         weights=weights,
         metadata=GraphMetadata(
             class_names=list(meta["class_names"]),
-            anchors=[tuple(a) for a in meta["anchors"]],
+            anchors=anchors,
             extra=dict(meta.get("extra", {})),
         ),
         qparams=None if qp is None else {

@@ -575,7 +575,8 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     "manifest-line-without-width", "manifest-box-without-label", "container-manifest-not-json",
     "container-node-without-attrs", "container-weight-repeated",
     "container-weight-layer-not-a-string", "container-input-shape-of-two",
-    "container-input-id-not-a-string", "category-map-not-json", "category-map-unknown-name",
+    "container-input-id-not-a-string", "container-node-stride-zero",
+    "container-anchors-not-pairs", "category-map-not-json", "category-map-unknown-name",
     "coco-image-without-file-name"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
@@ -629,6 +630,10 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
             weights[0]["layer"], field = [1], "weights: 0: layer: "
         elif case == "container-input-shape-of-two":
             manifest["input"]["shape"], field = [1, 3], "input: shape: "
+        elif case == "container-node-stride-zero":
+            manifest["nodes"][0]["attrs"]["stride"], field = 0, "nodes: 0: attrs: stride: "
+        elif case == "container-anchors-not-pairs":
+            manifest["metadata"]["anchors"], field = [[1]], "metadata: anchors: "
         else:
             manifest["input"]["id"], field = 5, "input: id: "
         blob = json.dumps(manifest).encode()

@@ -614,3 +614,110 @@ def test_f16_rounds_relu_fed_by_a_pinned_f32_node():
     assert np.all(pinned.as_f32("r") == 1.0)
     plain = executor.execute(gr, x, mode=executor.F16)
     assert np.all(plain.as_f32("c") == 1.0) and np.all(plain.as_f32("r") == 1.0)
+
+
+def _assert_rounds_like_astype(bits: np.ndarray):
+    """executor._f16 on the float32 patterns `bits` gives astype's bit
+    patterns, and NaN wherever astype gives NaN."""
+    x = bits.view(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x.astype(np.float16).astype(np.float32)
+        got = executor._f16(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    same = got.view(np.uint32)[~nan] == want.view(np.uint32)[~nan]
+    assert same.all(), f"first mismatch at pattern {bits[~nan][~same][0]:#010x}"
+
+
+@pytest.mark.parametrize("exponent", [*range(102, 114), 141, 142, 143])
+@pytest.mark.parametrize("sign", [0, 1])
+def test_f16_round_equals_astype_on_every_pattern_at_the_binary16_borders(exponent, sign):
+    """Exponents 102-112 are binary16 subnormals (102: half the smallest
+    one), 113 its smallest normals; 141-143 hold its largest values and the
+    round to inf at 65520."""
+    first = (sign << 31) | (exponent << 23)
+    _assert_rounds_like_astype(np.arange(first, first + 2**23, dtype=np.uint32))
+
+
+def test_f16_round_equals_astype_on_zeros_infinities_and_nan_payloads():
+    edges = [np.array([0, 0x80000000, 0x7F800000, 0xFF800000], dtype=np.uint32)]
+    for top in (0x7FFFFFFF, 0xFFFFFFFF):  # quiet NaNs whose rounding carries into the sign
+        edges.append(np.arange(top - 2**13 + 1, top + 1, dtype=np.uint64).astype(np.uint32))
+    for low in (0x7F800001, 0xFF800001):  # signalling NaNs: the smallest and largest payloads
+        edges.append(np.arange(low, low + 2**13, dtype=np.uint32))
+        edges.append(np.arange(low + 0x3FE000, low + 0x3FFFFF, dtype=np.uint32))
+    _assert_rounds_like_astype(np.concatenate(edges))
+
+
+def test_f16_round_equals_astype_on_random_patterns():
+    rng = np.random.default_rng(16)
+    _assert_rounds_like_astype(rng.integers(0, 2**32, size=2**20, dtype=np.uint32))
+
+
+_F16_CLASSES = {  # float32 patterns of each range the round tells apart
+    "subnormal": [0x33000000, 0x387FFFFF, 0xB3800001, 0x38000000, 0x00000001, 0x80400000],
+    "overflow": [0x477FF000, 0xC77FF000, 0x4F000000],
+    "inf": [0x7F800000, 0xFF800000],
+    "nan": [0x7FC00000, 0xFFFFFFFF, 0x7FFFF000, 0x7F800001],
+}
+
+
+@pytest.mark.parametrize("classes", [["subnormal"], ["overflow"], ["inf"], ["nan"],
+                                     ["subnormal", "overflow", "inf", "nan"]], ids=repr)
+def test_f16_round_of_arrays_mixing_normal_values_with_other_ranges(classes):
+    rng = np.random.default_rng(17)
+    normal = rng.normal(0.0, 100.0, size=4096).astype(np.float32).view(np.uint32)
+    normal[:4] = [0, 0x80000000, 0x38800000, 0x477FEFFF]  # zeros and the normal range's ends
+    mixed = normal.copy()
+    others = np.concatenate([np.array(_F16_CLASSES[c], dtype=np.uint32) for c in classes])
+    mixed[rng.choice(mixed.size, size=others.size, replace=False)] = others
+    _assert_rounds_like_astype(mixed)
+    _assert_rounds_like_astype(mixed.reshape(4, 32, 32)[:, ::2, 1::3])  # a strided view
+
+
+def test_f16_round_leaves_its_argument_unchanged():
+    x = np.array([1 + 2.0 ** -12, 1e-6, 1e5, np.nan], dtype=np.float32)
+    before = x.copy()
+    with np.errstate(over="ignore"):
+        executor._f16(x)
+    assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
+
+
+def test_f16_rounding_in_place_writes_no_input_weight_or_retained_buffer(tiny_detector, rng):
+    """yolo_head and a linear activation hand back their input. Fed by a
+    node pinned to f32, they round a copy: the caller's input, every graph
+    weight and every buffer a RETAIN_ALL trace holds keep the values they
+    had when they were made."""
+    gr = tiny_detector.copy()
+    gr.nodes.insert(gr.nodes.index(gr.node_by_id("yolo6")),
+                    g.activation_node("lin5", ["conv5"], "lin5", g.LINEAR))
+    gr.node_by_id("yolo6").inputs = ["lin5"]
+    gr.weights[("conv11", "kernel")] = rng.normal(size=11 * 12).astype(np.float32)  # was zero
+    plan = {"conv5": executor.F32, "conv11": executor.F32}
+    x = rng.normal(0.3, 0.1, size=(1, 3, 64, 96)).astype(np.float32)
+    x_before = x.copy()
+    weights_before = {k: w.copy() for k, w in gr.weights.items()}
+
+    trace = executor.execute(gr, x, mode=executor.F16, retention=executor.RETAIN_ALL, plan=plan)
+    assert np.array_equal(x, x_before)
+    assert all(np.array_equal(gr.weights[k], w) for k, w in weights_before.items())
+    for pinned, rounded in (("conv5", "lin5"), ("conv11", "yolo12")):
+        assert not np.array_equal(trace.as_f32(pinned), executor._f16(trace.as_f32(pinned)))
+        assert np.array_equal(trace.as_f32(rounded), executor._f16(trace.as_f32(pinned)))
+
+    program = executor.compile(gr, executor.F16, plan)
+    made = {}
+
+    def snapshot(step):
+        def run(buffers):
+            buf = step.run(buffers)
+            made[step.output] = buf.data.copy()
+            return buf
+        return step._replace(run=run)
+
+    program.steps = [snapshot(s) for s in program.steps]
+    trace = program.run(x, executor.RETAIN_ALL)
+    assert np.array_equal(x, x_before)
+    assert set(made) == set(trace.buffers) - {gr.input_id}
+    for t, data in made.items():
+        assert np.array_equal(trace.buffers[t].data, data), t

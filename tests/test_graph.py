@@ -335,6 +335,60 @@ def test_container_input_shape_or_id_malformed(tmp_path, field, value):
         g.load_container(path)
 
 
+# tiny detector nodes: 0 conv0, 1 bn0, 2 act0 (leaky), 9 add3, 14 yolo6, 15 up8
+@pytest.mark.parametrize("index,key,value", [
+    (0, "stride", 0), (0, "kernel", 0), (0, "pad", -1), (0, "act", "swish"), (2, "alpha", 1.5),
+    (2, "act", "tanh"), (14, "anchor_indices", [2]), (14, "anchor_indices", []),
+    (14, "num_classes", 0), (15, "factor", 1)], ids=repr)
+def test_container_node_attr_breaking_a_rule_of_validate(tmp_path, tiny_detector, index, key,
+                                                         value):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: m["nodes"][index]["attrs"].update({key: value}))
+    where = re.escape(f"{path}: nodes: {index}: attrs: {key}: ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("index,key,value", [
+    (0, "stride", "2"), (0, "stride", True), (0, "stride", 2.0), (0, "has_bias", 1),
+    (0, "act", None), (1, "eps", "1e-6"), (2, "alpha", None), (14, "anchor_indices", [0.5]),
+    (14, "anchor_indices", 0), (15, "factor", None)], ids=repr)
+def test_container_node_attr_of_the_wrong_type(tmp_path, tiny_detector, index, key, value):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: m["nodes"][index]["attrs"].update({key: value}))
+    where = re.escape(f"{path}: nodes: {index}: attrs: {key}: expected ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("edit,where", [
+    (lambda nodes: nodes[0]["attrs"].pop("stride"), "nodes: 0: attrs: missing stride"),
+    (lambda nodes: nodes[1]["attrs"].pop("eps"), "nodes: 1: attrs: missing eps"),
+    (lambda nodes: nodes[9].update(inputs=["act2"]), "nodes: 9: inputs: add needs"),
+    (lambda nodes: nodes[0].update(kind=["conv"]), "nodes: 0: kind: expected a string")],
+    ids=["missing-stride", "missing-eps", "add-of-one-input", "kind-not-a-string"])
+def test_container_node_without_what_its_kind_needs(tmp_path, tiny_detector, edit, where):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: edit(m["nodes"]))
+    with pytest.raises(ArtifactError, match="^" + re.escape(f"{path}: {where}")):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("anchors", [
+    [[1]], [[8, 8, 8]], [[0, 8]], [[-1.5, 8]], [[True, 8]], [["8", 8]], [[8, None]], "8,8",
+    [8, 8], [[8, 8], [4]]], ids=repr)
+def test_container_anchors_that_are_no_positive_pairs(tmp_path, anchors):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    _edit_manifest(path, lambda m: m["metadata"].update(anchors=anchors))
+    where = re.escape(f"{path}: metadata: anchors: expected a list of [w, h] pairs of positive ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
 def test_container_weights_own_their_memory(tmp_path):
     path = tmp_path / "x.uir"
     g.save_container(_small_weighted_graph(), path)
