@@ -77,8 +77,12 @@ def run_bench(graph: Graph, mode: str, iters: int = DEFAULT_ITERS,
 
 
 def write_csv(path, rows: list[BenchStats], meta: dict | None = None) -> None:
+    """`# key=value` lines of `meta` and of `gemm_parts` (the executor
+    splits large GEMMs across that many CPUs, so rows from machines that
+    differ in it are not alike), then the rows."""
+    meta = {**(meta or {}), "gemm_parts": executor.gemm_parts()}
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for key, value in sorted((meta or {}).items()):
+        for key, value in sorted(meta.items()):
             f.write(f"# {key}={value}\n")
         f.write(",".join(CSV_COLUMNS) + "\n")
         for stats in rows:

@@ -54,6 +54,21 @@ and its overflow bound (integer_conv). `maxpool2d` is the max over each
 column's k*k taps. The float32 GEMM makes f32/f16 results bit-stable
 across runs on a fixed machine configuration only.
 
+GEMM split. A large GEMM is split by rows of the kernel (output channels)
+into one block per CPU this process may run on (`gemm_parts`). The caller
+computes the first block; worker threads, started on first use, compute
+the others with `np.matmul(a[lo:hi], b, out=out[lo:hi])` into the same
+output, and numpy releases the GIL around each BLAS call. The caller then
+takes back every block no worker has started (cancelling its future), so
+it waits only on a block already being computed: a worker the host is slow
+to run costs at most the serial time. The bytes do not change. Each output
+element is still one dot product over all of K, and the row blocks go
+through the same blocked BLAS kernel as the whole GEMM: split points are
+multiples of 16 rows, and every block keeps at least 2**22 multiply-adds,
+far above the ~10**6 below which OpenBLAS's small-matrix kernel sums K in
+another order. A GEMM that cannot be split so, and every GEMM on one CPU,
+is the plain `a @ b`.
+
 f16 rounding. A step rounds its output in place, on the float32 bits u,
 and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
 (astype remains the reference the tests check against). Three ranges of
@@ -91,6 +106,7 @@ raised only when that bound exceeds int32.
 from __future__ import annotations
 
 import copy
+import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -122,6 +138,10 @@ FLOAT64_EXACT_LIMIT = 2**53
 # 65520, from which binary16 rounds to inf
 _F16_MIN_NORMAL = 0x38800000
 _F16_OVERFLOW = 0x477FF000
+# the fewest multiply-adds a block of a split GEMM computes, and the row
+# multiple its split points fall on (see "GEMM split")
+_SPLIT_MIN_MACS = 2**22
+_SPLIT_ROWS = 16
 
 
 class ExecutionError(Exception):
@@ -242,15 +262,92 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
     """Convolution of an n=1 NCHW tensor with kernel [out_ch, in_ch, k, k]:
     one GEMM kernel[out_ch, K] @ im2col[K, out_h*out_w] in the operands'
-    dtype, the bias added in place. Returns a C-contiguous
+    dtype (split by rows when large, see "GEMM split" above), the bias
+    added in place. Returns a C-contiguous
     [1, out_ch, out_h, out_w] array."""
     out_ch, _, k, _ = kernel.shape
     _, _, h, w = x.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
-    out = kernel.reshape(out_ch, -1) @ _im2col(x, k, stride, pad)
+    out = _matmul(kernel.reshape(out_ch, -1), _im2col(x, k, stride, pad))
     if bias is not None:
         out += bias[:, None]
     return out.reshape(1, out_ch, oh, ow)
+
+
+def gemm_parts() -> int:
+    """How many row blocks a large GEMM is split into: one per CPU this
+    process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split_rows(m: int, k: int, n: int) -> list[int] | None:
+    """The row bounds [0, ..., m] of an [m, k] @ [k, n] GEMM split into up
+    to gemm_parts() blocks, each starting on a multiple of _SPLIT_ROWS and
+    holding at least _SPLIT_MIN_MACS multiply-adds; None when it is not
+    split."""
+    row_macs = k * n
+    if m * row_macs < 2 * _SPLIT_MIN_MACS:
+        return None
+    for parts in range(min(gemm_parts(), m * row_macs // _SPLIT_MIN_MACS), 1, -1):
+        bounds = [(m * i // parts + _SPLIT_ROWS // 2) // _SPLIT_ROWS * _SPLIT_ROWS
+                  for i in range(parts)] + [m]
+        if all((hi - lo) * row_macs >= _SPLIT_MIN_MACS for lo, hi in zip(bounds, bounds[1:])):
+            return bounds
+    return None
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-d a and b, split by rows of a when large (see "GEMM
+    split" above). The caller computes the first block, then every block
+    no worker has started (cancelling a future claims it), then waits for
+    the blocks workers are computing; a worker's error is raised here."""
+    bounds = _split_rows(a.shape[0], a.shape[1], b.shape[1])
+    if bounds is None:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    blocks = list(zip(bounds, bounds[1:]))
+    workers = _row_workers(len(blocks) - 1)
+    futures = [workers.submit(_gemm_rows, a, b, out, lo, hi) for lo, hi in blocks[1:]]
+    try:
+        _gemm_rows(a, b, out, *blocks[0])
+        for future, (lo, hi) in zip(futures, blocks[1:]):
+            if future.cancel():
+                _gemm_rows(a, b, out, lo, hi)
+    finally:  # after an error too, no worker writes `out` once this returns
+        for future in futures:
+            if not future.cancel():
+                future.result()
+    return out
+
+
+def _gemm_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    np.matmul(a[lo:hi], b, out=out[lo:hi])
+
+
+_workers = None  # the ThreadPoolExecutor of _row_workers, once made
+
+
+def _row_workers(count: int):
+    """The ThreadPoolExecutor whose threads compute blocks of split GEMMs
+    next to their callers, started as blocks arrive: as many as the first
+    split needs, `count`. They end with the interpreter. The module is
+    imported on the first split, so a process that splits no GEMM does not
+    hold it (about 0.8 MiB with the logging module it loads)."""
+    global _workers
+    if _workers is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _workers = ThreadPoolExecutor(count, thread_name_prefix="jetforge-gemm")
+    return _workers
+
+
+def _forget_row_workers() -> None:
+    """A forked child has none of its parent's threads: it starts workers
+    of its own."""
+    global _workers
+    _workers = None
+
+
+os.register_at_fork(after_in_child=_forget_row_workers)
 
 
 def quantize_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

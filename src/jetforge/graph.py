@@ -110,9 +110,23 @@ class QuantParams:
 
     @classmethod
     def from_dict(cls, d, where, *keys) -> "QuantParams":
-        """The record `to_dict` wrote; `where` and `keys` locate it for errors."""
+        """The record `to_dict` wrote; `where` and `keys` locate it for
+        errors. Its scale and zero point must be the ones from_range gives
+        for its lo and hi, which is how every record is made."""
         d = artifacts.require(d, cls.FIELDS, where, *keys)
-        return cls(lo=d["lo"], hi=d["hi"], scale=d["scale"], zero_point=d["zero_point"])
+        for name in ("lo", "hi"):
+            if not artifacts.finite_number(d[name]):
+                artifacts.reject(d[name], "a finite number", where, *keys, name)
+        if not d["lo"] < d["hi"]:
+            artifacts.reject(d["hi"], f"a number above lo {d['lo']}", where, *keys, "hi")
+        if type(d["zero_point"]) is not int:  # bool is not an integer
+            artifacts.reject(d["zero_point"], "an integer", where, *keys, "zero_point")
+        qp = cls.from_range(d["lo"], d["hi"])
+        for name in ("scale", "zero_point"):
+            if not artifacts.finite_number(d[name]) or d[name] != getattr(qp, name):
+                artifacts.reject(d[name], f"{getattr(qp, name)!r}, from lo and hi", where,
+                                 *keys, name)
+        return qp
 
     def quantize(self, x: np.ndarray) -> np.ndarray:
         """clip(floor(x / scale + 0.5) + zero_point, -128, 127) as int8, in
@@ -602,14 +616,25 @@ def _anchors(meta: dict, path) -> list[tuple[float, float]]:
     return [tuple(a) for a in anchors]
 
 
+def _class_names(meta: dict, path) -> list[str]:
+    names = meta["class_names"]
+    if type(names) is not list or not all(type(n) is str for n in names):
+        artifacts.reject(names, "a list of strings", path, "metadata", "class_names")
+    return list(names)
+
+
 def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
     """The nodes of the manifest, each checked against validate's rules
-    for its kind once its attributes have the types the stages read."""
+    for its kind once its fields and attributes have the types the stages
+    read."""
     nodes = []
     for i, d in enumerate(records):
+        for key in ("id", "kind", "output"):
+            if type(d[key]) is not str:
+                artifacts.reject(d[key], "a string", path, "nodes", i, key)
+        if type(d["inputs"]) is not list or not all(type(t) is str for t in d["inputs"]):
+            artifacts.reject(d["inputs"], "a list of strings", path, "nodes", i, "inputs")
         kind = d["kind"]
-        if type(kind) is not str:
-            artifacts.reject(kind, "a string", path, "nodes", i, "kind")
         attrs = artifacts.require(d["attrs"], _REQUIRED_ATTRS.get(kind, artifacts.NO_FIELDS),
                                   path, "nodes", i, "attrs")
         for key, (is_type, expected) in _ATTR_TYPES.get(kind, {}).items():
@@ -647,6 +672,10 @@ def load_container(path) -> Graph:
             artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input"), path)
         meta = artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
         anchors = _anchors(meta, path)
+        class_names = _class_names(meta, path)
+        extra = meta.get("extra", {})
+        if not isinstance(extra, dict):
+            artifacts.reject(extra, "a JSON object", path, "metadata", "extra")
         nodes = _nodes(artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes"),
                        len(anchors), path)
         entries = artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
@@ -676,9 +705,9 @@ def load_container(path) -> Graph:
         input_shape=input_shape,
         weights=weights,
         metadata=GraphMetadata(
-            class_names=list(meta["class_names"]),
+            class_names=class_names,
             anchors=anchors,
-            extra=dict(meta.get("extra", {})),
+            extra=dict(extra),
         ),
         qparams=None if qp is None else {
             t: QuantParams.from_dict(d, path, "qparams", t)

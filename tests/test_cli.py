@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from jetforge import bench, cli, data, detect, fixtures, frontend, quant, tensorio
+from jetforge import bench, cli, data, detect, executor, fixtures, frontend, quant, tensorio
 from jetforge import graph as g
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -353,6 +353,15 @@ def test_config_file_supplies_defaults(tiny_container, tmp_path):
     assert run(["--config", ini, "bench", "-m", tiny_container, "-o", out]) == 0
     row = bench.read_csv(out)[0]
     assert row["variant"] == "from-config"
+
+
+def test_bench_csv_records_the_gemm_parts(tiny_container, tmp_path, monkeypatch):
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 3)
+    out = tmp_path / "b.csv"
+    assert run(["bench", "-m", tiny_container, "--iters", "2", "--warmup", "0", "-o", out]) == 0
+    meta = [line for line in out.read_text().splitlines() if line.startswith("# ")]
+    assert "# gemm_parts=3" in meta
+    assert bench.read_csv(out)[0]["variant"] == "model"
 
 
 def test_cli_flag_overrides_config(tiny_container, tmp_path):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -721,3 +723,199 @@ def test_f16_rounding_in_place_writes_no_input_weight_or_retained_buffer(tiny_de
     assert set(made) == set(trace.buffers) - {gr.input_id}
     for t, data in made.items():
         assert np.array_equal(trace.buffers[t].data, data), t
+
+
+# --------------------------------------------------------------------------
+# the GEMM split (see "GEMM split" in the executor)
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=[(160, 96), (320, 192)], ids=["160x96", "320x192"])
+def yolov3_ranged(request):
+    """yolov3 with random weights (seed 3) after the three passes, with i8
+    ranges from the min and max of one f32 trace, and its input."""
+    from jetforge import fixtures, frontend, passes
+    gr = frontend.parse_cfg(fixtures.yolov3_cfg(*request.param))
+    gr = frontend.load_weights(fixtures.random_weights(gr, seed=3), gr)
+    gr, _ = passes.apply_passes(gr, ["fuse-conv-bn", "decompose-leaky", "fold-scale"])
+    x = np.random.default_rng(5).uniform(0.0, 1.0, tuple(gr.input_shape)).astype(np.float32)
+    trace = executor.execute(gr, x, retention=executor.RETAIN_ALL)
+    gr.qparams = {t: g.QuantParams.from_range(float(b.data.min()) - 0.5, float(b.data.max()) + 0.5)
+                  for t, b in trace.buffers.items()}
+    return gr, x
+
+
+def _count_blocks(monkeypatch) -> list[str]:
+    """Patch the block routine to record the thread of each block."""
+    threads, rows = [], executor._gemm_rows
+
+    def counted(*args):
+        threads.append(threading.current_thread().name)
+        rows(*args)
+    monkeypatch.setattr(executor, "_gemm_rows", counted)
+    return threads
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+def test_split_gemms_give_the_heads_of_unsplit_ones(yolov3_ranged, mode, monkeypatch):
+    """f32, f16 and i8 heads of yolov3 are byte-identical whether each large
+    conv GEMM runs whole (one CPU) or in row blocks across two threads."""
+    gr, x = yolov3_ranged
+    blocks = _count_blocks(monkeypatch)
+    heads = {}
+    for parts in (1, 2):
+        monkeypatch.setattr(executor, "gemm_parts", lambda: parts)
+        trace = executor.execute(gr, x, mode=mode, retention=executor.RETAIN_HEADS)
+        heads[parts] = {t: b.data.tobytes() for t, b in trace.buffers.items()}
+        assert (len(blocks) > 0) == (parts == 2)
+    assert heads[1] == heads[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 2048), k=st.integers(1, 5000), n=st.integers(1, 20000),
+       parts=st.integers(1, 8))
+def test_split_blocks_start_on_16_rows_and_keep_the_mac_floor(m, k, n, parts):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "gemm_parts", lambda: parts)
+        bounds = executor._split_rows(m, k, n)
+    if parts == 1 or m * k * n < 2 * executor._SPLIT_MIN_MACS:
+        assert bounds is None
+    if parts > 1 and m % (16 * parts) == 0 and m * k * n >= parts * executor._SPLIT_MIN_MACS:
+        assert bounds == list(range(0, m + 1, m // parts))  # equal blocks, one per CPU
+    if bounds is None:
+        return
+    assert bounds[0] == 0 and bounds[-1] == m and 2 <= len(bounds) - 1 <= parts
+    assert all(b % 16 == 0 for b in bounds[:-1])
+    assert all((hi - lo) * k * n >= executor._SPLIT_MIN_MACS for lo, hi in zip(bounds, bounds[1:]))
+
+
+def test_a_gemm_whose_halves_fall_below_the_floor_is_not_split(monkeypatch):
+    floor = executor._SPLIT_MIN_MACS
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    assert executor._split_rows(32, 2**18, 1) == [0, 16, 32]  # two blocks of exactly the floor
+    assert executor._split_rows(32, 2**18 - 1, 1) is None
+    assert executor._split_rows(20, 2**19, 1) is None  # 16 + 4 rows: the second is half the floor
+    assert 2 * 16 * 2**18 == 2 * floor
+    blocks = _count_blocks(monkeypatch)
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(64, 1000)).astype(np.float32)
+    b = rng.normal(size=(1000, 65)).astype(np.float32)  # 64 * 1000 * 65 < 2 * 2**22
+    assert executor._matmul(a, b).tobytes() == (a @ b).tobytes() and blocks == []
+
+
+def _large_operands(seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(256, 2304)).astype(np.float32),
+            rng.normal(size=(2304, 60)).astype(np.float32))
+
+
+def _hold_the_worker(monkeypatch, a_held, worker_action):
+    """Patch the block routine: in a worker, on operand `a_held`, set the
+    event returned and run `worker_action`; in a caller on it, first wait
+    for the event, so that a worker's block is the one held."""
+    busy, rows = threading.Event(), executor._gemm_rows
+
+    def held(a, b, out, lo, hi):
+        if a is a_held and threading.current_thread().name.startswith("jetforge-gemm"):
+            busy.set()
+            worker_action()
+        elif a is a_held:
+            assert busy.wait(30)
+        rows(a, b, out, lo, hi)
+    monkeypatch.setattr(executor, "_gemm_rows", held)
+    return busy
+
+
+def test_the_caller_computes_the_blocks_of_a_busy_worker_without_waiting(monkeypatch):
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    a_held, b_held = _large_operands(7)
+    release, worker_done = threading.Event(), threading.Event()
+
+    def hold():
+        release.wait(30)
+        worker_done.set()
+    busy = _hold_the_worker(monkeypatch, a_held, hold)
+    results = {}
+    first = threading.Thread(target=lambda: results.update(held=executor._matmul(a_held, b_held)))
+    first.start()
+    try:
+        assert busy.wait(30)
+        a, b = _large_operands(8)
+        blocks = _count_blocks(monkeypatch)
+        got = executor._matmul(a, b)  # the worker is held: this caller computes both blocks
+        assert not worker_done.is_set()
+        assert got.tobytes() == (a @ b).tobytes()
+        assert blocks == ["MainThread", "MainThread"]
+    finally:
+        release.set()
+        first.join(60)
+    assert results["held"].tobytes() == (a_held @ b_held).tobytes()
+
+
+def test_an_error_in_a_worker_reaches_the_caller_and_the_next_call_works(monkeypatch):
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    a, b = _large_operands(9)
+
+    def fail():
+        raise MemoryError("worker out of memory")
+    _hold_the_worker(monkeypatch, a, fail)
+    with pytest.raises(MemoryError, match="worker out of memory"):
+        executor._matmul(a, b)
+    assert executor._matmul(a.copy(), b).tobytes() == (a @ b).tobytes()
+    kernel = a.reshape(256, 256, 3, 3)
+    x = np.random.default_rng(10).normal(size=(1, 256, 6, 10)).astype(np.float32)
+    gr = one_conv_graph(kernel, in_shape=x.shape)
+    want = (a @ executor._im2col(x, 3, 1, 1)).reshape(1, 256, 6, 10)
+    assert executor.execute(gr, x).as_f32("c").tobytes() == want.tobytes()
+
+
+def test_a_run_that_splits_no_gemm_leaves_the_thread_pool_unloaded():
+    """The tiny detector's convs are far below the split floor."""
+    import subprocess
+    import sys
+    code = ("import sys, numpy as np\n"
+            "from jetforge import executor, fixtures\n"
+            "gr = fixtures.build_tiny_detector()\n"
+            "x = np.full(tuple(gr.input_shape), 0.5, dtype=np.float32)\n"
+            "for mode in ('f32', 'f16'):\n"
+            "    executor.execute(gr, x, mode=mode)\n"
+            "print('concurrent.futures' in sys.modules, executor._workers)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False None\n"
+
+
+def test_one_cpu_starts_no_thread_and_two_start_one_that_persists(monkeypatch):
+    monkeypatch.setattr(executor, "_workers", None)
+    a, b = _large_operands(11)
+    before = set(threading.enumerate())
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 1)
+    assert executor._matmul(a, b).tobytes() == (a @ b).tobytes()
+    assert executor._workers is None and set(threading.enumerate()) == before
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    for _ in range(3):
+        assert executor._matmul(a, b).tobytes() == (a @ b).tobytes()
+    (worker,) = set(threading.enumerate()) - before
+    assert worker.name.startswith("jetforge-gemm")
+
+
+def test_a_forked_child_starts_workers_of_its_own(monkeypatch):
+    import os
+    import signal
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    a, b = _large_operands(12)
+    want = (a @ b).tobytes()
+    assert executor._matmul(a, b).tobytes() == want  # the parent's worker runs
+    parent_workers = executor._workers
+    pid = os.fork()
+    if pid == 0:  # the child: exit 0 only when a worker of its own gives the bytes
+        signal.alarm(60)
+        ok = False
+        try:
+            _hold_the_worker(monkeypatch, a, lambda: None)  # the caller waits for a worker
+            ok = (executor._workers is None and executor._matmul(a, b).tobytes() == want
+                  and executor._workers is not parent_workers)
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0

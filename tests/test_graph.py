@@ -389,6 +389,70 @@ def test_container_anchors_that_are_no_positive_pairs(tmp_path, anchors):
         g.load_container(path)
 
 
+@pytest.mark.parametrize("field,value,expected", [
+    ("id", ["conv0"], "a string"), ("id", None, "a string"), ("output", 5, "a string"),
+    ("inputs", "input", "a list of strings"), ("inputs", [["input"]], "a list of strings"),
+    ("inputs", None, "a list of strings")], ids=repr)
+def test_container_node_id_output_and_inputs_of_the_wrong_type(tmp_path, tiny_detector, field,
+                                                               value, expected):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: m["nodes"][0].update({field: value}))
+    where = re.escape(f"{path}: nodes: 0: {field}: expected {expected}, got ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("class_names", 5, "a list of strings"), ("class_names", "car", "a list of strings"),
+    ("class_names", ["car", 1], "a list of strings"), ("class_names", None, "a list of strings"),
+    ("extra", [1], "a JSON object"), ("extra", "x", "a JSON object")], ids=repr)
+def test_container_class_names_and_extra_of_the_wrong_type(tmp_path, field, value, expected):
+    path = tmp_path / "x.uir"
+    g.save_container(_small_weighted_graph(), path)
+    _edit_manifest(path, lambda m: m["metadata"].update({field: value}))
+    where = re.escape(f"{path}: metadata: {field}: expected {expected}, got ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+# edits of a from_range(-1.0, 3.0) record, and the field each one breaks
+_BAD_QPARAMS = [
+    ({"scale": 0}, "scale"), ({"scale": 4.0 / 255.0 * (1 + 2**-40)}, "scale"),
+    ({"scale": "0.0157"}, "scale"), ({"scale": None}, "scale"),
+    ({"zero_point": -96}, "zero_point"), ({"zero_point": -64.0}, "zero_point"),
+    ({"zero_point": True}, "zero_point"), ({"lo": float("nan")}, "lo"),
+    ({"hi": float("inf")}, "hi"), ({"lo": "-1"}, "lo"), ({"hi": None}, "hi"),
+    ({"lo": 3.0}, "hi"), ({"lo": 5.0}, "hi"), ({"lo": True}, "lo")]
+
+
+@pytest.mark.parametrize("edit,field", _BAD_QPARAMS, ids=repr)
+def test_qparams_record_that_from_range_did_not_write(edit, field):
+    record = {**g.QuantParams.from_range(-1.0, 3.0).to_dict(), **edit}
+    where = re.escape(f"x.uir: qparams: conv0: {field}: expected ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.QuantParams.from_dict(record, "x.uir", "qparams", "conv0")
+
+
+def test_qparams_record_from_range_loads_as_written():
+    for lo, hi in [(-1.0, 3.0), (0, 6), (-0.1234567, 1e-3), (-1e4, 1e4)]:
+        qp = g.QuantParams.from_range(lo, hi)
+        record = json.loads(json.dumps(qp.to_dict()))
+        assert g.QuantParams.from_dict(record, "x.uir", "qparams", "t") == qp
+
+
+def test_container_with_a_zero_input_scale_fails_to_load(tmp_path, tiny_quantized):
+    """A scale that disagrees with lo and hi used to load, and an i8 run
+    then divided by it and returned saturated heads."""
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_quantized, path)
+    assert g.load_container(path).qparams == tiny_quantized.qparams
+    _edit_manifest(path, lambda m: m["qparams"]["input"].update(scale=0))
+    where = re.escape(f"{path}: qparams: input: scale: expected ")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
 def test_container_weights_own_their_memory(tmp_path):
     path = tmp_path / "x.uir"
     g.save_container(_small_weighted_graph(), path)

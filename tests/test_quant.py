@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from jetforge import executor, quant
 from jetforge import graph as g
+from jetforge.artifacts import ArtifactError
 
 
 def make_hist(counts, lo, hi, tensor_id="t"):
@@ -561,6 +564,16 @@ def test_ranges_file_roundtrip(tmp_path):
     loaded, meta = quant.load_ranges(path)
     assert meta["seed"] == 7
     assert loaded == params
+
+
+def test_ranges_file_with_a_record_from_range_did_not_write(tmp_path):
+    path = tmp_path / "ranges.json"
+    quant.save_ranges(path, {"a": g.QuantParams.from_range(-1.0, 1.0)})
+    doc = json.loads(path.read_text())
+    doc["tensors"]["a"]["zero_point"] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="^" + re.escape(f"{path}: tensors: a: zero_point: ")):
+        quant.load_ranges(path)
 
 
 def test_missing_ranges_file(tmp_path):
