@@ -17,23 +17,23 @@ A precision plan (node id -> mode) may pin individual nodes to f32, which
 models plugin layers: pinned nodes compute on dequantized inputs and their
 outputs are converted back at the first quantized consumer.
 
-Compile once, run many. `compile(graph, mode, plan)` does everything that
-does not depend on the input, once: shape inference, the dataflow order,
-when each tensor is last used, each node's mode and the format of every
-buffer, and the weights each mode reads (binary16-rounded kernels, biases,
-batchnorm coefficients and scale vectors for f16; for i8 the int8 weight
-levels, the per-channel output multipliers and each integer conv's checks).
-`Program.run(x, retention)` then only computes. A program holds no
-reference to its graph.
+Compile once, run many. `compile(graph, mode, plan, retention)` does
+everything that does not depend on the input, once: shape inference, the
+dataflow order, when each tensor is last used, each node's mode and the
+format of every buffer, and the weights each mode reads (binary16-rounded
+kernels, biases, batchnorm coefficients and scale vectors for f16; for i8
+the int8 weight levels, the per-channel output multipliers and each
+integer conv's checks). `Program.run(x, retention)` then only computes. A
+program holds no reference to its graph.
 
 `execute()` is the one entry point. It keeps each graph's programs in a
-private cache keyed by mode and plan, and reuses a program only while the
-graph still holds everything compile read: the input id and shape, every
-node's id, kind, inputs, output and attrs (in list order), the identity of
-every weight array read, and the value of every quantization range read.
-Editing any of these recompiles on the next call. Weight arrays are never
-written in place (see graph), so identity stands for content. `Graph.copy`
-starts with an empty cache.
+private cache keyed by mode, plan and retention, and reuses a program only
+while the graph still holds everything compile read: the input id and
+shape, every node's id, kind, inputs, output and attrs (in list order),
+the identity of every weight array read, and the value of every
+quantization range read. Editing any of these recompiles on the next call.
+Weight arrays are never written in place (see graph), so identity stands
+for content. `Graph.copy` starts with an empty cache.
 
 int8 elementwise layers by table. An i8 `activation`, scalar `scale` or
 `yolo_head` node maps one int8 level to one int8 level, and a two-input
@@ -67,7 +67,43 @@ through the same blocked BLAS kernel as the whole GEMM: split points are
 multiples of 16 rows, and every block keeps at least 2**22 multiply-adds,
 far above the ~10**6 below which OpenBLAS's small-matrix kernel sums K in
 another order. A GEMM that cannot be split so, and every GEMM on one CPU,
-is the plain `a @ b`.
+is the plain `a @ b`. BLAS's own threads count against the CPUs: with
+OpenBLAS on two threads, two CPUs give one block.
+
+Tile-width padding. OpenBLAS's float32 micro-kernel on AVX-512 computes
+16 columns at a time, and a patch matrix of 15 output pixels runs at about
+a quarter of the rate of a 16-column one (Goto and van de Geijn, ACM TOMS
+34(3), 2008). `conv2d` therefore widens the patch matrix of an
+[m, K] @ [K, N] GEMM to the next multiple of 16 columns, zero beyond N,
+and keeps the first N columns of the product, when N % 16 != 0, N >= 2,
+m >= 2 and m * K * N > 10**6. Each kept element is the same dot product
+through the same blocked kernel, so no byte changes: on OpenBLAS 0.3.31
+(SkylakeX kernel), a sweep of 2,583 random float32 shapes inside this
+rule changed none, at one and at two BLAS threads. Outside it the
+unpadded GEMM is not on that kernel (N = 1 or m = 1 go to GEMV, at most
+10**6 multiply-adds to the small-matrix kernel), and padding changed
+2,822 of 4,965 shapes, so those run as they are. The float64 GEMMs are
+the i8 accumulator's, padded by the same rule: their sums of integers are
+exact in any order (see "Integer convolution"), and that is what keeps
+them byte-identical; with non-integer float64 operands padding can change
+a sum.
+
+Fused conv tails. decompose-leaky and fold-scale leave each leaky conv as
+conv -> relu -> scale(c) -> add(s, e): s is the conv output and
+y = s + c * max(s, 0). A program compiled for RETAIN_HEADS runs these four
+nodes as one step when s, relu(s) and e are not heads, all four nodes have
+one precision under the plan, and the add reads [s, e]. In f32 and f16 the
+step makes the same float32 operations in the same order, with the same
+binary16 rounds of s, e and y, in place on the GEMM's output; in i8 it
+quantizes the conv to s's levels and looks them up in one 256-entry table,
+the relu, scale and add tables composed. Finiteness: y = s + e is finite
+only when s and e are, and e = c * relu(s), so the step checks y alone.
+When y is not finite it checks s, then e, then y, and raises the
+NonFiniteDetected the separate steps would raise, naming the conv, the
+scale or the add; in i8 a marked entry of the composed table is traced back
+to the table that marked it. A RETAIN_ALL trace publishes every tensor, so
+a program compiled for it fuses nothing, and running RETAIN_ALL on a
+program compiled for heads is an error.
 
 f16 rounding. A step rounds its output in place, on the float32 bits u,
 and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
@@ -106,6 +142,7 @@ raised only when that bound exceeds int32.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -142,6 +179,10 @@ _F16_OVERFLOW = 0x477FF000
 # multiple its split points fall on (see "GEMM split")
 _SPLIT_MIN_MACS = 2**22
 _SPLIT_ROWS = 16
+# the column multiple a patch matrix is padded to, and the multiply-adds a
+# GEMM must exceed to be padded (see "Tile-width padding")
+_TILE_COLS = 16
+_PAD_MIN_MACS = 10**6
 
 
 class ExecutionError(Exception):
@@ -238,37 +279,58 @@ def _inside(tap: int, stride: int, pad: int, size: int, out: int) -> tuple[int, 
     return max(0, -((tap - pad) // stride)), min(out, (size - 1 + pad - tap) // stride + 1)
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> np.ndarray:
-    """n=1 NCHW -> [c*kernel*kernel, out_h*out_w] patch matrix in C order.
-    Taps that fall in the padding are zero. A 1x1, stride-1, unpadded conv
-    gets x itself, which already has this layout."""
+def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
+            width: int | None = None) -> np.ndarray:
+    """n=1 NCHW -> [c*kernel*kernel, out_h*out_w] patch matrix in C order,
+    or with `width` columns, the patches in the first out_h*out_w and zeros
+    after them. Taps that fall in the padding are zero. A 1x1, stride-1,
+    unpadded conv that is not widened gets x itself, which already has
+    this layout."""
     _, c, h, w = x.shape
-    if kernel == 1 and stride == 1 and pad == 0:
-        return x[0].reshape(c, h * w)
     oh, ow = conv_out_dim(h, kernel, stride, pad), conv_out_dim(w, kernel, stride, pad)
-    cols = (np.zeros if pad else np.empty)((c, kernel, kernel, oh, ow), dtype=x.dtype)
+    n = oh * ow
+    width = n if width is None else width
+    if kernel == 1 and stride == 1 and pad == 0 and width == n:
+        return x[0].reshape(c, n)
+    cols = (np.zeros if pad or width != n else np.empty)((c * kernel * kernel, width),
+                                                          dtype=x.dtype)
+    patches = cols[:, :n].reshape(c, kernel, kernel, oh, ow)  # a view of the first n columns
     for kh in range(kernel):
         i0, i1 = _inside(kh, stride, pad, h, oh)
         for kw in range(kernel):
             j0, j1 = _inside(kw, stride, pad, w, ow)
             if i0 < i1 and j0 < j1:
                 top, left = i0 * stride + kh - pad, j0 * stride + kw - pad
-                cols[:, kh, kw, i0:i1, j0:j1] = x[0, :, top:top + (i1 - i0 - 1) * stride + 1:stride,
-                                                        left:left + (j1 - j0 - 1) * stride + 1:stride]
-    return cols.reshape(c * kernel * kernel, oh * ow)
+                patches[:, kh, kw, i0:i1, j0:j1] = x[0, :, top:top + (i1 - i0 - 1) * stride + 1:stride,
+                                                           left:left + (j1 - j0 - 1) * stride + 1:stride]
+    return cols
+
+
+def _tile_width(m: int, k: int, n: int) -> int:
+    """The column count conv2d gives the patch matrix of an [m, k] @ [k, n]
+    GEMM (see "Tile-width padding" above)."""
+    if n % _TILE_COLS and n >= 2 and m >= 2 and m * k * n > _PAD_MIN_MACS:
+        return -(-n // _TILE_COLS) * _TILE_COLS
+    return n
 
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
     """Convolution of an n=1 NCHW tensor with kernel [out_ch, in_ch, k, k]:
     one GEMM kernel[out_ch, K] @ im2col[K, out_h*out_w] in the operands'
-    dtype (split by rows when large, see "GEMM split" above), the bias
-    added in place. Returns a C-contiguous
-    [1, out_ch, out_h, out_w] array."""
+    dtype (split by rows when large, see "GEMM split" above; widened to a
+    multiple of 16 columns when skinny, see "Tile-width padding"; float64
+    operands are integers, as the i8 accumulator's are), the bias added in
+    place. Returns a C-contiguous [1, out_ch, out_h, out_w] array."""
     out_ch, _, k, _ = kernel.shape
     _, _, h, w = x.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
-    out = _matmul(kernel.reshape(out_ch, -1), _im2col(x, k, stride, pad))
+    a = kernel.reshape(out_ch, -1)
+    n = oh * ow
+    width = _tile_width(out_ch, a.shape[1], n)
+    out = _matmul(a, _im2col(x, k, stride, pad, width))
+    if width != n:
+        out = np.ascontiguousarray(out[:, :n])
     if bias is not None:
         out += bias[:, None]
     return out.reshape(1, out_ch, oh, ow)
@@ -276,8 +338,28 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
 
 def gemm_parts() -> int:
     """How many row blocks a large GEMM is split into: one per CPU this
-    process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    process may run on, shared out among the threads BLAS runs each block
+    on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, cpus // blas_threads())
+
+
+@functools.cache
+def blas_threads() -> int:
+    """The thread count numpy's bundled OpenBLAS reports, read once; 1 when
+    no such library or count is found."""
+    import ctypes
+    import glob
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            count = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if count is not None:
+                count.argtypes, count.restype = [], ctypes.c_int
+                return max(1, count())
+    return 1
 
 
 def _split_rows(m: int, k: int, n: int) -> list[int] | None:
@@ -467,20 +549,25 @@ def _check_input(shape, x: np.ndarray) -> None:
         raise ShapeMismatch(f"input shape {tuple(x.shape)} does not match graph input {shape}")
 
 
+def _check_retention(retention: str) -> None:
+    if retention not in (RETAIN_ALL, RETAIN_HEADS):
+        raise ExecutionError(f"unknown retention '{retention}'")
+
+
 def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
             retention: str = RETAIN_ALL, plan: dict[str, str] | None = None) -> ExecutionTrace:
     """Run the graph on one input tensor (float32 n,c,h,w, n = 1). Nodes run
     in dataflow order, whatever the order of the node list. The graph's
-    program for (mode, plan) is compiled on first use and reused while the
-    graph is unchanged (see the module docstring)."""
+    program for (mode, plan, retention) is compiled on first use and reused
+    while the graph is unchanged (see the module docstring)."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     x = np.ascontiguousarray(input_data, dtype=np.float32)
     _check_input(graph.input_shape, x)
-    key = (mode, tuple(sorted(plan.items())) if plan else None)
+    key = (mode, tuple(sorted(plan.items())) if plan else None, retention)
     program = graph._programs.get(key)
     if program is None or not program.matches(graph):
-        program = graph._programs[key] = compile(graph, mode, plan)
+        program = graph._programs[key] = compile(graph, mode, plan, retention)
     return program.run(x, retention)
 
 
@@ -500,10 +587,12 @@ class _Step(NamedTuple):
 
 @dataclass(eq=False)
 class Program:
-    """A graph compiled for one mode and plan. Holds what its steps read and
-    a snapshot of what compile read from the graph, never the graph."""
+    """A graph compiled for one mode, plan and retention. Holds what its
+    steps read and a snapshot of what compile read from the graph, never
+    the graph."""
 
     mode: str
+    retention: str
     input_id: str
     input_shape: tuple[int, ...]
     input_qparams: QuantParams | None
@@ -530,7 +619,12 @@ class Program:
         return all(qparams.get(t) == qp for t, qp in self.qparams_read)
 
     def run(self, x: np.ndarray, retention: str = RETAIN_ALL) -> ExecutionTrace:
-        """Run on one input tensor (float32 n,c,h,w, n = 1)."""
+        """Run on one input tensor (float32 n,c,h,w, n = 1). A program
+        compiled for RETAIN_HEADS computes no fused intermediate, so it
+        refuses RETAIN_ALL."""
+        _check_retention(retention)
+        if retention == RETAIN_ALL and self.retention == RETAIN_HEADS:
+            raise ExecutionError("a program compiled for RETAIN_HEADS cannot retain all tensors")
         x = np.ascontiguousarray(x, dtype=np.float32)
         _check_input(self.input_shape, x)
         if self.mode == F16:
@@ -554,12 +648,16 @@ class Program:
         return trace
 
 
-def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None) -> Program:
+def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
+            retention: str = RETAIN_ALL) -> Program:
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
-    modes. Raises on a shape or ordering fault, and MissingQParams for a
-    range an i8 node needs, before any node runs."""
+    modes, for traces of `retention`; a RETAIN_HEADS program fuses conv
+    tails (see "Fused conv tails" above). Raises on a shape or ordering
+    fault, and MissingQParams for a range an i8 node needs, before any node
+    runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
+    _check_retention(retention)
     infer_shapes(graph)  # raises on a shape or ordering fault
     order = _topo_order(graph)[0]
     graph_qparams = graph.qparams or {}
@@ -586,23 +684,63 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None) -
                else _Format(F32, f16_grid=(mode == F16))}
     last_use = {t: i for i, node in enumerate(order) for t in node.inputs}
     heads = {n.output for n in graph.head_nodes()}
+    precision = {n.id: plan.get(n.id, mode) if plan else mode for n in order}
+    tails = _leaky_tails(order, heads, precision) if retention == RETAIN_HEADS else {}
+    fused = {n.id for tail in tails.values() for n in tail}
     steps = []
     for i, node in enumerate(order):
-        prec = plan.get(node.id, mode) if plan else mode
+        if node.id in fused:
+            continue
+        prec, tail = precision[node.id], tails.get(node.id)
         ins = [formats[t] for t in node.inputs]
+        output = tail[-1].output if tail else node.output
         if prec == I8:
-            run, formats[node.output] = _i8_step(node, ins, weight, require)
+            run, formats[output] = _i8_step(node, ins, weight, require, tail)
         else:
-            run, formats[node.output] = _float_step(node, ins, prec == F16, weight)
+            run, formats[output] = _float_step(node, ins, prec == F16, weight, tail)
         frees = tuple(t for t in dict.fromkeys(node.inputs) if last_use[t] == i and t not in heads)
-        steps.append(_Step(node.output, run, node.output in heads, frees))
+        steps.append(_Step(output, run, output in heads, frees))
 
     return Program(
-        mode=mode, input_id=graph.input_id, input_shape=tuple(graph.input_shape),
+        mode=mode, retention=retention, input_id=graph.input_id,
+        input_shape=tuple(graph.input_shape),
         input_qparams=input_qparams, steps=steps,
         nodes_read=[(n.id, n.kind, list(n.inputs), n.output, copy.deepcopy(n.attrs))
                     for n in graph.nodes],
         weights_read=list(weights_read.items()), qparams_read=list(qparams_read.items()))
+
+
+def _leaky_tails(order, heads: set[str], precision: dict[str, str]) -> dict[str, tuple]:
+    """conv id -> (relu, scale, add) for every conv whose output s feeds
+    only the tail relu(s) -> scale(c) -> add(s, e) that decompose-leaky and
+    fold-scale leave, with s, relu(s) and e not heads and all four nodes of
+    one precision (see "Fused conv tails" above)."""
+    readers: dict[str, list] = {}
+    for node in order:
+        for t in node.inputs:
+            readers.setdefault(t, []).append(node)
+
+    def sole_reader(tensor_id):
+        found = readers.get(tensor_id, [])
+        return found[0] if len(found) == 1 else None
+
+    tails = {}
+    for conv in order:
+        s = conv.output
+        found = readers.get(s, [])
+        if conv.kind != CONV or len(found) != 2 or s in heads:
+            continue
+        relu, add = sorted(found, key=lambda n: n.kind != ACTIVATION)
+        scale = sole_reader(relu.output)
+        if (relu.kind != ACTIVATION or relu.attrs["act"] != RELU or scale is None
+                or scale.kind != SCALE or scale.attrs.get("factor") is None
+                or sole_reader(scale.output) is not add or add.kind != ADD
+                or add.inputs != [s, scale.output]
+                or relu.output in heads or scale.output in heads
+                or len({precision[n.id] for n in (conv, relu, scale, add)}) != 1):
+            continue
+        tails[conv.id] = (relu, scale, add)
+    return tails
 
 
 def _node_op(node, weight, f16: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
@@ -659,15 +797,17 @@ def _keeps_f16_grid(node) -> bool:
     return node.kind in (MAXPOOL, UPSAMPLE, CONCAT, YOLO_HEAD)
 
 
-def _float_step(node, ins: list[_Format], f16: bool, weight):
+def _float_step(node, ins: list[_Format], f16: bool, weight, tail=None):
     """f32 evaluation; with f16 the weights and the node output are rounded
     to the binary16 grid (accumulation stays f32). Rounding a binary16
     value again is the identity, so the output round is skipped where it
     cannot change a value. The output is rounded in place, on a copy when
     it shares memory with an input, which the trace or a later step may
-    read."""
+    read. A conv with a `tail` runs it too (see _float_tail_step)."""
     op = _node_op(node, weight, f16)
     node_id, inputs, dtype = node.id, tuple(node.inputs), F16 if f16 else F32
+    if tail:
+        return _float_tail_step(node_id, inputs, op, tail, f16), _Format(dtype, f16_grid=f16)
     round_out = f16 and not (_keeps_f16_grid(node) and all(f.f16_grid for f in ins))
 
     def run(buffers):
@@ -682,6 +822,42 @@ def _float_step(node, ins: list[_Format], f16: bool, weight):
     return run, _Format(dtype, f16_grid=f16)
 
 
+def _float_tail_step(conv_id: str, inputs: tuple[str, ...], conv_op, tail, f16: bool):
+    """The step of a conv and its leaky tail (relu, scale, add): s = the
+    conv, e = c * max(s, 0), y = s + e, each a float32 array operation as in
+    the separate steps, and with f16 each of s, e and y rounded to binary16
+    where those steps round it (relu keeps s's grid). The relu and the
+    scale write the buffer y ends up in; s is the GEMM's output. Only y is
+    checked: when it is not finite, s, then e, then y name the node (see
+    "Fused conv tails" above)."""
+    _, scale, add = tail
+    factor = np.float32(scale.attrs["factor"])
+    dtype = F16 if f16 else F32
+
+    def excess(s):
+        e = np.maximum(s, 0)
+        e *= factor
+        if f16:
+            _round_f16(e)
+        return e
+
+    def run(buffers):
+        s = np.ascontiguousarray(conv_op([buffers[t].as_f32() for t in inputs]),
+                                 dtype=np.float32)
+        if f16:
+            _round_f16(s)  # the conv's output is a new array
+        y = excess(s)
+        np.add(s, y, out=y)
+        if f16:
+            _round_f16(y)
+        if not np.isfinite(y).all():
+            _check_finite(conv_id, s)
+            _check_finite(scale.id, excess(s))
+            _check_finite(add.id, y)
+        return TensorBuffer(dtype, y)
+    return run
+
+
 def _i8_levels(tensor_id: str, fmt: _Format, require):
     """(a function reading the tensor's int8 levels from the buffers, their
     QuantParams); float buffers are quantized to the tensor's own range."""
@@ -691,7 +867,9 @@ def _i8_levels(tensor_id: str, fmt: _Format, require):
     return (lambda buffers: qp.quantize(buffers[tensor_id].data)), qp
 
 
-def _i8_step(node, ins: list[_Format], weight, require):
+def _i8_step(node, ins: list[_Format], weight, require, tail=None):
+    """The node's i8 step; a conv with a `tail` looks its levels up in the
+    tail's composed table (see _tail_table)."""
     kind, a, node_id = node.kind, node.attrs, node.id
 
     if kind == CONV:
@@ -707,7 +885,10 @@ def _i8_step(node, ins: list[_Format], weight, require):
             real = apply_activation(real_conv(read(buffers)), act, alpha)
             _check_finite(node_id, real)
             return TensorBuffer(I8, out_q.quantize(real), out_q)
-        return conv, _Format(I8, out_q)
+        if not tail:
+            return conv, _Format(I8, out_q)
+        lookup, y_q = _tail_table(out_q, tail, weight, require)
+        return (lambda buffers: lookup(conv(buffers).data)), _Format(I8, y_q)
 
     if kind in (MAXPOOL, UPSAMPLE):
         read, qp = _i8_levels(node.inputs[0], ins[0], require)
@@ -747,6 +928,37 @@ def _level_table(op, in_qparams: list[QuantParams], out_q: QuantParams):
                                          dtype=np.float32)
                 bad[rows], table[rows] = ~np.isfinite(y), out_q.quantize(y)
     return table.ravel(), (bad.ravel() if bad.any() else None)
+
+
+def _tail_table(s_q: QuantParams, tail, weight, require):
+    """(a function from the levels of s to y's TensorBuffer, y's
+    QuantParams) for the leaky tail relu -> scale -> add(s, e) in i8: the
+    three nodes' tables composed into one over the 256 levels of s. Each
+    node's marks are carried back to the levels of s that reach them; when
+    an input holds a marked level, the first node in dataflow order whose
+    marks it hits is named, as the separate lookups would name it."""
+    relu, scale, add = tail
+    r_q, e_q, y_q = (require(n.output) for n in tail)
+    r, r_bad = _level_table(_node_op(relu, weight, f16=False), [s_q], r_q)
+    e, e_bad = _level_table(_node_op(scale, weight, f16=False), [r_q], e_q)
+    y, y_bad = _level_table(_node_op(add, weight, f16=False), [s_q, e_q], y_q)
+    r_index = r.view(np.uint8)
+    y_index = np.arange(256, dtype=np.uint16) << 8
+    y_index |= e.take(r_index).view(np.uint8)
+    table = y.take(y_index)
+    marks = [(n.id, bad) for n, bad in ((relu, r_bad),
+                                         (scale, None if e_bad is None else e_bad.take(r_index)),
+                                         (add, None if y_bad is None else y_bad.take(y_index)))
+             if bad is not None]
+    any_bad = np.logical_or.reduce([bad for _, bad in marks]) if marks else None
+
+    def run(s_levels):
+        i = s_levels.view(np.uint8)
+        if any_bad is not None and any_bad.take(i).any():
+            node_id = next(n for n, bad in marks if bad.take(i).any())
+            raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
+        return TensorBuffer(I8, table.take(i), y_q)
+    return run, y_q
 
 
 def _lookup(node_id: str, inputs: list[str], table: np.ndarray, bad: np.ndarray | None,

@@ -919,3 +919,213 @@ def test_a_forked_child_starts_workers_of_its_own(monkeypatch):
             os._exit(0 if ok else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_gemm_parts_share_the_cpus_with_blas_threads(monkeypatch):
+    """Two CPUs give two row blocks with BLAS on one thread and one block
+    with BLAS on two."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for threads, parts in ((1, 2), (2, 1), (4, 1)):
+        monkeypatch.setattr(executor, "blas_threads", lambda: threads)
+        assert executor.gemm_parts() == parts
+
+
+def test_blas_threads_reads_the_count_openblas_runs_on():
+    import os
+    import subprocess
+    import sys
+    code = "from jetforge import executor; print(executor.blas_threads())"
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == threads + "\n"
+
+
+# --------------------------------------------------------------------------
+# tile-width padding (see "Tile-width padding" in the executor)
+# --------------------------------------------------------------------------
+
+def test_im2col_widened_holds_the_patches_then_zeros():
+    rng = np.random.default_rng(13)
+    for k, stride, pad, shape in ((3, 1, 1, (1, 4, 3, 5)), (3, 2, 0, (1, 2, 9, 7)),
+                                  (1, 1, 0, (1, 3, 3, 5))):
+        x = rng.normal(size=shape).astype(np.float32)
+        want = executor._im2col(x, k, stride, pad)
+        got = executor._im2col(x, k, stride, pad, width=want.shape[1] + 7)
+        assert got.shape == (want.shape[0], want.shape[1] + 7) and got.flags.c_contiguous
+        assert np.array_equal(got[:, :want.shape[1]], want) and not got[:, want.shape[1]:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(out_ch=st.integers(1, 160), c=st.integers(1, 48), k=st.sampled_from([1, 3]),
+       stride=st.integers(1, 2), h=st.integers(1, 20), w=st.integers(1, 20),
+       bias=st.booleans(), f64=st.booleans(), parts=st.integers(1, 2),
+       seed=st.integers(0, 2**16))
+def test_padded_conv_gives_the_bytes_of_the_unpadded_gemm(out_ch, c, k, stride, h, w, bias,
+                                                           f64, parts, seed):
+    """Inside the padding rule the GEMM runs on 16-column multiples and
+    gives the bytes of kernel2d @ cols; outside it, it is not padded.
+    float64 operands hold integers, as those of the i8 accumulator do."""
+    from hypothesis import assume
+    pad = k // 2
+    assume(h + 2 * pad >= k and w + 2 * pad >= k)
+    rng = np.random.default_rng(seed)
+    if f64:
+        x = rng.integers(-128, 128, size=(1, c, h, w)).astype(np.float64)
+        kernel = rng.integers(-127, 128, size=(out_ch, c, k, k)).astype(np.float64)
+        b = rng.integers(-2**20, 2**20, size=out_ch).astype(np.float64) if bias else None
+    else:
+        x = rng.normal(size=(1, c, h, w)).astype(np.float32)
+        kernel = rng.normal(size=(out_ch, c, k, k)).astype(np.float32)
+        b = rng.normal(size=out_ch).astype(np.float32) if bias else None
+    cols = executor._im2col(x, k, stride, pad)
+    kk, n = cols.shape
+    inside = n % 16 != 0 and n >= 2 and out_ch >= 2 and out_ch * kk * n > 10**6
+    assert executor._tile_width(out_ch, kk, n) == (-(-n // 16) * 16 if inside else n)
+    want = kernel.reshape(out_ch, -1) @ cols
+    if b is not None:
+        want += b[:, None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor, "gemm_parts", lambda: parts)
+        got = executor.conv2d(x, kernel, b, stride, pad)
+    assert got.flags.c_contiguous and got.dtype == x.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# --------------------------------------------------------------------------
+# fused conv tails (see "Fused conv tails" in the executor)
+# --------------------------------------------------------------------------
+
+def _head_bytes(trace):
+    return {t: b.data.tobytes() for t, b in trace.buffers.items()}
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+def test_fused_padded_heads_equal_an_unpadded_retain_all_trace(yolov3_ranged, mode,
+                                                               monkeypatch):
+    """yolov3 heads from RETAIN_HEADS (fused tails, padded GEMMs) are the
+    bytes of a RETAIN_ALL trace that neither fuses nor pads."""
+    gr, x = yolov3_ranged
+    program = executor.compile(gr, mode, retention=executor.RETAIN_HEADS)
+    assert (len(gr.nodes), len(program.steps)) == (321, 105)
+    got = _head_bytes(program.run(x, executor.RETAIN_HEADS))
+    with monkeypatch.context() as mp:
+        mp.setattr(executor, "_tile_width", lambda m, k, n: n)
+        full = executor.compile(gr, mode).run(x, executor.RETAIN_ALL)
+    assert len(full.buffers) == len(gr.nodes) + 1
+    assert got == {t: full.buffers[t].data.tobytes() for t in got} and len(got) == 3
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+def test_fused_tiny_heads_equal_a_retain_all_trace(tiny_quantized, mode):
+    x = _scene(9)
+    heads = executor.execute(tiny_quantized, x, mode=mode, retention=executor.RETAIN_HEADS)
+    full = executor.execute(tiny_quantized, x, mode=mode, retention=executor.RETAIN_ALL)
+    assert _head_bytes(heads) == {t: full.buffers[t].data.tobytes() for t in heads.buffers}
+    steps = executor.compile(tiny_quantized, mode, retention=executor.RETAIN_HEADS).steps
+    assert (len(tiny_quantized.nodes), len(steps)) == (27, 12)
+
+
+@pytest.mark.parametrize("mode", [executor.F16, executor.I8])
+def test_a_tail_node_pinned_to_another_mode_leaves_its_conv_unfused(tiny_quantized, mode):
+    x = _scene(10)
+    plan = {"act0_r": executor.F32}
+    program = executor.compile(tiny_quantized, mode, plan, executor.RETAIN_HEADS)
+    outputs = [s.output for s in program.steps]
+    assert "conv0" in outputs and "act0_r" in outputs and "act1" in outputs
+    assert "conv1" not in outputs and len(outputs) == 15
+    full = executor.execute(tiny_quantized, x, mode=mode, plan=plan)
+    heads = program.run(x, executor.RETAIN_HEADS)
+    assert _head_bytes(heads) == {t: full.buffers[t].data.tobytes() for t in heads.buffers}
+
+
+def test_yolov3_pinned_tail_heads_equal_a_retain_all_trace(yolov3_ranged):
+    gr, x = yolov3_ranged
+    plan = {"act0_r": executor.F32}
+    program = executor.compile(gr, executor.I8, plan, executor.RETAIN_HEADS)
+    assert len(program.steps) == 108 and program.steps[0].output == "conv0"
+    heads = _head_bytes(program.run(x, executor.RETAIN_HEADS))
+    full = executor.execute(gr, x, mode=executor.I8, plan=plan)
+    assert heads == {t: full.buffers[t].data.tobytes() for t in heads}
+
+
+def test_retain_all_compiles_unfused_and_a_heads_program_refuses_it(tiny_optimized):
+    x = _scene(11)
+    program = executor.compile(tiny_optimized, retention=executor.RETAIN_HEADS)
+    with pytest.raises(executor.ExecutionError, match="RETAIN_HEADS"):
+        program.run(x, executor.RETAIN_ALL)
+    assert len(executor.compile(tiny_optimized).steps) == len(tiny_optimized.nodes)
+    gr = tiny_optimized.copy()
+    executor.execute(gr, x, retention=executor.RETAIN_HEADS)
+    trace = executor.execute(gr, x, retention=executor.RETAIN_ALL)
+    assert len(trace.buffers) == len(gr.nodes) + 1 and len(gr._programs) == 2
+
+
+@pytest.mark.parametrize("retention", ["All", "everything", None])
+def test_an_unknown_retention_is_refused(tiny_optimized, retention):
+    x = _scene(12)
+    with pytest.raises(executor.ExecutionError, match=f"unknown retention '{retention}'"):
+        executor.execute(tiny_optimized, x, retention=retention)
+    with pytest.raises(executor.ExecutionError, match=f"unknown retention '{retention}'"):
+        executor.compile(tiny_optimized, retention=retention)
+    with pytest.raises(executor.ExecutionError, match=f"unknown retention '{retention}'"):
+        executor.compile(tiny_optimized).run(x, retention)
+
+
+def _tail_graph(weight, factor, ranges=None):
+    """conv c (1x1, one channel, weight `weight`) -> relu r -> scale e
+    (`factor`) -> add y = c + e -> yolo head h, the shape decompose-leaky
+    and fold-scale leave; `ranges` maps tensors to i8 (lo, hi), and the
+    head takes y's."""
+    nodes = [g.conv_node("c", ["input"], "c", out_ch=1, kernel=1, stride=1, pad=0,
+                         has_bias=False),
+             g.activation_node("r", ["c"], "r", g.RELU),
+             g.LayerNode("e", g.SCALE, ["r"], "e", {"factor": factor}),
+             g.LayerNode("y", g.ADD, ["c", "e"], "y"),
+             g.LayerNode("h", g.YOLO_HEAD, ["y"], "h", {"anchor_indices": [0], "num_classes": 1})]
+    gr = g.Graph(nodes=nodes, input_shape=g.TensorShape(1, 1, 1, 4))
+    gr.weights[("c", "kernel")] = np.array([weight], dtype=np.float32)
+    if ranges:
+        gr.qparams = {t: g.QuantParams.from_range(*r) for t, r in ranges.items()}
+        gr.qparams["h"] = gr.qparams["y"]
+    return gr
+
+
+_BIG = (0.0, 3e38)
+# mode -> node that overflows -> (conv weight, scale factor, input value,
+# i8 ranges of input, c, r, e, y)
+_OVERFLOWS = {
+    executor.F32: {"c": (1e30, 0.5, 1e10, None), "e": (1.0, 1e38, 10.0, None),
+                   "y": (1.0, 1.0, 3e38, None)},
+    executor.F16: {"c": (300.0, 0.5, 300.0, None), "e": (1.0, 1e5, 10.0, None),
+                   "y": (1.0, 1.0, 40000.0, None)},
+    executor.I8: {"c": (1e30, 0.5, 1e10, [(0.0, 1e10)] + [_BIG] * 4),
+                  "e": (1.0, 2.0, 3e38, [_BIG] * 5),  # y's table marks this level too
+                  "y": (1.0, 1.0, 3e38, [_BIG] * 5)},
+}
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+@pytest.mark.parametrize("where", ["c", "e", "y"])
+def test_a_fused_tail_names_the_node_the_separate_steps_name(mode, where):
+    """The overflow is in the conv, in the scale or in the add: the fused
+    step raises NonFiniteDetected naming the node the unfused steps name,
+    and on finite data both give the same head."""
+    weight, factor, value, ranges = _OVERFLOWS[mode][where]
+    gr = _tail_graph(weight, factor, ranges and dict(zip(("input", "c", "r", "e", "y"), ranges)))
+    assert len(executor.compile(gr, mode, retention=executor.RETAIN_HEADS).steps) == 2
+    x = np.array([0.0, 1.0, value, -value], dtype=np.float32).reshape(1, 1, 1, 4)
+    messages = []
+    for retention in (executor.RETAIN_ALL, executor.RETAIN_HEADS):
+        with pytest.raises(executor.NonFiniteDetected, match=f"node '{where}'") as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                executor.execute(gr, x, mode=mode, retention=retention)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    small = np.array([0.0, 0.25, 0.5, -0.5], dtype=np.float32).reshape(1, 1, 1, 4)
+    heads = executor.execute(gr, small, mode=mode, retention=executor.RETAIN_HEADS)
+    full = executor.execute(gr, small, mode=mode, retention=executor.RETAIN_ALL)
+    assert heads.buffers["h"].data.tobytes() == full.buffers["h"].data.tobytes()
