@@ -120,7 +120,8 @@ def decode_head(feature: np.ndarray, anchors: list[tuple[float, float]],
 
     feature is 1,c,gh,gw with c = len(anchors) * (5 + num_classes); anchors
     are (w,h) in input pixels. confidence = sigmoid(objectness) *
-    sigmoid(class score); boxes below conf_threshold are dropped.
+    sigmoid(class score); boxes below conf_threshold are dropped. A box
+    whose size logit overflows exp (above about 709.78) raises DetectError.
     """
     _, c, gh, gw = feature.shape
     per_anchor = 5 + num_classes
@@ -141,8 +142,13 @@ def decode_head(feature: np.ndarray, anchors: list[tuple[float, float]],
         for i, j in keep:
             cx = (_sigmoid(tx[i, j]) + j) / gw
             cy = (_sigmoid(ty[i, j]) + i) / gh
-            bw = aw * math.exp(tw[i, j]) / input_w
-            bh = ah * math.exp(th[i, j]) / input_h
+            try:
+                bw = aw * math.exp(tw[i, j]) / input_w
+                bh = ah * math.exp(th[i, j]) / input_h
+            except OverflowError:
+                raise DetectError(
+                    f"box size of anchor {a} at cell (row {i}, col {j}) overflows: "
+                    f"tw = {tw[i, j]:g}, th = {th[i, j]:g}") from None
             box = Box(float(cx), float(cy), float(bw), float(bh))
             for k in range(num_classes):
                 if conf[k, i, j] >= conf_threshold:

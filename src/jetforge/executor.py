@@ -15,16 +15,21 @@ Three precision modes:
 
 A precision plan (node id -> mode) may pin individual nodes to f32, which
 models plugin layers: pinned nodes compute on dequantized inputs and their
-outputs are converted back at the first quantized consumer.
+outputs are converted back at the first quantized consumer. compile refuses
+a plan that names a node the graph does not hold or a mode not in MODES.
 
 Compile once, run many. `compile(graph, mode, plan, retention)` does
 everything that does not depend on the input, once: shape inference, the
 dataflow order, when each tensor is last used, each node's mode and the
-format of every buffer, and the weights each mode reads (binary16-rounded
-kernels, biases, batchnorm coefficients and scale vectors for f16; for i8
-the int8 weight levels, the per-channel output multipliers and each
-integer conv's checks). `Program.run(x, retention)` then only computes. A
-program holds no reference to its graph.
+format of every buffer, which tensors the trace keeps and which buffers
+are freed, and the weights each mode reads (binary16-rounded kernels,
+biases, batchnorm coefficients and scale vectors for f16; for i8 the int8
+weight levels, the per-channel output multipliers and each integer conv's
+checks). `Program.run(x)` then only computes. Its steps pass bare arrays,
+whose formats compile already knows: a step reads each input as compile
+chose (the array itself, its int8 levels dequantized, or a float array
+quantized), and only the tensors the trace keeps are wrapped in a
+TensorBuffer. A program holds no reference to its graph.
 
 `execute()` is the one entry point. It keeps each graph's programs in a
 private cache keyed by mode, plan and retention, and reuses a program only
@@ -42,7 +47,8 @@ level (every pair for `add`) once, with the input and output ranges of
 this program, and keeps the 256 (65,536) resulting levels; a run is one
 table lookup. The table is the float path's output, so the result is the
 same by construction. Levels whose float value is not finite are marked,
-and NonFiniteDetected is raised only when an input holds one. Other kinds,
+and NonFiniteDetected is raised only when an input holds one; one lookup
+routine indexes, checks the marks and takes, for every table. Other kinds,
 and inputs that come from nodes a plan pins to a float mode, run the float
 path.
 
@@ -102,8 +108,7 @@ When y is not finite it checks s, then e, then y, and raises the
 NonFiniteDetected the separate steps would raise, naming the conv, the
 scale or the add; in i8 a marked entry of the composed table is traced back
 to the table that marked it. A RETAIN_ALL trace publishes every tensor, so
-a program compiled for it fuses nothing, and running RETAIN_ALL on a
-program compiled for heads is an error.
+a program compiled for it fuses nothing.
 
 f16 rounding. A step rounds its output in place, on the float32 bits u,
 and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
@@ -145,6 +150,7 @@ import copy
 import functools
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -544,14 +550,9 @@ def _check_finite(node_id: str, x: np.ndarray) -> None:
         raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
 
 
-def _check_input(shape, x: np.ndarray) -> None:
-    if shape is None or tuple(x.shape) != tuple(shape):
-        raise ShapeMismatch(f"input shape {tuple(x.shape)} does not match graph input {shape}")
-
-
-def _check_retention(retention: str) -> None:
-    if retention not in (RETAIN_ALL, RETAIN_HEADS):
-        raise ExecutionError(f"unknown retention '{retention}'")
+def _check_input(shape, x) -> None:
+    if shape is None or np.shape(x) != tuple(shape):
+        raise ShapeMismatch(f"input shape {np.shape(x)} does not match graph input {shape}")
 
 
 def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
@@ -560,19 +561,17 @@ def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
     in dataflow order, whatever the order of the node list. The graph's
     program for (mode, plan, retention) is compiled on first use and reused
     while the graph is unchanged (see the module docstring)."""
-    if mode not in MODES:
-        raise ExecutionError(f"unknown mode '{mode}'")
-    x = np.ascontiguousarray(input_data, dtype=np.float32)
-    _check_input(graph.input_shape, x)
+    _check_input(graph.input_shape, input_data)
     key = (mode, tuple(sorted(plan.items())) if plan else None, retention)
     program = graph._programs.get(key)
     if program is None or not program.matches(graph):
         program = graph._programs[key] = compile(graph, mode, plan, retention)
-    return program.run(x, retention)
+    return program.run(input_data)
 
 
 class _Format(NamedTuple):
-    """What compile knows of a tensor's buffer before any data exist."""
+    """What compile knows of a tensor's array before any data exist: the
+    dtype and range of its TensorBuffer in a trace."""
     dtype: str
     qparams: QuantParams | None = None
     f16_grid: bool = False  # every value is already a binary16 value
@@ -580,9 +579,10 @@ class _Format(NamedTuple):
 
 class _Step(NamedTuple):
     output: str
-    run: Callable[[dict], TensorBuffer]
-    head: bool              # kept in every trace
-    frees: tuple[str, ...]  # tensors this step uses last (heads excepted)
+    run: Callable[[dict], np.ndarray]
+    fmt: _Format            # of the output array
+    kept: bool              # the trace holds the output
+    frees: tuple[str, ...]  # tensors this step uses last that the trace does not hold
 
 
 @dataclass(eq=False)
@@ -592,10 +592,10 @@ class Program:
     the graph."""
 
     mode: str
-    retention: str
     input_id: str
     input_shape: tuple[int, ...]
-    input_qparams: QuantParams | None
+    input_fmt: _Format
+    input_kept: bool
     steps: list[_Step]
     nodes_read: list[tuple]
     weights_read: list[tuple[tuple[str, str], np.ndarray | None]]
@@ -618,33 +618,26 @@ class Program:
         qparams = graph.qparams or {}
         return all(qparams.get(t) == qp for t, qp in self.qparams_read)
 
-    def run(self, x: np.ndarray, retention: str = RETAIN_ALL) -> ExecutionTrace:
-        """Run on one input tensor (float32 n,c,h,w, n = 1). A program
-        compiled for RETAIN_HEADS computes no fused intermediate, so it
-        refuses RETAIN_ALL."""
-        _check_retention(retention)
-        if retention == RETAIN_ALL and self.retention == RETAIN_HEADS:
-            raise ExecutionError("a program compiled for RETAIN_HEADS cannot retain all tensors")
+    def run(self, x: np.ndarray) -> ExecutionTrace:
+        """Run on one input tensor (float32 n,c,h,w, n = 1). The trace holds
+        the tensors of the retention this program was compiled for."""
         x = np.ascontiguousarray(x, dtype=np.float32)
         _check_input(self.input_shape, x)
+        fmt = self.input_fmt
         if self.mode == F16:
             x = _f16(x)
         if self.mode == I8:
-            first = TensorBuffer(I8, self.input_qparams.quantize(x), self.input_qparams)
-        else:
-            first = TensorBuffer(F32, x)
-        buffers = {self.input_id: first}
-        keep_all = retention == RETAIN_ALL
+            x = fmt.qparams.quantize(x)
+        arrays = {self.input_id: x}
         trace = ExecutionTrace(mode=self.mode)
         for step in self.steps:
-            buf = buffers[step.output] = step.run(buffers)
-            if keep_all or step.head:
-                trace.buffers[step.output] = buf
-            if not keep_all:
-                for t in step.frees:
-                    del buffers[t]
-        if keep_all:
-            trace.buffers[self.input_id] = first
+            y = arrays[step.output] = step.run(arrays)
+            if step.kept:
+                trace.buffers[step.output] = TensorBuffer(step.fmt.dtype, y, step.fmt.qparams)
+            for t in step.frees:
+                del arrays[t]
+        if self.input_kept:
+            trace.buffers[self.input_id] = TensorBuffer(fmt.dtype, x, fmt.qparams)
         return trace
 
 
@@ -652,12 +645,21 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
             retention: str = RETAIN_ALL) -> Program:
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
     modes, for traces of `retention`; a RETAIN_HEADS program fuses conv
-    tails (see "Fused conv tails" above). Raises on a shape or ordering
-    fault, and MissingQParams for a range an i8 node needs, before any node
-    runs."""
+    tails (see "Fused conv tails" above). Raises on an unknown mode,
+    retention or plan entry, on a shape or ordering fault, and
+    MissingQParams for a range an i8 node needs, before any node runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
-    _check_retention(retention)
+    if retention not in (RETAIN_ALL, RETAIN_HEADS):
+        raise ExecutionError(f"unknown retention '{retention}'")
+    plan = plan or {}
+    node_ids = {n.id for n in graph.nodes}
+    for node_id, prec in plan.items():
+        if node_id not in node_ids:
+            raise ExecutionError(f"plan pins node '{node_id}' to '{prec}', "
+                                 f"but the graph has no such node")
+        if prec not in MODES:
+            raise ExecutionError(f"plan pins node '{node_id}' to unknown mode '{prec}'")
     infer_shapes(graph)  # raises on a shape or ordering fault
     order = _topo_order(graph)[0]
     graph_qparams = graph.qparams or {}
@@ -679,13 +681,14 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
         qparams_read[tensor_id] = qp
         return qp
 
-    input_qparams = require(graph.input_id) if mode == I8 else None
-    formats = {graph.input_id: _Format(I8, input_qparams) if mode == I8
-               else _Format(F32, f16_grid=(mode == F16))}
+    input_fmt = (_Format(I8, require(graph.input_id)) if mode == I8
+                 else _Format(F32, f16_grid=(mode == F16)))
+    formats = {graph.input_id: input_fmt}
     last_use = {t: i for i, node in enumerate(order) for t in node.inputs}
     heads = {n.output for n in graph.head_nodes()}
-    precision = {n.id: plan.get(n.id, mode) if plan else mode for n in order}
-    tails = _leaky_tails(order, heads, precision) if retention == RETAIN_HEADS else {}
+    keep_all = retention == RETAIN_ALL
+    precision = {n.id: plan.get(n.id, mode) for n in order}
+    tails = {} if keep_all else _leaky_tails(graph, order, heads, precision)
     fused = {n.id for tail in tails.values() for n in tail}
     steps = []
     for i, node in enumerate(order):
@@ -695,30 +698,29 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
         ins = [formats[t] for t in node.inputs]
         output = tail[-1].output if tail else node.output
         if prec == I8:
-            run, formats[output] = _i8_step(node, ins, weight, require, tail)
+            run, fmt = _i8_step(node, ins, weight, require, tail)
         else:
-            run, formats[output] = _float_step(node, ins, prec == F16, weight, tail)
-        frees = tuple(t for t in dict.fromkeys(node.inputs) if last_use[t] == i and t not in heads)
-        steps.append(_Step(output, run, output in heads, frees))
+            run, fmt = _float_step(node, ins, prec == F16, weight, tail)
+        formats[output] = fmt
+        frees = () if keep_all else tuple(t for t in dict.fromkeys(node.inputs)
+                                          if last_use[t] == i and t not in heads)
+        steps.append(_Step(output, run, fmt, keep_all or output in heads, frees))
 
     return Program(
-        mode=mode, retention=retention, input_id=graph.input_id,
-        input_shape=tuple(graph.input_shape),
-        input_qparams=input_qparams, steps=steps,
+        mode=mode, input_id=graph.input_id, input_shape=tuple(graph.input_shape),
+        input_fmt=input_fmt, input_kept=keep_all, steps=steps,
         nodes_read=[(n.id, n.kind, list(n.inputs), n.output, copy.deepcopy(n.attrs))
                     for n in graph.nodes],
         weights_read=list(weights_read.items()), qparams_read=list(qparams_read.items()))
 
 
-def _leaky_tails(order, heads: set[str], precision: dict[str, str]) -> dict[str, tuple]:
+def _leaky_tails(graph: Graph, order, heads: set[str],
+                 precision: dict[str, str]) -> dict[str, tuple]:
     """conv id -> (relu, scale, add) for every conv whose output s feeds
     only the tail relu(s) -> scale(c) -> add(s, e) that decompose-leaky and
     fold-scale leave, with s, relu(s) and e not heads and all four nodes of
     one precision (see "Fused conv tails" above)."""
-    readers: dict[str, list] = {}
-    for node in order:
-        for t in node.inputs:
-            readers.setdefault(t, []).append(node)
+    readers = graph.consumers()
 
     def sole_reader(tensor_id):
         found = readers.get(tensor_id, [])
@@ -805,24 +807,25 @@ def _float_step(node, ins: list[_Format], f16: bool, weight, tail=None):
     it shares memory with an input, which the trace or a later step may
     read. A conv with a `tail` runs it too (see _float_tail_step)."""
     op = _node_op(node, weight, f16)
-    node_id, inputs, dtype = node.id, tuple(node.inputs), F16 if f16 else F32
+    reads = [_f32_reader(t, fmt) for t, fmt in zip(node.inputs, ins)]
+    node_id, fmt = node.id, _Format(F16 if f16 else F32, f16_grid=f16)
     if tail:
-        return _float_tail_step(node_id, inputs, op, tail, f16), _Format(dtype, f16_grid=f16)
+        return _float_tail_step(node_id, reads, op, tail, f16), fmt
     round_out = f16 and not (_keeps_f16_grid(node) and all(f.f16_grid for f in ins))
 
-    def run(buffers):
-        xs = [buffers[t].as_f32() for t in inputs]
+    def run(arrays):
+        xs = [read(arrays) for read in reads]
         y = np.ascontiguousarray(op(xs), dtype=np.float32)
         if round_out:
             if any(np.may_share_memory(y, x) for x in xs):
                 y = y.copy()
             _round_f16(y)
         _check_finite(node_id, y)
-        return TensorBuffer(dtype, y)
-    return run, _Format(dtype, f16_grid=f16)
+        return y
+    return run, fmt
 
 
-def _float_tail_step(conv_id: str, inputs: tuple[str, ...], conv_op, tail, f16: bool):
+def _float_tail_step(conv_id: str, reads, conv_op, tail, f16: bool):
     """The step of a conv and its leaky tail (relu, scale, add): s = the
     conv, e = c * max(s, 0), y = s + e, each a float32 array operation as in
     the separate steps, and with f16 each of s, e and y rounded to binary16
@@ -832,7 +835,6 @@ def _float_tail_step(conv_id: str, inputs: tuple[str, ...], conv_op, tail, f16: 
     "Fused conv tails" above)."""
     _, scale, add = tail
     factor = np.float32(scale.attrs["factor"])
-    dtype = F16 if f16 else F32
 
     def excess(s):
         e = np.maximum(s, 0)
@@ -841,9 +843,8 @@ def _float_tail_step(conv_id: str, inputs: tuple[str, ...], conv_op, tail, f16: 
             _round_f16(e)
         return e
 
-    def run(buffers):
-        s = np.ascontiguousarray(conv_op([buffers[t].as_f32() for t in inputs]),
-                                 dtype=np.float32)
+    def run(arrays):
+        s = np.ascontiguousarray(conv_op([read(arrays) for read in reads]), dtype=np.float32)
         if f16:
             _round_f16(s)  # the conv's output is a new array
         y = excess(s)
@@ -854,17 +855,27 @@ def _float_tail_step(conv_id: str, inputs: tuple[str, ...], conv_op, tail, f16: 
             _check_finite(conv_id, s)
             _check_finite(scale.id, excess(s))
             _check_finite(add.id, y)
-        return TensorBuffer(dtype, y)
+        return y
     return run
 
 
-def _i8_levels(tensor_id: str, fmt: _Format, require):
-    """(a function reading the tensor's int8 levels from the buffers, their
-    QuantParams); float buffers are quantized to the tensor's own range."""
+def _f32_reader(tensor_id: str, fmt: _Format):
+    """A function reading the tensor's float32 values from the arrays: the
+    array itself, or int8 levels dequantized (the float twin of
+    _i8_levels)."""
     if fmt.dtype == I8:
-        return (lambda buffers: buffers[tensor_id].data), fmt.qparams
+        qp = fmt.qparams
+        return lambda arrays: qp.dequantize(arrays[tensor_id])
+    return itemgetter(tensor_id)
+
+
+def _i8_levels(tensor_id: str, fmt: _Format, require):
+    """(a function reading the tensor's int8 levels from the arrays, their
+    QuantParams); float arrays are quantized to the tensor's own range."""
+    if fmt.dtype == I8:
+        return itemgetter(tensor_id), fmt.qparams
     qp = require(tensor_id)
-    return (lambda buffers: qp.quantize(buffers[tensor_id].data)), qp
+    return (lambda arrays: qp.quantize(arrays[tensor_id])), qp
 
 
 def _i8_step(node, ins: list[_Format], weight, require, tail=None):
@@ -881,19 +892,19 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
         act, alpha = a.get("act", LINEAR), a.get("alpha")
         out_q = require(node.output)
 
-        def conv(buffers):
-            real = apply_activation(real_conv(read(buffers)), act, alpha)
+        def conv(arrays):
+            real = apply_activation(real_conv(read(arrays)), act, alpha)
             _check_finite(node_id, real)
-            return TensorBuffer(I8, out_q.quantize(real), out_q)
+            return out_q.quantize(real)
         if not tail:
             return conv, _Format(I8, out_q)
         lookup, y_q = _tail_table(out_q, tail, weight, require)
-        return (lambda buffers: lookup(conv(buffers).data)), _Format(I8, y_q)
+        return (lambda arrays: lookup([conv(arrays)])), _Format(I8, y_q)
 
     if kind in (MAXPOOL, UPSAMPLE):
         read, qp = _i8_levels(node.inputs[0], ins[0], require)
         op = _node_op(node, weight, f16=False)
-        return (lambda buffers: TensorBuffer(I8, op([read(buffers)]), qp)), _Format(I8, qp)
+        return (lambda arrays: op([read(arrays)])), _Format(I8, qp)
 
     out_q = require(node.output)
     tabled = (kind in (ACTIVATION, YOLO_HEAD) or (kind == SCALE and a.get("factor") is not None)
@@ -901,12 +912,13 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
     if tabled and all(f.dtype == I8 for f in ins):
         table, bad = _level_table(_node_op(node, weight, f16=False),
                                   [f.qparams for f in ins], out_q)
-        return _lookup(node_id, node.inputs, table, bad, out_q), _Format(I8, out_q)
+        lookup = _lookup(table, [] if bad is None else [(node_id, bad)])
+        inputs = tuple(node.inputs)
+        return (lambda arrays: lookup([arrays[t] for t in inputs])), _Format(I8, out_q)
 
     # remaining kinds: dequantize, compute in f32, requantize to own range
     float_run, _ = _float_step(node, ins, False, weight)
-    return ((lambda buffers: TensorBuffer(I8, out_q.quantize(float_run(buffers).data), out_q)),
-            _Format(I8, out_q))
+    return (lambda arrays: out_q.quantize(float_run(arrays))), _Format(I8, out_q)
 
 
 def _level_table(op, in_qparams: list[QuantParams], out_q: QuantParams):
@@ -931,55 +943,46 @@ def _level_table(op, in_qparams: list[QuantParams], out_q: QuantParams):
 
 
 def _tail_table(s_q: QuantParams, tail, weight, require):
-    """(a function from the levels of s to y's TensorBuffer, y's
-    QuantParams) for the leaky tail relu -> scale -> add(s, e) in i8: the
-    three nodes' tables composed into one over the 256 levels of s. Each
-    node's marks are carried back to the levels of s that reach them; when
-    an input holds a marked level, the first node in dataflow order whose
-    marks it hits is named, as the separate lookups would name it."""
+    """(the lookup of y's levels from [the levels of s], y's QuantParams)
+    for the leaky tail relu -> scale -> add(s, e) in i8: the three nodes'
+    tables composed into one over the 256 levels of s. Each node's marks
+    are carried back to the levels of s that reach them, in dataflow order,
+    so the lookup names the node the separate lookups would name."""
     relu, scale, add = tail
     r_q, e_q, y_q = (require(n.output) for n in tail)
     r, r_bad = _level_table(_node_op(relu, weight, f16=False), [s_q], r_q)
     e, e_bad = _level_table(_node_op(scale, weight, f16=False), [r_q], e_q)
     y, y_bad = _level_table(_node_op(add, weight, f16=False), [s_q, e_q], y_q)
     r_index = r.view(np.uint8)
-    y_index = np.arange(256, dtype=np.uint16) << 8
-    y_index |= e.take(r_index).view(np.uint8)
-    table = y.take(y_index)
+    y_index = _level_index([_LEVELS, e.take(r_index)])
     marks = [(n.id, bad) for n, bad in ((relu, r_bad),
                                          (scale, None if e_bad is None else e_bad.take(r_index)),
                                          (add, None if y_bad is None else y_bad.take(y_index)))
              if bad is not None]
+    return _lookup(y.take(y_index), marks), y_q
+
+
+def _level_index(levels: list[np.ndarray]) -> np.ndarray:
+    """The table index of one input's int8 levels, their uint8 bytes, or of
+    a pair's, the uint16 first << 8 | second."""
+    if len(levels) == 1:
+        return levels[0].view(np.uint8)
+    i = levels[0].view(np.uint8).astype(np.uint16)
+    i <<= 8
+    i |= levels[1].view(np.uint8)
+    return i
+
+
+def _lookup(table: np.ndarray, marks: list[tuple[str, np.ndarray]]):
+    """A function from input levels (see _level_index) to the table's
+    levels. `marks` are (node id, marked entries) in dataflow order; when
+    the levels hit one, NonFiniteDetected names the first node hit."""
     any_bad = np.logical_or.reduce([bad for _, bad in marks]) if marks else None
 
-    def run(s_levels):
-        i = s_levels.view(np.uint8)
+    def run(levels):
+        i = _level_index(levels)
         if any_bad is not None and any_bad.take(i).any():
             node_id = next(n for n, bad in marks if bad.take(i).any())
             raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
-        return TensorBuffer(I8, table.take(i), y_q)
-    return run, y_q
-
-
-def _lookup(node_id: str, inputs: list[str], table: np.ndarray, bad: np.ndarray | None,
-            out_q: QuantParams):
-    if len(inputs) == 1:
-        (t,) = inputs
-
-        def index(buffers):
-            return buffers[t].data.view(np.uint8)
-    else:
-        t0, t1 = inputs
-
-        def index(buffers):
-            i = buffers[t0].data.view(np.uint8).astype(np.uint16)
-            i <<= 8
-            i |= buffers[t1].data.view(np.uint8)
-            return i
-
-    def run(buffers):
-        i = index(buffers)
-        if bad is not None and bad.take(i).any():
-            raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
-        return TensorBuffer(I8, table.take(i), out_q)
+        return table.take(i)
     return run

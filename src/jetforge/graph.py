@@ -213,7 +213,7 @@ class Graph:
     weights: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
     metadata: GraphMetadata = field(default_factory=GraphMetadata)
     qparams: dict[str, QuantParams] | None = None
-    # the executor's compiled programs by (mode, plan); not copied or compared
+    # the executor's compiled programs by (mode, plan, retention); not copied or compared
     _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node_by_id(self, nid: str) -> LayerNode:

@@ -551,6 +551,21 @@ def test_detect_i8_requires_ranges(tiny_container, tiny_files, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_detect_with_an_overflowing_box_size_exits_1_with_one_line(tiny_container, tiny_files,
+                                                                    tmp_path, capsys):
+    gr = g.load_container(tiny_container)
+    bias = gr.weights[("conv5", "bias")].copy()
+    bias[2], bias[4], bias[5] = 800.0, 30.0, 30.0  # tw, objectness, class 0 of the one anchor
+    gr.weights[("conv5", "bias")] = bias
+    model = tmp_path / "overflow.uir"
+    g.save_container(gr, model)
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    assert run(["detect", "-m", model, "-i", image, "-o", tmp_path / "dets.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: box size of anchor 0 at cell (row 0, col 0) overflows")
+    assert err.count("\n") == 1
+
+
 def test_optimize_validates_once_and_lists_every_diagnostic(tiny_container, tmp_path,
                                                             monkeypatch, capsys):
     calls = []

@@ -79,6 +79,21 @@ def test_decode_channel_mismatch():
         detect.decode_head(feat, anchors, 6, 608, 352)
 
 
+@pytest.mark.parametrize("channel", [2, 3])
+def test_decode_overflowing_size_logit_names_the_anchor_and_cell(channel):
+    """A finite size logit above exp's float range is a DetectError naming
+    the anchor and the cell, not a bare OverflowError."""
+    anchors = [(16.0, 16.0), (32.0, 32.0)]
+    feat = head_feature(3, 5, anchors, 6)
+    per_anchor = 5 + 6
+    feat[0, per_anchor + 4, 2, 1] = feat[0, per_anchor + 5, 2, 1] = 10.0
+    feat[0, per_anchor + channel, 2, 1] = 710.0
+    with pytest.raises(detect.DetectError, match=r"anchor 1 at cell \(row 2, col 1\)"):
+        detect.decode_head(feat, anchors, 6, 160, 96, conf_threshold=0.5)
+    feat[0, per_anchor + channel, 2, 1] = 709.0  # exp stays finite
+    assert len(detect.decode_head(feat, anchors, 6, 160, 96, conf_threshold=0.5)) == 1
+
+
 def test_decode_encode_roundtrip():
     """Inverting the decode formulas and decoding recovers the box."""
     anchors = [(24.0, 36.0)]

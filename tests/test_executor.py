@@ -579,15 +579,13 @@ def test_i8_tables_equal_dequantize_float_quantize(kind, factor, ranges):
         want = q["y"].quantize(y[finite])
 
     step = next(s for s in executor.compile(gr, executor.I8).steps if s.output == "y")
+    assert step.fmt.dtype == executor.I8 and step.fmt.qparams == q["y"]
 
     def run(mask):
-        bufs = {t: executor.TensorBuffer(executor.I8, v[mask].reshape(1, 1, 1, -1), q[t])
-                for t, v in ins.items()}
-        return step.run(bufs)
+        return step.run({t: v[mask].reshape(1, 1, 1, -1) for t, v in ins.items()})
 
     out = run(finite)
-    assert out.dtype == executor.I8 and out.qparams == q["y"]
-    assert np.array_equal(out.data.ravel(), want)
+    assert out.dtype == np.int8 and np.array_equal(out.ravel(), want)
     if not finite.all():
         with pytest.raises(executor.NonFiniteDetected, match="'y'"):
             run(np.ones_like(finite))
@@ -711,14 +709,14 @@ def test_f16_rounding_in_place_writes_no_input_weight_or_retained_buffer(tiny_de
     made = {}
 
     def snapshot(step):
-        def run(buffers):
-            buf = step.run(buffers)
-            made[step.output] = buf.data.copy()
-            return buf
+        def run(arrays):
+            y = step.run(arrays)
+            made[step.output] = y.copy()
+            return y
         return step._replace(run=run)
 
     program.steps = [snapshot(s) for s in program.steps]
-    trace = program.run(x, executor.RETAIN_ALL)
+    trace = program.run(x)
     assert np.array_equal(x, x_before)
     assert set(made) == set(trace.buffers) - {gr.input_id}
     for t, data in made.items():
@@ -1011,10 +1009,10 @@ def test_fused_padded_heads_equal_an_unpadded_retain_all_trace(yolov3_ranged, mo
     gr, x = yolov3_ranged
     program = executor.compile(gr, mode, retention=executor.RETAIN_HEADS)
     assert (len(gr.nodes), len(program.steps)) == (321, 105)
-    got = _head_bytes(program.run(x, executor.RETAIN_HEADS))
+    got = _head_bytes(program.run(x))
     with monkeypatch.context() as mp:
         mp.setattr(executor, "_tile_width", lambda m, k, n: n)
-        full = executor.compile(gr, mode).run(x, executor.RETAIN_ALL)
+        full = executor.compile(gr, mode).run(x)
     assert len(full.buffers) == len(gr.nodes) + 1
     assert got == {t: full.buffers[t].data.tobytes() for t in got} and len(got) == 3
 
@@ -1038,7 +1036,7 @@ def test_a_tail_node_pinned_to_another_mode_leaves_its_conv_unfused(tiny_quantiz
     assert "conv0" in outputs and "act0_r" in outputs and "act1" in outputs
     assert "conv1" not in outputs and len(outputs) == 15
     full = executor.execute(tiny_quantized, x, mode=mode, plan=plan)
-    heads = program.run(x, executor.RETAIN_HEADS)
+    heads = program.run(x)
     assert _head_bytes(heads) == {t: full.buffers[t].data.tobytes() for t in heads.buffers}
 
 
@@ -1047,17 +1045,21 @@ def test_yolov3_pinned_tail_heads_equal_a_retain_all_trace(yolov3_ranged):
     plan = {"act0_r": executor.F32}
     program = executor.compile(gr, executor.I8, plan, executor.RETAIN_HEADS)
     assert len(program.steps) == 108 and program.steps[0].output == "conv0"
-    heads = _head_bytes(program.run(x, executor.RETAIN_HEADS))
+    heads = _head_bytes(program.run(x))
     full = executor.execute(gr, x, mode=executor.I8, plan=plan)
     assert heads == {t: full.buffers[t].data.tobytes() for t in heads}
 
 
-def test_retain_all_compiles_unfused_and_a_heads_program_refuses_it(tiny_optimized):
+def test_retain_all_compiles_unfused_and_a_heads_program_keeps_the_heads(tiny_optimized):
+    """The retention given to compile decides what a trace holds: a heads
+    program returns the heads alone, an all program every tensor."""
     x = _scene(11)
+    heads = {n.output for n in tiny_optimized.head_nodes()}
     program = executor.compile(tiny_optimized, retention=executor.RETAIN_HEADS)
-    with pytest.raises(executor.ExecutionError, match="RETAIN_HEADS"):
-        program.run(x, executor.RETAIN_ALL)
-    assert len(executor.compile(tiny_optimized).steps) == len(tiny_optimized.nodes)
+    assert set(program.run(x).buffers) == heads
+    program = executor.compile(tiny_optimized)
+    assert len(program.steps) == len(tiny_optimized.nodes)
+    assert len(program.run(x).buffers) == len(tiny_optimized.nodes) + 1
     gr = tiny_optimized.copy()
     executor.execute(gr, x, retention=executor.RETAIN_HEADS)
     trace = executor.execute(gr, x, retention=executor.RETAIN_ALL)
@@ -1071,8 +1073,59 @@ def test_an_unknown_retention_is_refused(tiny_optimized, retention):
         executor.execute(tiny_optimized, x, retention=retention)
     with pytest.raises(executor.ExecutionError, match=f"unknown retention '{retention}'"):
         executor.compile(tiny_optimized, retention=retention)
-    with pytest.raises(executor.ExecutionError, match=f"unknown retention '{retention}'"):
-        executor.compile(tiny_optimized).run(x, retention)
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+@pytest.mark.parametrize("plan, message", [
+    ({"conv0": "F16"}, "plan pins node 'conv0' to unknown mode 'F16'"),
+    ({"act0_r": None}, "plan pins node 'act0_r' to unknown mode 'None'"),
+    ({"conv0": executor.F32, "conv99": executor.F16},
+     "plan pins node 'conv99' to 'f16', but the graph has no such node"),
+])
+def test_a_plan_with_an_unknown_mode_or_node_is_refused(tiny_quantized, mode, plan, message):
+    gr = tiny_quantized.copy()
+    with pytest.raises(executor.ExecutionError, match=message):
+        executor.execute(gr, _scene(13), mode=mode, plan=plan)
+    assert not gr._programs
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_mixed_plans_keep_heads_and_formats(tiny_quantized, mode, data):
+    """Random nodes pinned to random modes: the heads of a RETAIN_HEADS
+    program (fused tails) are the bytes of a RETAIN_ALL trace, and every
+    buffer of that trace has the dtype and range its node's precision
+    implies: the mode's float dtype, or i8 in the output's range (max-pool
+    and upsample move levels, so they keep their input's). up8's own range
+    is widened, so that it differs from its input's."""
+    gr = tiny_quantized.copy()
+    lo, hi = gr.qparams["up8"].lo, gr.qparams["up8"].hi
+    gr.qparams = q = {**gr.qparams, "up8": g.QuantParams.from_range(2 * lo - 1, 2 * hi + 1)}
+    plan = data.draw(st.dictionaries(st.sampled_from([n.id for n in gr.nodes]),
+                                     st.sampled_from(executor.MODES)), label="plan")
+    x = _scene(14)
+    heads = executor.compile(gr, mode, plan, executor.RETAIN_HEADS).run(x)
+    full = executor.compile(gr, mode, plan).run(x)
+    assert set(heads.buffers) == {n.output for n in gr.head_nodes()}
+    full_bytes = _trace_bytes(full)
+    assert _trace_bytes(heads) == {t: full_bytes[t] for t in heads.buffers}
+
+    want = {gr.input_id: (executor.I8, q[gr.input_id]) if mode == executor.I8
+            else (executor.F32, None)}
+    for node in g._topo_order(gr)[0]:
+        prec = plan.get(node.id, mode)
+        if prec != executor.I8:
+            want[node.output] = (prec, None)
+        elif node.kind in (g.MAXPOOL, g.UPSAMPLE):
+            src_dtype, src_q = want[node.inputs[0]]
+            want[node.output] = (executor.I8, src_q if src_dtype == executor.I8
+                                 else q[node.inputs[0]])
+        else:
+            want[node.output] = (executor.I8, q[node.output])
+    assert {t: (b.dtype, b.qparams) for t, b in full.buffers.items()} == want
+    for b in full.buffers.values():
+        assert b.data.dtype == (np.int8 if b.dtype == executor.I8 else np.float32)
 
 
 def _tail_graph(weight, factor, ranges=None):
