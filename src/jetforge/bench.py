@@ -55,8 +55,7 @@ def bench_input(graph: Graph) -> np.ndarray:
 
 
 def run_bench(graph: Graph, mode: str, iters: int = DEFAULT_ITERS,
-              warmup: int = DEFAULT_WARMUP, variant: str = "model",
-              plan: dict[str, str] | None = None) -> BenchStats:
+              warmup: int = DEFAULT_WARMUP, variant: str = "model") -> BenchStats:
     """Time executor invocations only (no pre/postprocessing inside the
     clock). Runs strictly sequentially."""
     if iters < 1:
@@ -68,10 +67,10 @@ def run_bench(graph: Graph, mode: str, iters: int = DEFAULT_ITERS,
     stats = BenchStats(variant=variant, mode=mode, nodes=len(graph.nodes),
                        macs=stats_src.total_macs)
     for _ in range(warmup):
-        executor.execute(graph, x, mode=mode, retention=executor.RETAIN_HEADS, plan=plan)
+        executor.execute(graph, x, mode=mode, retention=executor.RETAIN_HEADS)
     for _ in range(iters):
         t0 = time.perf_counter_ns()
-        executor.execute(graph, x, mode=mode, retention=executor.RETAIN_HEADS, plan=plan)
+        executor.execute(graph, x, mode=mode, retention=executor.RETAIN_HEADS)
         stats.latencies_ns.append(time.perf_counter_ns() - t0)
     return stats
 

@@ -224,13 +224,11 @@ def heads_with_anchors(graph: Graph) -> list[tuple[str, list[tuple[float, float]
 
 def detect_image(graph: Graph, img: np.ndarray, mode: str = executor.F32,
                  conf_threshold: float = DEMO_CONF_THRESHOLD,
-                 nms_iou: float = DEFAULT_NMS_IOU,
-                 plan: dict[str, str] | None = None) -> list[dict]:
+                 nms_iou: float = DEFAULT_NMS_IOU) -> list[dict]:
     """Full single-image pipeline: letterbox, execute, decode, NMS, unbox."""
     shape = graph.input_shape
     tensor, tf = letterbox(img, shape.w, shape.h)
-    trace = executor.execute(graph, tensor, mode=mode,
-                             retention=executor.RETAIN_HEADS, plan=plan)
+    trace = executor.execute(graph, tensor, mode=mode, retention=executor.RETAIN_HEADS)
     dets: list[DetectionBox] = []
     for tensor_id, anchors, num_classes in heads_with_anchors(graph):
         feature = trace.as_f32(tensor_id)

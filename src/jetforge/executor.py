@@ -42,15 +42,26 @@ for content. `Graph.copy` starts with an empty cache.
 
 int8 elementwise layers by table. An i8 `activation`, scalar `scale` or
 `yolo_head` node maps one int8 level to one int8 level, and a two-input
-`add` maps a pair of levels. Compile runs the node's float path on every
-level (every pair for `add`) once, with the input and output ranges of
-this program, and keeps the 256 (65,536) resulting levels; a run is one
-table lookup. The table is the float path's output, so the result is the
-same by construction. Levels whose float value is not finite are marked,
-and NonFiniteDetected is raised only when an input holds one; one lookup
-routine indexes, checks the marks and takes, for every table. Other kinds,
-and inputs that come from nodes a plan pins to a float mode, run the float
-path.
+`add` maps a pair of levels. One builder makes every table: it runs the
+node's float path once on the dequantized levels the table is indexed
+with, with the input and output ranges of this program, and quantizes the
+result. A node's table is indexed with all 256 levels of its input (the
+256x256 grid of pairs for `add`); a run is one table lookup. The table is
+the float path's output, so the result is the same by construction.
+Levels whose float value is not finite are marked, and NonFiniteDetected
+is raised only when an input holds one; one lookup routine indexes, checks
+the marks and takes, for every table. Other kinds, and inputs that come
+from nodes a plan pins to a float mode, run the float path.
+
+Finiteness. Every step checks its output, and `Program.run` checks the
+input as its mode reads it: after the binary16 round in f16 (so a finite
+input above 65504 that rounds to inf is refused), before the quantize in
+i8. A non-finite input raises NonFiniteDetected naming the input tensor
+before any node runs.
+
+Weights. Compile checks every weight against its node, as validate does:
+a weight that is missing or of the wrong length for its node's shapes, or
+a negative bn_var, raises ExecutionError naming the node and the role.
 
 One window routine. `_im2col` lays out every kernel window of a tensor as
 a [c*k*k, out_h*out_w] patch matrix, and it has two callers. `conv2d` is
@@ -101,14 +112,17 @@ nodes as one step when s, relu(s) and e are not heads, all four nodes have
 one precision under the plan, and the add reads [s, e]. In f32 and f16 the
 step makes the same float32 operations in the same order, with the same
 binary16 rounds of s, e and y, in place on the GEMM's output; in i8 it
-quantizes the conv to s's levels and looks them up in one 256-entry table,
-the relu, scale and add tables composed. Finiteness: y = s + e is finite
-only when s and e are, and e = c * relu(s), so the step checks y alone.
-When y is not finite it checks s, then e, then y, and raises the
+quantizes the conv to s's levels and looks them up in one 256-entry table
+of y. The builder makes it from the 256 levels of s: the relu's table on
+them gives the levels of r, the scale's table on those the levels of e,
+and the add's table on the pairs (s, e) the levels of y, each the float
+path on the levels the separate step would read. Finiteness: y = s + e is
+finite only when s and e are, and e = c * relu(s), so the step checks y
+alone. When y is not finite it checks s, then e, then y, and raises the
 NonFiniteDetected the separate steps would raise, naming the conv, the
-scale or the add; in i8 a marked entry of the composed table is traced back
-to the table that marked it. A RETAIN_ALL trace publishes every tensor, so
-a program compiled for it fuses nothing.
+scale or the add; in i8 the lookup checks the relu's, the scale's and the
+add's marks, each indexed by s, in that order. A RETAIN_ALL trace
+publishes every tensor, so a program compiled for it fuses nothing.
 
 f16 rounding. A step rounds its output in place, on the float32 bits u,
 and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
@@ -157,7 +171,8 @@ import numpy as np
 
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
-                    QuantParams, _topo_order, conv_out_dim, infer_shapes)
+                    QuantParams, _check_weights, _topo_order, conv_out_dim,
+                    infer_shapes)
 
 F32 = "f32"
 F16 = "f16"
@@ -170,9 +185,6 @@ RETAIN_HEADS = "heads"
 # every int8 level, at the index of its uint8 byte: tables built over it are
 # looked up with the levels' bytes
 _LEVELS = np.arange(256, dtype=np.uint8).view(np.int8)
-# rows of the 256x256 add table built at once: bounds the float64
-# temporaries at 32 KiB
-_TABLE_ROWS = 16
 INT32_MAX = 2**31 - 1
 WEIGHT_QMAX = 127
 # float64 represents every integer of magnitude below this exactly
@@ -598,7 +610,7 @@ class Program:
     input_kept: bool
     steps: list[_Step]
     nodes_read: list[tuple]
-    weights_read: list[tuple[tuple[str, str], np.ndarray | None]]
+    weights_read: list[tuple[tuple[str, str], np.ndarray]]
     qparams_read: list[tuple[str, QuantParams]]
 
     def matches(self, graph: Graph) -> bool:
@@ -626,6 +638,8 @@ class Program:
         fmt = self.input_fmt
         if self.mode == F16:
             x = _f16(x)
+        if not np.isfinite(x).all():  # as the mode reads it: rounded, not yet quantized
+            raise NonFiniteDetected(f"non-finite values in input '{self.input_id}'")
         if self.mode == I8:
             x = fmt.qparams.quantize(x)
         arrays = {self.input_id: x}
@@ -646,8 +660,10 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
     modes, for traces of `retention`; a RETAIN_HEADS program fuses conv
     tails (see "Fused conv tails" above). Raises on an unknown mode,
-    retention or plan entry, on a shape or ordering fault, and
-    MissingQParams for a range an i8 node needs, before any node runs."""
+    retention or plan entry, on a shape or ordering fault, on a weight that
+    is missing or of the wrong length or a negative bn_var (naming the node
+    and the role, as validate does), and MissingQParams for a range an i8
+    node needs, before any node runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     if retention not in (RETAIN_ALL, RETAIN_HEADS):
@@ -660,18 +676,17 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
                                  f"but the graph has no such node")
         if prec not in MODES:
             raise ExecutionError(f"plan pins node '{node_id}' to unknown mode '{prec}'")
-    infer_shapes(graph)  # raises on a shape or ordering fault
+    faults = _check_weights(graph, infer_shapes(graph))  # raises on a shape or ordering fault
+    if faults:
+        raise ExecutionError("; ".join(map(str, faults)))
     order = _topo_order(graph)[0]
     graph_qparams = graph.qparams or {}
-    weights_read: dict[tuple[str, str], np.ndarray | None] = {}
+    weights_read: dict[tuple[str, str], np.ndarray] = {}
     qparams_read: dict[str, QuantParams] = {}
 
     def weight(node, role):
-        """The graph's array, recorded for the cache check; a missing bias
-        is None, any other missing role a KeyError."""
-        arr = weights_read[(node.id, role)] = graph.weights.get((node.id, role))
-        if arr is None and role != "bias":
-            raise KeyError((node.id, role))
+        """The graph's array, recorded for the cache check."""
+        arr = weights_read[(node.id, role)] = graph.weights[(node.id, role)]
         return arr
 
     def require(tensor_id):
@@ -880,7 +895,7 @@ def _i8_levels(tensor_id: str, fmt: _Format, require):
 
 def _i8_step(node, ins: list[_Format], weight, require, tail=None):
     """The node's i8 step; a conv with a `tail` looks its levels up in the
-    tail's composed table (see _tail_table)."""
+    tail's table of y (see _tail_table)."""
     kind, a, node_id = node.kind, node.attrs, node.id
 
     if kind == CONV:
@@ -910,8 +925,11 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
     tabled = (kind in (ACTIVATION, YOLO_HEAD) or (kind == SCALE and a.get("factor") is not None)
               or (kind == ADD and len(node.inputs) == 2))
     if tabled and all(f.dtype == I8 for f in ins):
+        # every level of each input, on its own axis: one table index per
+        # level, or per pair of levels
+        grid = np.ix_(*[_LEVELS] * len(ins))
         table, bad = _level_table(_node_op(node, weight, f16=False),
-                                  [f.qparams for f in ins], out_q)
+                                  [(q, f.qparams) for q, f in zip(grid, ins)], out_q)
         lookup = _lookup(table, [] if bad is None else [(node_id, bad)])
         inputs = tuple(node.inputs)
         return (lambda arrays: lookup([arrays[t] for t in inputs])), _Format(I8, out_q)
@@ -921,45 +939,31 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
     return (lambda arrays: out_q.quantize(float_run(arrays))), _Format(I8, out_q)
 
 
-def _level_table(op, in_qparams: list[QuantParams], out_q: QuantParams):
-    """(out_q's levels of op on every input level or pair of levels, the
-    entries whose float value is not finite, or None when all are finite),
-    flat and indexed by the input levels' uint8 bytes (the first input's in
-    the high byte)."""
+def _level_table(op, inputs: list[tuple[np.ndarray, QuantParams]], out_q: QuantParams):
+    """(out_q's levels of op on the dequantized values of `inputs`, (int8
+    levels, QuantParams) pairs that broadcast together, the entries whose
+    float value is not finite, or None when all are finite), flat in C
+    order."""
     with np.errstate(all="ignore"):  # the marked entries raise when an input hits them
-        values = [qp.dequantize(_LEVELS) for qp in in_qparams]
-        if len(values) == 1:
-            y = np.ascontiguousarray(op(values), dtype=np.float32)
-            bad, table = ~np.isfinite(y), out_q.quantize(y)
-        else:
-            table = np.empty((256, 256), dtype=np.int8)
-            bad = np.empty((256, 256), dtype=bool)
-            for r in range(0, 256, _TABLE_ROWS):
-                rows = slice(r, r + _TABLE_ROWS)
-                y = np.ascontiguousarray(op([values[0][rows, None], values[1][None, :]]),
-                                         dtype=np.float32)
-                bad[rows], table[rows] = ~np.isfinite(y), out_q.quantize(y)
-    return table.ravel(), (bad.ravel() if bad.any() else None)
+        y = np.ascontiguousarray(op([qp.dequantize(q) for q, qp in inputs]), dtype=np.float32)
+        bad = ~np.isfinite(y)
+        return out_q.quantize(y).ravel(), (bad.ravel() if bad.any() else None)
 
 
 def _tail_table(s_q: QuantParams, tail, weight, require):
     """(the lookup of y's levels from [the levels of s], y's QuantParams)
-    for the leaky tail relu -> scale -> add(s, e) in i8: the three nodes'
-    tables composed into one over the 256 levels of s. Each node's marks
-    are carried back to the levels of s that reach them, in dataflow order,
-    so the lookup names the node the separate lookups would name."""
+    for the leaky tail relu -> scale -> add(s, e) in i8: each node's table
+    over the 256 levels of s, evaluated on the levels its input holds there
+    (r for the scale, the pairs (s, e) for the add). The lookup checks the
+    three nodes' marks in dataflow order, so it names the node the separate
+    lookups would name."""
     relu, scale, add = tail
     r_q, e_q, y_q = (require(n.output) for n in tail)
-    r, r_bad = _level_table(_node_op(relu, weight, f16=False), [s_q], r_q)
-    e, e_bad = _level_table(_node_op(scale, weight, f16=False), [r_q], e_q)
-    y, y_bad = _level_table(_node_op(add, weight, f16=False), [s_q, e_q], y_q)
-    r_index = r.view(np.uint8)
-    y_index = _level_index([_LEVELS, e.take(r_index)])
-    marks = [(n.id, bad) for n, bad in ((relu, r_bad),
-                                         (scale, None if e_bad is None else e_bad.take(r_index)),
-                                         (add, None if y_bad is None else y_bad.take(y_index)))
-             if bad is not None]
-    return _lookup(y.take(y_index), marks), y_q
+    r, r_bad = _level_table(_node_op(relu, weight, f16=False), [(_LEVELS, s_q)], r_q)
+    e, e_bad = _level_table(_node_op(scale, weight, f16=False), [(r, r_q)], e_q)
+    y, y_bad = _level_table(_node_op(add, weight, f16=False), [(_LEVELS, s_q), (e, e_q)], y_q)
+    marks = [(n.id, bad) for n, bad in zip(tail, (r_bad, e_bad, y_bad)) if bad is not None]
+    return _lookup(y, marks), y_q
 
 
 def _level_index(levels: list[np.ndarray]) -> np.ndarray:

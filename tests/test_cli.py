@@ -566,6 +566,57 @@ def test_detect_with_an_overflowing_box_size_exits_1_with_one_line(tiny_containe
     assert err.count("\n") == 1
 
 
+def _edit_weights(container, path, edit) -> None:
+    """A copy of `container` at `path` whose manifest's weight entries
+    `edit(entries)` changes in place; it returns the indexes of entries to
+    drop, whose floats leave the blob with them."""
+    data = open(container, "rb").read()
+    (length,) = struct.unpack_from("<Q", data, 8)
+    manifest = json.loads(data[16:16 + length])
+    entries, blob = manifest["weights"], data[16 + length:]
+    offsets = np.cumsum([0] + [4 * e["len"] for e in entries])
+    dropped = edit(entries)
+    blob = b"".join(blob[offsets[i]:offsets[i + 1]] for i in range(len(entries))
+                    if i not in dropped)
+    manifest["weights"] = [e for i, e in enumerate(entries) if i not in dropped]
+    text = json.dumps(manifest).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(text)) + text + blob)
+
+
+def _entry(entries, layer, role) -> int:
+    return next(i for i, e in enumerate(entries) if (e["layer"], e["role"]) == (layer, role))
+
+
+def _shift_kernel_lengths(entries):
+    entries[_entry(entries, "conv0", "kernel")]["len"] -= 1  # the blob size is unchanged
+    entries[_entry(entries, "conv1", "kernel")]["len"] += 1
+    return set()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("kernel-lengths-shifted", "conv0: role 'kernel' has 215 values, expected 216; "
+                               "conv1: role 'kernel' has 577 values, expected 576"),
+    ("kernel-missing", "conv1: missing weights for role 'kernel'"),
+    ("bias-missing", "conv0: missing weights for role 'bias'")])
+def test_detect_with_weights_that_disagree_with_their_nodes_exits_1_with_one_line(
+        case, message, tiny_container, optimized_container, tiny_files, tmp_path, capsys):
+    """The container loads (its blob holds the floats its manifest lists),
+    but a weight is missing or of the wrong length for its node: compile
+    refuses it before any node runs."""
+    model = tmp_path / "bad.uir"
+    if case == "kernel-lengths-shifted":
+        _edit_weights(tiny_container, model, _shift_kernel_lengths)
+    elif case == "kernel-missing":
+        _edit_weights(tiny_container, model, lambda e: {_entry(e, "conv1", "kernel")})
+    else:  # the optimized conv0 carries the folded batchnorm as its bias
+        _edit_weights(optimized_container, model, lambda e: {_entry(e, "conv0", "bias")})
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    out = tmp_path / "dets.jsonl"
+    assert run(["detect", "-m", model, "-i", image, "-o", out]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_optimize_validates_once_and_lists_every_diagnostic(tiny_container, tmp_path,
                                                             monkeypatch, capsys):
     calls = []

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetforge import executor
@@ -252,6 +252,30 @@ def test_nonfinite_detected():
     x = np.full((1, 1, 32, 32), 1e30, dtype=np.float32)
     with np.errstate(over="ignore"), pytest.raises(executor.NonFiniteDetected):
         executor.execute(gr, x)
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+@pytest.mark.parametrize("retention", [executor.RETAIN_ALL, executor.RETAIN_HEADS])
+@pytest.mark.parametrize("pixels", [[np.nan], [np.inf], [np.nan, np.inf]], ids=["nan", "inf", "both"])
+def test_a_non_finite_input_is_named_in_every_mode(tiny_quantized, rng, mode, retention, pixels):
+    """The input is checked as its mode reads it, before any node runs: in
+    i8 before it is quantized, so no level stands for NaN or inf."""
+    x = rng.uniform(0, 1, size=(1, 3, 64, 96)).astype(np.float32)
+    for i, value in enumerate(pixels):
+        x[0, i, 5 + i, 7] = value
+    with pytest.raises(executor.NonFiniteDetected, match=r"^non-finite values in input 'input'$"):
+        executor.execute(tiny_quantized, x, mode=mode, retention=retention)
+
+
+def test_an_f16_input_that_rounds_to_inf_is_named():
+    """65504 is binary16's largest value; 65520 and above round to inf."""
+    gr = one_conv_graph(np.full((1, 1, 1, 1), 0.5), pad=0)
+    x = np.full((1, 1, 32, 32), 65504.0, dtype=np.float32)
+    assert np.all(executor.execute(gr, x, mode=executor.F16).as_f32("c") == 32752.0)
+    x[0, 0, 4, 5] = 65520.0
+    with np.errstate(over="ignore"), pytest.raises(
+            executor.NonFiniteDetected, match=r"^non-finite values in input 'input'$"):
+        executor.execute(gr, x, mode=executor.F16)
 
 
 def test_input_shape_mismatch(tiny_detector):
@@ -1182,3 +1206,36 @@ def test_a_fused_tail_names_the_node_the_separate_steps_name(mode, where):
     heads = executor.execute(gr, small, mode=mode, retention=executor.RETAIN_HEADS)
     full = executor.execute(gr, small, mode=mode, retention=executor.RETAIN_ALL)
     assert heads.buffers["h"].data.tobytes() == full.buffers["h"].data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranges=st.tuples(_RANGES, _RANGES, _RANGES, _RANGES), factor=_FACTORS)
+@example(ranges=(_BIG,) * 4, factor=2.0)  # the top levels mark both the scale and the add
+def test_the_fused_i8_tail_looks_up_what_the_separate_steps_give(ranges, factor):
+    """For each of the 256 levels of s, the fused tail's lookup gives the
+    level the relu, scale and add steps of a RETAIN_ALL program give, fed
+    their levels as in test_i8_tables_equal_dequantize_float_quantize, or
+    both raise NonFiniteDetected naming the same node. That is every (s, e)
+    pair the lookup can reach."""
+    gr = _tail_graph(1.0, factor, dict(zip(("input", "c", "r", "e", "y"), [(0.0, 1.0), *ranges])))
+    q = gr.qparams
+    steps = {s.output: s.run for s in executor.compile(gr, executor.I8).steps}
+    lookup, y_q = executor._tail_table(q["c"], tuple(gr.nodes[1:4]),
+                                       lambda node, role: gr.weights[(node.id, role)],
+                                       q.__getitem__)
+    assert y_q == q["y"]
+
+    def separate(s):
+        r = steps["r"]({"c": s})
+        return steps["y"]({"c": s, "e": steps["e"]({"r": r})})
+
+    for level in _LEVELS:
+        s = np.full((1, 1, 1, 1), level, dtype=np.int8)
+        got = []
+        for run in (separate, lambda s: lookup([s])):
+            try:
+                with np.errstate(all="ignore"):
+                    got.append(run(s).tobytes())
+            except executor.NonFiniteDetected as err:
+                got.append(str(err))
+        assert got[0] == got[1], (int(level), got)

@@ -375,6 +375,17 @@ def test_observed_range_grows_monotonically(tiny_detector):
         prev = hists
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_calibration_image_is_named_as_the_input(value):
+    """The executor checks the input of every calibration trace, so the
+    image is named, not the conv that would turn it into NaN."""
+    bad = np.ones((1, 1, 32, 32), dtype=np.float32)
+    bad[0, 0, 3, 4] = value
+    images = [np.zeros((1, 1, 32, 32), dtype=np.float32), bad]
+    with pytest.raises(executor.NonFiniteDetected, match=r"^non-finite values in input 'input'$"):
+        quant.collect_histograms(zero_output_graph(), images, quant.CalibrationConfig(image_count=2))
+
+
 def test_empty_calibration_set():
     with pytest.raises(quant.EmptyCalibrationSet):
         quant.collect_histograms(zero_output_graph(), [], quant.CalibrationConfig())
