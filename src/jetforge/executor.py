@@ -276,12 +276,6 @@ def _bn_affine(gamma, beta, mean, var, eps: float) -> tuple[np.ndarray, np.ndarr
     return inv[None, :, None, None], shift[None, :, None, None]
 
 
-def batchnorm(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
-    """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel."""
-    inv, shift = _bn_affine(gamma, beta, mean, var, eps)
-    return x * inv + shift
-
-
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """Max over each kernel x kernel window of an n=1 NCHW tensor, unpadded;
     exact on floats and int8 levels alike, as max does not depend on order."""
@@ -533,7 +527,8 @@ def _round_f16(x: np.ndarray) -> None:
     big = small = None
     if a.max(initial=0) >= _F16_OVERFLOW:
         big = np.flatnonzero(a >= _F16_OVERFLOW)
-        big_values = np.take(x, big).astype(np.float16).astype(np.float32)
+        with np.errstate(over="ignore"):  # inf is binary16's value; a finiteness check names it
+            big_values = np.take(x, big).astype(np.float16).astype(np.float32)
     a -= 1  # 0 wraps round to the top, so the min is the smallest nonzero |x|, less 1
     if a.min(initial=_F16_MIN_NORMAL) < _F16_MIN_NORMAL - 1:
         small = np.flatnonzero(a < _F16_MIN_NORMAL - 1)

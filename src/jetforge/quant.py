@@ -22,6 +22,10 @@ from .graph import Graph, QuantParams
 # temporaries at a few hundred KiB each whatever the bin count
 SCAN_CHUNK = 64
 
+# float32 values a traced tensor's fill buffer holds between flushes: 64 KiB
+# per tensor, 1.75 MiB for the tiny detector's 28
+FILL_BUFFER = 2 ** 14
+
 
 class QuantError(Exception):
     pass
@@ -78,7 +82,8 @@ class ActivationHistogram:
 
 
 # --------------------------------------------------------------------------
-# histogram collection (two passes: range, then fill at fixed edges)
+# histogram collection (two passes: range, then fill at fixed edges through
+# a bounded float32 buffer per tensor, one sort and one search per flush)
 # --------------------------------------------------------------------------
 
 def _canonical_sample(images, count: int, seed: int) -> list:
@@ -99,11 +104,73 @@ def _canonical_sample(images, count: int, seed: int) -> list:
     return [ordered[i] for i in sorted(picked)]
 
 
+def _float32_keys(edges: np.ndarray) -> np.ndarray:
+    """Float32 keys that count float32 data as np.histogram counts it against
+    the float64 `edges`: the number of values below key i is the number
+    below edges[i] for every left edge, and the number at or below the
+    closed last edge for the last. A left edge's key is the smallest float32
+    >= it, since a float32 v is < e exactly when v < that key; the last
+    edge's is the smallest float32 > it, since v <= e exactly when v < that
+    key (inf past the largest float32, which every finite value is below)."""
+    keys = edges.astype(np.float32)
+    up = keys < edges
+    up[-1] = keys[-1] <= edges[-1]
+    with np.errstate(over="ignore"):
+        keys[up] = np.nextafter(keys[up], np.float32(np.inf))
+    return keys
+
+
+class _Fill:
+    """One tensor's counts at fixed edges. Values are copied into `buffer`,
+    a float32 array; a flush sorts the held values in place and adds one
+    search of the float32 keys to the running count of values below each
+    key. A tensor larger than the buffer is sorted and counted on its own.
+    Integer counts do not depend on where flushes fall."""
+
+    def __init__(self, edges: np.ndarray, buffer: np.ndarray):
+        self.keys = _float32_keys(edges)
+        self.below = np.zeros(edges.size, dtype=np.int64)
+        self.buffer = buffer
+        self.held = 0
+
+    def add(self, data: np.ndarray) -> None:
+        values = data.reshape(-1)
+        if values.size > self.buffer.size:
+            self._count(np.sort(values))
+            return
+        if self.held + values.size > self.buffer.size:
+            self.flush()
+        self.buffer[self.held:self.held + values.size] = values
+        self.held += values.size
+
+    def flush(self) -> None:
+        held = self.buffer[:self.held]
+        held.sort()
+        self._count(held)
+        self.held = 0
+
+    def _count(self, ordered: np.ndarray) -> None:
+        self.below += np.searchsorted(ordered, self.keys)
+
+    def counts(self) -> np.ndarray:
+        """int64 per-bin counts of everything added."""
+        self.flush()
+        return np.diff(self.below)
+
+
 def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = None
                        ) -> dict[str, ActivationHistogram]:
     """One histogram per traced tensor over the sampled calibration images.
     The executor checks every traced tensor: a non-finite image or
-    activation raises its NonFiniteDetected."""
+    activation raises its NonFiniteDetected.
+
+    Pass one finds each tensor's range and fixes its edges. Pass two runs
+    the images again and copies each tensor's values into its _Fill's
+    buffer, a row of FILL_BUFFER float32 values (64 KiB) in one block, so
+    no trace outlives its image; a full buffer is sorted in place and
+    counted with one search. The counts equal np.histogram's at the same
+    edges, bit for bit: the keys searched are float32 values that split
+    float32 data exactly where the float64 edges do (see _float32_keys)."""
     config = config or CalibrationConfig()
     config.validate()
     sample = _canonical_sample(images, config.image_count, config.seed)
@@ -119,24 +186,25 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
 
     bins = config.bin_count
     edges: dict[str, np.ndarray] = {}
-    counts: dict[str, np.ndarray] = {}
-    for tid in lo:
+    fills: dict[str, _Fill] = {}
+    # one block holds every tensor's buffer, so it is allocated and freed
+    # whole instead of leaving a hole per tensor in the heap
+    buffers = np.empty((len(lo), FILL_BUFFER), dtype=np.float32)
+    for tid, buffer in zip(lo, buffers):
         a, b = lo[tid], hi[tid]
         if a == b:
             # constant tensor: unit-wide histogram around the value
             a, b = a - 0.5, b + 0.5
         edges[tid] = np.linspace(a, b, bins + 1)
-        counts[tid] = np.zeros(bins, dtype=np.int64)
+        fills[tid] = _Fill(edges[tid], buffer)
 
     for im in sample:
-        trace = execute(graph, im)
-        for tid, buf in trace.buffers.items():
-            c, _ = np.histogram(buf.data, bins=edges[tid])
-            counts[tid] += c
+        for tid, buf in execute(graph, im).buffers.items():
+            fills[tid].add(buf.data)
 
     return {
         tid: ActivationHistogram(tensor_id=tid, bin_count=bins, lo=lo[tid], hi=hi[tid],
-                                 edges=edges[tid], counts=counts[tid])
+                                 edges=edges[tid], counts=fills[tid].counts())
         for tid in sorted(lo)
     }
 

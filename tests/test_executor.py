@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -75,14 +76,22 @@ def test_upsample_replication():
 def test_batchnorm_formula():
     x = np.full((1, 1, 2, 2), 5.0, dtype=np.float32)
     eps = 1e-6
+
+    def batchnorm(gamma, beta, mean, var):
+        node = g.LayerNode("bn", g.BATCHNORM, ["input"], "bn", {"eps": eps})
+        gr = g.Graph(nodes=[node], input_shape=g.TensorShape(1, 1, 2, 2))
+        for role, value in zip(g.WEIGHT_ROLES[g.BATCHNORM], (gamma, beta, mean, var)):
+            gr.weights[("bn", role)] = np.array([value], dtype=np.float32)
+        return executor.execute(gr, x).as_f32("bn")
+
     # gamma=2, beta=1, mean=3, var=4-eps: 2*(5-3)/2 + 1 = 3
-    got = executor.batchnorm(x, [2.0], [1.0], [3.0], [4.0 - eps], eps)
+    got = batchnorm(2.0, 1.0, 3.0, 4.0 - eps)
     assert np.allclose(got, 3.0, atol=1e-6)
     # identity parameters
-    got = executor.batchnorm(x, [1.0], [0.0], [0.0], [1.0 - eps], eps)
+    got = batchnorm(1.0, 0.0, 0.0, 1.0 - eps)
     assert np.allclose(got, x, atol=1e-6)
     # var=0 stays finite thanks to eps
-    got = executor.batchnorm(x, [1.0], [0.0], [0.0], [0.0], eps)
+    got = batchnorm(1.0, 0.0, 0.0, 0.0)
     assert np.all(np.isfinite(got))
 
 
@@ -273,9 +282,21 @@ def test_an_f16_input_that_rounds_to_inf_is_named():
     x = np.full((1, 1, 32, 32), 65504.0, dtype=np.float32)
     assert np.all(executor.execute(gr, x, mode=executor.F16).as_f32("c") == 32752.0)
     x[0, 0, 4, 5] = 65520.0
-    with np.errstate(over="ignore"), pytest.raises(
-            executor.NonFiniteDetected, match=r"^non-finite values in input 'input'$"):
+    with pytest.raises(executor.NonFiniteDetected,
+                       match=r"^non-finite values in input 'input'$"):
         executor.execute(gr, x, mode=executor.F16)
+
+
+def test_an_f16_layer_output_that_rounds_to_inf_is_named_without_a_warning():
+    """The input is finite in binary16; the conv's output, 2 * 40000, rounds
+    to inf. The rounding warns nothing: the node is named instead."""
+    gr = one_conv_graph(np.full((1, 1, 1, 1), 2.0), pad=0)
+    x = np.full((1, 1, 32, 32), 40000.0, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 'c'$"):
+            executor.execute(gr, x, mode=executor.F16)
 
 
 def test_input_shape_mismatch(tiny_detector):

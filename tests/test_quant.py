@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -373,6 +374,79 @@ def test_observed_range_grows_monotonically(tiny_detector):
                 assert hists[tid].lo <= prev[tid].lo
                 assert hists[tid].hi >= prev[tid].hi
         prev = hists
+
+
+@st.composite
+def fill_cases(draw):
+    """float64 edges made as collect_histograms makes them (linspace over
+    [lo, hi], or lo - 0.5 .. hi + 0.5 for a constant tensor) and float32
+    tensors of random sizes, some larger than the fill buffer, holding
+    values on and next to the float32-rounded edges; each entry of
+    `flushes` says whether to flush after that tensor, and `capacity` is
+    the buffer's size, FILL_BUFFER or a small one that flushes often."""
+    bins = draw(st.integers(2, 2048))
+    # 1e-40 and 1e-44 scale values into binary32's subnormals
+    scale = draw(st.sampled_from([1.0, 1e-30, 1e30, 1e-40, 1e-44]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        lo = hi = np.float32(rng.uniform(-4, 4) * scale)
+    else:
+        lo, hi = np.sort(rng.uniform(-4, 4, size=2) * scale).astype(np.float32)
+    a, b = float(lo), float(hi)
+    if a == b:
+        a, b = a - 0.5, b + 0.5
+    edges = np.linspace(a, b, bins + 1)
+
+    rounded = edges.astype(np.float32)
+    near = np.concatenate([rounded, np.nextafter(rounded, np.float32(-np.inf)),
+                           np.nextafter(rounded, np.float32(np.inf))])
+    n = draw(st.integers(1, 40_000))
+    spread = rng.uniform(float(lo), float(hi), size=n).astype(np.float32)
+    on_edges = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    data = np.where(on_edges, rng.choice(near, size=n), spread)
+    cuts = np.sort(rng.integers(0, n, size=draw(st.integers(0, 24))))
+    tensors = np.split(data, cuts)
+    flushes = rng.random(len(tensors)) < draw(st.sampled_from([0.0, 0.3]))
+    capacity = draw(st.sampled_from([quant.FILL_BUFFER, int(rng.integers(1, 4096))]))
+    return edges, tensors, flushes, capacity
+
+
+@settings(max_examples=200, deadline=None)
+@given(fill_cases())
+def test_buffered_fill_counts_as_np_histogram(case):
+    edges, tensors, flushes, capacity = case
+    fill = quant._Fill(edges, np.empty(capacity, dtype=np.float32))
+    for tensor, flush in zip(tensors, flushes):
+        fill.add(tensor)
+        assert fill.held <= capacity
+        if flush:
+            fill.flush()
+    want, _ = np.histogram(np.concatenate(tensors), bins=edges)
+    got = fill.counts()
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def histograms_digest(hists) -> str:
+    h = hashlib.sha256()
+    for tid, hist in sorted(hists.items()):
+        h.update(tid.encode())
+        h.update(hist.counts.astype("<i8").tobytes())
+        h.update(hist.edges.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_tiny_detector_histograms_are_pinned(tiny_optimized):
+    """The counts and edges of the tiny detector's 28 traced tensors over
+    200 images, pinned to the digest that np.histogram's counts at the
+    same edges give."""
+    from jetforge import fixtures
+    images = fixtures.calibration_images(200, seed=1)
+    hists = quant.collect_histograms(tiny_optimized, images,
+                                     quant.CalibrationConfig(image_count=200, seed=0))
+    assert len(hists) == 28
+    assert histograms_digest(hists) == (
+        "6b5b3c86ef05bcd1aca95a5e65816c002ff8420ace2d4c61b06157143ec764b8")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
