@@ -1,20 +1,45 @@
 """The JSON files stages hand each other: documents (ranges, reports) and
 JSON lines led by a `{"_meta": ...}` line (detections, dataset manifests),
-all with sorted keys. Readers check that each document or line is a JSON
-object holding the fields their caller reads, else raise
-`ArtifactError("<path>[:<line>]: ...")`.
+all with sorted keys.
+
+Every reader declares the fields it reads as a table, field -> Field(test,
+expected), and `check` runs it on each object it reads. In place of a
+Field, a nested table stands for a JSON list of objects that each pass it.
+An object that is not a JSON object, lacks a field its table requires or
+holds a value that a field's test rejects raises
+`ArtifactError("<path>[:<line>]: <keys>: <field>: expected <expected>, got <value>")`,
+where the keys lead from the document or line to the object, list indices
+included. The tests readers share are the upper-case Fields below; rules
+that relate fields to each other stay with their readers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Callable, NamedTuple
 
-NO_FIELDS = frozenset()
+# the unified class set; list order fixes the id assignment. A label in a
+# dataset manifest or the VisDrone category map is one of these or IGNORE
+CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
+IGNORE = "ignore"
 
 
 class ArtifactError(Exception):
     pass
+
+
+class Field(NamedTuple):
+    """A field's value test and what it expects, as error messages say it.
+    An optional field may be absent; present, it must pass the test."""
+
+    test: Callable[[object], bool]
+    expected: str
+    optional: bool = False
+
+
+def optional(field: Field) -> Field:
+    return field._replace(optional=True)
 
 
 def finite_number(value) -> bool:
@@ -24,45 +49,81 @@ def finite_number(value) -> bool:
     return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
-def finite_bbox(value) -> bool:
-    """Whether `value` is a JSON list of 4 finite numbers."""
-    return type(value) is list and len(value) == 4 and all(map(finite_number, value))
+def _integer(value) -> bool:
+    return type(value) is int  # bool is not an integer
+
+
+def _bbox(value) -> bool:
+    if type(value) is not list or len(value) != 4:
+        return False
+    for x in value:  # finite_number inlined: manifests hold hundreds of boxes
+        if not (type(x) is int or (type(x) is float and math.isfinite(x))):
+            return False
+    return True
+
+
+_LABELS = frozenset(CLASS_NAMES) | {IGNORE}
+
+INTEGER = Field(_integer, "an integer")
+POSITIVE_INTEGER = Field(lambda v: _integer(v) and v > 0, "a positive integer")
+COUNT = Field(lambda v: _integer(v) and v >= 0, "a non-negative integer")
+NUMBER = Field(finite_number, "a finite number")
+STRING = Field(lambda v: type(v) is str, "a string")
+BOOLEAN = Field(lambda v: type(v) is bool, "a boolean")
+OBJECT = Field(lambda v: type(v) is dict, "a JSON object")
+STRINGS = Field(lambda v: type(v) is list and all(type(s) is str for s in v), "a list of strings")
+BBOX = Field(_bbox, "4 finite numbers")
+LABEL = Field(lambda v: type(v) is str and v in _LABELS,
+              f"one of {', '.join(CLASS_NAMES)} or {IGNORE}")
+_ANY = Field(lambda v: True, "any value")
+
+
+def _at(keys) -> str:
+    return "".join(f"{k}: " for k in keys)
 
 
 def reject(value, expected: str, where, *keys):
     """Raise the error for `value` where `expected` was wanted; it names
     `where` (path or path:line) and the `keys` leading to `value`."""
-    at = "".join(f"{k}: " for k in keys)
-    raise ArtifactError(f"{where}: {at}expected {expected}, got {json.dumps(value)[:40]}")
+    raise ArtifactError(f"{where}: {_at(keys)}expected {expected}, got {json.dumps(value)[:40]}")
 
 
-def require(obj, fields: frozenset, where, *keys) -> dict:
-    """`obj` if it is a JSON object holding `fields`; the error names `where`
-    (path or path:line) and the `keys` leading to `obj`."""
-    if isinstance(obj, dict) and fields <= obj.keys():
-        return obj
-    if isinstance(obj, dict):
-        at = "".join(f"{k}: " for k in keys)
-        raise ArtifactError(f"{where}: {at}missing {', '.join(sorted(fields - obj.keys()))}")
-    reject(obj, "a JSON object", where, *keys)
+def check(obj, table: dict, where, *keys) -> dict:
+    """`obj` if it is a JSON object that passes `table` (see the module
+    docstring); the error names `where` (path or path:line) and the `keys`
+    leading to `obj`."""
+    if type(obj) is not dict:
+        reject(obj, "a JSON object", where, *keys)
+    for name, field in table.items():
+        if name not in obj:
+            if not getattr(field, "optional", False):
+                missing = sorted(n for n, f in table.items()
+                                 if n not in obj and not getattr(f, "optional", False))
+                raise ArtifactError(f"{where}: {_at(keys)}missing {', '.join(missing)}")
+        elif type(field) is dict:
+            items = obj[name]
+            if type(items) is not list:
+                reject(items, "a JSON list", where, *keys, name)
+            for i, item in enumerate(items):
+                check(item, field, where, *keys, name, i)
+        elif not field.test(obj[name]):
+            reject(obj[name], field.expected, where, *keys, name)
+    return obj
 
 
-def require_each(items, fields: frozenset, where, *keys) -> list:
-    """`items` if it is a JSON list of objects that each hold `fields`; the
-    error names `where`, the `keys` leading to the list and the index."""
-    if not isinstance(items, list):
-        reject(items, "a JSON list", where, *keys)
-    for i, item in enumerate(items):
-        require(item, fields, where, *keys, i)
-    return items
+def _table(fields) -> dict:
+    # a set of field names is the table that takes any value of each
+    return fields if type(fields) is dict else dict.fromkeys(fields, _ANY)
 
 
-def parse_json(text: str | bytes, where, fields: frozenset = NO_FIELDS) -> dict:
+def parse_json(text: str | bytes, where, fields=()) -> dict:
+    """The JSON object `text` holds, checked against the table `fields` (or
+    for the set of names `fields`)."""
     try:
         doc = json.loads(text)
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise ArtifactError(f"{where}: not JSON: {e}") from None
-    return require(doc, fields, where)
+    return check(doc, _table(fields), where)
 
 
 def write_json(path, doc: dict) -> None:
@@ -71,7 +132,7 @@ def write_json(path, doc: dict) -> None:
         f.write("\n")
 
 
-def read_json(path, fields: frozenset = NO_FIELDS) -> dict:
+def read_json(path, fields=()) -> dict:
     with open(path, "rb") as f:
         return parse_json(f.read(), path, fields)
 
@@ -83,29 +144,27 @@ def write_jsonl(path, meta: dict, records) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_jsonl(path, fields: frozenset, check=None) -> tuple[dict, list[dict]]:
-    """(the `_meta` object or {}, the objects of the lines holding `fields`);
-    skips blank lines. Any other line is an error, and so is a record that
-    `check(record, "<path>:<line>")` rejects by raising ArtifactError."""
-    meta, records, line_no, rec = {}, [], 0, None
+_META_LINE = {"_meta": OBJECT}
+
+
+def read_jsonl(path, fields) -> tuple[dict, list[dict]]:
+    """(the `_meta` object or {}, the objects of the other lines, each
+    checked against the table `fields`, or for the set of names `fields`);
+    skips blank lines."""
+    table = _table(fields)
+    meta, records, line_no = {}, [], 0
     with open(path, "r", encoding="utf-8") as f:
         try:
             for line_no, line in enumerate(f, start=1):
                 if line.isspace():
                     continue
                 rec = json.loads(line)
-                if fields <= rec.keys():  # AttributeError unless rec is an object
-                    if check is not None:
-                        check(rec, f"{path}:{line_no}")
-                    records.append(rec)
-                elif "_meta" in rec:
-                    meta = require(rec["_meta"], NO_FIELDS, f"{path}:{line_no}", "_meta")
+                if type(rec) is dict and "_meta" in rec:
+                    meta = check(rec, _META_LINE, f"{path}:{line_no}")["_meta"]
                 else:
-                    require(rec, fields, f"{path}:{line_no}")
+                    records.append(check(rec, table, f"{path}:{line_no}"))
         except UnicodeDecodeError as e:
             raise ArtifactError(f"{path}: not UTF-8: {e.reason}") from None
         except json.JSONDecodeError as e:
             raise ArtifactError(f"{path}:{line_no}: not JSON: {e.msg}, column {e.colno}") from None
-        except AttributeError:
-            require(rec, fields, f"{path}:{line_no}")
     return meta, records

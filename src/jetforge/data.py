@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts, tensorio
-
-# unified class set; list order fixes the id assignment, and the frontend
-# names a 6-class network's outputs with it
-CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
-IGNORE = "ignore"
+# CLASS_NAMES, the unified class set, lives with the label test of
+# artifacts; the frontend names a 6-class network's outputs with it
+from .artifacts import (BBOX, CLASS_NAMES, IGNORE, INTEGER, LABEL, POSITIVE_INTEGER, STRING,
+                        optional)
 
 # COCO category names -> unified names (everything else is dropped)
 COCO_REMAP = {
@@ -82,27 +81,13 @@ def _clip_box(x, y, w, h, img_w, img_h):
     return [x, y, x2 - x, y2 - y]
 
 
-def _int(value) -> bool:
-    return type(value) is int  # bool is not an id or a size
-
-
-def _positive_int(value) -> bool:
-    return _int(value) and value > 0
-
-
-def _str(value) -> bool:
-    return type(value) is str
-
-
-# the fields ingest_coco reads from each record of each top-level list, each
-# with the test its value must pass and what that test expects
+# the fields ingest_coco reads from each record of each top-level list
 _COCO_FIELDS = {
-    "images": {"id": (_int, "an integer"), "file_name": (_str, "a string"),
-               "width": (_positive_int, "a positive integer"),
-               "height": (_positive_int, "a positive integer")},
-    "annotations": {"image_id": (_int, "an integer"), "category_id": (_int, "an integer"),
-                    "bbox": (artifacts.finite_bbox, "4 finite numbers")},
-    "categories": {"id": (_int, "an integer"), "name": (_str, "a string")},
+    "images": {"id": INTEGER, "file_name": STRING, "width": POSITIVE_INTEGER,
+               "height": POSITIVE_INTEGER},
+    "annotations": {"image_id": INTEGER, "category_id": INTEGER, "bbox": BBOX,
+                    "iscrowd": optional(INTEGER)},
+    "categories": {"id": INTEGER, "name": STRING},
 }
 
 
@@ -122,12 +107,7 @@ def ingest_coco(path) -> list[AnnotationRecord]:
             doc = json.load(f)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MalformedJson(f"{path}: {e}")
-    artifacts.require(doc, frozenset(_COCO_FIELDS), path)
-    for key, fields in _COCO_FIELDS.items():
-        for i, rec in enumerate(artifacts.require_each(doc[key], frozenset(fields), path, key)):
-            for name, (ok, expected) in fields.items():
-                if not ok(rec[name]):
-                    artifacts.reject(rec[name], expected, path, key, i, name)
+    artifacts.check(doc, _COCO_FIELDS, path)
 
     cat_names = {c["id"]: c["name"] for c in doc["categories"]}
     records: dict = {}
@@ -157,20 +137,17 @@ def ingest_coco(path) -> list[AnnotationRecord]:
     return [records[i] for i in sorted(records)]
 
 
+_CATEGORY_FIELDS = {"unified": LABEL}
+
+
 def load_visdrone_categories(path=None) -> dict[str, str]:
     """Visdrone2018 numeric category id -> unified name. The default table,
     the dataset's published convention, ships as data/visdrone_categories.json
     so dataset-version drift is a config edit, not a code change."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "visdrone_categories.json")
-    table = artifacts.read_json(path)
-    names = {}
-    for k, v in table.items():
-        name = names[k] = artifacts.require(v, frozenset({"unified"}), path, k)["unified"]
-        if name != IGNORE and name not in CLASS_NAMES:
-            artifacts.reject(name, f"one of {', '.join(CLASS_NAMES)} or {IGNORE}", path, k,
-                             "unified")
-    return names
+    return {k: artifacts.check(v, _CATEGORY_FIELDS, path, k)["unified"]
+            for k, v in artifacts.read_json(path).items()}
 
 
 def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,
@@ -278,16 +255,13 @@ def save_manifest(path, manifest: Manifest, meta: dict | None = None) -> None:
          "source": rec.source, "boxes": rec.boxes} for rec in manifest.records))
 
 
-RECORD_FIELDS = frozenset({"image", "width", "height", "boxes"})
-BOX_FIELDS = frozenset({"bbox", "label"})
-
-
-def _check_boxes(rec: dict, where: str) -> None:
-    artifacts.require_each(rec["boxes"], BOX_FIELDS, where, "boxes")
+BOX_FIELDS = {"bbox": BBOX, "label": LABEL}
+RECORD_FIELDS = {"image": STRING, "width": POSITIVE_INTEGER, "height": POSITIVE_INTEGER,
+                 "boxes": BOX_FIELDS, "source": optional(STRING)}
 
 
 def load_manifest(path) -> Manifest:
-    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS, _check_boxes)
+    meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS)
     records = [AnnotationRecord(image=d["image"], width=d["width"], height=d["height"],
                                 boxes=d["boxes"], source=d.get("source", "")) for d in docs]
     return Manifest(records=records, summary=meta.get("summary", {}))

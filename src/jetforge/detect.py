@@ -237,7 +237,8 @@ def detect_image(graph: Graph, img: np.ndarray, mode: str = executor.F32,
     return unletterbox(nms(dets, nms_iou), tf)
 
 
-DETECTION_FIELDS = frozenset({"image", "class", "confidence", "bbox"})
+DETECTION_FIELDS = {"image": artifacts.STRING, "class": artifacts.INTEGER,
+                    "confidence": artifacts.NUMBER, "bbox": artifacts.BBOX}
 
 
 def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -> None:
@@ -247,14 +248,5 @@ def write_detections_jsonl(path, per_image: dict[str, list[dict]], meta: dict) -
         for image in sorted(per_image) for d in per_image[image]))
 
 
-def _check_detection(rec: dict, where: str) -> None:
-    if not artifacts.finite_bbox(rec["bbox"]):
-        artifacts.reject(rec["bbox"], "4 finite numbers", where, "bbox")
-    if type(rec["class"]) is not int:
-        artifacts.reject(rec["class"], "an integer", where, "class")
-    if not artifacts.finite_number(rec["confidence"]):
-        artifacts.reject(rec["confidence"], "a finite number", where, "confidence")
-
-
 def read_detections_jsonl(path) -> list[dict]:
-    return artifacts.read_jsonl(path, DETECTION_FIELDS, _check_detection)[1]
+    return artifacts.read_jsonl(path, DETECTION_FIELDS)[1]

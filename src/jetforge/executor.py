@@ -424,13 +424,16 @@ _workers = None  # the ThreadPoolExecutor of _row_workers, once made
 def _row_workers(count: int):
     """The ThreadPoolExecutor whose threads compute blocks of split GEMMs
     next to their callers, started as blocks arrive: as many as the first
-    split needs, `count`. They end with the interpreter. The module is
+    split needs, `count`. They end with the interpreter. Like Program.run,
+    they ignore overflow, which the finiteness checks name. The module is
     imported on the first split, so a process that splits no GEMM does not
     hold it (about 0.8 MiB with the logging module it loads)."""
     global _workers
     if _workers is None:
         from concurrent.futures import ThreadPoolExecutor
-        _workers = ThreadPoolExecutor(count, thread_name_prefix="jetforge-gemm")
+        _workers = ThreadPoolExecutor(count, thread_name_prefix="jetforge-gemm",
+                                      initializer=functools.partial(
+                                          np.seterr, over="ignore", invalid="ignore"))
     return _workers
 
 
@@ -639,12 +642,14 @@ class Program:
             x = fmt.qparams.quantize(x)
         arrays = {self.input_id: x}
         trace = ExecutionTrace(mode=self.mode)
-        for step in self.steps:
-            y = arrays[step.output] = step.run(arrays)
-            if step.kept:
-                trace.buffers[step.output] = TensorBuffer(step.fmt.dtype, y, step.fmt.qparams)
-            for t in step.frees:
-                del arrays[t]
+        # an overflow's inf or NaN is named by the steps' finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in self.steps:
+                y = arrays[step.output] = step.run(arrays)
+                if step.kept:
+                    trace.buffers[step.output] = TensorBuffer(step.fmt.dtype, y, step.fmt.qparams)
+                for t in step.frees:
+                    del arrays[t]
         if self.input_kept:
             trace.buffers[self.input_id] = TensorBuffer(fmt.dtype, x, fmt.qparams)
         return trace

@@ -18,6 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import artifacts
+from .artifacts import (BOOLEAN, COUNT, INTEGER, NUMBER, OBJECT, POSITIVE_INTEGER, STRING, STRINGS,
+                        Field, finite_number, optional)
 
 FORMAT_MAGIC = b"UIR1"
 FORMAT_VERSION = 1
@@ -90,7 +92,7 @@ class TensorShape(NamedTuple):
 class QuantParams:
     """Affine per-tensor activation range: lo maps to -128, hi to 127."""
 
-    FIELDS = frozenset({"lo", "hi", "scale", "zero_point"})
+    FIELDS = {"lo": NUMBER, "hi": NUMBER, "scale": NUMBER, "zero_point": INTEGER}
 
     lo: float
     hi: float
@@ -113,17 +115,12 @@ class QuantParams:
         """The record `to_dict` wrote; `where` and `keys` locate it for
         errors. Its scale and zero point must be the ones from_range gives
         for its lo and hi, which is how every record is made."""
-        d = artifacts.require(d, cls.FIELDS, where, *keys)
-        for name in ("lo", "hi"):
-            if not artifacts.finite_number(d[name]):
-                artifacts.reject(d[name], "a finite number", where, *keys, name)
+        d = artifacts.check(d, cls.FIELDS, where, *keys)
         if not d["lo"] < d["hi"]:
             artifacts.reject(d["hi"], f"a number above lo {d['lo']}", where, *keys, "hi")
-        if type(d["zero_point"]) is not int:  # bool is not an integer
-            artifacts.reject(d["zero_point"], "an integer", where, *keys, "zero_point")
         qp = cls.from_range(d["lo"], d["hi"])
         for name in ("scale", "zero_point"):
-            if not artifacts.finite_number(d[name]) or d[name] != getattr(qp, name):
+            if d[name] != getattr(qp, name):
                 artifacts.reject(d[name], f"{getattr(qp, name)!r}, from lo and hi", where,
                                  *keys, name)
         return qp
@@ -408,7 +405,7 @@ def validate(graph: Graph) -> list[Diagnostic]:
 def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
     """(field, reason) for each rule of its kind that the node breaks; the
     field is `attrs: <key>` or `inputs`. Assumes the attributes have the
-    types of _ATTR_TYPES."""
+    types of _ATTR_FIELDS."""
     out = []
     a = n.attrs
     if n.kind == CONV:
@@ -496,39 +493,36 @@ def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnos
 # container serialization
 # --------------------------------------------------------------------------
 
-# fields the loader reads from each manifest record
-_MANIFEST_FIELDS = frozenset({"input", "metadata", "nodes", "weights"})
-_INPUT_FIELDS = frozenset({"id", "shape"})
-_METADATA_FIELDS = frozenset({"class_names", "anchors"})
-_NODE_FIELDS = frozenset({"id", "kind", "inputs", "output", "attrs"})
-_WEIGHT_FIELDS = frozenset({"layer", "role", "len"})
+_SHAPE = Field(lambda v: type(v) is list and len(v) == 4 and all(map(POSITIVE_INTEGER.test, v)),
+               "a list of 4 positive integers")
+_ANCHORS = Field(lambda v: type(v) is list and all(
+    type(a) is list and len(a) == 2 and all(finite_number(x) and x > 0 for x in a) for a in v),
+    "a list of [w, h] pairs of positive numbers")
+_INTEGERS = Field(lambda v: type(v) is list and all(map(INTEGER.test, v)), "a list of integers")
+_PRECISION_CLASS = Field(lambda v: v in (QUANTIZABLE, PLUGIN_ONLY),
+                         f"{QUANTIZABLE} or {PLUGIN_ONLY}")
 
+# the fields the loader reads from the manifest and its parts
+_INPUT_FIELDS = {"id": STRING, "shape": _SHAPE}
+_METADATA_FIELDS = {"class_names": STRINGS, "anchors": _ANCHORS, "extra": optional(OBJECT)}
+_NODE_FIELDS = {"id": STRING, "kind": STRING, "inputs": STRINGS, "output": STRING,
+                "attrs": OBJECT, "precision_class": optional(_PRECISION_CLASS)}
+_WEIGHT_FIELDS = {"layer": STRING, "role": STRING, "len": COUNT}
+_MANIFEST_FIELDS = {"input": OBJECT, "metadata": OBJECT, "nodes": _NODE_FIELDS,
+                    "weights": _WEIGHT_FIELDS,
+                    "qparams": optional(Field(lambda v: v is None or type(v) is dict,
+                                              "a JSON object or null"))}
 
-_INTEGER = (lambda v: type(v) is int, "an integer")  # bool is not an integer
-_NUMBER = (artifacts.finite_number, "a finite number")
-_BOOLEAN = (lambda v: type(v) is bool, "a boolean")
-_STRING = (lambda v: type(v) is str, "a string")
-_INTEGERS = (lambda v: type(v) is list and all(type(i) is int for i in v), "a list of integers")
-
-# per kind: the JSON type of each node attribute the stages read
-_ATTR_TYPES = {
-    CONV: {"out_ch": _INTEGER, "kernel": _INTEGER, "stride": _INTEGER, "pad": _INTEGER,
-           "has_bias": _BOOLEAN, "act": _STRING, "alpha": _NUMBER},
-    BATCHNORM: {"eps": _NUMBER},
-    ACTIVATION: {"act": _STRING, "alpha": _NUMBER},
-    SCALE: {"factor": _NUMBER},
-    UPSAMPLE: {"factor": _INTEGER},
-    MAXPOOL: {"kernel": _INTEGER, "stride": _INTEGER},
-    YOLO_HEAD: {"anchor_indices": _INTEGERS, "num_classes": _INTEGER},
-}
-# per kind: the attributes every node of the kind holds
-_REQUIRED_ATTRS = {
-    CONV: frozenset({"out_ch", "kernel", "stride", "pad", "has_bias"}),
-    BATCHNORM: frozenset({"eps"}),
-    ACTIVATION: frozenset({"act"}),
-    UPSAMPLE: frozenset({"factor"}),
-    MAXPOOL: frozenset({"kernel", "stride"}),
-    YOLO_HEAD: frozenset({"anchor_indices", "num_classes"}),
+# per kind: the attributes the stages read
+_ATTR_FIELDS = {
+    CONV: {"out_ch": INTEGER, "kernel": INTEGER, "stride": INTEGER, "pad": INTEGER,
+           "has_bias": BOOLEAN, "act": optional(STRING), "alpha": optional(NUMBER)},
+    BATCHNORM: {"eps": NUMBER},
+    ACTIVATION: {"act": STRING, "alpha": optional(NUMBER)},
+    SCALE: {"factor": optional(NUMBER)},
+    UPSAMPLE: {"factor": INTEGER},
+    MAXPOOL: {"kernel": INTEGER, "stride": INTEGER},
+    YOLO_HEAD: {"anchor_indices": _INTEGERS, "num_classes": INTEGER},
 }
 
 
@@ -582,64 +576,12 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def _weight_len(entry: dict, path, i: int) -> int:
-    n = entry["len"]
-    if type(n) is not int or n < 0:  # bool is not a count
-        artifacts.reject(n, "a non-negative integer", path, "weights", i, "len")
-    return n
-
-
-def _weight_key(entry: dict, path, i: int) -> tuple[str, str]:
-    for field in ("layer", "role"):
-        if type(entry[field]) is not str:
-            artifacts.reject(entry[field], "a string", path, "weights", i, field)
-    return entry["layer"], entry["role"]
-
-
-def _input(inp: dict, path) -> tuple[str, TensorShape]:
-    if type(inp["id"]) is not str:
-        artifacts.reject(inp["id"], "a string", path, "input", "id")
-    shape = inp["shape"]
-    if (type(shape) is not list or len(shape) != 4
-            or any(type(d) is not int or d < 1 for d in shape)):  # bool is not a dimension
-        artifacts.reject(shape, "a list of 4 positive integers", path, "input", "shape")
-    return inp["id"], TensorShape(*shape)
-
-
-def _anchors(meta: dict, path) -> list[tuple[float, float]]:
-    anchors = meta["anchors"]
-    if type(anchors) is not list or not all(
-            type(a) is list and len(a) == 2
-            and all(artifacts.finite_number(v) and v > 0 for v in a) for a in anchors):
-        artifacts.reject(anchors, "a list of [w, h] pairs of positive numbers", path,
-                         "metadata", "anchors")
-    return [tuple(a) for a in anchors]
-
-
-def _class_names(meta: dict, path) -> list[str]:
-    names = meta["class_names"]
-    if type(names) is not list or not all(type(n) is str for n in names):
-        artifacts.reject(names, "a list of strings", path, "metadata", "class_names")
-    return list(names)
-
-
 def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
     """The nodes of the manifest, each checked against validate's rules
-    for its kind once its fields and attributes have the types the stages
-    read."""
+    for its kind once its attributes have the types the stages read."""
     nodes = []
     for i, d in enumerate(records):
-        for key in ("id", "kind", "output"):
-            if type(d[key]) is not str:
-                artifacts.reject(d[key], "a string", path, "nodes", i, key)
-        if type(d["inputs"]) is not list or not all(type(t) is str for t in d["inputs"]):
-            artifacts.reject(d["inputs"], "a list of strings", path, "nodes", i, "inputs")
-        kind = d["kind"]
-        attrs = artifacts.require(d["attrs"], _REQUIRED_ATTRS.get(kind, artifacts.NO_FIELDS),
-                                  path, "nodes", i, "attrs")
-        for key, (is_type, expected) in _ATTR_TYPES.get(kind, {}).items():
-            if key in attrs and not is_type(attrs[key]):
-                artifacts.reject(attrs[key], expected, path, "nodes", i, "attrs", key)
+        artifacts.check(d["attrs"], _ATTR_FIELDS.get(d["kind"], {}), path, "nodes", i, "attrs")
         node = _node_from_json(d)
         faults = _node_faults(node, anchor_count)
         if faults:
@@ -668,25 +610,17 @@ def load_container(path) -> Graph:
         if size - 16 < mlen:
             raise TruncatedFile(f"{path}: manifest declares {mlen} bytes, file holds {size - 16}")
         manifest = artifacts.parse_json(f.read(mlen), path, _MANIFEST_FIELDS)
-        input_id, input_shape = _input(
-            artifacts.require(manifest["input"], _INPUT_FIELDS, path, "input"), path)
-        meta = artifacts.require(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
-        anchors = _anchors(meta, path)
-        class_names = _class_names(meta, path)
-        extra = meta.get("extra", {})
-        if not isinstance(extra, dict):
-            artifacts.reject(extra, "a JSON object", path, "metadata", "extra")
-        nodes = _nodes(artifacts.require_each(manifest["nodes"], _NODE_FIELDS, path, "nodes"),
-                       len(anchors), path)
-        entries = artifacts.require_each(manifest["weights"], _WEIGHT_FIELDS, path, "weights")
+        inp = artifacts.check(manifest["input"], _INPUT_FIELDS, path, "input")
+        meta = artifacts.check(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
+        nodes = _nodes(manifest["nodes"], len(meta["anchors"]), path)
 
         lens: dict[tuple[str, str], int] = {}  # in blob order
-        for i, e in enumerate(entries):
-            key = _weight_key(e, path, i)
+        for i, e in enumerate(manifest["weights"]):
+            key = (e["layer"], e["role"])
             if key in lens:
                 artifacts.reject(list(key), "a (layer, role) not listed before", path,
                                  "weights", i, "layer, role")
-            lens[key] = _weight_len(e, path, i)
+            lens[key] = e["len"]
         want_floats, blob_bytes = sum(lens.values()), size - 16 - mlen
         if blob_bytes != want_floats * 4:
             raise ManifestWeightMismatch(
@@ -701,15 +635,14 @@ def load_container(path) -> Graph:
     qp = manifest.get("qparams")
     return Graph(
         nodes=nodes,
-        input_id=input_id,
-        input_shape=input_shape,
+        input_id=inp["id"],
+        input_shape=TensorShape(*inp["shape"]),
         weights=weights,
         metadata=GraphMetadata(
-            class_names=class_names,
-            anchors=anchors,
-            extra=dict(extra),
+            class_names=meta["class_names"],
+            anchors=[tuple(a) for a in meta["anchors"]],
+            extra=meta.get("extra", {}),
         ),
         qparams=None if qp is None else {
-            t: QuantParams.from_dict(d, path, "qparams", t)
-            for t, d in artifacts.require(qp, artifacts.NO_FIELDS, path, "qparams").items()},
+            t: QuantParams.from_dict(d, path, "qparams", t) for t, d in qp.items()},
     )

@@ -432,11 +432,13 @@ def save_ranges(path, qparams: dict[str, QuantParams], meta: dict | None = None)
                                 "tensors": {t: q.to_dict() for t, q in qparams.items()}})
 
 
+_RANGES_FIELDS = {"tensors": artifacts.OBJECT, "meta": artifacts.optional(artifacts.OBJECT)}
+
+
 def load_ranges(path) -> tuple[dict[str, QuantParams], dict]:
     try:
-        doc = artifacts.read_json(path, frozenset({"tensors"}))
+        doc = artifacts.read_json(path, _RANGES_FIELDS)
     except FileNotFoundError:
         raise MissingRanges(f"ranges file not found: {path}")
-    tensors = artifacts.require(doc["tensors"], artifacts.NO_FIELDS, path, "tensors")
-    return ({t: QuantParams.from_dict(d, path, "tensors", t) for t, d in tensors.items()},
+    return ({t: QuantParams.from_dict(d, path, "tensors", t) for t, d in doc["tensors"].items()},
             doc.get("meta", {}))

@@ -752,6 +752,35 @@ def test_non_finite_detection_exits_1_in_either_line_order(field, value, tiny_fi
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "dataset-anchors"])
+@pytest.mark.parametrize("edit,field", [
+    (lambda rec: rec["boxes"][0].update(bbox=[1, 2, 3]), "boxes: 0: bbox"),
+    (lambda rec: rec.update(width="100"), "width"),
+    (lambda rec: rec["boxes"][0].update(label="plane"), "boxes: 0: label")],
+    ids=["bbox-of-three-numbers", "width-a-string", "label-plane"])
+def test_manifest_value_of_the_wrong_kind_exits_1_naming_line_and_field(
+        command, edit, field, tiny_files, tmp_path, capsys):
+    """Each used to end in a traceback or, for the unknown label, to leave
+    the box out of scoring and clustering."""
+    lines = tiny_files["manifest"].read_text().splitlines()
+    i = next(i for i, text in enumerate(lines) if json.loads(text).get("boxes"))
+    rec = json.loads(lines[i])
+    edit(rec)
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out.json"
+    bad.write_text("\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1:]) + "\n")
+    if command == "eval":
+        det = {"image": rec["image"], "class": 0, "confidence": 0.9, "bbox": [1, 2, 8, 8]}
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(json.dumps({"_meta": {}}) + "\n" + json.dumps(det) + "\n")
+        argv = ["eval", "--dets", dets, "--manifest", bad, "-o", out]
+    else:
+        argv = ["dataset", "anchors", "--manifest", bad, "-o", out]
+    assert run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}:{i + 1}: {field}: expected ")
+    assert not out.exists()
+
+
 def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
     out = tmp_path / "m.jsonl"
     argv = ["dataset", "merge", "--visdrone", os.path.join(FIXTURES, "visdrone"), "-o", out]

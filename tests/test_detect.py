@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetforge import detect
+from jetforge.artifacts import ArtifactError
 
 
 def test_letterbox_1920x1080_to_608x352():
@@ -233,3 +236,13 @@ def test_detections_jsonl_roundtrip(tmp_path):
     recs = detect.read_detections_jsonl(path)
     assert recs == [{"image": "a.ppm", "class": 1, "confidence": 0.5,
                      "bbox": [1, 2, 3, 4]}]
+
+
+@pytest.mark.parametrize("image", [5, None, ["a.ppm"]], ids=repr)
+def test_detection_whose_image_is_no_string_names_line_and_field(tmp_path, image):
+    path = tmp_path / "dets.jsonl"
+    det = {"image": image, "class": 1, "confidence": 0.5, "bbox": [1, 2, 3, 4]}
+    path.write_text(json.dumps({"_meta": {}}) + "\n" + json.dumps(det) + "\n")
+    where = re.escape(f"{path}:2: image: expected a string, got {json.dumps(image)}")
+    with pytest.raises(ArtifactError, match="^" + where):
+        detect.read_detections_jsonl(path)

@@ -259,8 +259,42 @@ def test_nonfinite_detected():
     gr.weights[("c1", "kernel")] = kernel.reshape(-1)
     gr.weights[("c2", "kernel")] = kernel.reshape(-1)
     x = np.full((1, 1, 32, 32), 1e30, dtype=np.float32)
-    with np.errstate(over="ignore"), pytest.raises(executor.NonFiniteDetected):
-        executor.execute(gr, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 'c1'$"):
+            executor.execute(gr, x)
+
+
+@pytest.mark.parametrize("factor", [1e30, None], ids=["attr", "weights"])
+def test_an_f32_scale_that_overflows_is_named_without_a_warning(factor):
+    """3e38 is near float32's largest value; scaled by 1e30 it overflows
+    to inf, and the node is named instead of numpy warning."""
+    attrs = {} if factor is None else {"factor": factor}
+    gr = g.Graph(nodes=[g.LayerNode("s", g.SCALE, ["input"], "s", attrs)],
+                 input_shape=g.TensorShape(1, 2, 32, 32))
+    if factor is None:
+        gr.weights[("s", "scale_factors")] = np.array([1.0, 1e30], dtype=np.float32)
+    x = np.full((1, 2, 32, 32), 3e38, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 's'$"):
+            executor.execute(gr, x)
+
+
+def test_a_split_gemm_that_overflows_is_named_without_a_warning(monkeypatch):
+    """The row blocks that worker threads compute overflow as the
+    caller's block does, and warn nothing either."""
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    gr = one_conv_graph(np.full((64, 64, 3, 3), 1e20), in_shape=(1, 64, 64, 64))
+    assert executor._split_rows(64 * 64, 64 * 9, 64) is not None
+    x = np.full((1, 64, 64, 64), 1e20, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 'c'$"):
+            executor.execute(gr, x)
 
 
 @pytest.mark.parametrize("mode", executor.MODES)
@@ -1219,8 +1253,7 @@ def test_a_fused_tail_names_the_node_the_separate_steps_name(mode, where):
     messages = []
     for retention in (executor.RETAIN_ALL, executor.RETAIN_HEADS):
         with pytest.raises(executor.NonFiniteDetected, match=f"node '{where}'") as err:
-            with np.errstate(over="ignore", invalid="ignore"):
-                executor.execute(gr, x, mode=mode, retention=retention)
+            executor.execute(gr, x, mode=mode, retention=retention)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     small = np.array([0.0, 0.25, 0.5, -0.5], dtype=np.float32).reshape(1, 1, 1, 4)

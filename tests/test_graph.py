@@ -403,6 +403,24 @@ def test_container_node_id_output_and_inputs_of_the_wrong_type(tmp_path, tiny_de
         g.load_container(path)
 
 
+@pytest.mark.parametrize("value", ["x", ["quantizable"], None, "QUANTIZABLE"], ids=repr)
+def test_container_node_precision_class_that_is_no_class(tmp_path, tiny_detector, value):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: m["nodes"][3].update(precision_class=value))
+    where = re.escape(f"{path}: nodes: 3: precision_class: expected quantizable or plugin_only, "
+                      f"got {json.dumps(value)}")
+    with pytest.raises(ArtifactError, match="^" + where):
+        g.load_container(path)
+
+
+def test_container_node_without_a_precision_class_loads_as_quantizable(tmp_path, tiny_detector):
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, lambda m: m["nodes"][3].pop("precision_class"))
+    assert g.load_container(path).nodes[3].precision_class == g.QUANTIZABLE
+
+
 @pytest.mark.parametrize("field,value,expected", [
     ("class_names", 5, "a list of strings"), ("class_names", "car", "a list of strings"),
     ("class_names", ["car", 1], "a list of strings"), ("class_names", None, "a list of strings"),
