@@ -8,8 +8,8 @@ by the option's dest name (`pass_names`, `ignore_eval`, `calib_dir`, ...). Confi
 values are converted and checked like flags; list inputs (`-i`, `--coco`,
 `--visdrone`) are command-line only. Precedence: command-line flag > config
 file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes: 0 success,
-1 validation/diagnostic failure or a malformed JSON artifact, 2 I/O or usage
-errors, a bad config value or unknown config key included.
+1 validation/diagnostic failure or a malformed cfg, JSON artifact or image, 2
+I/O or usage errors, a bad config value or unknown config key included.
 """
 
 from __future__ import annotations
@@ -536,7 +536,8 @@ def main(argv=None) -> int:
         return e.code
     except (artifacts.ArtifactError, frontend.FrontendError, graphlib.GraphError,
             passes.PassError, quant.QuantError, data.DataError, evaluation.EvalError,
-            detect.DetectError, bench.BenchError, executor.ExecutionError) as e:
+            detect.DetectError, bench.BenchError, executor.ExecutionError,
+            tensorio.ImageFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except FileNotFoundError as e:

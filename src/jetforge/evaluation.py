@@ -167,11 +167,13 @@ def evaluate(detections: list[dict], manifest: Manifest,
     """Score a detection list (dicts with image/class/confidence/bbox)
     against a dataset manifest."""
     by_image = {rec.image: rec for rec in manifest.records}
+    groups: dict[tuple[str, int], list[dict]] = {}  # (image, class id) -> dets in list order
     for det in detections:
         if det["image"] not in by_image:
             raise UnknownImage(f"detection references unknown image '{det['image']}'")
         if not 0 <= int(det["class"]) < len(CLASS_NAMES):
             raise UnknownClassId(f"class id {det['class']} out of range")
+        groups.setdefault((det["image"], int(det["class"])), []).append(det)
 
     per_class_ap: dict[str, float] = {}
     gt_counts: dict[str, int] = {}
@@ -190,8 +192,8 @@ def evaluate(detections: list[dict], manifest: Manifest,
             regions = ([b["bbox"] for b in rec.boxes if b["label"] == IGNORE]
                        if apply_ignore else [])
             total_gt += len(gts)
-            dets = [d for d in detections if d["image"] == image and int(d["class"]) == cid]
-            dets.sort(key=lambda d: -d["confidence"])  # stable on ties
+            dets = sorted(groups.get((image, cid), ()),
+                          key=lambda d: -d["confidence"])  # stable on ties
             result = match_detections(dets, gts, regions, iou_thresh)
             for det, label in zip(dets, result.det_labels):
                 if label == IGNORED:

@@ -1,42 +1,26 @@
 """Darknet cfg / weights frontend.
 
 Parses the cfg text format into a Graph skeleton and fills its weight store
-from the darknet binary weights layout, byte for byte. Training-only keys
-(learning_rate, jitter, ...) are accepted and ignored with a warning since
-only inference structure matters here.
+from the darknet binary weights layout, byte for byte. `SECTIONS` declares
+every key a section reads, with its conversion and default; training-only
+keys (learning_rate, jitter, ...) are skipped, some with a warning, since
+only inference structure matters here. A value that does not convert, or
+that gives a node `graph` refuses, raises `CfgSyntaxError` at its section's
+line.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import graph as g
 from .data import CLASS_NAMES
-
-# cfg keys that belong to training runs: [net] ones are silently skipped
-# (darknet cfgs always carry them), [yolo] ones are skipped with a warning
-TRAINING_KEYS = {
-    "net": {"batch", "subdivisions", "momentum", "decay", "angle", "saturation",
-            "exposure", "hue", "learning_rate", "burn_in", "max_batches", "policy",
-            "steps", "scales", "random"},
-    "yolo": {"num"},
-}
-YOLO_TRAINING_KEYS = {"jitter", "ignore_thresh", "truth_thresh", "random"}
-
-KNOWN_KEYS = {
-    "net": {"width", "height", "channels"},
-    "convolutional": {"batch_normalize", "filters", "size", "stride", "pad",
-                      "padding", "activation"},
-    "shortcut": {"from", "activation"},
-    "route": {"layers"},
-    "upsample": {"stride"},
-    "maxpool": {"size", "stride"},
-    "yolo": {"mask", "anchors", "classes"},
-}
 
 
 class FrontendError(Exception):
@@ -57,7 +41,7 @@ class BadReference(FrontendError):
     pass
 
 
-class UnsupportedOption(FrontendError):
+class UnsupportedOption(CfgSyntaxError):
     pass
 
 
@@ -73,18 +57,81 @@ class TrailingBytes(FrontendError):
     pass
 
 
+REQUIRED = "required"
+# training-only keys: skipped silently (darknet cfgs always carry [net]'s) or with a warning
+SILENT, WARNED = "silent", "warned"
+
+
+class Option(NamedTuple):
+    """A key a section reads: `parse` turns its text into the value or raises
+    ValueError, which the reader raises as `error` saying it expected
+    `expected`. A key left out reads as the text `default`; REQUIRED refuses
+    that, None gives None."""
+
+    parse: Callable[[str], object]
+    expected: str
+    default: str | None = REQUIRED
+    error: type = CfgSyntaxError
+
+
+def _checked(parse, test):
+    """`parse`, refusing a value that fails `test`."""
+    def checked(text):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(text)
+        return value
+    return checked
+
+
+def _ints(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _anchors(text: str) -> list[tuple[float, float]]:
+    v = [float(x) for x in text.split(",") if x.strip()]
+    if len(v) % 2 or not all(0 < x < math.inf for x in v):
+        raise ValueError(text)
+    return list(zip(v[::2], v[1::2]))
+
+
+def _int(default=REQUIRED) -> Option:
+    return Option(int, "an integer", default)
+
+
+_POSITIVE = Option(_checked(int, lambda v: v > 0), "a positive integer")
+_COUNT = Option(_checked(int, lambda v: v >= 0), "a non-negative integer", "0")
+
+# section -> key -> Option, SILENT or WARNED. Node attributes are bounded by
+# graph's node rules, which parse_cfg runs on every node it emits
+SECTIONS = {
+    "net": {"width": _POSITIVE, "height": _POSITIVE, "channels": _POSITIVE._replace(default="3"),
+            **dict.fromkeys(("batch", "subdivisions", "momentum", "decay", "angle",
+                             "saturation", "exposure", "hue", "learning_rate", "burn_in",
+                             "max_batches", "policy", "steps", "scales", "random"), SILENT)},
+    "convolutional": {
+        "batch_normalize": Option(_checked(int, lambda v: v in (0, 1)), "0 or 1", "0"),
+        "filters": _int(), "size": _int("1"), "stride": _int("1"), "pad": _COUNT,
+        "padding": _COUNT,
+        "activation": Option(_checked(str, lambda v: v in (g.LINEAR, g.RELU, g.LEAKY)),
+                             "linear, relu or leaky", g.LINEAR, UnsupportedOption)},
+    "shortcut": {"from": _int(), "activation": Option(
+        _checked(str, lambda v: v == g.LINEAR), "linear", g.LINEAR, UnsupportedOption)},
+    "route": {"layers": Option(_checked(_ints, bool), "a non-empty list of integers")},
+    "upsample": {"stride": _int("2")},
+    "maxpool": {"size": _int("2"), "stride": _int(None)},
+    "yolo": {"mask": Option(_ints, "a list of integers", "0"),
+             "anchors": Option(_anchors, "w,h pairs of positive numbers", ""),
+             "classes": _int("80"), "num": SILENT,
+             **dict.fromkeys(("jitter", "ignore_thresh", "truth_thresh", "random"), WARNED)},
+}
+
+
 @dataclass
 class CfgSection:
     name: str
     options: dict[str, str]
     line_no: int
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
-
-    def get_int(self, key, default=None):
-        v = self.options.get(key)
-        return default if v is None else int(v)
 
 
 @dataclass
@@ -122,21 +169,27 @@ def split_sections(text: str) -> list[CfgSection]:
     return sections
 
 
-def _parse_int_list(value: str) -> list[int]:
-    return [int(v.strip()) for v in value.split(",") if v.strip() != ""]
-
-
-def _parse_float_list(value: str) -> list[float]:
-    return [float(v.strip()) for v in value.split(",") if v.strip() != ""]
-
-
-def _warn_unknown_keys(section: CfgSection):
-    known = KNOWN_KEYS.get(section.name, set()) | TRAINING_KEYS.get(section.name, set())
+def _read_options(section: CfgSection) -> dict:
+    """Every Option of the section's SECTIONS table, key -> value, from its
+    text or its default; warns about unknown and WARNED keys first."""
+    table = SECTIONS[section.name]
     for key in section.options:
-        if section.name == "yolo" and key in YOLO_TRAINING_KEYS:
-            warnings.warn(f"[yolo] line {section.line_no}: ignoring training-only key '{key}'")
-        elif key not in known:
-            warnings.warn(f"[{section.name}] line {section.line_no}: ignoring unknown key '{key}'")
+        option = table.get(key)
+        if option is None or option == WARNED:
+            what = "unknown" if option is None else "training-only"
+            warnings.warn(f"[{section.name}] line {section.line_no}: ignoring {what} key '{key}'")
+    values = {}
+    for key, option in table.items():
+        if type(option) is Option:
+            text = section.options.get(key, option.default)
+            if text is REQUIRED:
+                raise CfgSyntaxError(section.line_no, f"[{section.name}] needs {key}")
+            try:
+                values[key] = text if text is None else option.parse(text)
+            except ValueError:
+                raise option.error(section.line_no, f"[{section.name}] {key}: expected "
+                                                    f"{option.expected}, got {text!r}") from None
+    return values
 
 
 def parse_cfg(text: str) -> g.Graph:
@@ -149,20 +202,12 @@ def parse_cfg(text: str) -> g.Graph:
     sections = split_sections(text)
     if not sections or sections[0].name != "net":
         raise CfgSyntaxError(sections[0].line_no if sections else 1, "cfg must start with [net]")
+    net = _read_options(sections[0])
+    input_shape = g.TensorShape(1, net["channels"], net["height"], net["width"])
 
-    net = sections[0]
-    _warn_unknown_keys(net)
-    width = net.get_int("width")
-    height = net.get_int("height")
-    channels = net.get_int("channels", 3)
-    if not width or not height:
-        raise CfgSyntaxError(net.line_no, "[net] needs width and height")
-    input_shape = g.TensorShape(1, channels, height, width)
-
-    nodes: list[g.LayerNode] = []
+    nodes: list[tuple[g.LayerNode, CfgSection]] = []  # with the section each comes from
     layer_outputs: list[str] = []   # darknet layer index -> output tensor id
     anchors: list[tuple[float, float]] = []
-    masks: list[tuple[CfgSection, list[int]]] = []  # checked once all anchors are known
     num_classes = None
 
     def resolve(ref: int, at: int, section: CfgSection) -> int:
@@ -175,82 +220,43 @@ def parse_cfg(text: str) -> g.Graph:
     for section in sections[1:]:
         i = len(layer_outputs)
         prev = layer_outputs[-1] if layer_outputs else "input"
-        if section.name not in KNOWN_KEYS:
+        if section.name not in SECTIONS:
             raise UnknownSection(f"line {section.line_no}: [{section.name}]")
-        _warn_unknown_keys(section)
+        o = _read_options(section)
 
         if section.name == "convolutional":
-            filters = section.get_int("filters")
-            size = section.get_int("size", 1)
-            stride = section.get_int("stride", 1)
-            pad = section.get_int("padding", 0)
-            if section.get_int("pad", 0):
-                pad = size // 2
-            bn = section.get_int("batch_normalize", 0) == 1
-            act = section.get("activation", "linear")
-            if filters is None:
-                raise CfgSyntaxError(section.line_no, "[convolutional] needs filters")
-            if act not in ("linear", "relu", "leaky"):
-                raise UnsupportedOption(f"line {section.line_no}: activation '{act}'")
-            conv = g.conv_node(f"conv{i}", [prev], f"conv{i}", filters, size, stride, pad,
-                               has_bias=not bn)
-            nodes.append(conv)
-            out = conv.output
+            size, bn, act = o["size"], o["batch_normalize"] == 1, o["activation"]
+            pad = size // 2 if o["pad"] else o["padding"]
+            new = [g.conv_node(f"conv{i}", [prev], f"conv{i}", o["filters"], size, o["stride"],
+                               pad, has_bias=not bn)]
             if bn:
-                bnode = g.LayerNode(f"bn{i}", g.BATCHNORM, [out], f"bn{i}", {"eps": 1e-6})
-                nodes.append(bnode)
-                out = bnode.output
-            if act != "linear":
-                alpha = 0.1 if act == "leaky" else None
-                anode = g.activation_node(f"act{i}", [out], f"act{i}", act, alpha)
-                nodes.append(anode)
-                out = anode.output
-            layer_outputs.append(out)
+                new.append(g.LayerNode(f"bn{i}", g.BATCHNORM, [new[-1].output], f"bn{i}",
+                                       {"eps": 1e-6}))
+            if act != g.LINEAR:
+                new.append(g.activation_node(f"act{i}", [new[-1].output], f"act{i}", act,
+                                             0.1 if act == g.LEAKY else None))
 
         elif section.name == "shortcut":
-            frm = section.get_int("from")
-            if frm is None:
-                raise CfgSyntaxError(section.line_no, "[shortcut] needs from")
-            src = resolve(frm, i, section)
-            node = g.LayerNode(f"add{i}", g.ADD, [layer_outputs[i - 1], layer_outputs[src]], f"add{i}")
-            nodes.append(node)
-            layer_outputs.append(node.output)
+            src = resolve(o["from"], i, section)
+            new = [g.LayerNode(f"add{i}", g.ADD, [layer_outputs[i - 1], layer_outputs[src]],
+                               f"add{i}")]
 
         elif section.name == "route":
-            raw = section.get("layers")
-            if raw is None:
-                raise CfgSyntaxError(section.line_no, "[route] needs layers")
-            refs = [resolve(r, i, section) for r in _parse_int_list(raw)]
-            if len(refs) == 1:
-                # plain re-wire, no node emitted
-                layer_outputs.append(layer_outputs[refs[0]])
-            else:
-                node = g.LayerNode(f"concat{i}", g.CONCAT,
-                                   [layer_outputs[r] for r in refs], f"concat{i}")
-                nodes.append(node)
-                layer_outputs.append(node.output)
+            refs = [resolve(r, i, section) for r in o["layers"]]
+            # a single layer is a plain re-wire, no node emitted
+            new = [] if len(refs) == 1 else [g.LayerNode(
+                f"concat{i}", g.CONCAT, [layer_outputs[r] for r in refs], f"concat{i}")]
 
         elif section.name == "upsample":
-            factor = section.get_int("stride", 2)
-            node = g.LayerNode(f"up{i}", g.UPSAMPLE, [prev], f"up{i}", {"factor": factor})
-            nodes.append(node)
-            layer_outputs.append(node.output)
+            new = [g.LayerNode(f"up{i}", g.UPSAMPLE, [prev], f"up{i}", {"factor": o["stride"]})]
 
         elif section.name == "maxpool":
-            size = section.get_int("size", 2)
-            stride = section.get_int("stride", size)
-            node = g.LayerNode(f"pool{i}", g.MAXPOOL, [prev], f"pool{i}",
-                               {"kernel": size, "stride": stride})
-            nodes.append(node)
-            layer_outputs.append(node.output)
+            stride = o["size"] if o["stride"] is None else o["stride"]
+            new = [g.LayerNode(f"pool{i}", g.MAXPOOL, [prev], f"pool{i}",
+                               {"kernel": o["size"], "stride": stride})]
 
         elif section.name == "yolo":
-            mask = _parse_int_list(section.get("mask", "0"))
-            classes = section.get_int("classes", 80)
-            raw_anchors = _parse_float_list(section.get("anchors", ""))
-            if len(raw_anchors) % 2:
-                raise CfgSyntaxError(section.line_no, "[yolo] anchors must be w,h pairs")
-            pairs = [(raw_anchors[k], raw_anchors[k + 1]) for k in range(0, len(raw_anchors), 2)]
+            pairs, classes = o["anchors"], o["classes"]
             if anchors and pairs and pairs != anchors:
                 raise CfgSyntaxError(section.line_no, "[yolo] anchors differ between heads")
             if pairs:
@@ -258,34 +264,28 @@ def parse_cfg(text: str) -> g.Graph:
             if num_classes is not None and classes != num_classes:
                 raise CfgSyntaxError(section.line_no, "[yolo] classes differ between heads")
             num_classes = classes
-            masks.append((section, mask))
-            node = g.LayerNode(f"yolo{i}", g.YOLO_HEAD, [prev], f"yolo{i}",
-                               {"anchor_indices": mask, "num_classes": classes})
-            nodes.append(node)
-            layer_outputs.append(node.output)
+            new = [g.LayerNode(f"yolo{i}", g.YOLO_HEAD, [prev], f"yolo{i}",
+                               {"anchor_indices": o["mask"], "num_classes": classes})]
 
-        elif section.name == "net":
+        else:
             raise CfgSyntaxError(section.line_no, "duplicate [net] section")
+        nodes += [(node, section) for node in new]
+        layer_outputs.append(new[-1].output if new else layer_outputs[refs[0]])
 
-    for section, mask in masks:
-        outside = [m for m in mask if not 0 <= m < len(anchors)]
+    # run once every head is read, when the anchors are known
+    for node, section in nodes:
+        outside = [m for m in node.attrs.get("anchor_indices", ()) if not 0 <= m < len(anchors)]
         if outside:
             raise CfgSyntaxError(section.line_no, f"[yolo] mask {outside} outside the "
                                                   f"{len(anchors)} anchors")
+        if faults := g._node_faults(node, len(anchors)):
+            field, reason = faults[0]
+            raise CfgSyntaxError(section.line_no, f"[{section.name}] {field}: {reason}")
 
-    if num_classes == len(CLASS_NAMES):
-        class_names = list(CLASS_NAMES)
-    elif num_classes:
-        class_names = [f"class{k}" for k in range(num_classes)]
-    else:
-        class_names = []
-    return g.Graph(
-        nodes=nodes,
-        input_id="input",
-        input_shape=input_shape,
-        metadata=g.GraphMetadata(class_names=class_names, anchors=anchors),
-    )
-
+    class_names = (list(CLASS_NAMES) if num_classes == len(CLASS_NAMES)
+                   else [f"class{k}" for k in range(num_classes or 0)])
+    return g.Graph(nodes=[node for node, _ in nodes], input_id="input", input_shape=input_shape,
+                   metadata=g.GraphMetadata(class_names=class_names, anchors=anchors))
 
 # --------------------------------------------------------------------------
 # binary weights

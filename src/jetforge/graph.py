@@ -299,20 +299,17 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
 def _node_output_shape(node: LayerNode, in_shapes: list[TensorShape]) -> TensorShape:
     kind = node.kind
     s = in_shapes[0]
-    if kind == CONV:
+    if kind in (CONV, MAXPOOL):
         a = node.attrs
-        oh = conv_out_dim(s.h, a["kernel"], a["stride"], a["pad"])
-        ow = conv_out_dim(s.w, a["kernel"], a["stride"], a["pad"])
+        if a["kernel"] < 1 or a["stride"] < 1:
+            raise GraphError(f"{node.id}: {kind} kernel {a['kernel']} and stride {a['stride']} "
+                             f"must be >= 1")
+        pad = a["pad"] if kind == CONV else 0
+        oh = conv_out_dim(s.h, a["kernel"], a["stride"], pad)
+        ow = conv_out_dim(s.w, a["kernel"], a["stride"], pad)
         if oh < 1 or ow < 1:
-            raise UnderflowShape(f"{node.id}: conv output {oh}x{ow} underflows")
-        return TensorShape(s.n, a["out_ch"], oh, ow)
-    if kind == MAXPOOL:
-        a = node.attrs
-        oh = conv_out_dim(s.h, a["kernel"], a["stride"], 0)
-        ow = conv_out_dim(s.w, a["kernel"], a["stride"], 0)
-        if oh < 1 or ow < 1:
-            raise UnderflowShape(f"{node.id}: maxpool output {oh}x{ow} underflows")
-        return TensorShape(s.n, s.c, oh, ow)
+            raise UnderflowShape(f"{node.id}: {kind} output {oh}x{ow} underflows")
+        return TensorShape(s.n, a["out_ch"] if kind == CONV else s.c, oh, ow)
     if kind == UPSAMPLE:
         f = node.attrs["factor"]
         return TensorShape(s.n, s.c, s.h * f, s.w * f)

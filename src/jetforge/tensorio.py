@@ -37,22 +37,25 @@ def load_raw_tensor(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(n, c, h, w)
 
 
-def _read_pnm_token(f) -> bytes:
-    # skips whitespace and '#' comments between header tokens
+def _read_pnm_int(f) -> int:
+    # skips whitespace and '#' comments between header tokens; errors name f's file
     token = b""
     while True:
         ch = f.read(1)
         if not ch:
-            raise ImageFormatError("unexpected end of PNM header")
+            raise ImageFormatError(f"{f.name}: unexpected end of PNM header")
         if ch == b"#":
             while ch and ch != b"\n":
                 ch = f.read(1)
             continue
         if ch.isspace():
             if token:
-                return token
+                break
             continue
         token += ch
+    if not token.isdigit() or int(token) < 1:
+        raise ImageFormatError(f"{f.name}: PNM header field {token!r} is not a positive integer")
+    return int(token)
 
 
 def load_image(path) -> np.ndarray:
@@ -61,9 +64,9 @@ def load_image(path) -> np.ndarray:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ImageFormatError(f"{path}: unsupported magic {magic!r}")
-        width = int(_read_pnm_token(f))
-        height = int(_read_pnm_token(f))
-        maxval = int(_read_pnm_token(f))
+        width = _read_pnm_int(f)
+        height = _read_pnm_int(f)
+        maxval = _read_pnm_int(f)
         if maxval != 255:
             raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
         channels = 3 if magic == b"P6" else 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -91,6 +92,98 @@ def test_invalid_cfg_exits_1(tiny_files, tmp_path, capsys):
         assert code == 1
         assert error in capsys.readouterr().err
         assert not (tmp_path / "x.uir").exists()
+
+
+
+# one section of each kind, every key that SECTIONS reads set to a value that converts
+_CFG = [("net", {"width": "32", "height": "32", "channels": "3"}),
+        ("convolutional", {"batch_normalize": "1", "filters": "8", "size": "3", "stride": "1",
+                           "pad": "1", "padding": "0", "activation": "leaky"}),
+        ("shortcut", {"from": "-1", "activation": "linear"}),
+        ("maxpool", {"size": "2", "stride": "2"}),
+        ("upsample", {"stride": "2"}),
+        ("route", {"layers": "-1,-3"}),
+        ("convolutional", {"filters": "11", "size": "1", "stride": "1", "activation": "linear"}),
+        ("yolo", {"mask": "0", "anchors": "4,4, 8,8", "classes": "6"})]
+# the value just below each bound a key feeds, and what the error names: the
+# key, or the node attribute for a bound of graph's node rules
+_BELOW_BOUND = {("net", "width"): ("0", "width"), ("net", "height"): ("0", "height"),
+                ("net", "channels"): ("0", "channels"),
+                ("convolutional", "batch_normalize"): ("-1", "batch_normalize"),
+                ("convolutional", "filters"): ("0", "out_ch"),
+                ("convolutional", "size"): ("0", "kernel"),
+                ("convolutional", "stride"): ("0", "stride"),
+                ("convolutional", "pad"): ("-1", "pad"),
+                ("convolutional", "padding"): ("-1", "padding"),
+                ("upsample", "stride"): ("1", "factor"),
+                ("maxpool", "size"): ("0", "kernel"), ("maxpool", "stride"): ("0", "stride"),
+                ("route", "layers"): ("", "layers"),
+                ("yolo", "mask"): ("-1", "mask"), ("yolo", "anchors"): ("0,4", "anchors"),
+                ("yolo", "classes"): ("0", "num_classes")}
+# one-value edits that used to end in a traceback, to blame the weights file
+# or, for the shortcut's activation, to be run as linear; -> what the error names
+_EDITS = {("convolutional", "stride", "0"): "stride",
+          ("convolutional", "filters", "abc"): "filters", ("net", "width", "6x"): "width",
+          ("maxpool", "size", "0"): "kernel", ("maxpool", "stride", "0"): "stride",
+          ("route", "layers", ""): "layers", ("route", "layers", "x"): "layers",
+          ("yolo", "anchors", "a,4"): "anchors", ("convolutional", "pad", "x"): "pad",
+          ("convolutional", "filters", "-4"): "out_ch", ("convolutional", "size", "0"): "kernel",
+          ("net", "channels", "0"): "channels", ("yolo", "classes", "0"): "num_classes",
+          ("shortcut", "activation", "leaky"): "activation"}
+
+
+def _cfg_text(edit=()) -> tuple[str, int]:
+    """_CFG as cfg text with `edit` (section, key, value) applied to the
+    first section of its name, and the line of that section's header."""
+    lines, at = [], 0
+    for name, options in _CFG:
+        if edit and edit[0] == name and not at:
+            at, options = len(lines) + 1, {**options, edit[1]: edit[2]}
+        lines += [f"[{name}]"] + [f"{k}={v}" for k, v in options.items()] + [""]
+    return "\n".join(lines), at
+
+
+def _cfg_options() -> set:
+    return {(name, key) for name, table in frontend.SECTIONS.items()
+            for key, option in table.items() if type(option) is frontend.Option}
+
+
+# (section, key, value) -> what the error names: every option with a text
+# that does not convert, every bound, every edit
+_CFG_CASES = {**{(name, key, "x"): key for name, key in sorted(_cfg_options())},
+              **{(name, key, value): named
+                 for (name, key), (value, named) in _BELOW_BOUND.items()},
+              **_EDITS}
+
+
+@pytest.fixture(scope="module")
+def cfg_weights(tmp_path_factory):
+    """Darknet weights for the unedited _CFG."""
+    path = tmp_path_factory.mktemp("cfg") / "all.weights"
+    path.write_bytes(fixtures.random_weights(frontend.parse_cfg(_cfg_text()[0]), seed=0))
+    return path
+
+
+def test_the_cfg_cases_cover_every_option_and_the_unedited_cfg_converts(cfg_weights, tmp_path):
+    assert {(name, key) for name, options in _CFG for key in options} == _cfg_options()
+    assert set(_BELOW_BOUND) <= _cfg_options()
+    cfg, out = tmp_path / "all.cfg", tmp_path / "all.uir"
+    cfg.write_text(_cfg_text()[0])
+    assert run(["convert", "--cfg", cfg, "--weights", cfg_weights, "-o", out]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("edit,named", list(_CFG_CASES.items()),
+                         ids=[f"{s}-{k}={v}" for s, k, v in _CFG_CASES])
+def test_cfg_value_that_does_not_convert_or_breaks_a_bound_exits_1_naming_line_and_key(
+        edit, named, cfg_weights, tmp_path, capsys):
+    text, line = _cfg_text(edit)
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "bad.uir"
+    cfg.write_text(text)
+    assert run(["convert", "--cfg", cfg, "--weights", cfg_weights, "-o", out]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {line}: [{edit[0]}] "), err
+    assert re.search(rf"(\] |attrs: ){named}\b", err[0]), err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="session")
@@ -731,6 +824,32 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
     err = capsys.readouterr().err.splitlines()
     where = bad if line is None else f"{bad}:{line}"
     assert len(err) == 1 and err[0].startswith(f"error: {where}: {field}")
+    assert not out.exists()
+
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+@pytest.mark.parametrize("name,payload", [
+    ("truncated.ppm", b"P6\n4 4\n255\n" + bytes(47)),
+    ("maxval.ppm", b"P6\n4 4\n65535\n" + bytes(96)),
+    ("ascii.ppm", b"P3\n1 1\n255\n0 0 0\n"),
+    ("short.f32", struct.pack("<II", 1, 3)),
+    ("size-not-a-number.ppm", b"P6\nabc 64\n255\n")],
+    ids=["truncated-payload", "maxval-65535", "magic-p3", "raw-short-header",
+         "size-not-a-number"])
+def test_malformed_image_exits_1_naming_the_file(command, name, payload, tiny_container,
+                                                 tmp_path, capsys):
+    images, out = tmp_path / "images", tmp_path / "out"
+    images.mkdir()
+    bad = images / name
+    bad.write_bytes(payload)
+    if command == "detect":
+        argv = ["detect", "-m", tiny_container, "-i", bad, "-o", out]
+    else:
+        argv = ["calibrate", "-m", tiny_container, "--images", images, "-o", out]
+    assert run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
     assert not out.exists()
 
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -144,12 +147,40 @@ def test_unknown_keys_warn_not_fail():
     assert gr.input_shape.w == 32
 
 
+
+def test_skipped_keys_warn_with_their_section_line_and_key():
+    cfg = fixtures.tiny_cfg().replace("num=2", "num=2\njitter=.3\nrandom=1\nwormhole=9", 1)
+    with pytest.warns(UserWarning) as record:
+        frontend.parse_cfg(cfg.replace("channels=3", "channels=3\nrandom=1\nwormhole=9"))
+    assert [str(w.message) for w in record] == [
+        "[net] line 1: ignoring unknown key 'wormhole'",
+        "[yolo] line 50: ignoring training-only key 'jitter'",
+        "[yolo] line 50: ignoring training-only key 'random'",
+        "[yolo] line 50: ignoring unknown key 'wormhole'"]
+
+
 def test_training_keys_ignored_silently():
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         frontend.parse_cfg("[net]\nwidth=32\nheight=32\nlearning_rate=0.004\nburn_in=1000\n"
                            "[convolutional]\nfilters=1\nsize=1\nstride=1\nactivation=linear\n")
+
+
+
+@pytest.mark.parametrize("name,text,digest", [
+    ("yolov3-160x96", fixtures.yolov3_cfg(160, 96),
+     "09ba18132c1708c30503f7af584e41c097f6fedba46c6dd23cab198e36bddcdc"),
+    ("yolov3", fixtures.yolov3_cfg(),
+     "198be71370f5410dfc7768656f0822aa8a02f50e8d586db452e264f7e8f0798a"),
+    ("tiny", fixtures.tiny_cfg(),
+     "454e8882305b5838f5312133c9212994da1db6baab1dc6e66bdac723647e42e9")])
+def test_parse_output_digest(name, text, digest):
+    """The graph manifest parse_cfg gives for each generated cfg, pinned by
+    its sha256; the cfgs parse without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest = g.graph_manifest(frontend.parse_cfg(text))
+    assert hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest() == digest
 
 
 def _header(major=0, minor=2, revision=0, seen=0):

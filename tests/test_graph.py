@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetforge import executor
 from jetforge import graph as g
 from jetforge.artifacts import ArtifactError
 
@@ -55,6 +56,28 @@ def test_underflow_shape():
     gr = g.Graph(nodes=[node], input_shape=g.TensorShape(1, 1, 4, 4))
     with pytest.raises(g.UnderflowShape):
         g.infer_shapes(gr)
+
+
+
+@pytest.mark.parametrize("kind", [g.CONV, g.MAXPOOL])
+@pytest.mark.parametrize("key", ["kernel", "stride"])
+def test_kernel_or_stride_below_one_is_a_shape_fault_naming_the_node(kind, key):
+    """validate reports it and compile raises it, where both used to divide by zero."""
+    gr = _small_weighted_graph()
+    if kind == g.CONV:
+        node = g.conv_node("n", ["a"], "n", out_ch=2, kernel=1, stride=1, pad=0, has_bias=True)
+        gr.weights[("n", "kernel")] = np.ones(4, dtype=np.float32)
+        gr.weights[("n", "bias")] = np.zeros(2, dtype=np.float32)
+    else:
+        node = g.LayerNode("n", g.MAXPOOL, ["a"], "n", {"kernel": 2, "stride": 2})
+    node.attrs[key] = 0
+    gr.nodes.append(node)
+    with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
+        g.infer_shapes(gr)
+    assert any(d.reason.startswith(f"shape inference failed: n: {kind} kernel")
+               for d in g.validate(gr))
+    with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
+        executor.compile(gr)
 
 
 def test_add_shape_mismatch():
