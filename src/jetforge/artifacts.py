@@ -9,8 +9,10 @@ An object that is not a JSON object, lacks a field its table requires or
 holds a value that a field's test rejects raises
 `ArtifactError("<path>[:<line>]: <keys>: <field>: expected <expected>, got <value>")`,
 where the keys lead from the document or line to the object, list indices
-included. The tests readers share are the upper-case Fields below; rules
-that relate fields to each other stay with their readers.
+included. `faults` lists every fault instead, for a caller that reports
+them all (graph's node rules). The tests readers share are the upper-case
+Fields below; rules that relate fields to each other stay with their
+readers.
 """
 
 from __future__ import annotations
@@ -82,32 +84,51 @@ def _at(keys) -> str:
     return "".join(f"{k}: " for k in keys)
 
 
+def _got(value, expected: str) -> str:
+    # default=repr: an in-memory value may be one JSON cannot hold
+    return f"expected {expected}, got {json.dumps(value, default=repr)[:40]}"
+
+
 def reject(value, expected: str, where, *keys):
     """Raise the error for `value` where `expected` was wanted; it names
     `where` (path or path:line) and the `keys` leading to `value`."""
-    raise ArtifactError(f"{where}: {_at(keys)}expected {expected}, got {json.dumps(value)[:40]}")
+    raise ArtifactError(f"{where}: {_at(keys)}{_got(value, expected)}")
 
 
-def check(obj, table: dict, where, *keys) -> dict:
-    """`obj` if it is a JSON object that passes `table` (see the module
-    docstring); the error names `where` (path or path:line) and the `keys`
-    leading to `obj`."""
+def faults(obj, table: dict):
+    """(keys, what is wrong) for each fault of `obj` against `table` (see the
+    module docstring), lazily and in table order. The keys lead from `obj`
+    to the field, () for `obj` itself; the required fields `obj` lacks are
+    one fault, where the first of them is in the table."""
     if type(obj) is not dict:
-        reject(obj, "a JSON object", where, *keys)
+        yield (), _got(obj, "a JSON object")
+        return
+    told_missing = False
     for name, field in table.items():
         if name not in obj:
-            if not getattr(field, "optional", False):
-                missing = sorted(n for n, f in table.items()
-                                 if n not in obj and not getattr(f, "optional", False))
-                raise ArtifactError(f"{where}: {_at(keys)}missing {', '.join(missing)}")
+            if not (told_missing or getattr(field, "optional", False)):
+                told_missing = True
+                yield (), "missing " + ", ".join(sorted(
+                    n for n, f in table.items()
+                    if n not in obj and not getattr(f, "optional", False)))
         elif type(field) is dict:
             items = obj[name]
             if type(items) is not list:
-                reject(items, "a JSON list", where, *keys, name)
+                yield (name,), _got(items, "a JSON list")
+                continue
             for i, item in enumerate(items):
-                check(item, field, where, *keys, name, i)
+                for keys, fault in faults(item, field):
+                    yield (name, i, *keys), fault
         elif not field.test(obj[name]):
-            reject(obj[name], field.expected, where, *keys, name)
+            yield (name,), _got(obj[name], field.expected)
+
+
+def check(obj, table: dict, where, *keys) -> dict:
+    """`obj` if it is a JSON object that passes `table`; else raises its
+    first fault, naming `where` (path or path:line) and the `keys` leading
+    to `obj`."""
+    for at, fault in faults(obj, table):
+        raise ArtifactError(f"{where}: {_at(keys + at)}{fault}")
     return obj
 
 

@@ -138,7 +138,14 @@ def _list_images(directory) -> list[str]:
 def _load_image(path, graph: graphlib.Graph) -> np.ndarray:
     """An image or raw tensor file as h,w,c floats with `graph`'s input channels."""
     _require_file(path, "image")
-    return tensorio.load_input(path, channels=graph.input_shape.c)[0].transpose(1, 2, 0)
+    x = tensorio.load_input(path, channels=graph.input_shape.c)
+    if x.shape[0] != 1:
+        raise CliError(f"{path}: raw tensor with n={x.shape[0]}, expected one image (n=1)",
+                       code=EXIT_INVALID)
+    if x.shape[1] != graph.input_shape.c:
+        raise CliError(f"{path}: input with c={x.shape[1]} channels, the model takes "
+                       f"c={graph.input_shape.c}", code=EXIT_INVALID)
+    return x[0].transpose(1, 2, 0)
 
 
 # --------------------------------------------------------------------------

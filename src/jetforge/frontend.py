@@ -12,6 +12,7 @@ line.
 from __future__ import annotations
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -84,23 +85,41 @@ def _checked(parse, test):
     return checked
 
 
+def _integer(text: str) -> int:
+    # ASCII decimal digits only: int() also takes "9_6" and other scripts' digits
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(text)
+    return int(text)
+
+
+def _number(text: str) -> float:
+    # as _integer; float() also takes "inf" and "nan"
+    if not re.fullmatch(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", text):
+        raise ValueError(text)
+    return float(text)
+
+
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [_integer(v) for v in text.split(",") if v.strip()]
 
 
 def _anchors(text: str) -> list[tuple[float, float]]:
-    v = [float(x) for x in text.split(",") if x.strip()]
+    v = [_number(x) for x in text.split(",") if x.strip()]
     if len(v) % 2 or not all(0 < x < math.inf for x in v):
         raise ValueError(text)
     return list(zip(v[::2], v[1::2]))
 
 
 def _int(default=REQUIRED) -> Option:
-    return Option(int, "an integer", default)
+    return Option(_integer, "an integer", default)
 
 
-_POSITIVE = Option(_checked(int, lambda v: v > 0), "a positive integer")
-_COUNT = Option(_checked(int, lambda v: v >= 0), "a non-negative integer", "0")
+# options checked against graph's attribute table before a node is built:
+# `activation`, to refuse as an unsupported option, and the `pad` flag and
+# `padding`, counts as the conv's pad (padding is its pad only without the flag)
+_PAD, _ACT = g._ATTR_FIELDS[g.CONV]["pad"], g._ATTR_FIELDS[g.ACTIVATION]["act"]
+_POSITIVE = Option(_checked(_integer, lambda v: v > 0), "a positive integer")
+_COUNT = Option(_checked(_integer, _PAD.test), _PAD.expected, "0")
 
 # section -> key -> Option, SILENT or WARNED. Node attributes are bounded by
 # graph's node rules, which parse_cfg runs on every node it emits
@@ -110,11 +129,10 @@ SECTIONS = {
                              "saturation", "exposure", "hue", "learning_rate", "burn_in",
                              "max_batches", "policy", "steps", "scales", "random"), SILENT)},
     "convolutional": {
-        "batch_normalize": Option(_checked(int, lambda v: v in (0, 1)), "0 or 1", "0"),
+        "batch_normalize": Option(_checked(_integer, lambda v: v in (0, 1)), "0 or 1", "0"),
         "filters": _int(), "size": _int("1"), "stride": _int("1"), "pad": _COUNT,
         "padding": _COUNT,
-        "activation": Option(_checked(str, lambda v: v in (g.LINEAR, g.RELU, g.LEAKY)),
-                             "linear, relu or leaky", g.LINEAR, UnsupportedOption)},
+        "activation": Option(_checked(str, _ACT.test), _ACT.expected, g.LINEAR, UnsupportedOption)},
     "shortcut": {"from": _int(), "activation": Option(
         _checked(str, lambda v: v == g.LINEAR), "linear", g.LINEAR, UnsupportedOption)},
     "route": {"layers": Option(_checked(_ints, bool), "a non-empty list of integers")},
@@ -274,10 +292,6 @@ def parse_cfg(text: str) -> g.Graph:
 
     # run once every head is read, when the anchors are known
     for node, section in nodes:
-        outside = [m for m in node.attrs.get("anchor_indices", ()) if not 0 <= m < len(anchors)]
-        if outside:
-            raise CfgSyntaxError(section.line_no, f"[yolo] mask {outside} outside the "
-                                                  f"{len(anchors)} anchors")
         if faults := g._node_faults(node, len(anchors)):
             field, reason = faults[0]
             raise CfgSyntaxError(section.line_no, f"[{section.name}] {field}: {reason}")
@@ -298,15 +312,16 @@ def _darknet_layout(graph: g.Graph) -> list[tuple[tuple[g.LayerNode, str], int]]
     consumers = graph.consumers()
     layout = []
     for conv in (n for n in graph.nodes if n.kind == g.CONV):
-        out_ch, k = conv.attrs["out_ch"], conv.attrs["kernel"]
         bn = next((m for m in consumers.get(conv.output, ())
                    if m.kind == g.BATCHNORM and m.inputs[0] == conv.output), None)
+        lens = g._expected_weight_lens(conv, shapes[conv.inputs[0]].c)
         if bn is not None:
-            layout += [((bn, role), out_ch)
+            bn_lens = g._expected_weight_lens(bn, shapes[bn.inputs[0]].c)
+            layout += [((bn, role), bn_lens[role])
                        for role in ("bn_beta", "bn_gamma", "bn_mean", "bn_var")]
         else:
-            layout.append(((conv, "bias"), out_ch))
-        layout.append(((conv, "kernel"), out_ch * shapes[conv.inputs[0]].c * k * k))
+            layout.append(((conv, "bias"), lens["bias"]))
+        layout.append(((conv, "kernel"), lens["kernel"]))
     return layout
 
 

@@ -382,12 +382,12 @@ def validate(graph: Graph) -> list[Diagnostic]:
         diags.append(Diagnostic(stuck[0].id, "cycle involving nodes: "
                                 + ", ".join(n.id for n in stuck)))
 
-    for n in graph.nodes:
-        diags.extend(Diagnostic(n.id, reason)
-                     for _, reason in _node_faults(n, len(graph.metadata.anchors)))
+    faulty = [Diagnostic(n.id, f"{field}: {reason}") for n in graph.nodes
+              for field, reason in _node_faults(n, len(graph.metadata.anchors))]
+    diags += faulty
 
-    # shape inference cannot get past a dangling input or a cycle
-    if (graph.weights or not diags) and not (dangling or stuck):
+    # shape inference cannot get past a dangling input, a cycle or a node fault
+    if (graph.weights or not diags) and not (dangling or stuck or faulty):
         try:
             shapes = infer_shapes(graph)
         except GraphError as e:
@@ -399,44 +399,40 @@ def validate(graph: Graph) -> list[Diagnostic]:
     return diags
 
 
+_ACT = Field(lambda v: type(v) is str and v in (LINEAR, RELU, LEAKY),
+             f"{LINEAR}, {RELU} or {LEAKY}")
+
+# per kind: the attributes the stages read, each with its type and bound
+_ATTR_FIELDS = {
+    CONV: {"out_ch": POSITIVE_INTEGER, "kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER,
+           "pad": COUNT, "has_bias": BOOLEAN, "act": optional(_ACT), "alpha": optional(NUMBER)},
+    BATCHNORM: {"eps": NUMBER},
+    ACTIVATION: {"act": _ACT, "alpha": optional(NUMBER)},
+    SCALE: {"factor": optional(NUMBER)},
+    UPSAMPLE: {"factor": Field(lambda v: INTEGER.test(v) and v >= 2, "an integer >= 2")},
+    MAXPOOL: {"kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER},
+    YOLO_HEAD: {"anchor_indices": Field(lambda v: type(v) is list and v and all(
+                    map(INTEGER.test, v)), "a non-empty list of integers"),
+                "num_classes": POSITIVE_INTEGER},
+}
+
+
 def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
-    """(field, reason) for each rule of its kind that the node breaks; the
-    field is `attrs: <key>` or `inputs`. Assumes the attributes have the
-    types of _ATTR_FIELDS."""
-    out = []
-    a = n.attrs
-    if n.kind == CONV:
-        for key in ("out_ch", "kernel", "stride"):
-            if a.get(key, 0) < 1:
-                out.append((f"attrs: {key}", f"conv {key} must be >= 1"))
-        if a.get("pad", 0) < 0:
-            out.append(("attrs: pad", "conv pad must be >= 0"))
-        if a.get("act", LINEAR) not in (LINEAR, RELU, LEAKY):
-            out.append(("attrs: act", f"unknown activation '{a.get('act')}'"))
-    elif n.kind == ACTIVATION:
-        if a.get("act") not in (LINEAR, RELU, LEAKY):
-            out.append(("attrs: act", f"unknown activation '{a.get('act')}'"))
-    elif n.kind == UPSAMPLE:
-        if int(a.get("factor", 0)) < 2:
-            out.append(("attrs: factor",
-                        f"upsample factor must be an integer >= 2, got {a.get('factor')}"))
-    elif n.kind == MAXPOOL:
-        for key in ("kernel", "stride"):
-            if a.get(key, 0) < 1:
-                out.append((f"attrs: {key}", "maxpool kernel and stride must be >= 1"))
-                break
-    elif n.kind == YOLO_HEAD:
-        if not a.get("anchor_indices"):
-            out.append(("attrs: anchor_indices", "yolo head needs at least one anchor index"))
-        outside = [i for i in a.get("anchor_indices") or () if not 0 <= i < anchor_count]
-        if outside:
-            out.append(("attrs: anchor_indices", f"anchor indices {outside} outside the "
-                                                 f"model's {anchor_count} anchors"))
-        if a.get("num_classes", 0) < 1:
-            out.append(("attrs: num_classes", "yolo head needs num_classes >= 1"))
-    if (n.kind in (CONV, ACTIVATION) and a.get("act") == LEAKY
+    """(field, reason) for each fault of the node: each attribute that
+    _ATTR_FIELDS refuses for its kind, then each rule between fields that
+    it breaks. The field is `attrs: <key>`, `attrs` for missing attributes,
+    or `inputs`."""
+    out = [(": ".join(("attrs", *keys)), fault)
+           for keys, fault in artifacts.faults(n.attrs, _ATTR_FIELDS.get(n.kind, {}))]
+    a, refused = n.attrs, {f for f, _ in out}
+    if (n.kind in (CONV, ACTIVATION) and a.get("act") == LEAKY and "attrs: alpha" not in refused
             and not 0.0 < a.get("alpha", 0.0) < 1.0):
-        out.append(("attrs: alpha", f"leaky alpha must be in (0,1), got {a.get('alpha')}"))
+        out.append(("attrs: alpha", f"leaky needs alpha in (0, 1), got {a.get('alpha')}"))
+    if n.kind == YOLO_HEAD and "attrs: anchor_indices" not in refused:
+        outside = [i for i in a.get("anchor_indices", ()) if not 0 <= i < anchor_count]
+        if outside:
+            out.append(("attrs: anchor_indices",
+                        f"{outside} outside the model's {anchor_count} anchors"))
     if n.kind in (ADD, CONCAT) and len(n.inputs) < 2:
         out.append(("inputs", f"{n.kind} needs at least two inputs"))
     return out
@@ -495,7 +491,6 @@ _SHAPE = Field(lambda v: type(v) is list and len(v) == 4 and all(map(POSITIVE_IN
 _ANCHORS = Field(lambda v: type(v) is list and all(
     type(a) is list and len(a) == 2 and all(finite_number(x) and x > 0 for x in a) for a in v),
     "a list of [w, h] pairs of positive numbers")
-_INTEGERS = Field(lambda v: type(v) is list and all(map(INTEGER.test, v)), "a list of integers")
 _PRECISION_CLASS = Field(lambda v: v in (QUANTIZABLE, PLUGIN_ONLY),
                          f"{QUANTIZABLE} or {PLUGIN_ONLY}")
 
@@ -509,19 +504,6 @@ _MANIFEST_FIELDS = {"input": OBJECT, "metadata": OBJECT, "nodes": _NODE_FIELDS,
                     "weights": _WEIGHT_FIELDS,
                     "qparams": optional(Field(lambda v: v is None or type(v) is dict,
                                               "a JSON object or null"))}
-
-# per kind: the attributes the stages read
-_ATTR_FIELDS = {
-    CONV: {"out_ch": INTEGER, "kernel": INTEGER, "stride": INTEGER, "pad": INTEGER,
-           "has_bias": BOOLEAN, "act": optional(STRING), "alpha": optional(NUMBER)},
-    BATCHNORM: {"eps": NUMBER},
-    ACTIVATION: {"act": STRING, "alpha": optional(NUMBER)},
-    SCALE: {"factor": optional(NUMBER)},
-    UPSAMPLE: {"factor": INTEGER},
-    MAXPOOL: {"kernel": INTEGER, "stride": INTEGER},
-    YOLO_HEAD: {"anchor_indices": _INTEGERS, "num_classes": INTEGER},
-}
-
 
 def _node_to_json(n: LayerNode) -> dict:
     return {"id": n.id, "kind": n.kind, "inputs": n.inputs, "output": n.output,
@@ -574,11 +556,9 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
 
 
 def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
-    """The nodes of the manifest, each checked against validate's rules
-    for its kind once its attributes have the types the stages read."""
+    """The nodes of the manifest, each checked against the node rules."""
     nodes = []
     for i, d in enumerate(records):
-        artifacts.check(d["attrs"], _ATTR_FIELDS.get(d["kind"], {}), path, "nodes", i, "attrs")
         node = _node_from_json(d)
         faults = _node_faults(node, anchor_count)
         if faults:

@@ -85,7 +85,8 @@ def test_invalid_cfg_exits_1(tiny_files, tmp_path, capsys):
                  "size=1\nstride=1\nactivation=linear\n[route]\nlayers=-9\n")
     bad_mask = fixtures.tiny_cfg().replace("mask=1", "mask=5")  # the cfg has 2 anchors
     for text, error in ((bad_route, "reference -9 out of range"),
-                        (bad_mask, "line 48: [yolo] mask [5] outside the 2 anchors")):
+                        (bad_mask, "line 48: [yolo] attrs: anchor_indices: [5] outside the model's "
+                                   "2 anchors")):
         bad.write_text(text)
         code = run(["convert", "--cfg", bad, "--weights", tiny_files["weights"],
                     "-o", tmp_path / "x.uir"])
@@ -118,7 +119,7 @@ _BELOW_BOUND = {("net", "width"): ("0", "width"), ("net", "height"): ("0", "heig
                 ("upsample", "stride"): ("1", "factor"),
                 ("maxpool", "size"): ("0", "kernel"), ("maxpool", "stride"): ("0", "stride"),
                 ("route", "layers"): ("", "layers"),
-                ("yolo", "mask"): ("-1", "mask"), ("yolo", "anchors"): ("0,4", "anchors"),
+                ("yolo", "mask"): ("-1", "anchor_indices"), ("yolo", "anchors"): ("0,4", "anchors"),
                 ("yolo", "classes"): ("0", "num_classes")}
 # one-value edits that used to end in a traceback, to blame the weights file
 # or, for the shortcut's activation, to be run as linear; -> what the error names
@@ -850,6 +851,30 @@ def test_malformed_image_exits_1_naming_the_file(command, name, payload, tiny_co
     assert run(argv) == cli.EXIT_INVALID
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+@pytest.mark.parametrize("shape,message", [
+    ((2, 3, 64, 96), "raw tensor with n=2, expected one image (n=1)"),
+    ((1, 1, 64, 96), "input with c=1 channels, the model takes c=3")],
+    ids=["batch-of-two", "one-channel"])
+def test_raw_tensor_the_model_cannot_take_exits_1_naming_the_file(command, shape, message,
+                                                                  tiny_container, tmp_path,
+                                                                  capsys):
+    """Detect used to score only the first image of a batch, and a wrong
+    channel count failed in the executor without naming the file."""
+    images, out = tmp_path / "images", tmp_path / "out"
+    images.mkdir()
+    bad = images / "x.f32"
+    tensorio.save_raw_tensor(bad, np.zeros(shape, dtype=np.float32))
+    if command == "detect":
+        argv = ["detect", "-m", tiny_container, "-i", bad, "-o", out]
+    else:
+        argv = ["calibrate", "-m", tiny_container, "--images", images, "-o", out]
+    assert run(argv) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: {message}"]
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 import warnings
 
@@ -137,7 +138,29 @@ def test_yolo_mask_outside_the_anchors_rejected():
         with pytest.raises(frontend.CfgSyntaxError) as exc:
             frontend.parse_cfg(fixtures.tiny_cfg().replace("mask=1", f"mask={mask}"))
         assert exc.value.line_no == 48
-        assert f"mask [{mask}] outside the 2 anchors" in str(exc.value)
+        message = f"[yolo] attrs: anchor_indices: [{mask}] outside the model's 2 anchors"
+        assert message in str(exc.value)
+
+
+_SMALL_CFG = ("[net]\nwidth=32\nheight=32\n"
+              "[convolutional]\nfilters=11\nsize=1\nstride=1\nactivation=linear\n"
+              "[yolo]\nmask=0\nanchors=4,4, 8,8\nclasses=6\n")
+
+
+@pytest.mark.parametrize("key,value,line", [
+    ("width", "9_6", 1), ("width", "\u0669\u0666", 1), ("filters", "1_1", 4),
+    ("filters", "\u0661\u0661", 4), ("mask", "0_0", 9), ("mask", "\u0660", 9),
+    ("anchors", "4_0,4, 8,8", 9), ("anchors", "4,4, 8,\u0668", 9), ("anchors", "4,4, 8,inf", 9)],
+    ids=repr)
+def test_cfg_numbers_are_ascii_decimal_text(key, value, line):
+    """int() and float() take digit separators and other scripts' digits."""
+    assert frontend.parse_cfg(_SMALL_CFG).input_shape.w == 32
+    text, count = re.subn(rf"^{key}=.*$", f"{key}={value}", _SMALL_CFG, flags=re.M)
+    assert count == 1
+    with pytest.raises(frontend.CfgSyntaxError) as exc:
+        frontend.parse_cfg(text)
+    assert exc.value.line_no == line
+    assert f"] {key}: expected " in str(exc.value) and repr(value) in str(exc.value)
 
 
 def test_unknown_keys_warn_not_fail():

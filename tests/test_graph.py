@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge import executor
+from jetforge import cli, executor
 from jetforge import graph as g
 from jetforge.artifacts import ArtifactError
 
@@ -74,8 +75,7 @@ def test_kernel_or_stride_below_one_is_a_shape_fault_naming_the_node(kind, key):
     gr.nodes.append(node)
     with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
         g.infer_shapes(gr)
-    assert any(d.reason.startswith(f"shape inference failed: n: {kind} kernel")
-               for d in g.validate(gr))
+    assert g.Diagnostic("n", f"attrs: {key}: expected a positive integer, got 0") in g.validate(gr)
     with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
         executor.compile(gr)
 
@@ -142,7 +142,7 @@ def test_dangling_input_gives_its_one_diagnostic(tiny_detector):
 def test_validate_flags_anchor_indices_outside_the_anchors(tiny_detector, tmp_path):
     gr = tiny_detector.copy()
     gr.node_by_id("yolo6").attrs["anchor_indices"] = [2]
-    assert g.validate(gr) == [g.Diagnostic("yolo6", "anchor indices [2] outside the "
+    assert g.validate(gr) == [g.Diagnostic("yolo6", "attrs: anchor_indices: [2] outside the "
                                                     "model's 2 anchors")]
     with pytest.raises(g.GraphError):
         g.save_container(gr, tmp_path / "x.uir")
@@ -163,12 +163,6 @@ def test_validate_yolo_head_channels():
     gr = g.Graph(nodes=[conv, bad_head], input_shape=g.TensorShape(1, 3, 32, 32),
                  metadata=anchors)
     assert any("channels" in d.reason for d in g.validate(gr))
-
-
-def test_validate_upsample_factor_one_rejected():
-    up = g.LayerNode("u", g.UPSAMPLE, ["input"], "u", {"factor": 1})
-    gr = g.Graph(nodes=[up], input_shape=g.TensorShape(1, 1, 32, 32))
-    assert any("factor" in d.reason for d in g.validate(gr))
 
 
 def test_validate_input_multiple_of_32():
@@ -358,34 +352,6 @@ def test_container_input_shape_or_id_malformed(tmp_path, field, value):
         g.load_container(path)
 
 
-# tiny detector nodes: 0 conv0, 1 bn0, 2 act0 (leaky), 9 add3, 14 yolo6, 15 up8
-@pytest.mark.parametrize("index,key,value", [
-    (0, "stride", 0), (0, "kernel", 0), (0, "pad", -1), (0, "act", "swish"), (2, "alpha", 1.5),
-    (2, "act", "tanh"), (14, "anchor_indices", [2]), (14, "anchor_indices", []),
-    (14, "num_classes", 0), (15, "factor", 1)], ids=repr)
-def test_container_node_attr_breaking_a_rule_of_validate(tmp_path, tiny_detector, index, key,
-                                                         value):
-    path = tmp_path / "x.uir"
-    g.save_container(tiny_detector, path)
-    _edit_manifest(path, lambda m: m["nodes"][index]["attrs"].update({key: value}))
-    where = re.escape(f"{path}: nodes: {index}: attrs: {key}: ")
-    with pytest.raises(ArtifactError, match="^" + where):
-        g.load_container(path)
-
-
-@pytest.mark.parametrize("index,key,value", [
-    (0, "stride", "2"), (0, "stride", True), (0, "stride", 2.0), (0, "has_bias", 1),
-    (0, "act", None), (1, "eps", "1e-6"), (2, "alpha", None), (14, "anchor_indices", [0.5]),
-    (14, "anchor_indices", 0), (15, "factor", None)], ids=repr)
-def test_container_node_attr_of_the_wrong_type(tmp_path, tiny_detector, index, key, value):
-    path = tmp_path / "x.uir"
-    g.save_container(tiny_detector, path)
-    _edit_manifest(path, lambda m: m["nodes"][index]["attrs"].update({key: value}))
-    where = re.escape(f"{path}: nodes: {index}: attrs: {key}: expected ")
-    with pytest.raises(ArtifactError, match="^" + where):
-        g.load_container(path)
-
-
 @pytest.mark.parametrize("edit,where", [
     (lambda nodes: nodes[0]["attrs"].pop("stride"), "nodes: 0: attrs: missing stride"),
     (lambda nodes: nodes[1]["attrs"].pop("eps"), "nodes: 1: attrs: missing eps"),
@@ -398,6 +364,84 @@ def test_container_node_without_what_its_kind_needs(tmp_path, tiny_detector, edi
     _edit_manifest(path, lambda m: edit(m["nodes"]))
     with pytest.raises(ArtifactError, match="^" + re.escape(f"{path}: {where}")):
         g.load_container(path)
+
+
+# --------------------------------------------------------------------------
+# one attribute table for every reader: _ATTR_FIELDS, run by _node_faults
+# --------------------------------------------------------------------------
+
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+            dict: "object", type(None): "null"}[type(value)]
+
+
+_ACCEPTED = [2, "leaky", True, [0]]  # the first one a field takes gives its JSON type
+_OF_EACH_TYPE = ["2", 2, True, None, [2], {}]
+_OUTSIDE = {"number": [0, -1, 1, 2.0, 2.5, math.nan], "string": ["tanh"], "array": [[], [0.5]],
+            "boolean": []}
+
+
+def _attr_cases():
+    """(kind, key, value) for each attribute of _ATTR_FIELDS: a value of each
+    other JSON type, and every value of its own type its field refuses; then
+    a value breaking each rule between fields."""
+    for kind, table in g._ATTR_FIELDS.items():
+        for key, field in table.items():
+            own = _json_type(next(v for v in _ACCEPTED if field.test(v)))
+            yield from ((kind, key, v) for v in _OF_EACH_TYPE if _json_type(v) != own)
+            yield from ((kind, key, v) for v in _OUTSIDE[own] if not field.test(v))
+    yield from [(g.ACTIVATION, "alpha", 1.5), (g.YOLO_HEAD, "anchor_indices", [2])]
+
+
+_ATTR_CASES = list(_attr_cases())
+
+
+def test_the_attr_cases_cover_every_attribute():
+    assert {(kind, key) for kind, key, _ in _ATTR_CASES} == {
+        (kind, key) for kind, table in g._ATTR_FIELDS.items() for key in table}
+    # validate used to raise TypeError on the first and accept the second
+    assert (g.CONV, "stride", "2") in _ATTR_CASES and (g.UPSAMPLE, "factor", 2.5) in _ATTR_CASES
+
+
+@pytest.fixture(scope="module")
+def every_kind_graph(tiny_detector, tmp_path_factory):
+    """(a graph with a node of every kind of _ATTR_FIELDS, its container)."""
+    graph = tiny_detector.copy()
+    graph.nodes += [g.LayerNode("pool", g.MAXPOOL, ["input"], "pool", {"kernel": 2, "stride": 2}),
+                    g.LayerNode("scale", g.SCALE, ["input"], "scale", {"factor": 0.5})]
+    path = tmp_path_factory.mktemp("kinds") / "kinds.uir"
+    g.save_container(graph, path)
+    assert set(g._ATTR_FIELDS) <= {n.kind for n in graph.nodes}
+    return graph, path
+
+
+@pytest.mark.parametrize("kind,key,value", _ATTR_CASES, ids=repr)
+def test_an_attr_the_node_rules_refuse_fails_load_and_validate_alike(
+        every_kind_graph, kind, key, value, tmp_path, capsys):
+    graph, saved = every_kind_graph
+    i = next(i for i, n in enumerate(graph.nodes) if n.kind == kind)
+    path = tmp_path / "x.uir"
+    path.write_bytes(saved.read_bytes())
+    _edit_manifest(path, lambda m: m["nodes"][i]["attrs"].update({key: value}))
+    assert cli.main(["optimize", "-m", str(path)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: nodes: {i}: attrs: {key}: "), err
+
+    edited = graph.copy()
+    edited.nodes[i].attrs[key] = value
+    diags = [d for d in g.validate(edited) if d.node_id == graph.nodes[i].id]
+    assert diags and err[0] == f"error: {path}: nodes: {i}: {diags[0].reason}"
+
+
+def test_validate_reports_every_refused_attr_of_a_node_without_raising(tiny_detector):
+    gr = tiny_detector.copy()
+    gr.nodes[0].attrs.update(stride="2", kernel=0, act=["leaky"])
+    del gr.nodes[0].attrs["pad"]
+    assert g.validate(gr) == [
+        g.Diagnostic("conv0", "attrs: kernel: expected a positive integer, got 0"),
+        g.Diagnostic("conv0", 'attrs: stride: expected a positive integer, got "2"'),
+        g.Diagnostic("conv0", "attrs: missing pad"),
+        g.Diagnostic("conv0", 'attrs: act: expected linear, relu or leaky, got ["leaky"]')]
 
 
 @pytest.mark.parametrize("anchors", [
