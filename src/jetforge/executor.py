@@ -71,21 +71,32 @@ and its overflow bound (integer_conv). `maxpool2d` is the max over each
 column's k*k taps. The float32 GEMM makes f32/f16 results bit-stable
 across runs on a fixed machine configuration only.
 
-GEMM split. A large GEMM is split by rows of the kernel (output channels)
-into one block per CPU this process may run on (`gemm_parts`). The caller
-computes the first block; worker threads, started on first use, compute
-the others with `np.matmul(a[lo:hi], b, out=out[lo:hi])` into the same
-output, and numpy releases the GIL around each BLAS call. The caller then
-takes back every block no worker has started (cancelling its future), so
-it waits only on a block already being computed: a worker the host is slow
-to run costs at most the serial time. The bytes do not change. Each output
-element is still one dot product over all of K, and the row blocks go
-through the same blocked BLAS kernel as the whole GEMM: split points are
-multiples of 16 rows, and every block keeps at least 2**22 multiply-adds,
-far above the ~10**6 below which OpenBLAS's small-matrix kernel sums K in
-another order. A GEMM that cannot be split so, and every GEMM on one CPU,
-is the plain `a @ b`. BLAS's own threads count against the CPUs: with
-OpenBLAS on two threads, two CPUs give one block.
+Blocks. One scheduler, `_in_blocks(fn, bounds)`, runs `fn(lo, hi)` on
+each block [lo, hi) of rows that `bounds` marks. The caller computes the
+first block; worker threads, started on first use, compute the others, and
+numpy releases the GIL around each BLAS call and each elementwise loop. The
+caller then takes back every block no worker has started (cancelling its
+future), so it waits only on a block already being computed: a worker the
+host is slow to run costs at most the serial time. A worker's error is
+raised in the caller once no worker writes any more. One block is computed
+by the caller alone and starts no thread. The scheduler has two callers,
+each with its own floor on a block:
+* `_matmul` splits a large GEMM by rows of the kernel (output channels)
+  into one block per CPU not taken by BLAS's own threads (`gemm_parts`),
+  each `np.matmul(a[lo:hi], b, out=out[lo:hi])` into the same output. Its
+  floor is there for the bytes. Each output element is still one dot
+  product over all of K, and the row blocks go through the same blocked
+  BLAS kernel as the whole GEMM: split points are multiples of 16 rows,
+  and every block keeps at least 2**22 multiply-adds, far above the ~10**6
+  below which OpenBLAS's small-matrix kernel sums K in another order. A
+  GEMM that cannot be split so, and every GEMM on one CPU, is the plain
+  `a @ b`. With OpenBLAS on two threads, two CPUs give one block.
+* `in_row_blocks(fn, rows, size)` splits an elementwise job over rows, the
+  fold passes' kernel scaling, into one block per CPU (`cpus`), as no BLAS
+  runs inside. Its floor, 2**17 values a block, is there for the cost: an
+  elementwise result is the same however its rows are split, and a smaller
+  block costs more to hand over than it saves. The tiny detector's largest
+  weight (576 values) starts no thread.
 
 Tile-width padding. OpenBLAS's float32 micro-kernel on AVX-512 computes
 16 columns at a time, and a patch matrix of 15 output pixels runs at about
@@ -194,9 +205,11 @@ FLOAT64_EXACT_LIMIT = 2**53
 _F16_MIN_NORMAL = 0x38800000
 _F16_OVERFLOW = 0x477FF000
 # the fewest multiply-adds a block of a split GEMM computes, and the row
-# multiple its split points fall on (see "GEMM split")
+# multiple its split points fall on; the fewest values a block of a split
+# elementwise job computes (see "Blocks")
 _SPLIT_MIN_MACS = 2**22
 _SPLIT_ROWS = 16
+_SPLIT_MIN_VALUES = 2**17
 # the column multiple a patch matrix is padded to, and the multiply-adds a
 # GEMM must exceed to be padded (see "Tile-width padding")
 _TILE_COLS = 16
@@ -330,7 +343,7 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
     """Convolution of an n=1 NCHW tensor with kernel [out_ch, in_ch, k, k]:
     one GEMM kernel[out_ch, K] @ im2col[K, out_h*out_w] in the operands'
-    dtype (split by rows when large, see "GEMM split" above; widened to a
+    dtype (split by rows when large, see "Blocks" above; widened to a
     multiple of 16 columns when skinny, see "Tile-width padding"; float64
     operands are integers, as the i8 accumulator's are), the bias added in
     place. Returns a C-contiguous [1, out_ch, out_h, out_w] array."""
@@ -348,12 +361,16 @@ def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
     return out.reshape(1, out_ch, oh, ow)
 
 
+def cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def gemm_parts() -> int:
     """How many row blocks a large GEMM is split into: one per CPU this
     process may run on, shared out among the threads BLAS runs each block
     on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, cpus // blas_threads())
+    return max(1, cpus() // blas_threads())
 
 
 @functools.cache
@@ -391,26 +408,13 @@ def _split_rows(m: int, k: int, n: int) -> list[int] | None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d a and b, split by rows of a when large (see "GEMM
-    split" above). The caller computes the first block, then every block
-    no worker has started (cancelling a future claims it), then waits for
-    the blocks workers are computing; a worker's error is raised here."""
+    """a @ b for 2-d a and b, split by rows of a when large (see "Blocks"
+    above)."""
     bounds = _split_rows(a.shape[0], a.shape[1], b.shape[1])
     if bounds is None:
         return a @ b
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    blocks = list(zip(bounds, bounds[1:]))
-    workers = _row_workers(len(blocks) - 1)
-    futures = [workers.submit(_gemm_rows, a, b, out, lo, hi) for lo, hi in blocks[1:]]
-    try:
-        _gemm_rows(a, b, out, *blocks[0])
-        for future, (lo, hi) in zip(futures, blocks[1:]):
-            if future.cancel():
-                _gemm_rows(a, b, out, lo, hi)
-    finally:  # after an error too, no worker writes `out` once this returns
-        for future in futures:
-            if not future.cancel():
-                future.result()
+    _in_blocks(functools.partial(_gemm_rows, a, b, out), bounds)
     return out
 
 
@@ -418,16 +422,42 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int) 
     np.matmul(a[lo:hi], b, out=out[lo:hi])
 
 
+def in_row_blocks(fn: Callable[[int, int], None], rows: int, size: int) -> None:
+    """fn(lo, hi) over rows [0, rows) of an elementwise job of `size` values,
+    in up to one block per CPU of at least _SPLIT_MIN_VALUES values each
+    (see "Blocks" above); fn writes rows lo to hi of its result."""
+    parts = max(1, min(cpus(), rows, size // _SPLIT_MIN_VALUES))
+    _in_blocks(fn, [rows * i // parts for i in range(parts)] + [rows])
+
+
+def _in_blocks(fn: Callable[[int, int], None], bounds: list[int]) -> None:
+    """fn(lo, hi) once for each block [lo, hi) of `bounds`: the caller
+    computes the first block, then every block no worker has started
+    (cancelling a future claims it), then waits for the blocks workers are
+    computing; a worker's error is raised here."""
+    blocks = list(zip(bounds, bounds[1:]))
+    futures = [_row_workers(len(blocks) - 1).submit(fn, lo, hi) for lo, hi in blocks[1:]]
+    try:
+        fn(*blocks[0])
+        for future, (lo, hi) in zip(futures, blocks[1:]):
+            if future.cancel():
+                fn(lo, hi)
+    finally:  # after an error too, no worker writes a result once this returns
+        for future in futures:
+            if not future.cancel():
+                future.result()
+
+
 _workers = None  # the ThreadPoolExecutor of _row_workers, once made
 
 
 def _row_workers(count: int):
-    """The ThreadPoolExecutor whose threads compute blocks of split GEMMs
-    next to their callers, started as blocks arrive: as many as the first
-    split needs, `count`. They end with the interpreter. Like Program.run,
-    they ignore overflow, which the finiteness checks name. The module is
-    imported on the first split, so a process that splits no GEMM does not
-    hold it (about 0.8 MiB with the logging module it loads)."""
+    """The ThreadPoolExecutor whose threads compute blocks next to their
+    callers, started as blocks arrive: as many as the first split needs,
+    `count`. They end with the interpreter. Like Program.run, they ignore
+    overflow, which the finiteness checks name. The module is imported on
+    the first split, so a process that splits nothing does not hold it
+    (about 0.8 MiB with the logging module it loads)."""
     global _workers
     if _workers is None:
         from concurrent.futures import ThreadPoolExecutor

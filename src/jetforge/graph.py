@@ -406,7 +406,7 @@ _ACT = Field(lambda v: type(v) is str and v in (LINEAR, RELU, LEAKY),
 _ATTR_FIELDS = {
     CONV: {"out_ch": POSITIVE_INTEGER, "kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER,
            "pad": COUNT, "has_bias": BOOLEAN, "act": optional(_ACT), "alpha": optional(NUMBER)},
-    BATCHNORM: {"eps": NUMBER},
+    BATCHNORM: {"eps": Field(lambda v: finite_number(v) and v > 0, "a positive number")},
     ACTIVATION: {"act": _ACT, "alpha": optional(NUMBER)},
     SCALE: {"factor": optional(NUMBER)},
     UPSAMPLE: {"factor": Field(lambda v: INTEGER.test(v) and v >= 2, "an integer >= 2")},

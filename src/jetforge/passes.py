@@ -14,7 +14,11 @@ created or warns about), then fills in `nodes_after` and `mac_delta`.
 
 One fold rule: a batchnorm or scale folds into a conv as a per-channel
 float64 multiplier and a float64 bias. Each float32 kernel row times its
-multiplier is the float64 product, rounded to float32 once per fold.
+multiplier is the float64 product, rounded to float32 once per fold. The
+rows are scaled in blocks (`executor.in_row_blocks`), one per CPU for a
+large kernel; each value is the same product whichever block holds it. A
+fold whose multiplier, float32 bias or scaled kernel value is not finite
+raises PassError naming the conv and the folded node.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import frontend
+from . import executor, frontend
 from .executor import F16, F32, I8
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, LEAKY, LINEAR, PLUGIN_ONLY, RELU, SCALE,
                     WEIGHT_ROLES, Graph, LayerNode, activation_node)
@@ -79,7 +83,8 @@ def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
     """Fold every node `matches` accepts into the convolution that produces
     its first input, when that conv has no inline activation and the node is
     its only consumer. `fold(weights, conv, node)` rebinds the conv's weights
-    and attrs; the node's consumers are rewired to the conv's output.
+    and attrs, with numpy's floating-point warnings off; the node's
+    consumers are rewired to the conv's output.
 
     One sweep in list order over a live producer map and per-tensor consumer
     lists (one entry per input slot). On a topologically ordered node list,
@@ -96,7 +101,8 @@ def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
                 or len(consumers[conv.output]) != 1):
             kept.append(node)
             continue
-        fold(out.weights, conv, node)
+        with np.errstate(all="ignore"):  # _scale_conv names what is not finite
+            fold(out.weights, conv, node)
         readers = consumers.pop(node.output, [])
         for reader in readers:
             reader.inputs = [conv.output if t == node.output else t for t in reader.inputs]
@@ -105,18 +111,33 @@ def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
     out.nodes = kept
 
 
-def _scale_conv(weights, conv: LayerNode, multiplier: np.ndarray, bias: np.ndarray | None) -> None:
+def _scale_conv(weights, conv: LayerNode, node: LayerNode, multiplier: np.ndarray,
+                bias: np.ndarray | None) -> None:
     """The fold rule: kernel row c becomes the float64 product of the row and
     `multiplier[c]`, rounded to float32 once; `bias`, when given, replaces
-    the conv's bias, rounded to float32."""
-    kernel = weights[(conv.id, "kernel")]
+    the conv's bias, rounded to float32. `node` is the node folded in."""
+    if bias is not None:
+        bias = bias.astype(np.float32)
+    for what, values in (("multiplier", multiplier), ("bias", bias)):
+        if values is not None and not np.isfinite(values).all():
+            raise PassError(f"folding {node.id} into {conv.id}: its {what} is not finite")
     rows = conv.attrs["out_ch"]
+    kernel = weights[(conv.id, "kernel")].reshape(rows, -1)
     scaled = np.empty(kernel.size, dtype=np.float32)
-    np.multiply(kernel.reshape(rows, -1), multiplier[:, None], dtype=np.float64,
-                out=scaled.reshape(rows, -1))
+    out = scaled.reshape(rows, -1)
+
+    def scale_rows(lo: int, hi: int) -> None:
+        with np.errstate(over="raise", invalid="raise"):  # per thread, so set in the block
+            np.multiply(kernel[lo:hi], multiplier[lo:hi, None], dtype=np.float64,
+                        out=out[lo:hi])
+    try:
+        executor.in_row_blocks(scale_rows, rows, scaled.size)
+    except FloatingPointError:
+        raise PassError(f"folding {node.id} into {conv.id}: a scaled kernel value is not "
+                        "finite in float32") from None
     weights[(conv.id, "kernel")] = scaled
     if bias is not None:
-        weights[(conv.id, "bias")] = bias.astype(np.float32)
+        weights[(conv.id, "bias")] = bias
 
 
 def _fold_bn(weights, conv: LayerNode, bn: LayerNode) -> None:
@@ -125,7 +146,7 @@ def _fold_bn(weights, conv: LayerNode, bn: LayerNode) -> None:
     inv = gamma / np.sqrt(var + bn.attrs["eps"])
     bias = weights.get((conv.id, "bias"))
     bias = bias.astype(np.float64) if bias is not None else np.zeros(conv.attrs["out_ch"])
-    _scale_conv(weights, conv, inv, (bias - mean) * inv + beta)
+    _scale_conv(weights, conv, bn, inv, (bias - mean) * inv + beta)
     conv.attrs["has_bias"] = True
 
 
@@ -139,7 +160,7 @@ def _fold_scale(weights, conv: LayerNode, scale: LayerNode) -> None:
     per_ch = (factors.astype(np.float64) if factor is None
               else np.full(conv.attrs["out_ch"], factor, dtype=np.float64))
     bias = weights[(conv.id, "bias")] * per_ch if conv.attrs["has_bias"] else None
-    _scale_conv(weights, conv, per_ch, bias)
+    _scale_conv(weights, conv, scale, per_ch, bias)
 
 
 @_pass("fuse-conv-bn")

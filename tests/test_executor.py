@@ -803,7 +803,7 @@ def test_f16_rounding_in_place_writes_no_input_weight_or_retained_buffer(tiny_de
 
 
 # --------------------------------------------------------------------------
-# the GEMM split (see "GEMM split" in the executor)
+# the block scheduler (see "Blocks" in the executor)
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=[(160, 96), (320, 192)], ids=["160x96", "320x192"])
@@ -946,20 +946,106 @@ def test_an_error_in_a_worker_reaches_the_caller_and_the_next_call_works(monkeyp
 
 
 def test_a_run_that_splits_no_gemm_leaves_the_thread_pool_unloaded():
-    """The tiny detector's convs are far below the split floor."""
+    """The tiny detector's convs are far below the split floor, and its
+    kernels far below the fold's."""
     import subprocess
     import sys
     code = ("import sys, numpy as np\n"
-            "from jetforge import executor, fixtures\n"
+            "from jetforge import executor, fixtures, passes\n"
             "gr = fixtures.build_tiny_detector()\n"
+            "folded, _ = passes.apply_passes(gr, ['fuse-conv-bn', 'decompose-leaky', "
+            "'fold-scale'])\n"
             "x = np.full(tuple(gr.input_shape), 0.5, dtype=np.float32)\n"
-            "for mode in ('f32', 'f16'):\n"
-            "    executor.execute(gr, x, mode=mode)\n"
+            "for model in (gr, folded):\n"
+            "    for mode in ('f32', 'f16'):\n"
+            "        executor.execute(model, x, mode=mode)\n"
             "print('concurrent.futures' in sys.modules, executor._workers)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False None\n"
+
+
+def _conv_bn_graph(gamma):
+    """A conv of 64 x 1024 x 3 x 3 random weights, which two CPUs fold in
+    two blocks of 32 rows, read by a batchnorm with the given gamma."""
+    rng = np.random.default_rng(13)
+    gr = one_conv_graph(rng.normal(0, 0.1, (64, 1024, 3, 3)), in_shape=(1, 1024, 8, 8))
+    gr.nodes.append(g.LayerNode("bn", g.BATCHNORM, ["c"], "bn", {"eps": 1e-5}))
+    for role, value in zip(g.WEIGHT_ROLES[g.BATCHNORM], (gamma, 0.1, 0.2, rng.uniform(0, 2, 64))):
+        gr.weights[("bn", role)] = np.broadcast_to(value, (64,)).astype(np.float32)
+    return gr
+
+
+def _fold_blocks(monkeypatch, worker_first=False):
+    """Patch the scheduler to record (thread, lo, hi) of each block; with
+    `worker_first`, the caller's first block waits until a worker has
+    started one."""
+    blocks, started, in_blocks = [], threading.Event(), executor._in_blocks
+
+    def recorded(fn, bounds):
+        def block(lo, hi):
+            name = threading.current_thread().name
+            if name.startswith("jetforge-gemm"):
+                started.set()
+            elif worker_first and lo == bounds[0]:
+                assert started.wait(30)
+            blocks.append((name.split("_")[0], lo, hi))
+            fn(lo, hi)
+        in_blocks(block, bounds)
+    monkeypatch.setattr(executor, "_in_blocks", recorded)
+    return blocks
+
+
+def test_a_split_fold_gives_the_bytes_of_one_block_while_the_worker_is_held(monkeypatch):
+    """With the worker busy on another caller's GEMM, a fold on two CPUs is
+    computed in two blocks by its caller and gives the bytes of one block."""
+    from jetforge import passes
+    gr = _conv_bn_graph(np.random.default_rng(14).uniform(0.5, 1.5, 64))
+    monkeypatch.setattr(executor, "cpus", lambda: 1)
+    want, _ = passes.fuse_conv_bn(gr)
+    monkeypatch.setattr(executor, "cpus", lambda: 2)
+    monkeypatch.setattr(executor, "gemm_parts", lambda: 2)
+    a_held, b_held = _large_operands(15)
+    release = threading.Event()
+    busy = _hold_the_worker(monkeypatch, a_held, lambda: release.wait(30))
+    first = threading.Thread(target=executor._matmul, args=(a_held, b_held))
+    first.start()
+    try:
+        assert busy.wait(30)
+        blocks = _fold_blocks(monkeypatch)
+        got, _ = passes.fuse_conv_bn(gr)
+        assert blocks == [("MainThread", 0, 32), ("MainThread", 32, 64)]
+    finally:
+        release.set()
+        first.join(60)
+    assert not first.is_alive()
+    assert got.weights.keys() == want.weights.keys()
+    assert all(got.weights[k].tobytes() == want.weights[k].tobytes() for k in want.weights)
+
+
+def test_an_overflow_in_a_workers_rows_of_a_fold_reaches_the_caller(monkeypatch):
+    """Only rows 32-63, the worker's block, overflow float32: the caller
+    gets the PassError the one-block fold raises, with no warning, and the
+    pool then folds as before."""
+    from jetforge import passes
+    gamma = np.ones(64)
+    gamma[32:] = 3e38
+    monkeypatch.setattr(executor, "cpus", lambda: 2)
+    blocks = _fold_blocks(monkeypatch, worker_first=True)
+    fault = "^folding bn into c: a scaled kernel value is not finite in float32$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(passes.PassError, match=fault):
+            passes.fuse_conv_bn(_conv_bn_graph(gamma))
+        assert ("jetforge-gemm", 32, 64) in blocks
+        good = _conv_bn_graph(np.ones(64))
+        got, _ = passes.fuse_conv_bn(good)
+        monkeypatch.setattr(executor, "cpus", lambda: 1)
+        with pytest.raises(passes.PassError, match=fault):
+            passes.fuse_conv_bn(_conv_bn_graph(gamma))
+        want, _ = passes.fuse_conv_bn(good)
+    assert got.weights[("c", "kernel")].tobytes() == want.weights[("c", "kernel")].tobytes()
 
 
 def test_one_cpu_starts_no_thread_and_two_start_one_that_persists(monkeypatch):

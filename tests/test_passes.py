@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -523,3 +525,95 @@ def test_passes_never_write_weight_arrays(rng):
             passes.apply_passes(model, names)
         assert model.nodes == nodes_before
         assert {k: v.tobytes() for k, v in model.weights.items()} == weights_before
+
+
+# --------------------------------------------------------------------------
+# folds that are not finite, and the folded weights pinned
+# --------------------------------------------------------------------------
+
+def test_a_batchnorm_eps_below_zero_is_refused_by_validate_and_by_the_fold(tiny_detector):
+    gr = tiny_detector.copy()
+    gr.node_by_id("bn0").attrs["eps"] = -10.0
+    assert g.Diagnostic("bn0", "attrs: eps: expected a positive number, got -10.0") \
+        in g.validate(gr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(passes.PassError,
+                           match=r"^folding bn0 into conv0: its multiplier is not finite$"):
+            passes.apply_passes(gr, ["fuse-conv-bn"])
+
+
+def conv_then(kind, out_ch=4, in_ch=2, **values):
+    """A conv without bias, kernel values 0.1, read by one batchnorm (beta,
+    mean and var 0, gamma 1) or per-channel scale (factors 1); `values`
+    replaces any of these weights, by role, with one value per channel."""
+    conv = g.conv_node("c", ["input"], "c", out_ch=out_ch, kernel=3, stride=1, pad=1,
+                       has_bias=False)
+    defaults = ({"bn_gamma": 1.0, "bn_beta": 0.0, "bn_mean": 0.0, "bn_var": 0.0}
+                if kind == g.BATCHNORM else {"scale_factors": 1.0})
+    node = g.LayerNode("n", kind, ["c"], "n", {"eps": 1e-5} if kind == g.BATCHNORM else {})
+    gr = g.Graph(nodes=[conv, node], input_shape=g.TensorShape(1, in_ch, 8, 8))
+    gr.weights[("c", "kernel")] = np.full(out_ch * in_ch * 9, 0.1, dtype=np.float32)
+    for role, value in {**defaults, **values}.items():
+        gr.weights[("n", role)] = np.full(out_ch, value, dtype=np.float32)
+    return gr
+
+
+@pytest.mark.parametrize("kind,values,fault", [
+    (g.BATCHNORM, {"bn_gamma": 3e38}, "a scaled kernel value is not finite in float32"),
+    (g.BATCHNORM, {"bn_gamma": 3e38, "bn_mean": 1.0}, "its bias is not finite"),
+    (g.BATCHNORM, {"bn_var": np.nan}, "its multiplier is not finite"),
+    (g.SCALE, {"scale_factors": np.inf}, "its multiplier is not finite")],
+    ids=["bn-kernel-overflow", "bn-bias-overflow", "bn-nan-var", "scale-inf"])
+def test_a_fold_that_is_not_finite_names_the_conv_and_the_folded_node(kind, values, fault):
+    """gamma 3e38 over sqrt(eps) is finite in float64, but a kernel value
+    0.1 times it is not finite in float32, nor is the bias -mean times it."""
+    gr = conv_then(kind, **values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(passes.PassError, match=f"^folding n into c: {fault}$"):
+            passes.apply_passes(gr, ["fuse-conv-bn", "fold-scale"])
+
+
+THREE_PASSES = ["fuse-conv-bn", "decompose-leaky", "fold-scale"]
+# sha256 over every weight, in sorted (node, role) order, after THREE_PASSES
+FOLDED_DIGESTS = {
+    "tiny": "0be597987b96e4ab8737f8e9aac28954a6bc1a102949f2e5e27c9193c8bf16d7",
+    "yolov3-160x96": "c0d9eac92229579f0ed5dce7a4c686688305e4f4a1fba7bc3e6fc6e87dda12be",
+}
+
+
+def weights_digest(gr) -> str:
+    h = hashlib.sha256()
+    for (node, role), arr in sorted(gr.weights.items()):
+        h.update(f"{node}/{role}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def yolov3_160x96():
+    gr = frontend.parse_cfg(fixtures.yolov3_cfg(160, 96))
+    return frontend.load_weights(fixtures.random_weights(gr, seed=3), gr)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_folded_weights_are_pinned_whether_folds_run_in_one_block_or_two(
+        tiny_detector, yolov3_160x96, cpus, monkeypatch):
+    """The folds are elementwise IEEE operations, so these digests hold on
+    any machine. On two CPUs 39 of yolov3's 75 kernels (those of at least
+    2**18 values) fold in two blocks, each once per fold pass; the tiny
+    detector's never split."""
+    monkeypatch.setattr(executor, "cpus", lambda: cpus)
+    blocks, in_blocks = [], executor._in_blocks
+
+    def counted(fn, bounds):
+        blocks.append(len(bounds) - 1)
+        in_blocks(fn, bounds)
+    monkeypatch.setattr(executor, "_in_blocks", counted)
+    for name, model in (("tiny", tiny_detector), ("yolov3-160x96", yolov3_160x96)):
+        blocks.clear()
+        folded, _ = passes.apply_passes(model, THREE_PASSES)
+        assert weights_digest(folded) == FOLDED_DIGESTS[name]
+        split = 0 if name == "tiny" or cpus == 1 else 2 * 39
+        assert blocks.count(2) == split and blocks.count(1) == len(blocks) - split
