@@ -40,18 +40,24 @@ quantization range read. Editing any of these recompiles on the next call.
 Weight arrays are never written in place (see graph), so identity stands
 for content. `Graph.copy` starts with an empty cache.
 
-int8 elementwise layers by table. An i8 `activation`, scalar `scale` or
-`yolo_head` node maps one int8 level to one int8 level, and a two-input
-`add` maps a pair of levels. One builder makes every table: it runs the
-node's float path once on the dequantized levels the table is indexed
-with, with the input and output ranges of this program, and quantizes the
-result. A node's table is indexed with all 256 levels of its input (the
-256x256 grid of pairs for `add`); a run is one table lookup. The table is
-the float path's output, so the result is the same by construction.
-Levels whose float value is not finite are marked, and NonFiniteDetected
-is raised only when an input holds one; one lookup routine indexes, checks
-the marks and takes, for every table. Other kinds, and inputs that come
-from nodes a plan pins to a float mode, run the float path.
+Kinds. `OPS` declares how each node kind runs: its float op, whether its
+output keeps its inputs' binary16 grid, and its int8 path, an integer GEMM
+(conv), a move of int8 levels (max-pool, upsample), a table, or the float
+path on dequantized inputs, requantized to the output's range.
+
+int8 elementwise layers by table: the nodes whose `OPS` entry names the
+table path. An i8 `activation`, scalar `scale` or `yolo_head` node maps one
+int8 level to one int8 level, and a two-input `add` maps a pair of levels.
+One builder makes every table: it runs the node's float path once on the
+dequantized levels the table is indexed with, with the input and output
+ranges of this program, and quantizes the result. A node's table is
+indexed with all 256 levels of its input (the 256x256 grid of pairs for
+`add`); a run is one table lookup. The table is the float path's output,
+so the result is the same by construction. Levels whose float value is not
+finite are marked, and NonFiniteDetected is raised only when an input
+holds one; one lookup routine indexes, checks the marks and takes, for
+every table. A table node whose inputs come from nodes a plan pins to a
+float mode runs the float path.
 
 Finiteness. Every step checks its output, and `Program.run` checks the
 input as its mode reads it: after the binary16 round in f16 (so a finite
@@ -173,14 +179,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import operator
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, LEAKY, LINEAR,
+from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, KINDS, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
                     QuantParams, _check_weights, _topo_order, conv_out_dim,
                     infer_shapes)
@@ -790,58 +796,77 @@ def _leaky_tails(graph: Graph, order, heads: set[str],
     return tails
 
 
+def _conv_op(node, weight, rnd):
+    a = node.attrs
+    kernel = rnd(weight(node, "kernel").reshape(a["out_ch"], -1, a["kernel"], a["kernel"]))
+    bias = rnd(weight(node, "bias")) if a["has_bias"] else None
+    stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
+    return lambda xs: apply_activation(conv2d(xs[0], kernel, bias, stride, pad), act, alpha)
+
+
+def _batchnorm_op(node, weight, rnd):
+    inv, shift = _bn_affine(*(rnd(weight(node, role)) for role in KINDS[BATCHNORM].roles),
+                            node.attrs["eps"])
+    return lambda xs: xs[0] * inv + shift
+
+
+def _scale_op(node, weight, rnd):
+    factor = node.attrs.get("factor")
+    factors = (rnd(weight(node, "scale_factors"))[None, :, None, None] if factor is None
+               else np.float32(factor))
+    return lambda xs: xs[0] * factors
+
+
+def _unary_op(fn, *keys):
+    """The builder of fn(x, *the node's `keys` attributes) on one input."""
+    def build(node, weight, rnd):
+        args = [node.attrs.get(key) for key in keys]
+        return lambda xs: fn(xs[0], *args)
+    return build
+
+
+# a node's int8 path: an integer GEMM, a move of int8 levels, one table
+# lookup, or its float path on dequantized inputs, requantized
+GEMM, LEVELS, TABLE, FLOAT = "gemm", "levels", "table", "float"
+
+
+class Op(NamedTuple):
+    """How one node kind runs:
+    * build(node, weight, rnd): the node's computation on its input arrays
+      (float32; max-pool and upsample also move int8 levels), with its
+      weights read once through `rnd`, which rounds them to binary16 in f16;
+    * keeps_grid(node): whether the output values are all among its input
+      values (or zero), so binary16 inputs give a binary16 output;
+    * i8(node): its int8 path, GEMM, LEVELS, TABLE or FLOAT."""
+
+    build: Callable
+    keeps_grid: Callable = lambda node: False
+    i8: Callable = lambda node: FLOAT
+
+
+_ALWAYS = lambda node: True  # noqa: E731
+
+OPS = {
+    CONV: Op(_conv_op, i8=lambda n: GEMM),
+    BATCHNORM: Op(_batchnorm_op),
+    ACTIVATION: Op(_unary_op(apply_activation, "act", "alpha"),
+                   keeps_grid=lambda n: n.attrs["act"] == RELU, i8=lambda n: TABLE),
+    SCALE: Op(_scale_op, i8=lambda n: TABLE if n.attrs.get("factor") is not None else FLOAT),
+    UPSAMPLE: Op(_unary_op(upsample_nearest, "factor"), keeps_grid=_ALWAYS, i8=lambda n: LEVELS),
+    MAXPOOL: Op(_unary_op(maxpool2d, "kernel", "stride"), keeps_grid=_ALWAYS,
+                i8=lambda n: LEVELS),
+    ADD: Op(lambda n, weight, rnd: lambda xs: functools.reduce(operator.add, xs),
+            i8=lambda n: TABLE if len(n.inputs) == 2 else FLOAT),
+    CONCAT: Op(lambda n, weight, rnd: lambda xs: np.concatenate(xs, axis=1), keeps_grid=_ALWAYS),
+    YOLO_HEAD: Op(lambda n, weight, rnd: operator.itemgetter(0), keeps_grid=_ALWAYS,
+                  i8=lambda n: TABLE),
+}
+
+
 def _node_op(node, weight, f16: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
-    """The node's computation on its input arrays (float32; max-pool and
-    upsample also move int8 levels), with its weights read once and rounded
-    to binary16 when f16."""
-    rnd = _f16 if f16 else (lambda a: a)
-    kind, a = node.kind, node.attrs
-
-    if kind == CONV:
-        kernel = rnd(weight(node, "kernel").reshape(a["out_ch"], -1, a["kernel"], a["kernel"]))
-        bias = weight(node, "bias") if a["has_bias"] else None
-        bias = rnd(bias) if bias is not None else None
-        stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
-        return lambda xs: apply_activation(conv2d(xs[0], kernel, bias, stride, pad), act, alpha)
-    if kind == BATCHNORM:
-        inv, shift = _bn_affine(*(rnd(weight(node, role)) for role in
-                                  ("bn_gamma", "bn_beta", "bn_mean", "bn_var")), a["eps"])
-        return lambda xs: xs[0] * inv + shift
-    if kind == ACTIVATION:
-        act, alpha = a["act"], a.get("alpha")
-        return lambda xs: apply_activation(xs[0], act, alpha)
-    if kind == SCALE:
-        if a.get("factor") is None:
-            factors = rnd(weight(node, "scale_factors"))[None, :, None, None]
-        else:
-            factors = np.float32(a["factor"])
-        return lambda xs: xs[0] * factors
-    if kind == UPSAMPLE:
-        factor = a["factor"]
-        return lambda xs: upsample_nearest(xs[0], factor)
-    if kind == MAXPOOL:
-        k, stride = a["kernel"], a["stride"]
-        return lambda xs: maxpool2d(xs[0], k, stride)
-    if kind == ADD:
-        def add(xs):
-            y = xs[0]
-            for t in xs[1:]:
-                y = y + t
-            return y
-        return add
-    if kind == CONCAT:
-        return lambda xs: np.concatenate(xs, axis=1)
-    if kind == YOLO_HEAD:
-        return lambda xs: xs[0]
-    raise ExecutionError(f"{node.id}: cannot execute kind '{kind}'")
-
-
-def _keeps_f16_grid(node) -> bool:
-    """Whether the node's output values are all among its input values (or
-    zero), so binary16 inputs give a binary16 output."""
-    if node.kind == ACTIVATION:
-        return node.attrs["act"] == RELU
-    return node.kind in (MAXPOOL, UPSAMPLE, CONCAT, YOLO_HEAD)
+    """The node's computation on its input arrays, as its OPS entry builds
+    it, with its weights rounded to binary16 when f16."""
+    return OPS[node.kind].build(node, weight, _f16 if f16 else (lambda a: a))
 
 
 def _float_step(node, ins: list[_Format], f16: bool, weight, tail=None):
@@ -856,7 +881,7 @@ def _float_step(node, ins: list[_Format], f16: bool, weight, tail=None):
     node_id, fmt = node.id, _Format(F16 if f16 else F32, f16_grid=f16)
     if tail:
         return _float_tail_step(node_id, reads, op, tail, f16), fmt
-    round_out = f16 and not (_keeps_f16_grid(node) and all(f.f16_grid for f in ins))
+    round_out = f16 and not (OPS[node.kind].keeps_grid(node) and all(f.f16_grid for f in ins))
 
     def run(arrays):
         xs = [read(arrays) for read in reads]
@@ -911,24 +936,24 @@ def _f32_reader(tensor_id: str, fmt: _Format):
     if fmt.dtype == I8:
         qp = fmt.qparams
         return lambda arrays: qp.dequantize(arrays[tensor_id])
-    return itemgetter(tensor_id)
+    return operator.itemgetter(tensor_id)
 
 
 def _i8_levels(tensor_id: str, fmt: _Format, require):
     """(a function reading the tensor's int8 levels from the arrays, their
     QuantParams); float arrays are quantized to the tensor's own range."""
     if fmt.dtype == I8:
-        return itemgetter(tensor_id), fmt.qparams
+        return operator.itemgetter(tensor_id), fmt.qparams
     qp = require(tensor_id)
     return (lambda arrays: qp.quantize(arrays[tensor_id])), qp
 
 
 def _i8_step(node, ins: list[_Format], weight, require, tail=None):
-    """The node's i8 step; a conv with a `tail` looks its levels up in the
-    tail's table of y (see _tail_table)."""
-    kind, a, node_id = node.kind, node.attrs, node.id
+    """The node's i8 step, on the path its OPS entry names; a conv with a
+    `tail` looks its levels up in the tail's table of y (see _tail_table)."""
+    path, a, node_id = OPS[node.kind].i8(node), node.attrs, node.id
 
-    if kind == CONV:
+    if path == GEMM:
         read, x_params = _i8_levels(node.inputs[0], ins[0], require)
         levels, scales = quantize_kernel(weight(node, "kernel").reshape(
             a["out_ch"], -1, a["kernel"], a["kernel"]))
@@ -946,15 +971,13 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
         lookup, y_q = _tail_table(out_q, tail, weight, require)
         return (lambda arrays: lookup([conv(arrays)])), _Format(I8, y_q)
 
-    if kind in (MAXPOOL, UPSAMPLE):
+    if path == LEVELS:
         read, qp = _i8_levels(node.inputs[0], ins[0], require)
         op = _node_op(node, weight, f16=False)
         return (lambda arrays: op([read(arrays)])), _Format(I8, qp)
 
     out_q = require(node.output)
-    tabled = (kind in (ACTIVATION, YOLO_HEAD) or (kind == SCALE and a.get("factor") is not None)
-              or (kind == ADD and len(node.inputs) == 2))
-    if tabled and all(f.dtype == I8 for f in ins):
+    if path == TABLE and all(f.dtype == I8 for f in ins):
         # every level of each input, on its own axis: one table index per
         # level, or per pair of levels
         grid = np.ix_(*[_LEVELS] * len(ins))
@@ -964,7 +987,7 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
         inputs = tuple(node.inputs)
         return (lambda arrays: lookup([arrays[t] for t in inputs])), _Format(I8, out_q)
 
-    # remaining kinds: dequantize, compute in f32, requantize to own range
+    # FLOAT, and tables of float inputs: dequantize, compute in f32, requantize to own range
     float_run, _ = _float_step(node, ins, False, weight)
     return (lambda arrays: out_q.quantize(float_run(arrays))), _Format(I8, out_q)
 

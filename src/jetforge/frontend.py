@@ -117,7 +117,7 @@ def _int(default=REQUIRED) -> Option:
 # options checked against graph's attribute table before a node is built:
 # `activation`, to refuse as an unsupported option, and the `pad` flag and
 # `padding`, counts as the conv's pad (padding is its pad only without the flag)
-_PAD, _ACT = g._ATTR_FIELDS[g.CONV]["pad"], g._ATTR_FIELDS[g.ACTIVATION]["act"]
+_PAD, _ACT = g.KINDS[g.CONV].attrs["pad"], g.KINDS[g.ACTIVATION].attrs["act"]
 _POSITIVE = Option(_checked(_integer, lambda v: v > 0), "a positive integer")
 _COUNT = Option(_checked(_integer, _PAD.test), _PAD.expected, "0")
 
@@ -292,8 +292,7 @@ def parse_cfg(text: str) -> g.Graph:
 
     # run once every head is read, when the anchors are known
     for node, section in nodes:
-        if faults := g._node_faults(node, len(anchors)):
-            field, reason = faults[0]
+        for field, reason in g._node_faults(node, len(anchors))[:1]:
             raise CfgSyntaxError(section.line_no, f"[{section.name}] {field}: {reason}")
 
     class_names = (list(CLASS_NAMES) if num_classes == len(CLASS_NAMES)
@@ -314,9 +313,9 @@ def _darknet_layout(graph: g.Graph) -> list[tuple[tuple[g.LayerNode, str], int]]
     for conv in (n for n in graph.nodes if n.kind == g.CONV):
         bn = next((m for m in consumers.get(conv.output, ())
                    if m.kind == g.BATCHNORM and m.inputs[0] == conv.output), None)
-        lens = g._expected_weight_lens(conv, shapes[conv.inputs[0]].c)
+        lens = g.KINDS[g.CONV].weights(conv.attrs, shapes[conv.inputs[0]].c)
         if bn is not None:
-            bn_lens = g._expected_weight_lens(bn, shapes[bn.inputs[0]].c)
+            bn_lens = g.KINDS[g.BATCHNORM].weights(bn.attrs, shapes[bn.inputs[0]].c)
             layout += [((bn, role), bn_lens[role])
                        for role in ("bn_beta", "bn_gamma", "bn_mean", "bn_var")]
         else:
@@ -394,23 +393,20 @@ class ModelStats:
 
 
 def model_stats(graph: g.Graph) -> ModelStats:
-    """Node/parameter/MAC summary. Only convolutions carry MACs:
-    macs = out_h * out_w * out_ch * in_ch * k * k."""
+    """Node/parameter/MAC summary. MACs are counted for the kinds whose
+    `graph.KINDS` entry declares them, which is conv alone."""
     shapes = g.infer_shapes(graph)
     node_counts: dict[str, int] = {}
     act_counts: dict[str, int] = {}
     macs: dict[str, int] = {}
     params = 0
     for n in graph.nodes:
+        kind = g.KINDS[n.kind]
         node_counts[n.kind] = node_counts.get(n.kind, 0) + 1
         if n.kind == g.ACTIVATION:
             act_counts[n.attrs["act"]] = act_counts.get(n.attrs["act"], 0) + 1
-        if n.kind == g.CONV:
-            s_in = shapes[n.inputs[0]]
-            s_out = shapes[n.output]
-            a = n.attrs
-            macs[n.id] = s_out.h * s_out.w * a["out_ch"] * s_in.c * a["kernel"] * a["kernel"]
-        in_c = shapes[n.inputs[0]].c if n.inputs else 0
-        params += sum(g._expected_weight_lens(n, in_c).values())
+        if kind.macs:
+            macs[n.id] = kind.macs(n.attrs, shapes[n.inputs[0]], shapes[n.output])
+        params += sum(kind.weights(n.attrs, shapes[n.inputs[0]].c if n.inputs else 0).values())
     return ModelStats(node_counts=node_counts, activation_counts=act_counts,
                       parameter_count=params, per_layer_macs=macs)

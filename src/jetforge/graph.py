@@ -1,6 +1,12 @@
 """Network graph IR: typed layer nodes, shape inference, validation and the
 serialized model container every other stage exchanges.
 
+`KINDS` declares each node kind once: its attributes, weight roles and
+their lengths, output-shape rule, rules between fields and MACs. Shape
+inference, validation, the container loader, the cfg reader, the passes
+and the model stats all read it; executor's `OPS` declares how each kind
+runs.
+
 Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
 `Graph.copy` copies nodes but shares weight arrays, so no code writes a
@@ -13,7 +19,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +41,6 @@ CONCAT = "concat"
 MAXPOOL = "maxpool"
 YOLO_HEAD = "yolo_head"
 
-KINDS = {CONV, BATCHNORM, ACTIVATION, SCALE, UPSAMPLE, ADD, CONCAT, MAXPOOL, YOLO_HEAD}
-
 # activation functions (also valid as a conv node's inline `act` attribute)
 LINEAR = "linear"
 RELU = "relu"
@@ -44,13 +48,6 @@ LEAKY = "leaky"
 
 QUANTIZABLE = "quantizable"
 PLUGIN_ONLY = "plugin_only"
-
-# weight roles, in on-disk blob order per kind
-WEIGHT_ROLES = {
-    CONV: ("kernel", "bias"),
-    BATCHNORM: ("bn_gamma", "bn_beta", "bn_mean", "bn_var"),
-    SCALE: ("scale_factors",),
-}
 
 
 class GraphError(Exception):
@@ -289,45 +286,14 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
     shapes: dict[str, TensorShape] = {graph.input_id: graph.input_shape}
     order, stuck = _topo_order(graph)
     for node in order:
-        shapes[node.output] = _node_output_shape(node, [shapes[t] for t in node.inputs])
+        kind = KINDS.get(node.kind)
+        if kind is None:
+            raise GraphError(f"{node.id}: unknown kind {node.kind}")
+        shapes[node.output] = kind.shape(node, [shapes[t] for t in node.inputs])
     if stuck:
         raise ShapeMismatch("unresolvable inputs (cycle or dangling reference): "
                             + ", ".join(n.id for n in stuck))
     return shapes
-
-
-def _node_output_shape(node: LayerNode, in_shapes: list[TensorShape]) -> TensorShape:
-    kind = node.kind
-    s = in_shapes[0]
-    if kind in (CONV, MAXPOOL):
-        a = node.attrs
-        if a["kernel"] < 1 or a["stride"] < 1:
-            raise GraphError(f"{node.id}: {kind} kernel {a['kernel']} and stride {a['stride']} "
-                             f"must be >= 1")
-        pad = a["pad"] if kind == CONV else 0
-        oh = conv_out_dim(s.h, a["kernel"], a["stride"], pad)
-        ow = conv_out_dim(s.w, a["kernel"], a["stride"], pad)
-        if oh < 1 or ow < 1:
-            raise UnderflowShape(f"{node.id}: {kind} output {oh}x{ow} underflows")
-        return TensorShape(s.n, a["out_ch"] if kind == CONV else s.c, oh, ow)
-    if kind == UPSAMPLE:
-        f = node.attrs["factor"]
-        return TensorShape(s.n, s.c, s.h * f, s.w * f)
-    if kind == ADD:
-        for other in in_shapes[1:]:
-            if other != s:
-                raise ShapeMismatch(f"{node.id}: add inputs {s} vs {other}")
-        return s
-    if kind == CONCAT:
-        c = s.c
-        for other in in_shapes[1:]:
-            if (other.n, other.h, other.w) != (s.n, s.h, s.w):
-                raise ShapeMismatch(f"{node.id}: concat inputs {s} vs {other}")
-            c += other.c
-        return TensorShape(s.n, c, s.h, s.w)
-    if kind in (BATCHNORM, ACTIVATION, SCALE, YOLO_HEAD):
-        return s
-    raise GraphError(f"{node.id}: unknown kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -365,8 +331,6 @@ def validate(graph: Graph) -> list[Diagnostic]:
         if n.output in producers or n.output == graph.input_id:
             diags.append(Diagnostic(n.id, f"tensor '{n.output}' produced more than once"))
         producers[n.output] = n.id
-        if n.kind not in KINDS:
-            diags.append(Diagnostic(n.id, f"unknown kind '{n.kind}'"))
 
     known = set(producers) | {graph.input_id}
     dangling = set()
@@ -402,40 +366,114 @@ def validate(graph: Graph) -> list[Diagnostic]:
 _ACT = Field(lambda v: type(v) is str and v in (LINEAR, RELU, LEAKY),
              f"{LINEAR}, {RELU} or {LEAKY}")
 
-# per kind: the attributes the stages read, each with its type and bound
-_ATTR_FIELDS = {
-    CONV: {"out_ch": POSITIVE_INTEGER, "kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER,
-           "pad": COUNT, "has_bias": BOOLEAN, "act": optional(_ACT), "alpha": optional(NUMBER)},
-    BATCHNORM: {"eps": Field(lambda v: finite_number(v) and v > 0, "a positive number")},
-    ACTIVATION: {"act": _ACT, "alpha": optional(NUMBER)},
-    SCALE: {"factor": optional(NUMBER)},
-    UPSAMPLE: {"factor": Field(lambda v: INTEGER.test(v) and v >= 2, "an integer >= 2")},
-    MAXPOOL: {"kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER},
-    YOLO_HEAD: {"anchor_indices": Field(lambda v: type(v) is list and v and all(
-                    map(INTEGER.test, v)), "a non-empty list of integers"),
-                "num_classes": POSITIVE_INTEGER},
+
+def _window_shape(node: LayerNode, s: TensorShape, pad: int, out_c: int) -> TensorShape:
+    """The output of a conv's or max-pool's kernel x kernel windows, stride
+    apart, over `s` padded by `pad`."""
+    a = node.attrs
+    if a["kernel"] < 1 or a["stride"] < 1:
+        raise GraphError(f"{node.id}: {node.kind} kernel {a['kernel']} and stride {a['stride']} "
+                         f"must be >= 1")
+    oh, ow = (conv_out_dim(size, a["kernel"], a["stride"], pad) for size in (s.h, s.w))
+    if oh < 1 or ow < 1:
+        raise UnderflowShape(f"{node.id}: {node.kind} output {oh}x{ow} underflows")
+    return TensorShape(s.n, out_c, oh, ow)
+
+
+def _add_shape(node: LayerNode, ins: list[TensorShape]) -> TensorShape:
+    for other in ins[1:]:
+        if other != ins[0]:
+            raise ShapeMismatch(f"{node.id}: add inputs {ins[0]} vs {other}")
+    return ins[0]
+
+
+def _concat_shape(node: LayerNode, ins: list[TensorShape]) -> TensorShape:
+    s = ins[0]
+    for other in ins[1:]:
+        if (other.n, other.h, other.w) != (s.n, s.h, s.w):
+            raise ShapeMismatch(f"{node.id}: concat inputs {s} vs {other}")
+    return s._replace(c=sum(t.c for t in ins))
+
+
+def _anchors_known(n: LayerNode, anchor_count: int) -> str | None:
+    outside = [i for i in n.attrs.get("anchor_indices", ()) if not 0 <= i < anchor_count]
+    if outside:
+        return f"{outside} outside the model's {anchor_count} anchors"
+
+
+class Kind(NamedTuple):
+    """What every stage knows of one node kind:
+    * attrs: attribute -> Field, the attributes the stages read;
+    * shape(node, input shapes): the output shape, or raises GraphError;
+    * roles: the weight roles, in on-disk blob order;
+    * weights(attrs, input channels): role -> float count of each weight
+      the node needs;
+    * rules: (field, rule(node, anchor count)) for each rule between
+      fields; a rule gives the fault, or a false value;
+    * macs(attrs, input shape, output shape): the multiply-adds, for the
+      kinds that count them."""
+
+    attrs: dict
+    shape: Callable
+    roles: tuple = ()
+    weights: Callable = lambda attrs, in_c: {}
+    rules: tuple = ()
+    macs: Callable | None = None
+
+
+_SAME = lambda node, ins: ins[0]  # noqa: E731
+_BN_ROLES = ("bn_gamma", "bn_beta", "bn_mean", "bn_var")
+_LEAKY_ALPHA = ("attrs: alpha", lambda n, _: (
+    n.attrs.get("act") == LEAKY and not 0.0 < n.attrs.get("alpha", 0.0) < 1.0
+    and f"leaky needs alpha in (0, 1), got {n.attrs.get('alpha')}"))
+_TWO_INPUTS = ("inputs", lambda n, _: len(n.inputs) < 2 and f"{n.kind} needs at least two inputs")
+
+KINDS = {
+    CONV: Kind(attrs={"out_ch": POSITIVE_INTEGER, "kernel": POSITIVE_INTEGER,
+                      "stride": POSITIVE_INTEGER, "pad": COUNT, "has_bias": BOOLEAN,
+                      "act": optional(_ACT), "alpha": optional(NUMBER)},
+               shape=lambda n, ins: _window_shape(n, ins[0], n.attrs["pad"], n.attrs["out_ch"]),
+               roles=("kernel", "bias"),
+               weights=lambda a, in_c: {"kernel": a["out_ch"] * in_c * a["kernel"] ** 2,
+                                        **({"bias": a["out_ch"]} if a["has_bias"] else {})},
+               rules=(_LEAKY_ALPHA,),
+               macs=lambda a, s, out: out.h * out.w * a["out_ch"] * s.c * a["kernel"] ** 2),
+    BATCHNORM: Kind(attrs={"eps": Field(lambda v: finite_number(v) and v > 0, "a positive number")},
+                    shape=_SAME, roles=_BN_ROLES,
+                    weights=lambda a, in_c: dict.fromkeys(_BN_ROLES, in_c)),
+    ACTIVATION: Kind(attrs={"act": _ACT, "alpha": optional(NUMBER)}, shape=_SAME,
+                     rules=(_LEAKY_ALPHA,)),
+    SCALE: Kind(attrs={"factor": optional(NUMBER)}, shape=_SAME, roles=("scale_factors",),
+                weights=lambda a, in_c: {} if a.get("factor") is not None
+                else {"scale_factors": in_c}),
+    UPSAMPLE: Kind(attrs={"factor": Field(lambda v: INTEGER.test(v) and v >= 2, "an integer >= 2")},
+                   shape=lambda n, ins: ins[0]._replace(h=ins[0].h * n.attrs["factor"],
+                                                        w=ins[0].w * n.attrs["factor"])),
+    ADD: Kind(attrs={}, shape=_add_shape, rules=(_TWO_INPUTS,)),
+    CONCAT: Kind(attrs={}, shape=_concat_shape, rules=(_TWO_INPUTS,)),
+    MAXPOOL: Kind(attrs={"kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER},
+                  shape=lambda n, ins: _window_shape(n, ins[0], 0, ins[0].c)),
+    YOLO_HEAD: Kind(attrs={"anchor_indices": Field(lambda v: type(v) is list and v and all(
+                               map(INTEGER.test, v)), "a non-empty list of integers"),
+                           "num_classes": POSITIVE_INTEGER},
+                    shape=_SAME, rules=(("attrs: anchor_indices", _anchors_known),)),
 }
 
 
 def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
-    """(field, reason) for each fault of the node: each attribute that
-    _ATTR_FIELDS refuses for its kind, then each rule between fields that
-    it breaks. The field is `attrs: <key>`, `attrs` for missing attributes,
-    or `inputs`."""
+    """(field, reason) for each fault of the node: a kind KINDS does not
+    declare, or each attribute its kind's table refuses, then each rule
+    between fields that it breaks, unless the table refused that field. The
+    field is `kind`, `attrs: <key>`, `attrs` for missing attributes, or
+    `inputs`."""
+    kind = KINDS.get(n.kind)
+    if kind is None:
+        return [("kind", f"expected one of {', '.join(KINDS)}, got {json.dumps(n.kind)}")]
     out = [(": ".join(("attrs", *keys)), fault)
-           for keys, fault in artifacts.faults(n.attrs, _ATTR_FIELDS.get(n.kind, {}))]
-    a, refused = n.attrs, {f for f, _ in out}
-    if (n.kind in (CONV, ACTIVATION) and a.get("act") == LEAKY and "attrs: alpha" not in refused
-            and not 0.0 < a.get("alpha", 0.0) < 1.0):
-        out.append(("attrs: alpha", f"leaky needs alpha in (0, 1), got {a.get('alpha')}"))
-    if n.kind == YOLO_HEAD and "attrs: anchor_indices" not in refused:
-        outside = [i for i in a.get("anchor_indices", ()) if not 0 <= i < anchor_count]
-        if outside:
-            out.append(("attrs: anchor_indices",
-                        f"{outside} outside the model's {anchor_count} anchors"))
-    if n.kind in (ADD, CONCAT) and len(n.inputs) < 2:
-        out.append(("inputs", f"{n.kind} needs at least two inputs"))
-    return out
+           for keys, fault in artifacts.faults(n.attrs, kind.attrs)]
+    refused = {f for f, _ in out}
+    return out + [(f, reason) for f, rule in kind.rules
+                  if f not in refused and (reason := rule(n, anchor_count))]
 
 
 def _check_shape_invariants(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnostic]:
@@ -451,25 +489,11 @@ def _check_shape_invariants(graph: Graph, shapes: dict[str, TensorShape]) -> lis
     return out
 
 
-def _expected_weight_lens(node: LayerNode, in_c: int) -> dict[str, int]:
-    a = node.attrs
-    if node.kind == CONV:
-        lens = {"kernel": a["out_ch"] * in_c * a["kernel"] * a["kernel"]}
-        if a["has_bias"]:
-            lens["bias"] = a["out_ch"]
-        return lens
-    if node.kind == BATCHNORM:
-        return {r: in_c for r in WEIGHT_ROLES[BATCHNORM]}
-    if node.kind == SCALE and node.attrs.get("factor") is None:
-        return {"scale_factors": in_c}
-    return {}
-
-
 def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnostic]:
     out = []
     for n in graph.nodes:
         in_c = shapes[n.inputs[0]].c if n.inputs else 0
-        for role, want in _expected_weight_lens(n, in_c).items():
+        for role, want in KINDS[n.kind].weights(n.attrs, in_c).items():
             arr = graph.weights.get((n.id, role))
             if arr is None:
                 out.append(Diagnostic(n.id, f"missing weights for role '{role}'"))
@@ -519,11 +543,11 @@ def _node_from_json(d: dict) -> LayerNode:
 def graph_manifest(graph: Graph, tool_meta: dict | None = None) -> dict:
     weights_index = []
     for n in graph.nodes:
-        for role in WEIGHT_ROLES.get(n.kind, ()):
+        for role in KINDS[n.kind].roles:
             if (n.id, role) in graph.weights:
                 weights_index.append({"layer": n.id, "role": role,
                                       "len": int(graph.weights[(n.id, role)].size)})
-    manifest = {
+    return {
         "input": {"id": graph.input_id, "shape": list(graph.input_shape)},
         "metadata": {
             "class_names": graph.metadata.class_names,
@@ -536,7 +560,6 @@ def graph_manifest(graph: Graph, tool_meta: dict | None = None) -> dict:
         "weights": weights_index,
         "tool": tool_meta or {},
     }
-    return manifest
 
 
 def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
@@ -557,14 +580,10 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
 
 def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
     """The nodes of the manifest, each checked against the node rules."""
-    nodes = []
-    for i, d in enumerate(records):
-        node = _node_from_json(d)
-        faults = _node_faults(node, anchor_count)
-        if faults:
-            field, reason = faults[0]
+    nodes = [_node_from_json(d) for d in records]
+    for i, node in enumerate(nodes):
+        for field, reason in _node_faults(node, anchor_count)[:1]:
             raise artifacts.ArtifactError(f"{path}: nodes: {i}: {field}: {reason}")
-        nodes.append(node)
     return nodes
 
 
@@ -591,12 +610,16 @@ def load_container(path) -> Graph:
         meta = artifacts.check(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
         nodes = _nodes(manifest["nodes"], len(meta["anchors"]), path)
 
+        roles = {n.id: KINDS[n.kind].roles for n in nodes}
         lens: dict[tuple[str, str], int] = {}  # in blob order
         for i, e in enumerate(manifest["weights"]):
             key = (e["layer"], e["role"])
             if key in lens:
                 artifacts.reject(list(key), "a (layer, role) not listed before", path,
                                  "weights", i, "layer, role")
+            if e["role"] not in roles.get(e["layer"], ()):
+                artifacts.reject(list(key), "a node's id and a weight role its kind declares",
+                                 path, "weights", i, "layer, role")
             lens[key] = e["len"]
         want_floats, blob_bytes = sum(lens.values()), size - 16 - mlen
         if blob_bytes != want_floats * 4:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import executor, frontend
 from .executor import F16, F32, I8
-from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, LEAKY, LINEAR, PLUGIN_ONLY, RELU, SCALE,
-                    WEIGHT_ROLES, Graph, LayerNode, activation_node)
+from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, KINDS, LEAKY, LINEAR, PLUGIN_ONLY, RELU,
+                    SCALE, Graph, LayerNode, activation_node)
 
 LEAKY_AS_PLUGIN = "leaky_as_plugin"
 LEAKY_NATIVE = "leaky_native"
@@ -142,7 +142,7 @@ def _scale_conv(weights, conv: LayerNode, node: LayerNode, multiplier: np.ndarra
 
 def _fold_bn(weights, conv: LayerNode, bn: LayerNode) -> None:
     gamma, beta, mean, var = (weights.pop((bn.id, role)).astype(np.float64)
-                              for role in WEIGHT_ROLES[BATCHNORM])
+                              for role in KINDS[BATCHNORM].roles)
     inv = gamma / np.sqrt(var + bn.attrs["eps"])
     bias = weights.get((conv.id, "bias"))
     bias = bias.astype(np.float64) if bias is not None else np.zeros(conv.attrs["out_ch"])

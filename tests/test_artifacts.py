@@ -85,7 +85,7 @@ def _reader_cases(tiny_detector):
                           (("metadata",), g._METADATA_FIELDS),
                           (("qparams", "input"), g.QuantParams.FIELDS),
                           *((("nodes", first_of_kind[kind], "attrs"), table)
-                            for kind, table in g._ATTR_FIELDS.items())]),
+                            for kind, table in ((k, e.attrs) for k, e in g.KINDS.items()))]),
         "ranges": ({"meta": {"tool": "t"}, "tensors": {"input": qp}}, write_json,
                    quant.load_ranges, False, [
                        ((), quant._RANGES_FIELDS), (("tensors", "input"), g.QuantParams.FIELDS)]),

@@ -745,7 +745,8 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     "container-node-without-attrs", "container-weight-repeated",
     "container-weight-layer-not-a-string", "container-input-shape-of-two",
     "container-input-id-not-a-string", "container-node-stride-zero",
-    "container-anchors-not-pairs", "category-map-not-json", "category-map-unknown-name",
+    "container-anchors-not-pairs", "container-node-kind-unknown", "container-weight-layer-unknown",
+    "container-weight-role-undeclared", "category-map-not-json", "category-map-unknown-name",
     "coco-image-without-file-name"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
@@ -789,7 +790,7 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
         data = open(optimized_container, "rb").read()
         (length,) = struct.unpack_from("<Q", data, 8)
         manifest = json.loads(data[16:16 + length])
-        weights = manifest["weights"]
+        weights, extra = manifest["weights"], b""
         if case == "container-node-without-attrs":
             del manifest["nodes"][0]["attrs"]
         elif case == "container-weight-repeated":
@@ -803,10 +804,17 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
             manifest["nodes"][0]["attrs"]["stride"], field = 0, "nodes: 0: attrs: stride: "
         elif case == "container-anchors-not-pairs":
             manifest["metadata"]["anchors"], field = [[1]], "metadata: anchors: "
+        elif case == "container-node-kind-unknown":
+            manifest["nodes"][1]["kind"], field = "foo", "nodes: 1: kind: "
+        elif case in ("container-weight-layer-unknown", "container-weight-role-undeclared"):
+            # one more float in the blob, so only the entry itself is at fault
+            key = ("ghost", "kernel") if case.endswith("unknown") else ("conv0", "scale_factors")
+            weights.append({"layer": key[0], "role": key[1], "len": 1})
+            extra, field = bytes(4), f"weights: {len(weights) - 1}: layer, role: "
         else:
             manifest["input"]["id"], field = 5, "input: id: "
         blob = json.dumps(manifest).encode()
-        bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + length:])
+        bad.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + length:] + extra)
         image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
         argv = ["detect", "-m", bad, "-i", image, "-o", out]
     elif case == "coco-image-without-file-name":

@@ -80,7 +80,7 @@ def test_batchnorm_formula():
     def batchnorm(gamma, beta, mean, var):
         node = g.LayerNode("bn", g.BATCHNORM, ["input"], "bn", {"eps": eps})
         gr = g.Graph(nodes=[node], input_shape=g.TensorShape(1, 1, 2, 2))
-        for role, value in zip(g.WEIGHT_ROLES[g.BATCHNORM], (gamma, beta, mean, var)):
+        for role, value in zip(g.KINDS[g.BATCHNORM].roles, (gamma, beta, mean, var)):
             gr.weights[("bn", role)] = np.array([value], dtype=np.float32)
         return executor.execute(gr, x).as_f32("bn")
 
@@ -972,7 +972,7 @@ def _conv_bn_graph(gamma):
     rng = np.random.default_rng(13)
     gr = one_conv_graph(rng.normal(0, 0.1, (64, 1024, 3, 3)), in_shape=(1, 1024, 8, 8))
     gr.nodes.append(g.LayerNode("bn", g.BATCHNORM, ["c"], "bn", {"eps": 1e-5}))
-    for role, value in zip(g.WEIGHT_ROLES[g.BATCHNORM], (gamma, 0.1, 0.2, rng.uniform(0, 2, 64))):
+    for role, value in zip(g.KINDS[g.BATCHNORM].roles, (gamma, 0.1, 0.2, rng.uniform(0, 2, 64))):
         gr.weights[("bn", role)] = np.broadcast_to(value, (64,)).astype(np.float32)
     return gr
 
@@ -1379,3 +1379,59 @@ def test_the_fused_i8_tail_looks_up_what_the_separate_steps_give(ranges, factor)
             except executor.NonFiniteDetected as err:
                 got.append(str(err))
         assert got[0] == got[1], (int(level), got)
+
+
+# --------------------------------------------------------------------------
+# one declaration per kind: graph.KINDS and executor.OPS
+# --------------------------------------------------------------------------
+
+# (kind, attrs, inputs, output shape from a (1, 6, 32, 32) input, i8 path)
+_KIND_CASES = [
+    (g.CONV, {"out_ch": 6, "kernel": 3, "stride": 2, "pad": 1, "has_bias": True}, 1,
+     (1, 6, 16, 16), executor.GEMM),
+    (g.BATCHNORM, {"eps": 1e-3}, 1, (1, 6, 32, 32), executor.FLOAT),
+    (g.ACTIVATION, {"act": g.LEAKY, "alpha": 0.1}, 1, (1, 6, 32, 32), executor.TABLE),
+    (g.SCALE, {"factor": 0.5}, 1, (1, 6, 32, 32), executor.TABLE),
+    (g.SCALE, {}, 1, (1, 6, 32, 32), executor.FLOAT),
+    (g.UPSAMPLE, {"factor": 2}, 1, (1, 6, 64, 64), executor.LEVELS),
+    (g.MAXPOOL, {"kernel": 2, "stride": 2}, 1, (1, 6, 16, 16), executor.LEVELS),
+    (g.ADD, {}, 2, (1, 6, 32, 32), executor.TABLE),
+    (g.ADD, {}, 3, (1, 6, 32, 32), executor.FLOAT),
+    (g.CONCAT, {}, 2, (1, 12, 32, 32), executor.FLOAT),
+    (g.YOLO_HEAD, {"anchor_indices": [0], "num_classes": 1}, 1, (1, 6, 32, 32), executor.TABLE),
+]
+
+
+def test_every_kind_is_declared_in_kinds_and_ops_and_has_a_case():
+    assert set(g.KINDS) == set(executor.OPS) == {kind for kind, *_ in _KIND_CASES}
+
+
+@pytest.mark.parametrize("kind,attrs,inputs,shape,path", _KIND_CASES,
+                         ids=[f"{c[0]}-{c[2]}-{c[4]}" for c in _KIND_CASES])
+def test_a_kind_infers_its_shape_takes_its_weights_and_compiles_to_its_i8_path(
+        kind, attrs, inputs, shape, path, monkeypatch):
+    """A one-node graph of each kind: its KINDS entry's shape rule and
+    weight counts, and the int8 path of its OPS entry, which compile takes."""
+    node = g.LayerNode("n", kind, ["input"] * inputs, "n", dict(attrs))
+    gr = g.Graph(nodes=[node], input_shape=g.TensorShape(1, 6, 32, 32),
+                 metadata=g.GraphMetadata(anchors=[(8.0, 8.0)]))
+    shapes = g.infer_shapes(gr)
+    assert shapes["n"] == shape
+    for role, count in g.KINDS[kind].weights(node.attrs, 6).items():
+        assert role in g.KINDS[kind].roles
+        gr.weights[("n", role)] = np.full(count, 0.5, dtype=np.float32)
+    assert g._check_weights(gr, shapes) == [] and g.validate(gr) == []
+
+    taken = []
+    for name, took in (("quantized_conv", executor.GEMM), ("_level_table", executor.TABLE),
+                       ("_float_step", executor.FLOAT)):
+        def spy(*args, _run=getattr(executor, name), _took=took, **kwargs):
+            taken.append(_took)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(executor, name, spy)
+    gr.qparams = {t: g.QuantParams.from_range(-4.0, 4.0) for t in ("input", "n")}
+    program = executor.compile(gr, executor.I8)
+    assert executor.OPS[kind].i8(node) == path
+    assert taken == ([] if path == executor.LEVELS else [path])
+    x = np.random.default_rng(0).uniform(-2, 2, (1, 6, 32, 32)).astype(np.float32)
+    assert program.run(x).buffers["n"].data.shape == shape

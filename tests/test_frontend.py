@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge import fixtures, frontend
+from jetforge import fixtures, frontend, passes
 from jetforge import graph as g
 
 TINY_CFG = """
@@ -204,6 +205,46 @@ def test_parse_output_digest(name, text, digest):
         warnings.simplefilter("error")
         manifest = g.graph_manifest(frontend.parse_cfg(text))
     assert hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest() == digest
+
+
+# sha256 of (infer_shapes, model_stats) for each generated cfg as parsed and
+# after the three passes
+SHAPES_AND_STATS_DIGESTS = {
+    ("tiny", "parsed"):
+        "9df72a196b17f157e95d7b148016f8af379b3740df1d9aa660bd5afa4c123f73",
+    ("tiny", "passes"):
+        "f91882e914ee40b1925b8374696929305d40ddb3001062457fc48ff1b4d423ef",
+    ("yolov3-160x96", "parsed"):
+        "d9f863f0c85f9232e508facc29c92e4acadd53589767e6d8d612ccc9c02aa4d5",
+    ("yolov3-160x96", "passes"):
+        "eda8b0ad50c213236f782444a8e0bd120107e59bc5e7dbeb2c7424a00fcd4afd",
+    ("yolov3-608x352", "parsed"):
+        "602b2bb9946bc3a59d97171fcf9b78bfa5e6148fe41d2c7fd8eb62e44eb4a789",
+    ("yolov3-608x352", "passes"):
+        "9a2fd6a78bed665cc3b590bfb777e507db60c96c5609a65bb8621053322babdf",
+}
+
+
+def _shapes_and_stats_digest(gr) -> str:
+    record = {"shapes": {t: list(s) for t, s in g.infer_shapes(gr).items()},
+              "stats": dataclasses.asdict(frontend.model_stats(gr))}
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def test_shapes_and_stats_digest(tiny_detector, yolov3_weighted):
+    """Every tensor's shape and the node counts, activation counts,
+    parameters and per-layer MACs, pinned for each generated cfg as parsed
+    and after the three passes. yolov3's weights do not depend on the input
+    size, so both sizes fold the same arrays."""
+    yolov3_small = frontend.parse_cfg(fixtures.yolov3_cfg(160, 96))
+    yolov3_small.weights = dict(yolov3_weighted.weights)
+    got = {}
+    for name, gr in (("tiny", tiny_detector), ("yolov3-160x96", yolov3_small),
+                     ("yolov3-608x352", yolov3_weighted)):
+        got[name, "parsed"] = _shapes_and_stats_digest(gr)
+        folded, _ = passes.apply_passes(gr, ["fuse-conv-bn", "decompose-leaky", "fold-scale"])
+        got[name, "passes"] = _shapes_and_stats_digest(folded)
+    assert got == SHAPES_AND_STATS_DIGESTS
 
 
 def _header(major=0, minor=2, revision=0, seen=0):

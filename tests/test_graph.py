@@ -165,6 +165,16 @@ def test_validate_yolo_head_channels():
     assert any("channels" in d.reason for d in g.validate(gr))
 
 
+def test_an_unknown_kind_is_one_diagnostic_and_a_shape_fault_naming_the_node(tiny_detector):
+    gr = tiny_detector.copy()
+    gr.nodes[1].kind = "foo"
+    assert g.validate(gr) == [g.Diagnostic("bn0", "kind: expected one of " + ", ".join(g.KINDS)
+                                           + ', got "foo"')]
+    for infer in (g.infer_shapes, executor.compile):
+        with pytest.raises(g.GraphError, match="^bn0: unknown kind foo$"):
+            infer(gr)
+
+
 def test_validate_input_multiple_of_32():
     conv = g.conv_node("c", ["input"], "c", out_ch=1, kernel=1, stride=1, pad=0,
                        has_bias=True)
@@ -367,7 +377,7 @@ def test_container_node_without_what_its_kind_needs(tmp_path, tiny_detector, edi
 
 
 # --------------------------------------------------------------------------
-# one attribute table for every reader: _ATTR_FIELDS, run by _node_faults
+# one attribute table for every reader: KINDS[kind].attrs, run by _node_faults
 # --------------------------------------------------------------------------
 
 def _json_type(value) -> str:
@@ -382,10 +392,10 @@ _OUTSIDE = {"number": [0, -1, 1, 2.0, 2.5, math.nan], "string": ["tanh"], "array
 
 
 def _attr_cases():
-    """(kind, key, value) for each attribute of _ATTR_FIELDS: a value of each
+    """(kind, key, value) for each attribute of KINDS: a value of each
     other JSON type, and every value of its own type its field refuses; then
     a value breaking each rule between fields."""
-    for kind, table in g._ATTR_FIELDS.items():
+    for kind, table in ((k, entry.attrs) for k, entry in g.KINDS.items()):
         for key, field in table.items():
             own = _json_type(next(v for v in _ACCEPTED if field.test(v)))
             yield from ((kind, key, v) for v in _OF_EACH_TYPE if _json_type(v) != own)
@@ -398,20 +408,20 @@ _ATTR_CASES = list(_attr_cases())
 
 def test_the_attr_cases_cover_every_attribute():
     assert {(kind, key) for kind, key, _ in _ATTR_CASES} == {
-        (kind, key) for kind, table in g._ATTR_FIELDS.items() for key in table}
+        (kind, key) for kind, entry in g.KINDS.items() for key in entry.attrs}
     # validate used to raise TypeError on the first and accept the second
     assert (g.CONV, "stride", "2") in _ATTR_CASES and (g.UPSAMPLE, "factor", 2.5) in _ATTR_CASES
 
 
 @pytest.fixture(scope="module")
 def every_kind_graph(tiny_detector, tmp_path_factory):
-    """(a graph with a node of every kind of _ATTR_FIELDS, its container)."""
+    """(a graph with a node of every kind of KINDS, its container)."""
     graph = tiny_detector.copy()
     graph.nodes += [g.LayerNode("pool", g.MAXPOOL, ["input"], "pool", {"kernel": 2, "stride": 2}),
                     g.LayerNode("scale", g.SCALE, ["input"], "scale", {"factor": 0.5})]
     path = tmp_path_factory.mktemp("kinds") / "kinds.uir"
     g.save_container(graph, path)
-    assert set(g._ATTR_FIELDS) <= {n.kind for n in graph.nodes}
+    assert set(g.KINDS) <= {n.kind for n in graph.nodes}
     return graph, path
 
 
