@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Callable, NamedTuple
 
 # the unified class set; list order fixes the id assignment. A label in a
@@ -49,6 +50,15 @@ def finite_number(value) -> bool:
     # also float NaN and +-inf for NaN and +-Infinity; bool is not a number
     # here, so comparing exact types rejects it
     return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def decimal(text: str) -> float:
+    """The float an ASCII decimal number in `text` writes, or ValueError:
+    float() also takes "inf", "nan", "1_0" and other scripts' digits. A
+    decimal beyond float64's range still gives +-inf."""
+    if not re.fullmatch(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", text):
+        raise ValueError(text)
+    return float(text)
 
 
 def _integer(value) -> bool:

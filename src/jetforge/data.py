@@ -6,6 +6,7 @@ IoU k-means anchor clustering and the 16:9 multi-scale resolution sampler.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -178,10 +179,13 @@ def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,
                 if len(fields) != 8:
                     raise MalformedLine(path, line_no, f"expected 8 fields, got {len(fields)}")
                 try:
-                    x, y, w, h = (float(v) for v in fields[:4])
-                    category = fields[5].strip()
-                except ValueError as e:
-                    raise MalformedLine(path, line_no, str(e))
+                    x, y, w, h = box = [artifacts.decimal(v) for v in fields[:4]]
+                    if not all(map(math.isfinite, box)):
+                        raise ValueError
+                except ValueError:
+                    raise MalformedLine(path, line_no, "box: expected 4 finite decimal numbers, "
+                                        f"got {','.join(fields[:4])}") from None
+                category = fields[5].strip()
                 if category not in remap:
                     raise UnknownCategory(f"{path}:{line_no}: category '{category}'")
                 bbox = _clip_box(x, y, w, h, width, height)

@@ -22,14 +22,16 @@ Compile once, run many. `compile(graph, mode, plan, retention)` does
 everything that does not depend on the input, once: shape inference, the
 dataflow order, when each tensor is last used, each node's mode and the
 format of every buffer, which tensors the trace keeps and which buffers
-are freed, and the weights each mode reads (binary16-rounded kernels,
-biases, batchnorm coefficients and scale vectors for f16; for i8 the int8
-weight levels, the per-channel output multipliers and each integer conv's
-checks). `Program.run(x)` then only computes. Its steps pass bare arrays,
-whose formats compile already knows: a step reads each input as compile
-chose (the array itself, its int8 levels dequantized, or a float array
-quantized), and only the tensors the trace keeps are wrapped in a
-TensorBuffer. A program holds no reference to its graph.
+are freed, and the weights each mode reads. One accessor, `weight(node,
+role)`, gives every builder a node's weight in the form the node's mode
+reads: binary16-rounded for an f16 node, the graph's array otherwise; from
+it i8 prepares the int8 weight levels, the per-channel output multipliers
+and each integer conv's checks. `Program.run(x)` then only computes. Its
+steps pass bare arrays, whose formats compile already knows: a step reads
+each input as compile chose (the array itself, its int8 levels
+dequantized, or a float array quantized), and only the tensors the trace
+keeps are wrapped in a TensorBuffer. A program holds no reference to its
+graph.
 
 `execute()` is the one entry point. It keeps each graph's programs in a
 private cache keyed by mode, plan and retention, and reuses a program only
@@ -164,15 +166,18 @@ input) rounds a copy of it.
 Integer convolution. Weights are quantized once, at compile: symmetric int8
 levels per output channel (zero point 0), so the conv of activation levels
 q with weight levels q_w is a plain integer dot product of (q - zero_point)
-and q_w. Its accumulators are the float64 GEMM of conv2d. Compile proves
-that every partial sum is an integer below 2**53 (check_float64_exact),
-which float64 holds exactly, so the accumulators equal int64 arithmetic bit
-for bit whatever the BLAS build or its thread count: i8 results are
+and q_w. Its accumulators are the float64 GEMM of conv2d. One bound makes
+them exact: in any summation order, every partial sum of an output is at
+most sum |q - zero_point| * |q_w,c| over its window in magnitude, and
+integer_conv holds that sum to INT32_MAX before it returns anything.
+Compile proves it per output channel, max|q - zero_point| * sum|q_w,c| <=
+INT32_MAX; only the channels it cannot prove get a data bound on each
+call, which raises AccumulatorOverflow where an int32 accumulator would
+overflow. INT32_MAX is far below 2**53, so every partial sum is an integer
+float64 holds exactly, and the accumulators equal int32 arithmetic bit for
+bit whatever the BLAS build or its thread count: i8 results are
 reproducible across machines, unlike float32 ones; see README for the
-reproducibility contract. Compile also proves the int32 bound per output
-channel, max|q - zero_point| * sum|q_w,c| <= INT32_MAX; only the channels
-it cannot prove get a data bound on each call, and AccumulatorOverflow is
-raised only when that bound exceeds int32.
+reproducibility contract.
 """
 
 from __future__ import annotations
@@ -204,8 +209,6 @@ RETAIN_HEADS = "heads"
 _LEVELS = np.arange(256, dtype=np.uint8).view(np.int8)
 INT32_MAX = 2**31 - 1
 WEIGHT_QMAX = 127
-# float64 represents every integer of magnitude below this exactly
-FLOAT64_EXACT_LIMIT = 2**53
 # float32 bit patterns of |x|: binary16's smallest normal, 2**-14, and
 # 65520, from which binary16 rounds to inf
 _F16_MIN_NORMAL = 0x38800000
@@ -239,10 +242,6 @@ class NonFiniteDetected(ExecutionError):
 
 
 class AccumulatorOverflow(ExecutionError):
-    pass
-
-
-class InexactAccumulation(ExecutionError):
     pass
 
 
@@ -499,16 +498,6 @@ def quantize_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels.astype(np.int8).reshape(k.shape), scales
 
 
-def check_float64_exact(taps: int, max_abs_x: int) -> None:
-    """Raise InexactAccumulation unless a `taps`-long dot product of integers
-    |x| <= max_abs_x and |w| <= WEIGHT_QMAX is exact in float64 in any
-    summation order: every partial sum must stay below 2**53."""
-    if taps * max_abs_x * WEIGHT_QMAX >= FLOAT64_EXACT_LIMIT:
-        raise InexactAccumulation(
-            f"{taps} taps of |x| <= {max_abs_x} times |w| <= {WEIGHT_QMAX} can reach "
-            f"2**53; float64 accumulation would not be exact")
-
-
 def integer_conv(levels: np.ndarray, zero_point: int, stride: int,
                  pad: int) -> Callable[[np.ndarray], np.ndarray]:
     """The convolution with int8 weight levels [out_ch, in_ch, k, k] in
@@ -517,10 +506,10 @@ def integer_conv(levels: np.ndarray, zero_point: int, stride: int,
     the float64 [1, out_ch, out_h, out_w] sums of (q - zero_point) * q_w.
     A channel's data bound is conv2d of |q - zero_point| and |q_w,c|, exact
     because the padding is zero, so the windows of |x| are the absolute
-    windows of x."""
+    windows of x. The static bound is a float64 product, so a zero point
+    far outside [-128, 127] cannot wrap it round as int64 would."""
     max_abs_x = max(127 - zero_point, zero_point + 128)
-    check_float64_exact(levels[0].size, max_abs_x)
-    abs_sums = np.abs(levels.reshape(len(levels), -1)).sum(axis=1, dtype=np.int64)
+    abs_sums = np.abs(levels.reshape(len(levels), -1)).sum(axis=1, dtype=np.float64)
     unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
     abs_unproven = np.abs(levels[unproven].astype(np.float64)) if unproven.size else None
 
@@ -717,13 +706,15 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
         raise ExecutionError("; ".join(map(str, faults)))
     order = _topo_order(graph)[0]
     graph_qparams = graph.qparams or {}
+    precision = {n.id: plan.get(n.id, mode) for n in order}
     weights_read: dict[tuple[str, str], np.ndarray] = {}
     qparams_read: dict[str, QuantParams] = {}
 
     def weight(node, role):
-        """The graph's array, recorded for the cache check."""
+        """The graph's array in the form the node's mode reads, rounded to
+        binary16 in f16; the array is recorded for the cache check."""
         arr = weights_read[(node.id, role)] = graph.weights[(node.id, role)]
-        return arr
+        return _f16(arr) if precision[node.id] == F16 else arr
 
     def require(tensor_id):
         qp = graph_qparams.get(tensor_id)
@@ -738,7 +729,6 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
     last_use = {t: i for i, node in enumerate(order) for t in node.inputs}
     heads = {n.output for n in graph.head_nodes()}
     keep_all = retention == RETAIN_ALL
-    precision = {n.id: plan.get(n.id, mode) for n in order}
     tails = {} if keep_all else _leaky_tails(graph, order, heads, precision)
     fused = {n.id for tail in tails.values() for n in tail}
     steps = []
@@ -796,30 +786,30 @@ def _leaky_tails(graph: Graph, order, heads: set[str],
     return tails
 
 
-def _conv_op(node, weight, rnd):
+def _conv_op(node, weight):
     a = node.attrs
-    kernel = rnd(weight(node, "kernel").reshape(a["out_ch"], -1, a["kernel"], a["kernel"]))
-    bias = rnd(weight(node, "bias")) if a["has_bias"] else None
+    kernel = weight(node, "kernel").reshape(a["out_ch"], -1, a["kernel"], a["kernel"])
+    bias = weight(node, "bias") if a["has_bias"] else None
     stride, pad, act, alpha = a["stride"], a["pad"], a.get("act", LINEAR), a.get("alpha")
     return lambda xs: apply_activation(conv2d(xs[0], kernel, bias, stride, pad), act, alpha)
 
 
-def _batchnorm_op(node, weight, rnd):
-    inv, shift = _bn_affine(*(rnd(weight(node, role)) for role in KINDS[BATCHNORM].roles),
+def _batchnorm_op(node, weight):
+    inv, shift = _bn_affine(*(weight(node, role) for role in KINDS[BATCHNORM].roles),
                             node.attrs["eps"])
     return lambda xs: xs[0] * inv + shift
 
 
-def _scale_op(node, weight, rnd):
+def _scale_op(node, weight):
     factor = node.attrs.get("factor")
-    factors = (rnd(weight(node, "scale_factors"))[None, :, None, None] if factor is None
+    factors = (weight(node, "scale_factors")[None, :, None, None] if factor is None
                else np.float32(factor))
     return lambda xs: xs[0] * factors
 
 
 def _unary_op(fn, *keys):
     """The builder of fn(x, *the node's `keys` attributes) on one input."""
-    def build(node, weight, rnd):
+    def build(node, weight):
         args = [node.attrs.get(key) for key in keys]
         return lambda xs: fn(xs[0], *args)
     return build
@@ -832,9 +822,9 @@ GEMM, LEVELS, TABLE, FLOAT = "gemm", "levels", "table", "float"
 
 class Op(NamedTuple):
     """How one node kind runs:
-    * build(node, weight, rnd): the node's computation on its input arrays
+    * build(node, weight): the node's computation on its input arrays
       (float32; max-pool and upsample also move int8 levels), with its
-      weights read once through `rnd`, which rounds them to binary16 in f16;
+      weights read once through compile's `weight`, in the node's form;
     * keeps_grid(node): whether the output values are all among its input
       values (or zero), so binary16 inputs give a binary16 output;
     * i8(node): its int8 path, GEMM, LEVELS, TABLE or FLOAT."""
@@ -855,28 +845,23 @@ OPS = {
     UPSAMPLE: Op(_unary_op(upsample_nearest, "factor"), keeps_grid=_ALWAYS, i8=lambda n: LEVELS),
     MAXPOOL: Op(_unary_op(maxpool2d, "kernel", "stride"), keeps_grid=_ALWAYS,
                 i8=lambda n: LEVELS),
-    ADD: Op(lambda n, weight, rnd: lambda xs: functools.reduce(operator.add, xs),
+    ADD: Op(lambda n, weight: lambda xs: functools.reduce(operator.add, xs),
             i8=lambda n: TABLE if len(n.inputs) == 2 else FLOAT),
-    CONCAT: Op(lambda n, weight, rnd: lambda xs: np.concatenate(xs, axis=1), keeps_grid=_ALWAYS),
-    YOLO_HEAD: Op(lambda n, weight, rnd: operator.itemgetter(0), keeps_grid=_ALWAYS,
+    CONCAT: Op(lambda n, weight: lambda xs: np.concatenate(xs, axis=1), keeps_grid=_ALWAYS),
+    YOLO_HEAD: Op(lambda n, weight: operator.itemgetter(0), keeps_grid=_ALWAYS,
                   i8=lambda n: TABLE),
 }
 
 
-def _node_op(node, weight, f16: bool) -> Callable[[list[np.ndarray]], np.ndarray]:
-    """The node's computation on its input arrays, as its OPS entry builds
-    it, with its weights rounded to binary16 when f16."""
-    return OPS[node.kind].build(node, weight, _f16 if f16 else (lambda a: a))
-
-
 def _float_step(node, ins: list[_Format], f16: bool, weight, tail=None):
-    """f32 evaluation; with f16 the weights and the node output are rounded
-    to the binary16 grid (accumulation stays f32). Rounding a binary16
-    value again is the identity, so the output round is skipped where it
-    cannot change a value. The output is rounded in place, on a copy when
-    it shares memory with an input, which the trace or a later step may
-    read. A conv with a `tail` runs it too (see _float_tail_step)."""
-    op = _node_op(node, weight, f16)
+    """f32 evaluation; with f16 the node output is rounded to the binary16
+    grid, as `weight` rounds the weights (accumulation stays f32). Rounding
+    a binary16 value again is the identity, so the output round is skipped
+    where it cannot change a value. The output is rounded in place, on a
+    copy when it shares memory with an input, which the trace or a later
+    step may read. A conv with a `tail` runs it too (see
+    _float_tail_step)."""
+    op = OPS[node.kind].build(node, weight)
     reads = [_f32_reader(t, fmt) for t, fmt in zip(node.inputs, ins)]
     node_id, fmt = node.id, _Format(F16 if f16 else F32, f16_grid=f16)
     if tail:
@@ -973,7 +958,7 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
 
     if path == LEVELS:
         read, qp = _i8_levels(node.inputs[0], ins[0], require)
-        op = _node_op(node, weight, f16=False)
+        op = OPS[node.kind].build(node, weight)
         return (lambda arrays: op([read(arrays)])), _Format(I8, qp)
 
     out_q = require(node.output)
@@ -981,7 +966,7 @@ def _i8_step(node, ins: list[_Format], weight, require, tail=None):
         # every level of each input, on its own axis: one table index per
         # level, or per pair of levels
         grid = np.ix_(*[_LEVELS] * len(ins))
-        table, bad = _level_table(_node_op(node, weight, f16=False),
+        table, bad = _level_table(OPS[node.kind].build(node, weight),
                                   [(q, f.qparams) for q, f in zip(grid, ins)], out_q)
         lookup = _lookup(table, [] if bad is None else [(node_id, bad)])
         inputs = tuple(node.inputs)
@@ -1012,9 +997,9 @@ def _tail_table(s_q: QuantParams, tail, weight, require):
     lookups would name."""
     relu, scale, add = tail
     r_q, e_q, y_q = (require(n.output) for n in tail)
-    r, r_bad = _level_table(_node_op(relu, weight, f16=False), [(_LEVELS, s_q)], r_q)
-    e, e_bad = _level_table(_node_op(scale, weight, f16=False), [(r, r_q)], e_q)
-    y, y_bad = _level_table(_node_op(add, weight, f16=False), [(_LEVELS, s_q), (e, e_q)], y_q)
+    r, r_bad = _level_table(OPS[relu.kind].build(relu, weight), [(_LEVELS, s_q)], r_q)
+    e, e_bad = _level_table(OPS[scale.kind].build(scale, weight), [(r, r_q)], e_q)
+    y, y_bad = _level_table(OPS[add.kind].build(add, weight), [(_LEVELS, s_q), (e, e_q)], y_q)
     marks = [(n.id, bad) for n, bad in zip(tail, (r_bad, e_bad, y_bad)) if bad is not None]
     return _lookup(y, marks), y_q
 

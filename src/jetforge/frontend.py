@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import graph as g
+from .artifacts import decimal
 from .data import CLASS_NAMES
 
 
@@ -92,19 +93,12 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _number(text: str) -> float:
-    # as _integer; float() also takes "inf" and "nan"
-    if not re.fullmatch(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?\s*", text):
-        raise ValueError(text)
-    return float(text)
-
-
 def _ints(text: str) -> list[int]:
     return [_integer(v) for v in text.split(",") if v.strip()]
 
 
 def _anchors(text: str) -> list[tuple[float, float]]:
-    v = [_number(x) for x in text.split(",") if x.strip()]
+    v = [decimal(x) for x in text.split(",") if x.strip()]
     if len(v) % 2 or not all(0 < x < math.inf for x in v):
         raise ValueError(text)
     return list(zip(v[::2], v[1::2]))
@@ -346,7 +340,9 @@ def parse_weights_header(data: bytes) -> tuple[WeightsHeader, int]:
 
 
 def load_weights(data: bytes, graph: g.Graph) -> g.Graph:
-    """Fill the weight store from darknet binary bytes; consumes the file exactly."""
+    """Fill the weight store from darknet binary bytes; consumes the file
+    exactly. Each weight is a float32 view of `data`, read-only when `data`
+    is `bytes`, so the weights are held once, by those bytes."""
     header, offset = parse_weights_header(data)
     if (len(data) - offset) % 4:
         raise TrailingBytes(f"{(len(data) - offset) % 4} stray bytes after float payload")
@@ -357,7 +353,7 @@ def load_weights(data: bytes, graph: g.Graph) -> g.Graph:
         if pos + count > floats.size:
             raise Truncated(f"file ends inside {layer.id} {role}: need {count} floats, "
                             f"have {floats.size - pos}")
-        out.weights[(layer.id, role)] = floats[pos:pos + count].astype(np.float32)
+        out.weights[(layer.id, role)] = floats[pos:pos + count]
         pos += count
     if pos != floats.size:
         raise TrailingBytes(f"{floats.size - pos} unread floats after the last layer")
@@ -407,6 +403,6 @@ def model_stats(graph: g.Graph) -> ModelStats:
             act_counts[n.attrs["act"]] = act_counts.get(n.attrs["act"], 0) + 1
         if kind.macs:
             macs[n.id] = kind.macs(n.attrs, shapes[n.inputs[0]], shapes[n.output])
-        params += sum(kind.weights(n.attrs, shapes[n.inputs[0]].c if n.inputs else 0).values())
+        params += sum(kind.weights(n.attrs, shapes[n.inputs[0]].c).values())
     return ModelStats(node_counts=node_counts, activation_counts=act_counts,
                       parameter_count=params, per_layer_macs=macs)

@@ -1,16 +1,18 @@
 """Network graph IR: typed layer nodes, shape inference, validation and the
 serialized model container every other stage exchanges.
 
-`KINDS` declares each node kind once: its attributes, weight roles and
-their lengths, output-shape rule, rules between fields and MACs. Shape
-inference, validation, the container loader, the cfg reader, the passes
-and the model stats all read it; executor's `OPS` declares how each kind
-runs.
+`KINDS` declares each node kind once: its attributes, input count, weight
+roles and their lengths, output-shape rule, rules between fields and MACs.
+Shape inference, validation, the container loader, the cfg reader, the
+passes and the model stats all read it; executor's `OPS` declares how each
+kind runs.
 
 Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
 `Graph.copy` copies nodes but shares weight arrays, so no code writes a
 weight array in place; a changed weight is a new array bound to its key.
+Weights loaded from darknet bytes are read-only views of those bytes, so a
+write to one raises.
 """
 
 from __future__ import annotations
@@ -289,6 +291,8 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
         kind = KINDS.get(node.kind)
         if kind is None:
             raise GraphError(f"{node.id}: unknown kind {node.kind}")
+        if not kind.inputs.test(len(node.inputs)):
+            raise GraphError(f"{node.id}: {_inputs_fault(node, kind)}")
         shapes[node.output] = kind.shape(node, [shapes[t] for t in node.inputs])
     if stuck:
         raise ShapeMismatch("unresolvable inputs (cycle or dangling reference): "
@@ -405,6 +409,7 @@ class Kind(NamedTuple):
     """What every stage knows of one node kind:
     * attrs: attribute -> Field, the attributes the stages read;
     * shape(node, input shapes): the output shape, or raises GraphError;
+    * inputs: Field(test of the input count, what it expects);
     * roles: the weight roles, in on-disk blob order;
     * weights(attrs, input channels): role -> float count of each weight
       the node needs;
@@ -415,6 +420,7 @@ class Kind(NamedTuple):
 
     attrs: dict
     shape: Callable
+    inputs: Field = Field(lambda count: count == 1, "one input")
     roles: tuple = ()
     weights: Callable = lambda attrs, in_c: {}
     rules: tuple = ()
@@ -426,7 +432,7 @@ _BN_ROLES = ("bn_gamma", "bn_beta", "bn_mean", "bn_var")
 _LEAKY_ALPHA = ("attrs: alpha", lambda n, _: (
     n.attrs.get("act") == LEAKY and not 0.0 < n.attrs.get("alpha", 0.0) < 1.0
     and f"leaky needs alpha in (0, 1), got {n.attrs.get('alpha')}"))
-_TWO_INPUTS = ("inputs", lambda n, _: len(n.inputs) < 2 and f"{n.kind} needs at least two inputs")
+_MANY_INPUTS = Field(lambda count: count >= 2, "at least two inputs")
 
 KINDS = {
     CONV: Kind(attrs={"out_ch": POSITIVE_INTEGER, "kernel": POSITIVE_INTEGER,
@@ -449,8 +455,8 @@ KINDS = {
     UPSAMPLE: Kind(attrs={"factor": Field(lambda v: INTEGER.test(v) and v >= 2, "an integer >= 2")},
                    shape=lambda n, ins: ins[0]._replace(h=ins[0].h * n.attrs["factor"],
                                                         w=ins[0].w * n.attrs["factor"])),
-    ADD: Kind(attrs={}, shape=_add_shape, rules=(_TWO_INPUTS,)),
-    CONCAT: Kind(attrs={}, shape=_concat_shape, rules=(_TWO_INPUTS,)),
+    ADD: Kind(attrs={}, shape=_add_shape, inputs=_MANY_INPUTS),
+    CONCAT: Kind(attrs={}, shape=_concat_shape, inputs=_MANY_INPUTS),
     MAXPOOL: Kind(attrs={"kernel": POSITIVE_INTEGER, "stride": POSITIVE_INTEGER},
                   shape=lambda n, ins: _window_shape(n, ins[0], 0, ins[0].c)),
     YOLO_HEAD: Kind(attrs={"anchor_indices": Field(lambda v: type(v) is list and v and all(
@@ -460,17 +466,22 @@ KINDS = {
 }
 
 
+def _inputs_fault(n: LayerNode, kind: Kind) -> str:
+    return f"{n.kind} needs {kind.inputs.expected}, got {len(n.inputs)}"
+
+
 def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
     """(field, reason) for each fault of the node: a kind KINDS does not
-    declare, or each attribute its kind's table refuses, then each rule
-    between fields that it breaks, unless the table refused that field. The
-    field is `kind`, `attrs: <key>`, `attrs` for missing attributes, or
-    `inputs`."""
+    declare, or an input count its kind refuses, then each attribute its
+    kind's table refuses, then each rule between fields that it breaks,
+    unless the table refused that field. The field is `kind`, `inputs`,
+    `attrs: <key>`, or `attrs` for missing attributes."""
     kind = KINDS.get(n.kind)
     if kind is None:
         return [("kind", f"expected one of {', '.join(KINDS)}, got {json.dumps(n.kind)}")]
-    out = [(": ".join(("attrs", *keys)), fault)
-           for keys, fault in artifacts.faults(n.attrs, kind.attrs)]
+    out = [] if kind.inputs.test(len(n.inputs)) else [("inputs", _inputs_fault(n, kind))]
+    out += [(": ".join(("attrs", *keys)), fault)
+            for keys, fault in artifacts.faults(n.attrs, kind.attrs)]
     refused = {f for f, _ in out}
     return out + [(f, reason) for f, rule in kind.rules
                   if f not in refused and (reason := rule(n, anchor_count))]
@@ -492,7 +503,7 @@ def _check_shape_invariants(graph: Graph, shapes: dict[str, TensorShape]) -> lis
 def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnostic]:
     out = []
     for n in graph.nodes:
-        in_c = shapes[n.inputs[0]].c if n.inputs else 0
+        in_c = shapes[n.inputs[0]].c
         for role, want in KINDS[n.kind].weights(n.attrs, in_c).items():
             arr = graph.weights.get((n.id, role))
             if arr is None:
@@ -503,6 +514,9 @@ def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnos
             var = graph.weights.get((n.id, "bn_var"))
             if var is not None and np.any(var < 0):
                 out.append(Diagnostic(n.id, "bn_var has negative entries"))
+    roles = {n.id: KINDS[n.kind].roles for n in graph.nodes}
+    out += [Diagnostic(layer, f"weights for role '{role}', which no node of this id declares")
+            for layer, role in graph.weights if role not in roles.get(layer, ())]
     return out
 
 

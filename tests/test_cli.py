@@ -746,8 +746,8 @@ def test_config_file_without_a_section_header_exits_2(tiny_container, tmp_path, 
     "container-weight-layer-not-a-string", "container-input-shape-of-two",
     "container-input-id-not-a-string", "container-node-stride-zero",
     "container-anchors-not-pairs", "container-node-kind-unknown", "container-weight-layer-unknown",
-    "container-weight-role-undeclared", "category-map-not-json", "category-map-unknown-name",
-    "coco-image-without-file-name"])
+    "container-weight-role-undeclared", "container-node-without-inputs", "category-map-not-json",
+    "category-map-unknown-name", "coco-image-without-file-name"])
 def test_malformed_artifact_exits_1_naming_the_file_and_line(
         case, optimized_container, ranges_file, tiny_files, tmp_path, capsys):
     bad, out, line, field = tmp_path / "bad", tmp_path / "out", None, ""
@@ -806,6 +806,8 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
             manifest["metadata"]["anchors"], field = [[1]], "metadata: anchors: "
         elif case == "container-node-kind-unknown":
             manifest["nodes"][1]["kind"], field = "foo", "nodes: 1: kind: "
+        elif case == "container-node-without-inputs":
+            manifest["nodes"][1]["inputs"], field = [], "nodes: 1: inputs: "
         elif case in ("container-weight-layer-unknown", "container-weight-role-undeclared"):
             # one more float in the blob, so only the entry itself is at fault
             key = ("ghost", "kernel") if case.endswith("unknown") else ("conv0", "scale_factors")

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_visdrone_malformed_line(tmp_path):
     (d / "x.txt").write_text("1,2,3,4,1,4,0\n")  # 7 fields
     with pytest.raises(data.MalformedLine):
         data.ingest_visdrone(d, default_size=(100, 100))
+
+
+@pytest.mark.parametrize("line", ["nan,5,10,10,0,1,0,0", "1e400,5,10,10,0,1,0,0",
+                                  "5,5,1_0,10,0,1,0,0"], ids=["nan", "1e400", "1_0"])
+def test_visdrone_box_numbers_must_be_finite_decimal_numbers(tmp_path, line):
+    d = tmp_path / "ann"
+    d.mkdir()
+    (d / "x.txt").write_text("1,2,3,4,0,1,0,0\n" + line + "\n")
+    where = re.escape(f"{d / 'x.txt'}:2: box: expected 4 finite decimal numbers, got ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(data.MalformedLine, match="^" + where):
+            data.ingest_visdrone(d, default_size=(100, 80))
 
 
 def test_out_of_bounds_boxes_clipped_or_dropped(tmp_path):

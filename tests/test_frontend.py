@@ -279,6 +279,32 @@ def test_load_weights_truncated_and_trailing():
         frontend.load_weights(struct.pack("<iii", -1, 0, 0) + b"\x00" * 8 + payload, gr)
 
 
+def test_loaded_weights_are_read_only_views_that_the_passes_and_saving_take(
+        tmp_path, tiny_detector):
+    """Each weight load_weights binds is a view of the darknet bytes, so a
+    write to it raises instead of silently invalidating a compiled program;
+    the passes and save_container run on such weights and give the bytes
+    they give on owned arrays."""
+    data = frontend.save_weights(tiny_detector)
+    skeleton = tiny_detector.copy()
+    skeleton.weights = {}
+    loaded = frontend.load_weights(data, skeleton)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    for key, arr in loaded.weights.items():
+        assert arr.dtype == np.float32 and not arr.flags.writeable, key
+        assert np.shares_memory(arr, raw) and np.array_equal(arr, tiny_detector.weights[key]), key
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.weights[("conv0", "kernel")][0] = 1.0
+    names = ["fuse-conv-bn", "decompose-leaky", "fold-scale"]
+    saved = []
+    for i, gr in enumerate((loaded, tiny_detector)):
+        folded, _ = passes.apply_passes(gr, names)
+        g.save_container(folded, tmp_path / f"{i}.uir")
+        reloaded = g.load_container(tmp_path / f"{i}.uir")
+        saved.append({k: a.tobytes() for k, a in reloaded.weights.items()})
+    assert saved[0] == saved[1]
+
+
 def test_weights_header_seen_width():
     header, offset = frontend.parse_weights_header(
         struct.pack("<iii", 0, 1, 0) + struct.pack("<i", 7) + b"junk")

@@ -175,6 +175,41 @@ def test_an_unknown_kind_is_one_diagnostic_and_a_shape_fault_naming_the_node(tin
             infer(gr)
 
 
+@pytest.mark.parametrize("index,inputs,reason", [
+    (1, [], "batchnorm needs one input, got 0"),
+    (1, ["conv0", "input"], "batchnorm needs one input, got 2"),
+    (9, ["act2"], "add needs at least two inputs, got 1"),
+    (16, ["up8"], "concat needs at least two inputs, got 1")],
+    ids=["batchnorm-of-none", "batchnorm-of-two", "add-of-one", "concat-of-one"])
+def test_an_input_count_its_kind_refuses_is_one_diagnostic_and_a_shape_fault_naming_the_node(
+        tiny_detector, index, inputs, reason):
+    gr = tiny_detector.copy()
+    node = gr.nodes[index]
+    node.inputs = inputs
+    assert g.validate(gr) == [g.Diagnostic(node.id, f"inputs: {reason}")]
+    where = "^" + re.escape(f"{node.id}: {reason}") + "$"
+    for infer in (g.infer_shapes, executor.compile):
+        with pytest.raises(g.GraphError, match=where):
+            infer(gr)
+    with pytest.raises(g.GraphError, match=where):
+        executor.execute(gr, np.zeros(gr.input_shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("key", [("ghost", "kernel"), ("conv0", "scale_factors")],
+                         ids=["no-such-node", "role-its-kind-lacks"])
+def test_a_weight_no_node_declares_is_one_diagnostic_and_refused_by_save_and_compile(
+        tiny_detector, tmp_path, key):
+    gr = tiny_detector.copy()
+    gr.weights[key] = np.zeros(1, dtype=np.float32)
+    reason = f"weights for role '{key[1]}', which no node of this id declares"
+    assert g.validate(gr) == [g.Diagnostic(key[0], reason)]
+    with pytest.raises(g.GraphError, match=re.escape(f"{key[0]}: {reason}")):
+        g.save_container(gr, tmp_path / "x.uir")
+    assert not (tmp_path / "x.uir").exists()
+    with pytest.raises(executor.ExecutionError, match="^" + re.escape(f"{key[0]}: {reason}")):
+        executor.compile(gr)
+
+
 def test_validate_input_multiple_of_32():
     conv = g.conv_node("c", ["input"], "c", out_ch=1, kernel=1, stride=1, pad=0,
                        has_bias=True)

@@ -627,18 +627,65 @@ def test_overflow_fallback_runs_when_data_stay_in_range():
                           (want * (qp.scale * scales)[:, None]).astype(np.float32))
 
 
-def test_float64_exact_limit_boundary():
-    per_tap = 255 * executor.WEIGHT_QMAX
-    last_exact = (2**53 - 1) // per_tap
-    assert last_exact * per_tap < 2**53 <= (last_exact + 1) * per_tap
-    executor.check_float64_exact(4608, 255)
-    executor.check_float64_exact(last_exact, 255)
-    with pytest.raises(executor.InexactAccumulation):
-        executor.check_float64_exact(last_exact + 1, 255)
-    # a zero point outside [-128, 127] widens |q - zp| and lowers the limit
-    executor.check_float64_exact(last_exact // 2, 510)
-    with pytest.raises(executor.InexactAccumulation):
-        executor.check_float64_exact(last_exact // 2 + 1, 510)
+def _one_by_one_conv(shifts, weights, zero_point):
+    """int8 levels x [1, taps, 1, 1] with x - zero_point == shifts and the
+    levels [1, taps, 1, 1] of `weights`, for a 1x1 conv of one output."""
+    x_q = (np.asarray(shifts, dtype=np.int64) + zero_point).astype(np.int8).reshape(1, -1, 1, 1)
+    return x_q, np.asarray(weights, dtype=np.int8).reshape(1, -1, 1, 1)
+
+
+@pytest.mark.parametrize("last_shift,want", [(127, executor.INT32_MAX), (128, None)],
+                         ids=["int32-max", "one-more"])
+def test_an_accumulator_of_int32_max_is_exact_and_one_more_overflows(last_shift, want):
+    """66,311 taps of 255 * 127, plus 255 * 7 and 127 * 1, sum to INT32_MAX:
+    compile cannot prove the channel, so the data bound decides. At the
+    bound the float64 accumulator equals int64 arithmetic; one more raises."""
+    qp = g.QuantParams.from_range(0.0, 1.0)  # zero point -128: q - zp reaches 255
+    taps = 66_313
+    shifts = np.full(taps, 255)
+    shifts[-1] = last_shift
+    weights = np.full(taps, executor.WEIGHT_QMAX)
+    weights[-2:] = 7, 1
+    x_q, q_kernel = _one_by_one_conv(shifts, weights, qp.zero_point)
+    conv = executor.integer_conv(q_kernel, qp.zero_point, stride=1, pad=0)
+    oracle = _int64_conv_oracle(x_q, qp.zero_point, q_kernel, stride=1, pad=0)
+    if want is None:
+        assert oracle.tolist() == [[executor.INT32_MAX + 1]]
+        with pytest.raises(executor.AccumulatorOverflow):
+            conv(x_q)
+        return
+    assert oracle.tolist() == [[want]]
+    acc = conv(x_q)
+    assert acc.dtype == np.float64
+    assert np.array_equal(acc.reshape(1, -1), oracle.astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 3, 3), (2, 512, 3, 3)], ids=["27-taps", "4608-taps"])
+def test_a_zero_point_no_int32_accumulator_holds_overflows_on_the_first_call(shape):
+    """from_range(1e12, 1e12 + 1) has zero point about -2.55e14, so every
+    |q - zp| * |q_w| is far beyond int32: integer_conv prepares and the
+    first call raises, as an int32 engine would overflow."""
+    qp = g.QuantParams.from_range(1e12, 1e12 + 1)
+    assert qp.zero_point < -2 * 10**14
+    rng = np.random.default_rng(9)
+    q_kernel = rng.integers(-127, 128, size=shape).astype(np.int8)
+    x_q = rng.integers(-128, 128, size=(1, shape[1], 4, 4)).astype(np.int8)
+    conv = executor.integer_conv(q_kernel, qp.zero_point, stride=1, pad=1)
+    with pytest.raises(executor.AccumulatorOverflow):
+        conv(x_q)
+    real = executor.quantized_conv(q_kernel, np.ones(shape[0]), None, qp, stride=1, pad=1)
+    with pytest.raises(executor.AccumulatorOverflow):
+        real(x_q)
+
+
+def test_a_static_bound_beyond_int64_does_not_wrap_round():
+    """max|q - zp| = 2**47 over 2**17 taps of weight 1: the static bound is
+    2**64, which int64 would wrap round to 0 and call proven."""
+    zero_point = 127 - 2**47
+    q_kernel = np.ones((1, 2**17, 1, 1), dtype=np.int8)
+    x_q = np.full((1, 2**17, 1, 1), 127, dtype=np.int8)
+    with pytest.raises(executor.AccumulatorOverflow):
+        executor.integer_conv(q_kernel, zero_point, stride=1, pad=0)(x_q)
 
 
 def test_ranges_file_roundtrip(tmp_path):
