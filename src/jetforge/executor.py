@@ -26,7 +26,8 @@ are freed, and the weights each mode reads. One accessor, `weight(node,
 role)`, gives every builder a node's weight in the form the node's mode
 reads: binary16-rounded for an f16 node, the graph's array otherwise; from
 it i8 prepares the int8 weight levels, the per-channel output multipliers
-and each integer conv's checks. `Program.run(x)` then only computes. Its
+and each integer conv's checks. `Program.run(x)` then only computes, on a
+batch of any n >= 1 images (see "Batches"). Its
 steps pass bare arrays, whose formats compile already knows: a step reads
 each input as compile chose (the array itself, its int8 levels
 dequantized, or a float array quantized), and only the tensors the trace
@@ -67,17 +68,35 @@ input above 65504 that rounds to inf is refused), before the quantize in
 i8. A non-finite input raises NonFiniteDetected naming the input tensor
 before any node runs.
 
+Batches. An input holds n >= 1 images of the graph input's c, h and w;
+one image is the smallest batch and takes the same path. Each image's
+slice of every buffer has the bytes of its n = 1 run, because no value of
+one image is computed with another's: the elementwise steps, tables,
+binary16 rounds and finiteness checks run once over the batch and act on
+each value alone, max-pool reduces within an image's windows, and a conv
+makes one GEMM per image on the shapes of an n = 1 call (a stacked
+`np.matmul`, one BLAS call per matrix), so its row blocks, its tile-width
+padding and its float64 accumulator are those of n = 1. One wide GEMM over
+the n * out_h * out_w columns of all images would be fewer calls, but it
+puts other shapes through BLAS, whose blocking may sum K in another order,
+so the executor never makes one. When n > 1, NonFiniteDetected and
+AccumulatorOverflow name the first image at fault (" in image i", counted
+from 0) after the step that raises; with one image their messages are
+those of an unbatched run. An n = 0 input, or one of another c, h or w,
+raises ShapeMismatch.
+
 Weights. Compile checks every weight against its node, as validate does:
 a weight that is missing or of the wrong length for its node's shapes, or
 a negative bn_var, raises ExecutionError naming the node and the role.
 
-One window routine. `_im2col` lays out every kernel window of a tensor as
-a [c*k*k, out_h*out_w] patch matrix, and it has two callers. `conv2d` is
-every convolution: one GEMM kernel[out_ch, c*k*k] @ patches in the
-operands' dtype, float32 for f32 and f16, float64 for the i8 accumulator
-and its overflow bound (integer_conv). `maxpool2d` is the max over each
-column's k*k taps. The float32 GEMM makes f32/f16 results bit-stable
-across runs on a fixed machine configuration only.
+One window routine. `_im2col` lays out every kernel window of each image
+as a [c*k*k, out_h*out_w] patch matrix, [n, c*k*k, out_h*out_w] for the
+batch, and it has two callers. `conv2d` is every convolution: per image
+one GEMM kernel[out_ch, c*k*k] @ patches in the operands' dtype, float32
+for f32 and f16, float64 for the i8 accumulator and its overflow bound
+(integer_conv). `maxpool2d` is the max over each column's k*k taps. The
+float32 GEMM makes f32/f16 results bit-stable across runs on a fixed
+machine configuration only.
 
 Blocks. One scheduler, `_in_blocks(fn, bounds)`, runs `fn(lo, hi)` on
 each block [lo, hi) of rows that `bounds` marks. The caller computes the
@@ -91,14 +110,15 @@ by the caller alone and starts no thread. The scheduler has two callers,
 each with its own floor on a block:
 * `_matmul` splits a large GEMM by rows of the kernel (output channels)
   into one block per CPU not taken by BLAS's own threads (`gemm_parts`),
-  each `np.matmul(a[lo:hi], b, out=out[lo:hi])` into the same output. Its
-  floor is there for the bytes. Each output element is still one dot
-  product over all of K, and the row blocks go through the same blocked
-  BLAS kernel as the whole GEMM: split points are multiples of 16 rows,
-  and every block keeps at least 2**22 multiply-adds, far above the ~10**6
-  below which OpenBLAS's small-matrix kernel sums K in another order. A
-  GEMM that cannot be split so, and every GEMM on one CPU, is the plain
-  `a @ b`. With OpenBLAS on two threads, two CPUs give one block.
+  each `np.matmul(a[lo:hi], b, out=out[..., lo:hi, :])` into the same
+  output, one BLAS call per image of a batch. Its floor is there for the
+  bytes. Each output element is still one dot product over all of K, and
+  the row blocks go through the same blocked BLAS kernel as the whole
+  GEMM: split points are multiples of 16 rows, and every block keeps at
+  least 2**22 multiply-adds, far above the ~10**6 below which OpenBLAS's
+  small-matrix kernel sums K in another order. A GEMM that cannot be split
+  so, and every GEMM on one CPU, is the plain `a @ b`, stacked over a
+  batch. With OpenBLAS on two threads, two CPUs give one block.
 * `in_row_blocks(fn, rows, size)` splits an elementwise job over rows, the
   fold passes' kernel scaling, into one block per CPU (`cpus`), as no BLAS
   runs inside. Its floor, 2**17 values a block, is there for the cost: an
@@ -295,12 +315,13 @@ def _bn_affine(gamma, beta, mean, var, eps: float) -> tuple[np.ndarray, np.ndarr
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Max over each kernel x kernel window of an n=1 NCHW tensor, unpadded;
-    exact on floats and int8 levels alike, as max does not depend on order."""
-    _, c, h, w = x.shape
+    """Max over each kernel x kernel window of an NCHW tensor of n >= 1
+    images, unpadded; exact on floats and int8 levels alike, as max does not
+    depend on order, and an image's windows hold its own values only."""
+    n, c, h, w = x.shape
     oh, ow = conv_out_dim(h, kernel, stride, 0), conv_out_dim(w, kernel, stride, 0)
-    windows = _im2col(x, kernel, stride, 0).reshape(c, kernel * kernel, oh * ow)
-    return windows.max(axis=1).reshape(1, c, oh, ow)
+    windows = _im2col(x, kernel, stride, 0).reshape(n, c, kernel * kernel, oh * ow)
+    return windows.max(axis=2).reshape(n, c, oh, ow)
 
 
 def _inside(tap: int, stride: int, pad: int, size: int, out: int) -> tuple[int, int]:
@@ -311,28 +332,31 @@ def _inside(tap: int, stride: int, pad: int, size: int, out: int) -> tuple[int, 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, pad: int,
             width: int | None = None) -> np.ndarray:
-    """n=1 NCHW -> [c*kernel*kernel, out_h*out_w] patch matrix in C order,
-    or with `width` columns, the patches in the first out_h*out_w and zeros
-    after them. Taps that fall in the padding are zero. A 1x1, stride-1,
-    unpadded conv that is not widened gets x itself, which already has
-    this layout."""
-    _, c, h, w = x.shape
+    """NCHW of n >= 1 images -> [n, c*kernel*kernel, out_h*out_w], one patch
+    matrix per image in C order, or with `width` columns, the patches in the
+    first out_h*out_w and zeros after them. Taps that fall in the padding
+    are zero. A 1x1, stride-1, unpadded conv that is not widened gets a view
+    of x, which already has this layout."""
+    n, c, h, w = x.shape
     oh, ow = conv_out_dim(h, kernel, stride, pad), conv_out_dim(w, kernel, stride, pad)
-    n = oh * ow
-    width = n if width is None else width
-    if kernel == 1 and stride == 1 and pad == 0 and width == n:
-        return x[0].reshape(c, n)
-    cols = (np.zeros if pad or width != n else np.empty)((c * kernel * kernel, width),
-                                                          dtype=x.dtype)
-    patches = cols[:, :n].reshape(c, kernel, kernel, oh, ow)  # a view of the first n columns
+    pixels = oh * ow
+    width = pixels if width is None else width
+    if kernel == 1 and stride == 1 and pad == 0 and width == pixels:
+        return x.reshape(n, c, pixels)
+    cols = (np.zeros if pad or width != pixels else np.empty)(
+        (n, c * kernel * kernel, width), dtype=x.dtype)
+    # views of each image's first `pixels` columns and of x, with the images'
+    # channels on one axis, as a one-image call has them
+    patches = cols[:, :, :pixels].reshape(n * c, kernel, kernel, oh, ow)
+    planes = x.reshape(n * c, h, w)
     for kh in range(kernel):
         i0, i1 = _inside(kh, stride, pad, h, oh)
         for kw in range(kernel):
             j0, j1 = _inside(kw, stride, pad, w, ow)
             if i0 < i1 and j0 < j1:
                 top, left = i0 * stride + kh - pad, j0 * stride + kw - pad
-                patches[:, kh, kw, i0:i1, j0:j1] = x[0, :, top:top + (i1 - i0 - 1) * stride + 1:stride,
-                                                           left:left + (j1 - j0 - 1) * stride + 1:stride]
+                end, right = top + (i1 - i0 - 1) * stride + 1, left + (j1 - j0 - 1) * stride + 1
+                patches[:, kh, kw, i0:i1, j0:j1] = planes[:, top:end:stride, left:right:stride]
     return cols
 
 
@@ -346,24 +370,25 @@ def _tile_width(m: int, k: int, n: int) -> int:
 
 def conv2d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None,
            stride: int, pad: int) -> np.ndarray:
-    """Convolution of an n=1 NCHW tensor with kernel [out_ch, in_ch, k, k]:
-    one GEMM kernel[out_ch, K] @ im2col[K, out_h*out_w] in the operands'
-    dtype (split by rows when large, see "Blocks" above; widened to a
-    multiple of 16 columns when skinny, see "Tile-width padding"; float64
+    """Convolution of an NCHW tensor of n >= 1 images with kernel
+    [out_ch, in_ch, k, k]: per image one GEMM kernel[out_ch, K] @
+    im2col[K, out_h*out_w] in the operands' dtype, on the shapes of a
+    one-image call (split by rows when large, see "Blocks" above; widened to
+    a multiple of 16 columns when skinny, see "Tile-width padding"; float64
     operands are integers, as the i8 accumulator's are), the bias added in
-    place. Returns a C-contiguous [1, out_ch, out_h, out_w] array."""
+    place. Returns a C-contiguous [n, out_ch, out_h, out_w] array."""
     out_ch, _, k, _ = kernel.shape
-    _, _, h, w = x.shape
+    n, _, h, w = x.shape
     oh, ow = conv_out_dim(h, k, stride, pad), conv_out_dim(w, k, stride, pad)
     a = kernel.reshape(out_ch, -1)
-    n = oh * ow
-    width = _tile_width(out_ch, a.shape[1], n)
+    pixels = oh * ow
+    width = _tile_width(out_ch, a.shape[1], pixels)
     out = _matmul(a, _im2col(x, k, stride, pad, width))
-    if width != n:
-        out = np.ascontiguousarray(out[:, :n])
+    if width != pixels:
+        out = np.ascontiguousarray(out[:, :, :pixels])
     if bias is not None:
         out += bias[:, None]
-    return out.reshape(1, out_ch, oh, ow)
+    return out.reshape(n, out_ch, oh, ow)
 
 
 def cpus() -> int:
@@ -413,18 +438,19 @@ def _split_rows(m: int, k: int, n: int) -> list[int] | None:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-d a and b, split by rows of a when large (see "Blocks"
-    above)."""
-    bounds = _split_rows(a.shape[0], a.shape[1], b.shape[1])
+    """a @ b for a 2-d a and b one matrix [K, N] or a stack [n, K, N]: one
+    GEMM per matrix of b, on the same shapes whatever n, split by rows of a
+    when large (see "Blocks" above)."""
+    bounds = _split_rows(a.shape[0], a.shape[1], b.shape[-1])
     if bounds is None:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+        return np.matmul(a, b)
+    out = np.empty(b.shape[:-2] + (a.shape[0], b.shape[-1]), dtype=np.result_type(a, b))
     _in_blocks(functools.partial(_gemm_rows, a, b, out), bounds)
     return out
 
 
 def _gemm_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    np.matmul(a[lo:hi], b, out=out[lo:hi])
+    np.matmul(a[lo:hi], b, out=out[..., lo:hi, :])
 
 
 def in_row_blocks(fn: Callable[[int, int], None], rows: int, size: int) -> None:
@@ -503,11 +529,12 @@ def integer_conv(levels: np.ndarray, zero_point: int, stride: int,
     """The convolution with int8 weight levels [out_ch, in_ch, k, k] in
     [-WEIGHT_QMAX, WEIGHT_QMAX], prepared once with its checks (see
     "Integer convolution" above): a function from int8 activation levels to
-    the float64 [1, out_ch, out_h, out_w] sums of (q - zero_point) * q_w.
+    the float64 [n, out_ch, out_h, out_w] sums of (q - zero_point) * q_w.
     A channel's data bound is conv2d of |q - zero_point| and |q_w,c|, exact
     because the padding is zero, so the windows of |x| are the absolute
     windows of x. The static bound is a float64 product, so a zero point
-    far outside [-128, 127] cannot wrap it round as int64 would."""
+    far outside [-128, 127] cannot wrap it round as int64 would. In a batch
+    AccumulatorOverflow names the first image at fault."""
     max_abs_x = max(127 - zero_point, zero_point + 128)
     abs_sums = np.abs(levels.reshape(len(levels), -1)).sum(axis=1, dtype=np.float64)
     unproven = np.flatnonzero(max_abs_x * abs_sums > INT32_MAX)
@@ -517,11 +544,13 @@ def integer_conv(levels: np.ndarray, zero_point: int, stride: int,
         shifted = x_q.astype(np.float64)
         shifted -= zero_point
         if abs_unproven is not None:
-            worst = conv2d(np.abs(shifted), abs_unproven, None, stride, pad).max(initial=0)
-            if worst > INT32_MAX:
+            bound = conv2d(np.abs(shifted), abs_unproven, None, stride, pad)
+            worst = bound.reshape(len(bound), -1).max(axis=1, initial=0)
+            over = worst > INT32_MAX
+            if over.any():
                 raise AccumulatorOverflow(
-                    f"conv accumulator would reach {int(worst)} (> int32); "
-                    f"needs wider accumulation")
+                    f"conv accumulator would reach {int(worst[over.argmax()])} (> int32)"
+                    f"{_in_image(over)}; needs wider accumulation")
         return conv2d(shifted, levels.astype(np.float64), None, stride, pad)
     return run
 
@@ -580,22 +609,38 @@ def _f16(x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _in_image(bad: np.ndarray) -> str:
+    """'' for one image; for a batch, ' in image i' naming the first image
+    whose part of `bad` (booleans, [n, ...]) holds a True."""
+    if len(bad) == 1:
+        return ""
+    return f" in image {int(bad.reshape(len(bad), -1).any(axis=1).argmax())}"
+
+
+def _non_finite(what: str, x: np.ndarray) -> NonFiniteDetected:
+    return NonFiniteDetected(f"non-finite values in {what}{_in_image(~np.isfinite(x))}")
+
+
 def _check_finite(node_id: str, x: np.ndarray) -> None:
     if not np.isfinite(x).all():
-        raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
+        raise _non_finite(f"output of node '{node_id}'", x)
 
 
 def _check_input(shape, x) -> None:
-    if shape is None or np.shape(x) != tuple(shape):
-        raise ShapeMismatch(f"input shape {np.shape(x)} does not match graph input {shape}")
+    """x must hold n >= 1 images of the graph input's c, h and w."""
+    got = np.shape(x)
+    if shape is None or len(got) != 4 or got[0] < 1 or got[1:] != tuple(shape)[1:]:
+        raise ShapeMismatch(f"input shape {got} does not match graph input {shape}")
 
 
 def execute(graph: Graph, input_data: np.ndarray, mode: str = F32,
             retention: str = RETAIN_ALL, plan: dict[str, str] | None = None) -> ExecutionTrace:
-    """Run the graph on one input tensor (float32 n,c,h,w, n = 1). Nodes run
-    in dataflow order, whatever the order of the node list. The graph's
-    program for (mode, plan, retention) is compiled on first use and reused
-    while the graph is unchanged (see the module docstring)."""
+    """Run the graph on a batch (float32 n,c,h,w, n >= 1 images of the
+    graph input's c, h and w); each image's slice of every buffer has the
+    bytes of its own n = 1 run (see "Batches" in the module docstring).
+    Nodes run in dataflow order, whatever the order of the node list. The
+    graph's program for (mode, plan, retention) is compiled on first use and
+    reused while the graph is unchanged (see the module docstring)."""
     _check_input(graph.input_shape, input_data)
     key = (mode, tuple(sorted(plan.items())) if plan else None, retention)
     program = graph._programs.get(key)
@@ -654,15 +699,17 @@ class Program:
         return all(qparams.get(t) == qp for t, qp in self.qparams_read)
 
     def run(self, x: np.ndarray) -> ExecutionTrace:
-        """Run on one input tensor (float32 n,c,h,w, n = 1). The trace holds
-        the tensors of the retention this program was compiled for."""
+        """Run on a batch (float32 n,c,h,w, n >= 1 images); a program does
+        not depend on n, and each image's slice of every buffer has the
+        bytes of its n = 1 run. The trace holds the tensors of the retention
+        this program was compiled for."""
         x = np.ascontiguousarray(x, dtype=np.float32)
         _check_input(self.input_shape, x)
         fmt = self.input_fmt
         if self.mode == F16:
             x = _f16(x)
         if not np.isfinite(x).all():  # as the mode reads it: rounded, not yet quantized
-            raise NonFiniteDetected(f"non-finite values in input '{self.input_id}'")
+            raise _non_finite(f"input '{self.input_id}'", x)
         if self.mode == I8:
             x = fmt.qparams.quantize(x)
         arrays = {self.input_id: x}
@@ -1018,13 +1065,15 @@ def _level_index(levels: list[np.ndarray]) -> np.ndarray:
 def _lookup(table: np.ndarray, marks: list[tuple[str, np.ndarray]]):
     """A function from input levels (see _level_index) to the table's
     levels. `marks` are (node id, marked entries) in dataflow order; when
-    the levels hit one, NonFiniteDetected names the first node hit."""
+    the levels hit one, NonFiniteDetected names the first node hit and, in
+    a batch, the first image that hits it."""
     any_bad = np.logical_or.reduce([bad for _, bad in marks]) if marks else None
 
     def run(levels):
         i = _level_index(levels)
         if any_bad is not None and any_bad.take(i).any():
-            node_id = next(n for n, bad in marks if bad.take(i).any())
-            raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'")
+            node_id, hit = next((n, hit) for n, bad in marks if (hit := bad.take(i)).any())
+            raise NonFiniteDetected(f"non-finite values in output of node '{node_id}'"
+                                    f"{_in_image(hit)}")
         return table.take(i)
     return run

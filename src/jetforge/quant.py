@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .executor import execute
-from .graph import Graph, QuantParams
+from .executor import ExecutionError, execute
+from .graph import Graph, QuantParams, infer_shapes
 
 # cuts the entropy scan evaluates together: bounds its [cuts, levels]
 # temporaries at a few hundred KiB each whatever the bin count
@@ -25,6 +25,12 @@ SCAN_CHUNK = 64
 # float32 values a traced tensor's fill buffer holds between flushes: 64 KiB
 # per tensor, 1.75 MiB for the tiny detector's 28
 FILL_BUFFER = 2 ** 14
+
+# bytes the trace of one calibration call may hold: images are run in
+# batches of max(1, CALIBRATION_BATCH_BYTES // one image's trace bytes),
+# 5 for the tiny detector (564,480 B an image); a yolov3 trace is far over
+# it, so yolov3 runs one image a call
+CALIBRATION_BATCH_BYTES = 3 * 2 ** 20
 
 
 class QuantError(Exception):
@@ -93,7 +99,7 @@ def _canonical_sample(images, count: int, seed: int) -> list:
     if not items:
         raise EmptyCalibrationSet("no calibration images")
     keyed = sorted(
-        (hashlib.sha1(np.ascontiguousarray(im, dtype=np.float32).tobytes()).hexdigest(), i)
+        (hashlib.sha1(np.ascontiguousarray(im, dtype=np.float32)).hexdigest(), i)
         for i, im in enumerate(items)
     )
     ordered = [items[i] for _, i in keyed]
@@ -158,31 +164,63 @@ class _Fill:
         return np.diff(self.below)
 
 
+def _per_image_bytes(graph: Graph) -> int:
+    """The float32 bytes of every tensor a RETAIN_ALL trace of one image
+    holds, the input included."""
+    return 4 * sum(math.prod(shape) for shape in infer_shapes(graph).values())
+
+
+def _each_batch(graph: Graph, sample: list, size: int, visit) -> None:
+    """visit(buffers) for the RETAIN_ALL trace of each batch of `size`
+    images of `sample`, in order. A batch is concatenated only when its call
+    comes and its trace dies when visit returns, so one batch and one trace
+    are alive at a time. A batch that cannot be joined or run (an image of
+    another shape, a non-finite value) is run again one image a call, which
+    raises the error of the first image at fault as an unbatched run
+    does."""
+    for start in range(0, len(sample), size):
+        batch = sample[start:start + size]
+        try:
+            trace = execute(graph, batch[0] if len(batch) == 1 else np.concatenate(batch))
+        except (ExecutionError, ValueError):
+            for im in batch:
+                execute(graph, im)
+            raise
+        visit(trace.buffers)
+        del trace
+
+
 def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = None
                        ) -> dict[str, ActivationHistogram]:
     """One histogram per traced tensor over the sampled calibration images.
     The executor checks every traced tensor: a non-finite image or
     activation raises its NonFiniteDetected.
 
+    Both passes run the sample in batches of max(1, CALIBRATION_BATCH_BYTES
+    // the trace bytes of one image) images; a batch gives each image the
+    bytes of its own run (see "Batches" in the executor), and neither the
+    ranges nor the integer counts depend on how the images are grouped.
     Pass one finds each tensor's range and fixes its edges. Pass two runs
     the images again and copies each tensor's values into its _Fill's
     buffer, a row of FILL_BUFFER float32 values (64 KiB) in one block, so
-    no trace outlives its image; a full buffer is sorted in place and
+    no trace outlives its batch; a full buffer is sorted in place and
     counted with one search. The counts equal np.histogram's at the same
     edges, bit for bit: the keys searched are float32 values that split
     float32 data exactly where the float64 edges do (see _float32_keys)."""
     config = config or CalibrationConfig()
     config.validate()
     sample = _canonical_sample(images, config.image_count, config.seed)
+    size = max(1, CALIBRATION_BATCH_BYTES // _per_image_bytes(graph))
 
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
-    for im in sample:
-        trace = execute(graph, im)
-        for tid, buf in trace.buffers.items():
+
+    def find_range(buffers):
+        for tid, buf in buffers.items():
             mn, mx = float(buf.data.min()), float(buf.data.max())
             lo[tid] = min(lo.get(tid, mn), mn)
             hi[tid] = max(hi.get(tid, mx), mx)
+    _each_batch(graph, sample, size, find_range)
 
     bins = config.bin_count
     edges: dict[str, np.ndarray] = {}
@@ -198,9 +236,10 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
         edges[tid] = np.linspace(a, b, bins + 1)
         fills[tid] = _Fill(edges[tid], buffer)
 
-    for im in sample:
-        for tid, buf in execute(graph, im).buffers.items():
+    def fill(buffers):
+        for tid, buf in buffers.items():
             fills[tid].add(buf.data)
+    _each_batch(graph, sample, size, fill)
 
     return {
         tid: ActivationHistogram(tensor_id=tid, bin_count=bins, lo=lo[tid], hi=hi[tid],

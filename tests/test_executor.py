@@ -478,13 +478,13 @@ def _im2col_padded(x, k, stride, pad):
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 4), stride=st.integers(1, 3), pad=st.integers(0, 3),
-       h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**16))
-def test_im2col_equals_the_padded_copy(k, stride, pad, h, w, seed):
+       h=st.integers(1, 9), w=st.integers(1, 9), n=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_im2col_equals_the_padded_copy(k, stride, pad, h, w, n, seed):
     from hypothesis import assume
     assume(h + 2 * pad >= k and w + 2 * pad >= k)
-    x = np.random.default_rng(seed).normal(size=(1, 2, h, w)).astype(np.float32)
+    x = np.random.default_rng(seed).normal(size=(n, 2, h, w)).astype(np.float32)
     got = executor._im2col(x, k, stride, pad)
-    want = _im2col_padded(x, k, stride, pad)
+    want = np.stack([_im2col_padded(x[i:i + 1], k, stride, pad) for i in range(n)])
     assert got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
 
@@ -1117,9 +1117,9 @@ def test_im2col_widened_holds_the_patches_then_zeros():
                                   (1, 1, 0, (1, 3, 3, 5))):
         x = rng.normal(size=shape).astype(np.float32)
         want = executor._im2col(x, k, stride, pad)
-        got = executor._im2col(x, k, stride, pad, width=want.shape[1] + 7)
-        assert got.shape == (want.shape[0], want.shape[1] + 7) and got.flags.c_contiguous
-        assert np.array_equal(got[:, :want.shape[1]], want) and not got[:, want.shape[1]:].any()
+        got = executor._im2col(x, k, stride, pad, width=want.shape[2] + 7)
+        assert got.shape == (1, want.shape[1], want.shape[2] + 7) and got.flags.c_contiguous
+        assert np.array_equal(got[..., :want.shape[2]], want) and not got[..., want.shape[2]:].any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -1145,7 +1145,7 @@ def test_padded_conv_gives_the_bytes_of_the_unpadded_gemm(out_ch, c, k, stride, 
         kernel = rng.normal(size=(out_ch, c, k, k)).astype(np.float32)
         b = rng.normal(size=out_ch).astype(np.float32) if bias else None
     cols = executor._im2col(x, k, stride, pad)
-    kk, n = cols.shape
+    _, kk, n = cols.shape
     inside = n % 16 != 0 and n >= 2 and out_ch >= 2 and out_ch * kk * n > 10**6
     assert executor._tile_width(out_ch, kk, n) == (-(-n // 16) * 16 if inside else n)
     want = kernel.reshape(out_ch, -1) @ cols
@@ -1435,3 +1435,122 @@ def test_a_kind_infers_its_shape_takes_its_weights_and_compiles_to_its_i8_path(
     assert taken == ([] if path == executor.LEVELS else [path])
     x = np.random.default_rng(0).uniform(-2, 2, (1, 6, 32, 32)).astype(np.float32)
     assert program.run(x).buffers["n"].data.shape == shape
+
+
+# --------------------------------------------------------------------------
+# batches (see "Batches" in the executor)
+# --------------------------------------------------------------------------
+
+def _image_bytes(trace, i):
+    """_trace_bytes of image i's slice of every buffer of a batch's trace."""
+    return {t: (b.dtype, b.data.dtype.str, b.data[i:i + 1].tobytes(), b.qparams)
+            for t, b in trace.buffers.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5), seed=st.integers(0, 2**16),
+       mode=st.sampled_from(executor.MODES),
+       retention=st.sampled_from([executor.RETAIN_ALL, executor.RETAIN_HEADS]),
+       pinned=st.booleans())
+def test_each_image_of_a_batch_has_the_bytes_of_its_own_run(tiny_quantized, data, n, seed,
+                                                            mode, retention, pinned):
+    """Tiny-detector scenes run as one batch: every image's slice of every
+    buffer is its n = 1 trace, byte for byte, with or without a plan that
+    pins one node to another mode."""
+    plan = None
+    if pinned:
+        node = data.draw(st.sampled_from([nd.id for nd in tiny_quantized.nodes]), label="node")
+        other = data.draw(st.sampled_from([m for m in executor.MODES if m != mode]), label="to")
+        plan = {node: other}
+    images = [_scene(seed + i) for i in range(n)]
+    program = executor.compile(tiny_quantized, mode, plan, retention)
+    batch = program.run(np.concatenate(images))
+    for i, x in enumerate(images):
+        assert _image_bytes(batch, i) == _trace_bytes(program.run(x)), i
+
+
+def _padded_convs(gr) -> int:
+    """How many of the graph's convs widen their patch matrix."""
+    shapes, count = g.infer_shapes(gr), 0
+    for node in gr.nodes:
+        if node.kind == g.CONV:
+            a, out = node.attrs, shapes[node.output]
+            k = shapes[node.inputs[0]].c * a["kernel"] ** 2
+            count += executor._tile_width(a["out_ch"], k, out.h * out.w) != out.h * out.w
+    return count
+
+
+@pytest.mark.parametrize("yolov3_ranged", [(160, 96)], indirect=True, ids=["160x96"])
+def test_yolov3_heads_of_a_batch_of_two_equal_its_single_runs(yolov3_ranged, monkeypatch):
+    """yolov3 f32 heads of two frames in one call, whole GEMMs and split
+    ones, padded to 16 columns where the rule says: each frame's heads are
+    those of its own call."""
+    gr, x = yolov3_ranged
+    assert _padded_convs(gr) > 0
+    frames = [x, np.random.default_rng(6).uniform(0.0, 1.0, x.shape).astype(np.float32)]
+    blocks = _count_blocks(monkeypatch)
+    program = executor.compile(gr, executor.F32, retention=executor.RETAIN_HEADS)
+    for parts in (1, 2):
+        monkeypatch.setattr(executor, "gemm_parts", lambda: parts)
+        batch = program.run(np.concatenate(frames))
+        assert (len(blocks) > 0) == (parts == 2)
+        for i, frame in enumerate(frames):
+            assert _image_bytes(batch, i) == _trace_bytes(program.run(frame)), (parts, i)
+
+
+@pytest.mark.parametrize("mode", [executor.F32, executor.I8])
+def test_a_non_finite_step_output_names_the_first_image_at_fault(mode):
+    """Images 1 and 2 of four overflow the scale, in f32 and in an i8 table
+    lookup; the error names image 1. Alone, image 1 gives the one-image
+    message."""
+    gr = _elementwise_graph("scale", 1e38, [(-10.0, 10.0)] * 4)
+    x = np.full((4, 1, 1, 256), 0.02, dtype=np.float32)  # x * 1e38 stays finite
+    x[1:3, 0, 0, 7] = 9.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 'y' in image 1$"):
+            executor.execute(gr, x, mode=mode)
+        with pytest.raises(executor.NonFiniteDetected,
+                           match=r"^non-finite values in output of node 'y'$"):
+            executor.execute(gr, x[1:2], mode=mode)
+
+
+@pytest.mark.parametrize("mode", executor.MODES)
+def test_a_non_finite_input_names_the_first_image_at_fault(tiny_quantized, mode):
+    x = np.concatenate([_scene(20), _scene(21), _scene(22)])
+    x[2, 1, 5, 7] = np.nan
+    with pytest.raises(executor.NonFiniteDetected,
+                       match=r"^non-finite values in input 'input' in image 2$"):
+        executor.execute(tiny_quantized, x, mode=mode)
+
+
+def test_an_accumulator_overflow_names_the_first_image_at_fault():
+    """The 150000-tap conv of the static-proof test: image 0 fits int32,
+    images 1 and 2 do not."""
+    taps = 150000
+    gr = one_conv_graph(np.ones((1, taps, 1, 1), dtype=np.float32), pad=0,
+                        in_shape=(1, taps, 1, 2))
+    gr.qparams = {"input": g.QuantParams.from_range(-1.0, 1.0),
+                  "c": g.QuantParams.from_range(-4000.0, 4000.0)}
+    x = np.ones((3, taps, 1, 2), dtype=np.float32)
+    x[0] = 0.0
+    with pytest.raises(executor.AccumulatorOverflow,
+                       match=r"^conv accumulator would reach \d+ \(> int32\) in image 1; "
+                             r"needs wider accumulation$"):
+        executor.execute(gr, x, mode=executor.I8)
+    with pytest.raises(executor.AccumulatorOverflow,
+                       match=r"^conv accumulator would reach \d+ \(> int32\); "
+                             r"needs wider accumulation$"):
+        executor.execute(gr, x[1:2], mode=executor.I8)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 64, 96), (2, 4, 64, 96), (2, 3, 63, 96),
+                                   (2, 3, 64, 97), (3, 64, 96)],
+                         ids=["n0", "c", "h", "w", "3d"])
+def test_an_input_of_no_images_or_another_image_shape_is_refused(tiny_detector, shape):
+    x = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(executor.ShapeMismatch):
+        executor.execute(tiny_detector, x)
+    with pytest.raises(executor.ShapeMismatch):
+        executor.compile(tiny_detector).run(x)

@@ -449,6 +449,31 @@ def test_tiny_detector_histograms_are_pinned(tiny_optimized):
         "6b5b3c86ef05bcd1aca95a5e65816c002ff8420ace2d4c61b06157143ec764b8")
 
 
+def test_calibration_runs_in_batches_of_the_budget(tiny_optimized, monkeypatch):
+    """One tiny-detector image's RETAIN_ALL trace holds 141,120 float32
+    values, so the budget gives batches of 5: 12 images are 5 + 5 + 2
+    calls a pass. With the budget below one image's bytes every call holds
+    one image. The histograms are the same either way."""
+    from jetforge import fixtures
+    images = fixtures.calibration_images(12, seed=1)
+    config = quant.CalibrationConfig(image_count=12, seed=0)
+    assert quant._per_image_bytes(tiny_optimized) == 141120 * 4
+    assert quant.CALIBRATION_BATCH_BYTES // (141120 * 4) == 5
+    calls = []
+
+    def spy(graph, x, *args, **kwargs):
+        calls.append(len(x))
+        return executor.execute(graph, x, *args, **kwargs)
+    monkeypatch.setattr(quant, "execute", spy)
+    batched = quant.collect_histograms(tiny_optimized, images, config)
+    assert calls == [5, 5, 2] * 2
+    calls.clear()
+    monkeypatch.setattr(quant, "CALIBRATION_BATCH_BYTES", 141120 * 4 - 1)
+    single = quant.collect_histograms(tiny_optimized, images, config)
+    assert calls == [1] * 24
+    assert histograms_digest(batched) == histograms_digest(single)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_calibration_image_is_named_as_the_input(value):
     """The executor checks the input of every calibration trace, so the
@@ -457,6 +482,16 @@ def test_a_non_finite_calibration_image_is_named_as_the_input(value):
     bad[0, 0, 3, 4] = value
     images = [np.zeros((1, 1, 32, 32), dtype=np.float32), bad]
     with pytest.raises(executor.NonFiniteDetected, match=r"^non-finite values in input 'input'$"):
+        quant.collect_histograms(zero_output_graph(), images, quant.CalibrationConfig(image_count=2))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 16, 16), (1, 32, 32)], ids=["4d", "3d"])
+def test_a_calibration_image_of_another_shape_is_named_by_its_shape(shape):
+    """Both images fall in one batch; the error is the one the image's own
+    call raises, naming its shape."""
+    images = [np.zeros((1, 1, 32, 32), dtype=np.float32), np.ones(shape, dtype=np.float32)]
+    with pytest.raises(executor.ShapeMismatch,
+                       match=re.escape(f"input shape {shape} does not match graph input")):
         quant.collect_histograms(zero_output_graph(), images, quant.CalibrationConfig(image_count=2))
 
 
