@@ -11,8 +11,9 @@ Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
 `Graph.copy` copies nodes but shares weight arrays, so no code writes a
 weight array in place; a changed weight is a new array bound to its key.
-Weights loaded from darknet bytes are read-only views of those bytes, so a
-write to one raises.
+Every weight a loader reads or a pass makes is read-only: darknet weights
+are views of the file's bytes, a container's weights are arrays read from
+the file, and a fold binds new arrays. A write to one raises ValueError.
 """
 
 from __future__ import annotations
@@ -604,8 +605,8 @@ def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
 def load_container(path) -> Graph:
     """The graph a container holds. Reads the header and the manifest, checks
     them and the declared weight sizes against the file size, then reads
-    each weight from the file into its own float32 array, so the weights
-    are held once."""
+    each weight from the file into its own read-only float32 array, so the
+    weights are held once."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.read(16)
@@ -644,7 +645,8 @@ def load_container(path) -> Graph:
             arr = np.empty(n, dtype="<f4")
             if f.readinto(arr) != arr.nbytes:
                 raise TruncatedFile(f"{path}: file ends inside weights {layer} {role}")
-            weights[(layer, role)] = arr.astype(np.float32, copy=False)
+            weights[(layer, role)] = arr = arr.astype(np.float32, copy=False)
+            arr.flags.writeable = False
 
     qp = manifest.get("qparams")
     return Graph(

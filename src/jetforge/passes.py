@@ -115,7 +115,8 @@ def _scale_conv(weights, conv: LayerNode, node: LayerNode, multiplier: np.ndarra
                 bias: np.ndarray | None) -> None:
     """The fold rule: kernel row c becomes the float64 product of the row and
     `multiplier[c]`, rounded to float32 once; `bias`, when given, replaces
-    the conv's bias, rounded to float32. `node` is the node folded in."""
+    the conv's bias, rounded to float32. `node` is the node folded in. Both
+    new arrays are bound read-only."""
     if bias is not None:
         bias = bias.astype(np.float32)
     for what, values in (("multiplier", multiplier), ("bias", bias)):
@@ -135,8 +136,10 @@ def _scale_conv(weights, conv: LayerNode, node: LayerNode, multiplier: np.ndarra
     except FloatingPointError:
         raise PassError(f"folding {node.id} into {conv.id}: a scaled kernel value is not "
                         "finite in float32") from None
+    scaled.flags.writeable = False
     weights[(conv.id, "kernel")] = scaled
     if bias is not None:
+        bias.flags.writeable = False
         weights[(conv.id, "bias")] = bias
 
 

@@ -22,10 +22,6 @@ from .graph import Graph, QuantParams, infer_shapes
 # temporaries at a few hundred KiB each whatever the bin count
 SCAN_CHUNK = 64
 
-# float32 values a traced tensor's fill buffer holds between flushes: 64 KiB
-# per tensor, 1.75 MiB for the tiny detector's 28
-FILL_BUFFER = 2 ** 14
-
 # bytes the trace of one calibration call may hold: images are run in
 # batches of max(1, CALIBRATION_BATCH_BYTES // one image's trace bytes),
 # 5 for the tiny detector (564,480 B an image); a yolov3 trace is far over
@@ -88,8 +84,8 @@ class ActivationHistogram:
 
 
 # --------------------------------------------------------------------------
-# histogram collection (two passes: range, then fill at fixed edges through
-# a bounded float32 buffer per tensor, one sort and one search per flush)
+# histogram collection (two passes: range, then counts at fixed edges, one
+# sort and one search per traced tensor per batch)
 # --------------------------------------------------------------------------
 
 def _canonical_sample(images, count: int, seed: int) -> list:
@@ -126,42 +122,9 @@ def _float32_keys(edges: np.ndarray) -> np.ndarray:
     return keys
 
 
-class _Fill:
-    """One tensor's counts at fixed edges. Values are copied into `buffer`,
-    a float32 array; a flush sorts the held values in place and adds one
-    search of the float32 keys to the running count of values below each
-    key. A tensor larger than the buffer is sorted and counted on its own.
-    Integer counts do not depend on where flushes fall."""
-
-    def __init__(self, edges: np.ndarray, buffer: np.ndarray):
-        self.keys = _float32_keys(edges)
-        self.below = np.zeros(edges.size, dtype=np.int64)
-        self.buffer = buffer
-        self.held = 0
-
-    def add(self, data: np.ndarray) -> None:
-        values = data.reshape(-1)
-        if values.size > self.buffer.size:
-            self._count(np.sort(values))
-            return
-        if self.held + values.size > self.buffer.size:
-            self.flush()
-        self.buffer[self.held:self.held + values.size] = values
-        self.held += values.size
-
-    def flush(self) -> None:
-        held = self.buffer[:self.held]
-        held.sort()
-        self._count(held)
-        self.held = 0
-
-    def _count(self, ordered: np.ndarray) -> None:
-        self.below += np.searchsorted(ordered, self.keys)
-
-    def counts(self) -> np.ndarray:
-        """int64 per-bin counts of everything added."""
-        self.flush()
-        return np.diff(self.below)
+def _below(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """How many of `values` lie below each of the ascending float32 `keys`."""
+    return np.searchsorted(np.sort(values, axis=None), keys)
 
 
 def _per_image_bytes(graph: Graph) -> int:
@@ -201,12 +164,12 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
     bytes of its own run (see "Batches" in the executor), and neither the
     ranges nor the integer counts depend on how the images are grouped.
     Pass one finds each tensor's range and fixes its edges. Pass two runs
-    the images again and copies each tensor's values into its _Fill's
-    buffer, a row of FILL_BUFFER float32 values (64 KiB) in one block, so
-    no trace outlives its batch; a full buffer is sorted in place and
-    counted with one search. The counts equal np.histogram's at the same
-    edges, bit for bit: the keys searched are float32 values that split
-    float32 data exactly where the float64 edges do (see _float32_keys)."""
+    the images again, and each traced tensor of each batch is sorted once
+    and searched once for its keys; the numbers of values below each key
+    add up over the batches, and their differences are the counts. The
+    counts equal np.histogram's at the same edges, bit for bit: the keys
+    are float32 values that split float32 data exactly where the float64
+    edges do (see _float32_keys)."""
     config = config or CalibrationConfig()
     config.validate()
     sample = _canonical_sample(images, config.image_count, config.seed)
@@ -224,28 +187,24 @@ def collect_histograms(graph: Graph, images, config: CalibrationConfig | None = 
 
     bins = config.bin_count
     edges: dict[str, np.ndarray] = {}
-    fills: dict[str, _Fill] = {}
-    # one block holds every tensor's buffer, so it is allocated and freed
-    # whole instead of leaving a hole per tensor in the heap
-    buffers = np.empty((len(lo), FILL_BUFFER), dtype=np.float32)
-    for tid, buffer in zip(lo, buffers):
+    for tid in lo:
         a, b = lo[tid], hi[tid]
         if a == b:
             # constant tensor: unit-wide histogram around the value
             a, b = a - 0.5, b + 0.5
         edges[tid] = np.linspace(a, b, bins + 1)
-        fills[tid] = _Fill(edges[tid], buffer)
+    keys = {tid: _float32_keys(e) for tid, e in edges.items()}
+    # each tensor's running count of values below each key
+    below = {tid: np.zeros(bins + 1, dtype=np.int64) for tid in lo}
 
-    def fill(buffers):
+    def count(buffers):
         for tid, buf in buffers.items():
-            fills[tid].add(buf.data)
-    _each_batch(graph, sample, size, fill)
+            below[tid] += _below(buf.data, keys[tid])
+    _each_batch(graph, sample, size, count)
 
-    return {
-        tid: ActivationHistogram(tensor_id=tid, bin_count=bins, lo=lo[tid], hi=hi[tid],
-                                 edges=edges[tid], counts=fills[tid].counts())
-        for tid in sorted(lo)
-    }
+    return {tid: ActivationHistogram(tensor_id=tid, bin_count=bins, lo=lo[tid], hi=hi[tid],
+                                     edges=edges[tid], counts=np.diff(below[tid]))
+            for tid in sorted(lo)}
 
 
 # --------------------------------------------------------------------------

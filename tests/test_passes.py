@@ -527,6 +527,30 @@ def test_passes_never_write_weight_arrays(rng):
         assert {k: v.tobytes() for k, v in model.weights.items()} == weights_before
 
 
+def test_loaded_and_folded_weights_are_read_only(rng, tmp_path):
+    """Program.matches trusts that weights are never written in place: a
+    weight load_container reads, a kernel fuse-conv-bn binds and a bias
+    fold-scale binds each raise ValueError on a write."""
+    oc = 4
+    conv = g.conv_node("c", ["input"], "c", out_ch=oc, kernel=3, stride=1, pad=1,
+                       has_bias=False)
+    bn = g.LayerNode("bn", g.BATCHNORM, ["c"], "bn", {"eps": 1e-5})
+    scale = g.LayerNode("s", g.SCALE, ["bn"], "s")
+    gr = g.Graph(nodes=[conv, bn, scale], input_shape=g.TensorShape(1, 2, 32, 32))
+    gr.weights[("c", "kernel")] = rng.normal(0, 0.1, oc * 2 * 9).astype(np.float32)
+    for role in ("bn_gamma", "bn_beta", "bn_mean", "bn_var"):
+        gr.weights[("bn", role)] = rng.uniform(0.5, 1.5, oc).astype(np.float32)
+    gr.weights[("s", "scale_factors")] = rng.uniform(0.5, 1.5, oc).astype(np.float32)
+    g.save_container(gr, tmp_path / "m.uir")
+    loaded = g.load_container(tmp_path / "m.uir")
+    fused, _ = passes.fuse_conv_bn(loaded)
+    folded, _ = passes.fold_scale_into_conv(fused)
+    for weights, key in ((loaded.weights, ("bn", "bn_var")), (fused.weights, ("c", "kernel")),
+                         (folded.weights, ("c", "bias"))):
+        with pytest.raises(ValueError, match="read-only"):
+            weights[key][0] = 1.0
+
+
 # --------------------------------------------------------------------------
 # folds that are not finite, and the folded weights pinned
 # --------------------------------------------------------------------------

@@ -377,13 +377,12 @@ def test_observed_range_grows_monotonically(tiny_detector):
 
 
 @st.composite
-def fill_cases(draw):
+def count_cases(draw):
     """float64 edges made as collect_histograms makes them (linspace over
-    [lo, hi], or lo - 0.5 .. hi + 0.5 for a constant tensor) and float32
-    tensors of random sizes, some larger than the fill buffer, holding
-    values on and next to the float32-rounded edges; each entry of
-    `flushes` says whether to flush after that tensor, and `capacity` is
-    the buffer's size, FILL_BUFFER or a small one that flushes often."""
+    [lo, hi], or lo - 0.5 .. hi + 0.5 for a constant tensor) and one float32
+    tensor, holding values on and next to the float32-rounded edges, split
+    at random points into pieces shaped as traced tensors are, as the
+    batches of pass two hand it over."""
     bins = draw(st.integers(2, 2048))
     # 1e-40 and 1e-44 scale values into binary32's subnormals
     scale = draw(st.sampled_from([1.0, 1e-30, 1e30, 1e-40, 1e-44]))
@@ -405,25 +404,23 @@ def fill_cases(draw):
     on_edges = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9]))
     data = np.where(on_edges, rng.choice(near, size=n), spread)
     cuts = np.sort(rng.integers(0, n, size=draw(st.integers(0, 24))))
-    tensors = np.split(data, cuts)
-    flushes = rng.random(len(tensors)) < draw(st.sampled_from([0.0, 0.3]))
-    capacity = draw(st.sampled_from([quant.FILL_BUFFER, int(rng.integers(1, 4096))]))
-    return edges, tensors, flushes, capacity
+    return edges, [piece.reshape(1, 1, 1, -1) for piece in np.split(data, cuts)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(fill_cases())
-def test_buffered_fill_counts_as_np_histogram(case):
-    edges, tensors, flushes, capacity = case
-    fill = quant._Fill(edges, np.empty(capacity, dtype=np.float32))
-    for tensor, flush in zip(tensors, flushes):
-        fill.add(tensor)
-        assert fill.held <= capacity
-        if flush:
-            fill.flush()
-    want, _ = np.histogram(np.concatenate(tensors), bins=edges)
-    got = fill.counts()
-    assert got.dtype == np.int64
+@given(count_cases())
+def test_summed_piece_counts_equal_np_histogram(case):
+    """The counts collect_histograms makes, one sort and one search per
+    piece added into an int64 running count, are np.histogram's counts of
+    the whole tensor at the float64 edges."""
+    edges, pieces = case
+    keys = quant._float32_keys(edges)
+    below = np.zeros(edges.size, dtype=np.int64)
+    for piece in pieces:
+        below += quant._below(piece, keys)
+    want, _ = np.histogram(np.concatenate(pieces, axis=None), bins=edges)
+    got = np.diff(below)
+    assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
 
 
