@@ -16,7 +16,9 @@ metric.
 
 The diff printed at the end compares the medians with the baseline's,
 measured in the same session; without --baseline, with the newest earlier
-BENCH_*.json in the repository root. Regressions come first.
+BENCH_*.json in the repository root. Regressions come first. Each line
+gives the earlier side's quartiles, and with --baseline how many of the
+seed pairs of untraced runs the working tree won.
 """
 
 from __future__ import annotations
@@ -120,9 +122,23 @@ def previous_bench(pr: int) -> tuple[str, dict] | None:
         return os.path.basename(path), json.load(f)["workloads"]
 
 
-def diff(old: dict, new: dict, spec: dict) -> list[str]:
+def seed_wins(old_runs: list[dict], new_runs: list[dict], name: str,
+              lower: bool) -> tuple[int, int]:
+    """(pairs the new side won, pairs): the untraced runs of both sides that
+    report `name`, paired by seed; a tie is no win."""
+    before = {r["seed"]: r["metrics"][name] for r in old_runs
+              if not r["trace"] and name in r["metrics"]}
+    pairs = [(before[r["seed"]], r["metrics"][name]) for r in new_runs
+             if not r["trace"] and name in r["metrics"] and r["seed"] in before]
+    return sum(b < a if lower else b > a for a, b in pairs), len(pairs)
+
+
+def diff(old: dict, new: dict, spec: dict, paired: bool = False) -> list[str]:
     """One line per metric whose median both sides report, regressions
-    first (largest first), then the rest from best to least improved."""
+    first (largest first), then the rest from least to most improved. Each
+    line gives the old side's quartiles, and with `paired` (both sides
+    measured in one session) how many seed pairs of untraced runs the new
+    side won: the numbers that tell a gain from the spread of the runs."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     rows = []
     for wl, data in new.items():
@@ -133,8 +149,12 @@ def diff(old: dict, new: dict, spec: dict) -> list[str]:
             a, b = before[name]["median"], stats["median"]
             change = (b - a) / abs(a) if a else (0.0 if a == b else float("inf"))
             worse = change if better[name] == "lower" else -change
-            rows.append((-worse, f"{'REGRESSION ' if worse > 0 else ''}{wl} {name}: "
-                                 f"{a:.6g} -> {b:.6g} ({change:+.1%})"))
+            text = (f"{'REGRESSION ' if worse > 0 else ''}{wl} {name}: {a:.6g} -> {b:.6g} "
+                    f"({change:+.1%}), before q1 {before[name]['q1']:.6g} "
+                    f"q3 {before[name]['q3']:.6g}")
+            won, pairs = seed_wins(old[wl]["runs"], data["runs"], name,
+                                   better[name] == "lower") if paired else (0, 0)
+            rows.append((-worse, text + (f", won {won}/{pairs} seed pairs" if pairs else "")))
     rows.sort(key=lambda r: r[0])
     return [text for _, text in rows]
 
@@ -168,7 +188,7 @@ def main(argv=None) -> int:
     else:
         return 0
     print(f"medians against {name}:")
-    for line in diff(old, results["change"], spec):
+    for line in diff(old, results["change"], spec, paired=bool(args.baseline)):
         print("  " + line)
     return 0
 

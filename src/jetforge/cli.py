@@ -102,6 +102,23 @@ def image_size(text: str) -> tuple[int, int]:
     return w, h
 
 
+def positive_int(text: str) -> int:
+    """An integer >= 1; ValueError otherwise."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def unit_interval(text: str) -> float:
+    """A number in [0, 1], a threshold on a confidence or an IoU; ValueError
+    otherwise (NaN included)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(text)
+    return value
+
+
 def _require_quantized(graph: graphlib.Graph, mode) -> None:
     if mode == executor.I8 and graph.qparams is None:
         raise CliError("i8 mode needs a quantized container (run quantize first)",
@@ -470,15 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--model")
     p.add_argument("-i", "--images", nargs="+", required=True)
     p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
-    p.add_argument("--conf", type=float, default=detect.DEMO_CONF_THRESHOLD)
-    p.add_argument("--nms", type=float, default=detect.DEFAULT_NMS_IOU)
+    p.add_argument("--conf", type=unit_interval, default=detect.DEMO_CONF_THRESHOLD)
+    p.add_argument("--nms", type=unit_interval, default=detect.DEFAULT_NMS_IOU)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score detections against a manifest")
     p.add_argument("--dets")
     p.add_argument("--manifest")
-    p.add_argument("--iou", type=float, default=evaluation.DEFAULT_IOU_THRESH)
+    p.add_argument("--iou", type=unit_interval, default=evaluation.DEFAULT_IOU_THRESH)
     p.add_argument("--ignore-eval", dest="ignore_eval", choices=("on", "off"), default="on")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_eval)
@@ -507,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     da = dsub.add_parser("anchors", help="recluster anchors over a manifest")
     da.add_argument("--manifest")
-    da.add_argument("-k", type=int, default=9)
+    da.add_argument("-k", type=positive_int, default=9)
     da.add_argument("--net-w", dest="net_w", type=int, default=608)
     da.add_argument("--net-h", dest="net_h", type=int, default=352)
     da.add_argument("--seed", type=int, default=seed)

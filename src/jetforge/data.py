@@ -265,7 +265,14 @@ RECORD_FIELDS = {"image": STRING, "width": POSITIVE_INTEGER, "height": POSITIVE_
 
 
 def load_manifest(path) -> Manifest:
+    """The manifest at `path`; like merge, it refuses two records for one
+    image, which scoring would collapse into one."""
     meta, docs = artifacts.read_jsonl(path, RECORD_FIELDS)
+    seen = set()
+    for d in docs:
+        if d["image"] in seen:
+            raise DuplicateImagePath(f"{path}: image '{d['image']}' has more than one record")
+        seen.add(d["image"])
     records = [AnnotationRecord(image=d["image"], width=d["width"], height=d["height"],
                                 boxes=d["boxes"], source=d.get("source", "")) for d in docs]
     return Manifest(records=records, summary=meta.get("summary", {}))
@@ -316,6 +323,8 @@ def kmeans_anchors(boxes, k: int, seed: int = 0) -> AnchorResult:
     therefore non-decreasing. Stops on stable assignments, a non-improving
     update, or KMEANS_MAX_ITERATIONS updates.
     """
+    if k < 1:
+        raise DataError(f"k must be at least 1, got {k}")
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 2)
     if boxes.size == 0:
         raise TooFewBoxes("no boxes to cluster")

@@ -21,18 +21,22 @@ a plan that names a node the graph does not hold or a mode not in MODES.
 Compile once, run many. `compile(graph, mode, plan, retention)` does
 everything that does not depend on the input, once: shape inference, the
 dataflow order, when each tensor is last used, each node's mode and the
-format of every buffer, which tensors the trace keeps and which buffers
-are freed, and the weights each mode reads. One accessor, `weight(node,
-role)`, gives every builder a node's weight in the form the node's mode
-reads: binary16-rounded for an f16 node, the graph's array otherwise; from
-it i8 prepares the int8 weight levels, the per-channel output multipliers
-and each integer conv's checks. `Program.run(x)` then only computes, on a
-batch of any n >= 1 images (see "Batches"). Its
-steps pass bare arrays, whose formats compile already knows: a step reads
-each input as compile chose (the array itself, its int8 levels
-dequantized, or a float array quantized), and only the tensors the trace
-keeps are wrapped in a TensorBuffer. A program holds no reference to its
-graph.
+format of every buffer, and the weights each mode reads. The retention
+becomes one set of kept tensors, the input and every node output for
+RETAIN_ALL, the head outputs for RETAIN_HEADS, and fusion, frees and the
+trace all read that one set: a kept tensor is never fused away or freed,
+and every other buffer is freed by the step that uses it last, so
+`Program.kept` and each step's `frees` give the live set after every step.
+One accessor, `weight(node, role)`, gives every builder a node's weight in
+the form the node's mode reads: binary16-rounded for an f16 node, the
+graph's array otherwise; from it i8 prepares the int8 weight levels, the
+per-channel output multipliers and each integer conv's checks.
+`Program.run(x)` then only computes, on a batch of any n >= 1 images (see
+"Batches"). Its steps pass bare arrays, whose formats compile already
+knows: a step reads each input as compile chose (the array itself, its
+int8 levels dequantized, or a float array quantized), and the kept tensors
+are wrapped in TensorBuffers once, after the last step. A program holds no
+reference to its graph.
 
 `execute()` is the one entry point. It keeps each graph's programs in a
 private cache keyed by mode, plan and retention, and reuses a program only
@@ -146,9 +150,9 @@ a sum.
 
 Fused conv tails. decompose-leaky and fold-scale leave each leaky conv as
 conv -> relu -> scale(c) -> add(s, e): s is the conv output and
-y = s + c * max(s, 0). A program compiled for RETAIN_HEADS runs these four
-nodes as one step when s, relu(s) and e are not heads, all four nodes have
-one precision under the plan, and the add reads [s, e]. In f32 and f16 the
+y = s + c * max(s, 0). A program runs these four nodes as one step when
+s, relu(s) and e are not kept, all four nodes have one precision under the
+plan, and the add reads [s, e]. In f32 and f16 the
 step makes the same float32 operations in the same order, with the same
 binary16 rounds of s, e and y, in place on the GEMM's output; in i8 it
 quantizes the conv to s's levels and looks them up in one 256-entry table
@@ -160,8 +164,8 @@ finite only when s and e are, and e = c * relu(s), so the step checks y
 alone. When y is not finite it checks s, then e, then y, and raises the
 NonFiniteDetected the separate steps would raise, naming the conv, the
 scale or the add; in i8 the lookup checks the relu's, the scale's and the
-add's marks, each indexed by s, in that order. A RETAIN_ALL trace
-publishes every tensor, so a program compiled for it fuses nothing.
+add's marks, each indexed by s, in that order. A RETAIN_ALL program keeps
+every tensor, so by the same rule it fuses nothing.
 
 f16 rounding. A step rounds its output in place, on the float32 bits u,
 and gives what `x.astype(np.float16).astype(np.float32)` gives, bit for bit
@@ -279,7 +283,6 @@ class TensorBuffer:
 
 @dataclass
 class ExecutionTrace:
-    mode: str
     buffers: dict[str, TensorBuffer] = field(default_factory=dict)
 
     def as_f32(self, tensor_id: str) -> np.ndarray:
@@ -660,9 +663,7 @@ class _Format(NamedTuple):
 class _Step(NamedTuple):
     output: str
     run: Callable[[dict], np.ndarray]
-    fmt: _Format            # of the output array
-    kept: bool              # the trace holds the output
-    frees: tuple[str, ...]  # tensors this step uses last that the trace does not hold
+    frees: tuple[str, ...]  # tensors this step uses last that the program does not keep
 
 
 @dataclass(eq=False)
@@ -675,8 +676,8 @@ class Program:
     input_id: str
     input_shape: tuple[int, ...]
     input_fmt: _Format
-    input_kept: bool
     steps: list[_Step]
+    kept: dict[str, _Format]  # the trace's tensors, in its order, and their formats
     nodes_read: list[tuple]
     weights_read: list[tuple[tuple[str, str], np.ndarray]]
     qparams_read: list[tuple[str, QuantParams]]
@@ -701,41 +702,37 @@ class Program:
     def run(self, x: np.ndarray) -> ExecutionTrace:
         """Run on a batch (float32 n,c,h,w, n >= 1 images); a program does
         not depend on n, and each image's slice of every buffer has the
-        bytes of its n = 1 run. The trace holds the tensors of the retention
-        this program was compiled for."""
+        bytes of its n = 1 run. The trace holds the tensors the program
+        keeps, in the order of `kept`."""
         x = np.ascontiguousarray(x, dtype=np.float32)
         _check_input(self.input_shape, x)
-        fmt = self.input_fmt
         if self.mode == F16:
             x = _f16(x)
         if not np.isfinite(x).all():  # as the mode reads it: rounded, not yet quantized
             raise _non_finite(f"input '{self.input_id}'", x)
         if self.mode == I8:
-            x = fmt.qparams.quantize(x)
+            x = self.input_fmt.qparams.quantize(x)
         arrays = {self.input_id: x}
-        trace = ExecutionTrace(mode=self.mode)
         # an overflow's inf or NaN is named by the steps' finiteness checks
         with np.errstate(over="ignore", invalid="ignore"):
             for step in self.steps:
-                y = arrays[step.output] = step.run(arrays)
-                if step.kept:
-                    trace.buffers[step.output] = TensorBuffer(step.fmt.dtype, y, step.fmt.qparams)
+                arrays[step.output] = step.run(arrays)
                 for t in step.frees:
                     del arrays[t]
-        if self.input_kept:
-            trace.buffers[self.input_id] = TensorBuffer(fmt.dtype, x, fmt.qparams)
-        return trace
+        return ExecutionTrace({t: TensorBuffer(f.dtype, arrays[t], f.qparams)
+                               for t, f in self.kept.items()})
 
 
 def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
             retention: str = RETAIN_ALL) -> Program:
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
-    modes, for traces of `retention`; a RETAIN_HEADS program fuses conv
-    tails (see "Fused conv tails" above). Raises on an unknown mode,
-    retention or plan entry, on a shape or ordering fault, on a weight that
-    is missing or of the wrong length or a negative bn_var (naming the node
-    and the role, as validate does), and MissingQParams for a range an i8
-    node needs, before any node runs."""
+    modes, for traces of `retention`; a conv tail none of whose inner
+    tensors the retention keeps is fused (see "Fused conv tails" above).
+    Raises on an unknown mode, retention or plan entry, on a shape or
+    ordering fault (a tensor produced twice included), on a weight that is
+    missing or of the wrong length or a negative bn_var (naming the node and
+    the role, as validate does), and MissingQParams for a range an i8 node
+    needs, before any node runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     if retention not in (RETAIN_ALL, RETAIN_HEADS):
@@ -774,9 +771,9 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
                  else _Format(F32, f16_grid=(mode == F16)))
     formats = {graph.input_id: input_fmt}
     last_use = {t: i for i, node in enumerate(order) for t in node.inputs}
-    heads = {n.output for n in graph.head_nodes()}
-    keep_all = retention == RETAIN_ALL
-    tails = {} if keep_all else _leaky_tails(graph, order, heads, precision)
+    kept = ({n.output for n in order} | {graph.input_id} if retention == RETAIN_ALL
+            else {n.output for n in graph.head_nodes()})
+    tails = _leaky_tails(graph, order, kept, precision)
     fused = {n.id for tail in tails.values() for n in tail}
     steps = []
     for i, node in enumerate(order):
@@ -790,23 +787,23 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
         else:
             run, fmt = _float_step(node, ins, prec == F16, weight, tail)
         formats[output] = fmt
-        frees = () if keep_all else tuple(t for t in dict.fromkeys(node.inputs)
-                                          if last_use[t] == i and t not in heads)
-        steps.append(_Step(output, run, fmt, keep_all or output in heads, frees))
+        steps.append(_Step(output, run, tuple(t for t in dict.fromkeys(node.inputs)
+                                              if last_use[t] == i and t not in kept)))
 
     return Program(
         mode=mode, input_id=graph.input_id, input_shape=tuple(graph.input_shape),
-        input_fmt=input_fmt, input_kept=keep_all, steps=steps,
+        input_fmt=input_fmt, steps=steps,
+        kept={t: formats[t] for t in [s.output for s in steps] + [graph.input_id] if t in kept},
         nodes_read=[(n.id, n.kind, list(n.inputs), n.output, copy.deepcopy(n.attrs))
                     for n in graph.nodes],
         weights_read=list(weights_read.items()), qparams_read=list(qparams_read.items()))
 
 
-def _leaky_tails(graph: Graph, order, heads: set[str],
+def _leaky_tails(graph: Graph, order, kept: set[str],
                  precision: dict[str, str]) -> dict[str, tuple]:
     """conv id -> (relu, scale, add) for every conv whose output s feeds
     only the tail relu(s) -> scale(c) -> add(s, e) that decompose-leaky and
-    fold-scale leave, with s, relu(s) and e not heads and all four nodes of
+    fold-scale leave, with s, relu(s) and e not kept and all four nodes of
     one precision (see "Fused conv tails" above)."""
     readers = graph.consumers()
 
@@ -818,7 +815,7 @@ def _leaky_tails(graph: Graph, order, heads: set[str],
     for conv in order:
         s = conv.output
         found = readers.get(s, [])
-        if conv.kind != CONV or len(found) != 2 or s in heads:
+        if conv.kind != CONV or len(found) != 2 or s in kept:
             continue
         relu, add = sorted(found, key=lambda n: n.kind != ACTIVATION)
         scale = sole_reader(relu.output)
@@ -826,7 +823,7 @@ def _leaky_tails(graph: Graph, order, heads: set[str],
                 or scale.kind != SCALE or scale.attrs.get("factor") is None
                 or sole_reader(scale.output) is not add or add.kind != ADD
                 or add.inputs != [s, scale.output]
-                or relu.output in heads or scale.output in heads
+                or relu.output in kept or scale.output in kept
                 or len({precision[n.id] for n in (conv, relu, scale, add)}) != 1):
             continue
         tails[conv.id] = (relu, scale, add)

@@ -283,12 +283,20 @@ def _topo_order(graph: Graph, given=()) -> tuple[list[LayerNode], list[LayerNode
 
 
 def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
-    """Resolve every tensor's shape; order-independent over valid topo orders."""
+    """Resolve every tensor's shape; order-independent over valid topo orders.
+    One tensor has one shape: a node id used twice, or a tensor produced
+    twice (or a node producing the graph input), raises naming the node."""
     if graph.input_id is None or graph.input_shape is None:
         raise ShapeMismatch("graph has no input")
     shapes: dict[str, TensorShape] = {graph.input_id: graph.input_shape}
     order, stuck = _topo_order(graph)
+    ids = set()
     for node in order:
+        if node.id in ids:
+            raise GraphError(f"{node.id}: duplicate node id")
+        if node.output in shapes:
+            raise GraphError(f"{node.id}: tensor '{node.output}' produced more than once")
+        ids.add(node.id)
         kind = KINDS.get(node.kind)
         if kind is None:
             raise GraphError(f"{node.id}: unknown kind {node.kind}")
@@ -329,13 +337,15 @@ def validate(graph: Graph) -> list[Diagnostic]:
 
     seen_ids = set()
     producers: dict[str, str] = {}
+    twice = []
     for n in graph.nodes:
         if n.id in seen_ids:
-            diags.append(Diagnostic(n.id, "duplicate node id"))
+            twice.append(Diagnostic(n.id, "duplicate node id"))
         seen_ids.add(n.id)
         if n.output in producers or n.output == graph.input_id:
-            diags.append(Diagnostic(n.id, f"tensor '{n.output}' produced more than once"))
+            twice.append(Diagnostic(n.id, f"tensor '{n.output}' produced more than once"))
         producers[n.output] = n.id
+    diags += twice
 
     known = set(producers) | {graph.input_id}
     dangling = set()
@@ -355,8 +365,9 @@ def validate(graph: Graph) -> list[Diagnostic]:
               for field, reason in _node_faults(n, len(graph.metadata.anchors))]
     diags += faulty
 
-    # shape inference cannot get past a dangling input, a cycle or a node fault
-    if (graph.weights or not diags) and not (dangling or stuck or faulty):
+    # shape inference cannot get past a node id or tensor used twice, a
+    # dangling input, a cycle or a node fault
+    if (graph.weights or not diags) and not (twice or dangling or stuck or faulty):
         try:
             shapes = infer_shapes(graph)
         except GraphError as e:

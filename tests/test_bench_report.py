@@ -28,3 +28,30 @@ def test_measure_alternates_which_checkout_runs_first(monkeypatch):
     assert len(pairs) == len(bench_report.SEEDS) + 1
     assert [r["seed"] for r in out["change"]["w"]["runs"]] == [r["seed"] for r in
                                                                out["baseline"]["w"]["runs"]]
+
+
+def _runs(values, trace_value=None):
+    """Fake untraced runs, one per seed, then a traced one at seed 0."""
+    runs = [{"seed": seed, "trace": 0, "metrics": {"latency_ms": v, "setup_s": 1.0}}
+            for seed, v in enumerate(values)]
+    return runs + [{"seed": 0, "trace": 1, "metrics": {"executor.f32_s": trace_value}}]
+
+
+def test_diff_gives_the_old_quartiles_and_the_seed_pairs_the_change_won():
+    bench_report = load_bench_report()
+    spec = {"end_to_end": [{"name": "latency_ms", "better": "lower"},
+                           {"name": "setup_s", "better": "lower"}],
+            "per_layer": [{"name": "executor.f32_s", "better": "lower"}]}
+    old_runs, new_runs = _runs([10.0, 12.0, 11.0, 13.0], 2.0), _runs([9.0, 12.5, 10.0, 12.0], 1.0)
+    old = {"w": {"runs": old_runs, "summary": bench_report.summarize(old_runs)}}
+    new = {"w": {"runs": new_runs, "summary": bench_report.summarize(new_runs)}}
+    lines = bench_report.diff(old, new, spec, paired=True)
+    # seeds 0, 2 and 3 are faster, seed 1 slower; setup_s ties every pair;
+    # the traced metric has one run a side and no untraced pair
+    assert lines == [
+        "w setup_s: 1 -> 1 (+0.0%), before q1 1 q3 1, won 0/4 seed pairs",
+        "w latency_ms: 11.5 -> 11 (-4.3%), before q1 10.75 q3 12.25, won 3/4 seed pairs",
+        "w executor.f32_s: 2 -> 1 (-50.0%), before q1 2 q3 2"]
+    assert bench_report.diff(old, new, spec)[1] == (
+        "w latency_ms: 11.5 -> 11 (-4.3%), before q1 10.75 q3 12.25")
+    assert bench_report.seed_wins(old_runs, new_runs[1:], "latency_ms", lower=False) == (1, 3)

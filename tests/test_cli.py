@@ -353,6 +353,22 @@ def test_eval_command(quantized_container, tiny_files, tmp_path, capsys):
     assert doc["map50"] >= 0.98
 
 
+def test_eval_with_two_manifest_records_for_one_image_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "twice.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"image": "a.ppm", "width": 64, "height": 64,
+                    "boxes": [{"bbox": box, "label": "car"}]}) + "\n"
+        for box in ([0, 0, 10, 10], [30, 30, 10, 10])))
+    dets = tmp_path / "dets.jsonl"
+    detect.write_detections_jsonl(
+        dets, {"a.ppm": [{"class": 0, "confidence": 0.9, "bbox": [0, 0, 10, 10]}]}, {})
+    report = tmp_path / "report.json"
+    assert run(["eval", "--dets", dets, "--manifest", manifest, "-o", report]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: image 'a.ppm' has more than one record\n")
+    assert not report.exists()
+
+
 def _container_without_tool(path):
     """(manifest without its `tool` echo, weight blob) of a .uir file."""
     raw = path.read_bytes()
@@ -711,6 +727,26 @@ def test_detect_with_weights_that_disagree_with_their_nodes_exits_1_with_one_lin
     assert not out.exists()
 
 
+def test_detect_with_a_tensor_produced_twice_exits_1_naming_the_node_and_the_tensor(
+        tiny_container, tiny_files, tmp_path, capsys):
+    """The loader checks no producers: compile's shape inference refuses
+    the second producer of a tensor before any node runs."""
+    data = tiny_container.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 8)
+    manifest = json.loads(data[16:16 + length])
+    nodes = manifest["nodes"]
+    assert [n["id"] for n in nodes[4:6]] == ["bn1", "act1"]
+    nodes[4]["output"], nodes[5]["inputs"] = "act0", ["act0"]
+    text = json.dumps(manifest).encode()
+    model = tmp_path / "twice.uir"
+    model.write_bytes(data[:8] + struct.pack("<Q", len(text)) + text + data[16 + length:])
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    out = tmp_path / "dets.jsonl"
+    assert run(["detect", "-m", model, "-i", image, "-o", out]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: bn1: tensor 'act0' produced more than once\n"
+    assert not out.exists()
+
+
 def test_optimize_validates_once_and_lists_every_diagnostic(tiny_container, tmp_path,
                                                             monkeypatch, capsys):
     calls = []
@@ -945,6 +981,30 @@ def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
     ini = _ini(tmp_path, "[dataset-merge]\ndefault_size = 200\n")
     assert run(["--config", ini] + argv) == cli.EXIT_USAGE
     assert "[dataset-merge] default_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,key,value", [
+    ("dataset-anchors", "-k", "k", "0"), ("dataset-anchors", "-k", "k", "-2"),
+    ("detect", "--conf", "conf", "-0.1"), ("detect", "--conf", "conf", "1.5"),
+    ("detect", "--nms", "nms", "-0.5"), ("detect", "--nms", "nms", "nan"),
+    ("eval", "--iou", "iou", "1.5"), ("eval", "--iou", "iou", "-1")])
+def test_a_count_below_one_or_a_threshold_outside_0_1_exits_2_as_flag_and_config_value(
+        command, flag, key, value, tmp_path, capsys):
+    """Each used to give a wrong result silently: one anchor for k < 1, one
+    box per class for a negative NMS threshold, no true positive for an IoU
+    threshold above 1. The value is refused before any file is read."""
+    out, missing = tmp_path / "out", tmp_path / "missing"
+    argv = {"dataset-anchors": ["dataset", "anchors", "--manifest", missing],
+            "detect": ["detect", "-m", missing, "-i", missing],
+            "eval": ["eval", "--dets", missing, "--manifest", missing]}[command] + ["-o", out]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, value])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+    ini = _ini(tmp_path, f"[{command}]\n{key} = {value}\n")
+    assert run(["--config", ini] + argv) == cli.EXIT_USAGE
+    assert f"[{command}] {key}: invalid" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -201,6 +201,25 @@ def test_manifest_roundtrip(tmp_path, coco_records, visdrone_records):
     assert loaded.records[0].boxes == manifest.records[0].boxes
 
 
+def write_records(path, *boxes):
+    """A manifest at `path` with one record for a.ppm per box in `boxes`."""
+    path.write_text("".join(json.dumps({"image": "a.ppm", "width": 64, "height": 64,
+                                        "boxes": [{"bbox": box, "label": "car"}]}) + "\n"
+                            for box in boxes))
+
+
+def test_a_manifest_with_two_records_for_one_image_is_refused_naming_file_and_image(tmp_path):
+    """Scoring keys records by image, so a second record would silently
+    replace the first: the loader refuses it, as merge does."""
+    path = tmp_path / "twice.jsonl"
+    write_records(path, [0, 0, 10, 10], [30, 30, 10, 10])
+    with pytest.raises(data.DuplicateImagePath,
+                       match=re.escape(f"{path}: image 'a.ppm' has more than one record")):
+        data.load_manifest(path)
+    write_records(path, [0, 0, 10, 10])
+    assert len(data.load_manifest(path).records) == 1
+
+
 # --------------------------------------------------------------------------
 # anchor k-means
 # --------------------------------------------------------------------------
@@ -208,6 +227,14 @@ def test_manifest_roundtrip(tmp_path, coco_records, visdrone_records):
 def test_kmeans_single_cluster_mean():
     result = data.kmeans_anchors([(10, 10), (30, 30)], k=1, seed=0)
     assert np.allclose(result.anchors, [[20.0, 20.0]])
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_kmeans_refuses_fewer_than_one_cluster(k):
+    """It used to return one anchor for any k < 1."""
+    boxes = np.random.default_rng(0).uniform(4, 60, (50, 2))
+    with pytest.raises(data.DataError, match=f"k must be at least 1, got {k}"):
+        data.kmeans_anchors(boxes, k)
 
 
 def brute_force_two_clusters(boxes):

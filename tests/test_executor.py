@@ -1,3 +1,4 @@
+import hashlib
 import threading
 import warnings
 
@@ -657,8 +658,9 @@ def test_i8_tables_equal_dequantize_float_quantize(kind, factor, ranges):
         finite = np.isfinite(y)
         want = q["y"].quantize(y[finite])
 
-    step = next(s for s in executor.compile(gr, executor.I8).steps if s.output == "y")
-    assert step.fmt.dtype == executor.I8 and step.fmt.qparams == q["y"]
+    program = executor.compile(gr, executor.I8)
+    step = next(s for s in program.steps if s.output == "y")
+    assert program.kept["y"].dtype == executor.I8 and program.kept["y"].qparams == q["y"]
 
     def run(mask):
         return step.run({t: v[mask].reshape(1, 1, 1, -1) for t, v in ins.items()})
@@ -1190,6 +1192,40 @@ def test_fused_tiny_heads_equal_a_retain_all_trace(tiny_quantized, mode):
     assert _head_bytes(heads) == {t: full.buffers[t].data.tobytes() for t in heads.buffers}
     steps = executor.compile(tiny_quantized, mode, retention=executor.RETAIN_HEADS).steps
     assert (len(tiny_quantized.nodes), len(steps)) == (27, 12)
+
+
+def _trace_digest(trace) -> str:
+    """sha256 over the trace's buffers in order: each one's tensor id, dtype,
+    array dtype and shape, range, then its bytes."""
+    h = hashlib.sha256()
+    for t, b in trace.buffers.items():
+        qp = None if b.qparams is None else (b.qparams.scale, b.qparams.zero_point)
+        h.update(repr((t, b.dtype, b.data.dtype.str, b.data.shape, qp)).encode())
+        h.update(b.data.tobytes())
+    return h.hexdigest()
+
+
+# the tiny detector's traces of scene 9 in every mode and retention; the f32
+# and f16 ones hold on a fixed machine configuration only (see "One window
+# routine" in the executor)
+TINY_TRACE_DIGESTS = {
+    ("f32", "all"): "f775fb09c6d88b23e4414713c09407190ee910e748b9d2bef15f28ede770175a",
+    ("f32", "heads"): "0f406b1825c7c72b87e938dd3ce5fc28307e83d7f496b2f27c0e25887bde398d",
+    ("f16", "all"): "ecf467248c89a3356ac2ba1a9fe3fdf2c4a929090da6cd4ec91e368addf615e8",
+    ("f16", "heads"): "a6e29d1e2c2bb5c38ac854ded851d6d1ae7e46a5424314b778fb42c1523bd6a2",
+    ("i8", "all"): "32e709b40d78e439eabe76d9c716061239b3a7f54d0982445ddba8c0d630ae0c",
+    ("i8", "heads"): "5a75189ed25f169cf6d8293e37ab2d8eaf65e912e9c2c50ec1918c83298037d8"}
+
+
+def test_tiny_traces_keep_their_bytes_formats_and_order(tiny_quantized):
+    """Every buffer, its format and its place in the trace, in every mode and
+    retention: one kept set decides fusion, frees and the trace."""
+    x = _scene(9)
+    got = {(mode, retention): _trace_digest(executor.execute(tiny_quantized, x, mode=mode,
+                                                             retention=retention))
+           for mode in executor.MODES for retention in (executor.RETAIN_ALL,
+                                                        executor.RETAIN_HEADS)}
+    assert got == TINY_TRACE_DIGESTS
 
 
 @pytest.mark.parametrize("mode", [executor.F16, executor.I8])

@@ -195,6 +195,39 @@ def test_an_input_count_its_kind_refuses_is_one_diagnostic_and_a_shape_fault_nam
         executor.execute(gr, np.zeros(gr.input_shape, dtype=np.float32))
 
 
+def _produce_act0_twice(nodes):
+    nodes[4].output, nodes[5].inputs = "act0", ["act0"]  # bn1, read by act1
+
+
+def _produce_the_input(nodes):
+    nodes[0].output, nodes[1].inputs = "input", ["input"]  # conv0, read by bn0
+
+
+def _reuse_an_id(nodes):
+    nodes[4].id = "act0"  # bn1
+
+
+@pytest.mark.parametrize("edit,node,reason", [
+    (_produce_act0_twice, "bn1", "tensor 'act0' produced more than once"),
+    (_produce_the_input, "conv0", "tensor 'input' produced more than once"),
+    (_reuse_an_id, "act0", "duplicate node id")],
+    ids=["tensor-twice", "graph-input", "node-id-twice"])
+def test_a_tensor_produced_twice_or_an_id_used_twice_is_one_diagnostic_and_a_shape_fault(
+        tiny_detector, edit, node, reason):
+    """One tensor, one shape: shape inference, and so compile and execute,
+    refuse what validate reports, instead of a second producer overwriting
+    the first."""
+    gr = tiny_detector.copy()
+    edit(gr.nodes)
+    assert g.validate(gr) == [g.Diagnostic(node, reason)]
+    where = "^" + re.escape(f"{node}: {reason}") + "$"
+    for infer in (g.infer_shapes, executor.compile):
+        with pytest.raises(g.GraphError, match=where):
+            infer(gr)
+    with pytest.raises(g.GraphError, match=where):
+        executor.execute(gr, np.zeros(gr.input_shape, dtype=np.float32))
+
+
 @pytest.mark.parametrize("key", [("ghost", "kernel"), ("conv0", "scale_factors")],
                          ids=["no-such-node", "role-its-kind-lacks"])
 def test_a_weight_no_node_declares_is_one_diagnostic_and_refused_by_save_and_compile(
