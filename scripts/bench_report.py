@@ -5,14 +5,16 @@
 
 Each workload of BENCHMARK.json runs once per seed of SEEDS untraced (the
 end-to-end metrics) and once traced at seed 0 (the per-layer metrics),
-each run a fresh `python3 perfbench/run.py` process in the working tree,
-for BENCHMARK.json's run length.
+each run a fresh `python3 perfbench/run.py` process in a temporary copy
+of the working tree (every file git tracks or would track, uncommitted
+edits included), for BENCHMARK.json's run length.
 With --baseline, the same runs are made in a temporary copy of that git
-revision, alternating with the working tree's run by run (the working tree
-first in even pairs, the baseline first in odd ones), and recorded
-next to them. The file holds perfbench's machine block and, per workload,
-every run's verdict and metrics and the median and quartiles of every
-metric.
+revision next to it, alternating with the working tree's run by run (the
+working tree first in even pairs, the baseline first in odd ones), and
+recorded next to them. Neither side runs in the repository itself, so
+where a side runs is no difference between them. The file holds
+perfbench's machine block and, per workload, every run's verdict and
+metrics and the median and quartiles of every metric.
 
 The diff printed at the end compares the medians with the baseline's,
 measured in the same session; without --baseline, with the newest earlier
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +62,21 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: in
     return {"seed": seed, "trace": trace, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"], "machine": machine,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def copy_worktree(root: str, into: str) -> str:
+    """The working tree's files at `root` that git tracks or would track
+    (`git ls-files --cached --others --exclude-standard`), as they are on
+    disk, copied under `into`; returns `into`. A tracked file deleted from
+    the tree is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        src, dst = os.path.join(root, name), os.path.join(into, name)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+    return into
 
 
 def export(rev: str, into: str) -> str:
@@ -164,10 +182,10 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
     with tempfile.TemporaryDirectory() as tmp:
-        checkouts = {"change": ROOT}
+        checkouts = {"change": copy_worktree(ROOT, os.path.join(tmp, "change"))}
         if args.baseline:
-            commit = export(args.baseline, tmp)
-            checkouts["baseline"] = tmp
+            checkouts["baseline"] = os.path.join(tmp, "baseline")
+            commit = export(args.baseline, checkouts["baseline"])
         results, machine = measure(checkouts, spec)
 
     doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": spec["run_seconds"], "machine": machine,

@@ -179,7 +179,12 @@ def iou(a: Box | tuple, b: Box | tuple) -> float:
 
 
 def nms(dets: list[DetectionBox], iou_threshold: float = DEFAULT_NMS_IOU) -> list[DetectionBox]:
-    """Greedy per-class suppression; ties in confidence keep input order."""
+    """Greedy per-class suppression; ties in confidence keep input order. A
+    box is dropped when its IoU with a kept box of its class reaches
+    `iou_threshold`, which must lie in [0, 1] (DetectError otherwise, NaN
+    included)."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise DetectError(f"NMS IoU threshold must be in [0, 1], got {iou_threshold}")
     out: list[DetectionBox] = []
     by_class: dict[int, list[DetectionBox]] = {}
     for d in dets:

@@ -165,8 +165,15 @@ def evaluate(detections: list[dict], manifest: Manifest,
              iou_thresh: float = DEFAULT_IOU_THRESH,
              apply_ignore: bool = True) -> EvalReport:
     """Score a detection list (dicts with image/class/confidence/bbox)
-    against a dataset manifest."""
-    by_image = {rec.image: rec for rec in manifest.records}
+    against a dataset manifest. Raises EvalError for an `iou_thresh`
+    outside [0, 1] (NaN included) and for a manifest with two records for
+    one image, which scoring would collapse into one."""
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise EvalError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
+    by_image = {}
+    for rec in manifest.records:
+        if by_image.setdefault(rec.image, rec) is not rec:
+            raise EvalError(f"image '{rec.image}' has more than one record")
     groups: dict[tuple[str, int], list[dict]] = {}  # (image, class id) -> dets in list order
     for det in detections:
         if det["image"] not in by_image:

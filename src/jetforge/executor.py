@@ -728,11 +728,12 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
     modes, for traces of `retention`; a conv tail none of whose inner
     tensors the retention keeps is fused (see "Fused conv tails" above).
-    Raises on an unknown mode, retention or plan entry, on a shape or
-    ordering fault (a tensor produced twice included), on a weight that is
-    missing or of the wrong length or a negative bn_var (naming the node and
-    the role, as validate does), and MissingQParams for a range an i8 node
-    needs, before any node runs."""
+    Raises on an unknown mode, retention or plan entry; on the first
+    structural, attribute or shape fault `validate` lists, as infer_shapes'
+    GraphError in validate's words; on a weight that is missing or of the
+    wrong length or a negative bn_var (naming the node and the role, as
+    validate does); and MissingQParams for a range an i8 node needs; all
+    before any node runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     if retention not in (RETAIN_ALL, RETAIN_HEADS):
@@ -745,7 +746,7 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
                                  f"but the graph has no such node")
         if prec not in MODES:
             raise ExecutionError(f"plan pins node '{node_id}' to unknown mode '{prec}'")
-    faults = _check_weights(graph, infer_shapes(graph))  # raises on a shape or ordering fault
+    faults = _check_weights(graph, infer_shapes(graph))  # raises validate's first graph fault
     if faults:
         raise ExecutionError("; ".join(map(str, faults)))
     order = _topo_order(graph)[0]

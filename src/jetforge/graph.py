@@ -7,6 +7,16 @@ Shape inference, validation, the container loader, the cfg reader, the
 passes and the model stats all read it; executor's `OPS` declares how each
 kind runs.
 
+One structural checker: `_faults` lists what shape inference cannot get
+past (no input, a node id or tensor used twice, an input nothing
+produces, a node's kind, input count or attribute its table refuses, a
+cycle, then the first output-shape rule broken). `infer_shapes` raises the
+first of these and `validate` lists them all, in the same words, and adds
+the rules that only it checks: input dims, the rules between fields, each
+head's channel count and the weights. Compile, execute, the passes and the
+model stats start from `infer_shapes`, so each refuses every structural
+and attribute fault `validate` lists, as a GraphError in its words.
+
 Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
 `Graph.copy` copies nodes but shares weight arrays, so no code writes a
@@ -282,100 +292,98 @@ def _topo_order(graph: Graph, given=()) -> tuple[list[LayerNode], list[LayerNode
     return order, pending
 
 
-def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
-    """Resolve every tensor's shape; order-independent over valid topo orders.
-    One tensor has one shape: a node id used twice, or a tensor produced
-    twice (or a node producing the graph input), raises naming the node."""
-    if graph.input_id is None or graph.input_shape is None:
-        raise ShapeMismatch("graph has no input")
-    shapes: dict[str, TensorShape] = {graph.input_id: graph.input_shape}
-    order, stuck = _topo_order(graph)
-    ids = set()
-    for node in order:
-        if node.id in ids:
-            raise GraphError(f"{node.id}: duplicate node id")
-        if node.output in shapes:
-            raise GraphError(f"{node.id}: tensor '{node.output}' produced more than once")
-        ids.add(node.id)
-        kind = KINDS.get(node.kind)
-        if kind is None:
-            raise GraphError(f"{node.id}: unknown kind {node.kind}")
-        if not kind.inputs.test(len(node.inputs)):
-            raise GraphError(f"{node.id}: {_inputs_fault(node, kind)}")
-        shapes[node.output] = kind.shape(node, [shapes[t] for t in node.inputs])
-    if stuck:
-        raise ShapeMismatch("unresolvable inputs (cycle or dangling reference): "
-                            + ", ".join(n.id for n in stuck))
-    return shapes
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     node_id: str
     reason: str
+    # the GraphError class infer_shapes raises it as; not compared
+    error: type = field(default=GraphError, compare=False, repr=False)
 
     def __str__(self):
         return f"{self.node_id}: {self.reason}"
 
 
-def validate(graph: Graph) -> list[Diagnostic]:
-    """Structural + invariant checks. Empty list means the graph is sound.
+_NO_INPUT = Diagnostic("<graph>", "no input", ShapeMismatch)
 
-    Weight-length checks only run once any weights are attached, so skeleton
-    graphs straight from the cfg parser validate before loading weights.
-    """
-    diags: list[Diagnostic] = []
+
+def _faults(graph: Graph, shapes: dict):
+    """The graph's faults that shape inference refuses, lazily and in this
+    order: no input (alone); each node id used twice and each tensor
+    produced twice, the graph input counting as produced; each input that
+    nothing produces; each node's kind, input count or attribute its kind's
+    table refuses; the nodes a topological walk never reaches (a cycle);
+    and only when none of these, the first output-shape rule a node breaks.
+    With no fault, fills `shapes` with every tensor's shape."""
     if graph.input_id is None or graph.input_shape is None or not graph.nodes:
-        diags.append(Diagnostic("<graph>", "no input"))
-        return diags
+        yield _NO_INPUT
+        return
+    ids, produced, twice = set(), {graph.input_id}, []
+    for n in graph.nodes:
+        if n.id in ids:
+            twice.append(Diagnostic(n.id, "duplicate node id"))
+        if n.output in produced:
+            twice.append(Diagnostic(n.id, f"tensor '{n.output}' produced more than once"))
+        ids.add(n.id)
+        produced.add(n.output)
+    yield from twice
+    dangling = [(n, t) for n in graph.nodes for t in n.inputs if t not in produced]
+    for n, t in dangling:
+        yield Diagnostic(n.id, f"input tensor '{t}' is never produced", ShapeMismatch)
+    faulty = [Diagnostic(n.id, f"{field}: {reason}") for n in graph.nodes
+              for field, reason in _table_faults(n)]
+    yield from faulty
+    # a dangling input is reported above; only a real cycle leaves nodes stuck
+    order, stuck = _topo_order(graph, {t for _, t in dangling})
+    if stuck:
+        yield Diagnostic(stuck[0].id, "cycle involving nodes: " + ", ".join(n.id for n in stuck),
+                         ShapeMismatch)
+    if twice or dangling or faulty or stuck:
+        return
+    found = {graph.input_id: graph.input_shape}
+    for n in order:
+        try:
+            found[n.output] = KINDS[n.kind].shape(n, [found[t] for t in n.inputs])
+        except GraphError as e:
+            yield Diagnostic(n.id, str(e), type(e))
+            return
+    shapes.update(found)
 
+
+def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
+    """Every tensor's shape; order-independent over valid topo orders.
+    Raises the first fault `validate` lists (see `_faults`) in its words:
+    a GraphError whose text is the Diagnostic's, ShapeMismatch for no
+    input, a dangling input, a cycle and mismatched add or concat inputs,
+    UnderflowShape for a window that leaves no output."""
+    shapes: dict[str, TensorShape] = {}
+    for d in _faults(graph, shapes):
+        raise d.error(str(d))
+    return shapes
+
+
+def validate(graph: Graph) -> list[Diagnostic]:
+    """Every fault of the graph; an empty list means it is sound. First
+    every fault `_faults` lists (infer_shapes raises the first of them);
+    then input dims below 1 or an h or w that is no multiple of 32, and
+    each rule between fields a node breaks; then, when the shapes resolve,
+    each head's input channel count and, when any weights are attached,
+    each weight against its node, so skeleton graphs straight from the cfg
+    parser validate before loading weights."""
+    shapes: dict[str, TensorShape] = {}
+    diags = list(_faults(graph, shapes))
+    if _NO_INPUT in diags:
+        return diags
     ishape = graph.input_shape
     if min(ishape) < 1:
         diags.append(Diagnostic("<graph>", f"input dims must be >= 1, got {ishape}"))
     if ishape.h % 32 or ishape.w % 32:
         diags.append(Diagnostic("<graph>", f"input h,w must be multiples of 32, got {ishape.h}x{ishape.w}"))
-
-    seen_ids = set()
-    producers: dict[str, str] = {}
-    twice = []
-    for n in graph.nodes:
-        if n.id in seen_ids:
-            twice.append(Diagnostic(n.id, "duplicate node id"))
-        seen_ids.add(n.id)
-        if n.output in producers or n.output == graph.input_id:
-            twice.append(Diagnostic(n.id, f"tensor '{n.output}' produced more than once"))
-        producers[n.output] = n.id
-    diags += twice
-
-    known = set(producers) | {graph.input_id}
-    dangling = set()
-    for n in graph.nodes:
-        for t in n.inputs:
-            if t not in known:
-                dangling.add(t)
-                diags.append(Diagnostic(n.id, f"input tensor '{t}' is never produced"))
-
-    # a dangling input is reported above; only a real cycle leaves nodes stuck
-    _, stuck = _topo_order(graph, dangling)
-    if stuck:
-        diags.append(Diagnostic(stuck[0].id, "cycle involving nodes: "
-                                + ", ".join(n.id for n in stuck)))
-
-    faulty = [Diagnostic(n.id, f"{field}: {reason}") for n in graph.nodes
-              for field, reason in _node_faults(n, len(graph.metadata.anchors))]
-    diags += faulty
-
-    # shape inference cannot get past a node id or tensor used twice, a
-    # dangling input, a cycle or a node fault
-    if (graph.weights or not diags) and not (twice or dangling or stuck or faulty):
-        try:
-            shapes = infer_shapes(graph)
-        except GraphError as e:
-            diags.append(Diagnostic("<graph>", f"shape inference failed: {e}"))
-            return diags
+    diags += [Diagnostic(n.id, f"{field}: {reason}") for n in graph.nodes
+              for field, reason in _rule_faults(n, len(graph.metadata.anchors))]
+    if shapes:
         if graph.weights:
-            diags.extend(_check_weights(graph, shapes))
-        diags.extend(_check_shape_invariants(graph, shapes))
+            diags += _check_weights(graph, shapes)
+        diags += _check_shape_invariants(graph, shapes)
     return diags
 
 
@@ -387,19 +395,16 @@ def _window_shape(node: LayerNode, s: TensorShape, pad: int, out_c: int) -> Tens
     """The output of a conv's or max-pool's kernel x kernel windows, stride
     apart, over `s` padded by `pad`."""
     a = node.attrs
-    if a["kernel"] < 1 or a["stride"] < 1:
-        raise GraphError(f"{node.id}: {node.kind} kernel {a['kernel']} and stride {a['stride']} "
-                         f"must be >= 1")
     oh, ow = (conv_out_dim(size, a["kernel"], a["stride"], pad) for size in (s.h, s.w))
     if oh < 1 or ow < 1:
-        raise UnderflowShape(f"{node.id}: {node.kind} output {oh}x{ow} underflows")
+        raise UnderflowShape(f"{node.kind} output {oh}x{ow} underflows")
     return TensorShape(s.n, out_c, oh, ow)
 
 
 def _add_shape(node: LayerNode, ins: list[TensorShape]) -> TensorShape:
     for other in ins[1:]:
         if other != ins[0]:
-            raise ShapeMismatch(f"{node.id}: add inputs {ins[0]} vs {other}")
+            raise ShapeMismatch(f"add inputs {ins[0]} vs {other}")
     return ins[0]
 
 
@@ -407,7 +412,7 @@ def _concat_shape(node: LayerNode, ins: list[TensorShape]) -> TensorShape:
     s = ins[0]
     for other in ins[1:]:
         if (other.n, other.h, other.w) != (s.n, s.h, s.w):
-            raise ShapeMismatch(f"{node.id}: concat inputs {s} vs {other}")
+            raise ShapeMismatch(f"concat inputs {s} vs {other}")
     return s._replace(c=sum(t.c for t in ins))
 
 
@@ -420,12 +425,13 @@ def _anchors_known(n: LayerNode, anchor_count: int) -> str | None:
 class Kind(NamedTuple):
     """What every stage knows of one node kind:
     * attrs: attribute -> Field, the attributes the stages read;
-    * shape(node, input shapes): the output shape, or raises GraphError;
+    * shape(node, input shapes): the output shape, or raises GraphError
+      giving the reason;
     * inputs: Field(test of the input count, what it expects);
     * roles: the weight roles, in on-disk blob order;
     * weights(attrs, input channels): role -> float count of each weight
       the node needs;
-    * rules: (field, rule(node, anchor count)) for each rule between
+    * rules: (attribute, rule(node, anchor count)) for each rule between
       fields; a rule gives the fault, or a false value;
     * macs(attrs, input shape, output shape): the multiply-adds, for the
       kinds that count them."""
@@ -441,7 +447,7 @@ class Kind(NamedTuple):
 
 _SAME = lambda node, ins: ins[0]  # noqa: E731
 _BN_ROLES = ("bn_gamma", "bn_beta", "bn_mean", "bn_var")
-_LEAKY_ALPHA = ("attrs: alpha", lambda n, _: (
+_LEAKY_ALPHA = ("alpha", lambda n, _: (
     n.attrs.get("act") == LEAKY and not 0.0 < n.attrs.get("alpha", 0.0) < 1.0
     and f"leaky needs alpha in (0, 1), got {n.attrs.get('alpha')}"))
 _MANY_INPUTS = Field(lambda count: count >= 2, "at least two inputs")
@@ -474,42 +480,47 @@ KINDS = {
     YOLO_HEAD: Kind(attrs={"anchor_indices": Field(lambda v: type(v) is list and v and all(
                                map(INTEGER.test, v)), "a non-empty list of integers"),
                            "num_classes": POSITIVE_INTEGER},
-                    shape=_SAME, rules=(("attrs: anchor_indices", _anchors_known),)),
+                    shape=_SAME, rules=(("anchor_indices", _anchors_known),)),
 }
 
 
-def _inputs_fault(n: LayerNode, kind: Kind) -> str:
-    return f"{n.kind} needs {kind.inputs.expected}, got {len(n.inputs)}"
-
-
-def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
-    """(field, reason) for each fault of the node: a kind KINDS does not
-    declare, or an input count its kind refuses, then each attribute its
-    kind's table refuses, then each rule between fields that it breaks,
-    unless the table refused that field. The field is `kind`, `inputs`,
-    `attrs: <key>`, or `attrs` for missing attributes."""
+def _table_faults(n: LayerNode) -> list[tuple[str, str]]:
+    """(field, reason) for a kind KINDS does not declare, or for an input
+    count its kind refuses and then each attribute its kind's table
+    refuses. The field is `kind`, `inputs`, `attrs: <key>`, or `attrs` for
+    missing attributes."""
     kind = KINDS.get(n.kind)
     if kind is None:
         return [("kind", f"expected one of {', '.join(KINDS)}, got {json.dumps(n.kind)}")]
-    out = [] if kind.inputs.test(len(n.inputs)) else [("inputs", _inputs_fault(n, kind))]
-    out += [(": ".join(("attrs", *keys)), fault)
-            for keys, fault in artifacts.faults(n.attrs, kind.attrs)]
-    refused = {f for f, _ in out}
-    return out + [(f, reason) for f, rule in kind.rules
-                  if f not in refused and (reason := rule(n, anchor_count))]
+    out = [] if kind.inputs.test(len(n.inputs)) else [
+        ("inputs", f"{n.kind} needs {kind.inputs.expected}, got {len(n.inputs)}")]
+    return out + [(": ".join(("attrs", *keys)), fault)
+                  for keys, fault in artifacts.faults(n.attrs, kind.attrs)]
 
 
-def _check_shape_invariants(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnostic]:
-    out = []
-    for n in graph.nodes:
-        if n.kind == YOLO_HEAD:
-            c = shapes[n.inputs[0]].c
-            want = len(n.attrs["anchor_indices"]) * (5 + n.attrs["num_classes"])
-            if c != want:
-                out.append(Diagnostic(
-                    n.id, f"head input has {c} channels, expected {want} "
-                          f"({len(n.attrs['anchor_indices'])} anchors x (5+{n.attrs['num_classes']}))"))
-    return out
+def _rule_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
+    """(`attrs: <key>`, reason) for each rule between fields the node
+    breaks, unless its kind's table refuses that attribute."""
+    kind = KINDS.get(n.kind)
+    return [(f"attrs: {key}", reason) for key, rule in (kind.rules if kind else ())
+            if (key not in n.attrs or kind.attrs[key].test(n.attrs[key]))
+            and (reason := rule(n, anchor_count))]
+
+
+def _node_faults(n: LayerNode, anchor_count: int) -> list[tuple[str, str]]:
+    """(field, reason) for each fault of the node: its table faults, then
+    each rule between fields that it breaks."""
+    return _table_faults(n) + _rule_faults(n, anchor_count)
+
+
+def _check_shape_invariants(graph: Graph, shapes: dict[str, TensorShape]):
+    for n in graph.head_nodes():
+        c = shapes[n.inputs[0]].c
+        want = len(n.attrs["anchor_indices"]) * (5 + n.attrs["num_classes"])
+        if c != want:
+            yield Diagnostic(
+                n.id, f"head input has {c} channels, expected {want} "
+                      f"({len(n.attrs['anchor_indices'])} anchors x (5+{n.attrs['num_classes']}))")
 
 
 def _check_weights(graph: Graph, shapes: dict[str, TensorShape]) -> list[Diagnostic]:

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(__file__)), "scripts", "bench_report.py")
 
@@ -55,3 +56,30 @@ def test_diff_gives_the_old_quartiles_and_the_seed_pairs_the_change_won():
     assert bench_report.diff(old, new, spec)[1] == (
         "w latency_ms: 11.5 -> 11 (-4.3%), before q1 10.75 q3 12.25")
     assert bench_report.seed_wins(old_runs, new_runs[1:], "latency_ms", lower=False) == (1, 3)
+
+
+def test_the_working_tree_copy_holds_uncommitted_edits_and_untracked_files(tmp_path):
+    """Both sides run from copies; the working tree's copy is the tree as it
+    is on disk, not its last commit, and leaves out what git ignores."""
+    bench_report = load_bench_report()
+    tree, into = tmp_path / "tree", tmp_path / "copy"
+    (tree / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tree,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (tree / "src" / "edited.py").write_text("committed\n")
+    (tree / "deleted.py").write_text("committed\n")
+    (tree / ".gitignore").write_text("*.log\n")
+    git("add", "-A")
+    git("commit", "-qm", "one")
+    (tree / "src" / "edited.py").write_text("edited\n")
+    (tree / "deleted.py").unlink()
+    (tree / "src" / "untracked.py").write_text("new\n")
+    (tree / "run.log").write_text("ignored\n")
+    assert bench_report.copy_worktree(str(tree), str(into)) == str(into)
+    files = {str(p.relative_to(into)): p.read_text() for p in into.rglob("*") if p.is_file()}
+    assert files == {".gitignore": "*.log\n", os.path.join("src", "edited.py"): "edited\n",
+                     os.path.join("src", "untracked.py"): "new\n"}

@@ -166,6 +166,17 @@ def test_nms_simple_cases():
     assert kept == [a]
 
 
+@pytest.mark.parametrize("threshold", [-0.1, 1.5, math.nan], ids=repr)
+def test_nms_refuses_an_iou_threshold_outside_zero_to_one(threshold):
+    """A threshold below 0 or NaN used to suppress every box but one per
+    class, however far apart."""
+    a = detect.DetectionBox(detect.Box(0.2, 0.2, 0.1, 0.1), 0, 0.9)
+    b = detect.DetectionBox(detect.Box(0.8, 0.8, 0.1, 0.1), 0, 0.8)
+    assert detect.nms([a, b], 0.0) == [a] and detect.nms([a, b], 1.0) == [a, b]
+    with pytest.raises(detect.DetectError, match=re.escape(f"got {threshold}") + "$"):
+        detect.nms([a, b], threshold)
+
+
 def test_nms_matches_brute_force(rng):
     for _ in range(25):
         dets = random_dets(rng, int(rng.integers(2, 9)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jetforge import evaluation
-from jetforge.data import AnnotationRecord, merge
+from jetforge.data import AnnotationRecord, Manifest, merge
 
 
 def manifest_from(records):
@@ -224,6 +224,24 @@ def test_unknown_image_and_class(three_image_setup):
         evaluation.evaluate([det("who", 0, 0.5, [0, 0, 5, 5])], manifest)
     with pytest.raises(evaluation.UnknownClassId):
         evaluation.evaluate([det("imgA", 17, 0.5, [0, 0, 5, 5])], manifest)
+
+
+@pytest.mark.parametrize("iou_thresh", [-0.1, 1.5, float("nan")], ids=repr)
+def test_evaluate_refuses_an_iou_threshold_outside_zero_to_one(three_image_setup, iou_thresh):
+    """1.5 used to score an exact match as a false positive."""
+    manifest, dets = three_image_setup
+    with pytest.raises(evaluation.EvalError, match=f"got {iou_thresh}$"):
+        evaluation.evaluate(dets, manifest, iou_thresh=iou_thresh)
+
+
+def test_evaluate_refuses_a_manifest_with_two_records_for_one_image():
+    """The second record used to replace the first, and its boxes went
+    unscored."""
+    first = rec("imgA", [{"label": "person", "bbox": [10, 10, 20, 20]}])
+    second = rec("imgA", [{"label": "car", "bbox": [50, 50, 20, 20]}])
+    manifest = Manifest(records=[first, second], summary={})
+    with pytest.raises(evaluation.EvalError, match="^image 'imgA' has more than one record$"):
+        evaluation.evaluate([det("imgA", 0, 0.9, [10, 10, 20, 20])], manifest)
 
 
 def test_report_table_renders(three_image_setup):

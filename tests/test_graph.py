@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforge import cli, executor
+from jetforge import cli, executor, frontend, passes
 from jetforge import graph as g
 from jetforge.artifacts import ArtifactError
 
@@ -73,10 +73,10 @@ def test_kernel_or_stride_below_one_is_a_shape_fault_naming_the_node(kind, key):
         node = g.LayerNode("n", g.MAXPOOL, ["a"], "n", {"kernel": 2, "stride": 2})
     node.attrs[key] = 0
     gr.nodes.append(node)
-    with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
+    with pytest.raises(g.GraphError, match=f"^n: attrs: {key}: expected a positive integer, got 0$"):
         g.infer_shapes(gr)
     assert g.Diagnostic("n", f"attrs: {key}: expected a positive integer, got 0") in g.validate(gr)
-    with pytest.raises(g.GraphError, match=f"^n: {kind} kernel"):
+    with pytest.raises(g.GraphError, match=f"^n: attrs: {key}: expected a positive integer, got 0$"):
         executor.compile(gr)
 
 
@@ -130,7 +130,7 @@ def test_unreached_nodes_reported_in_list_order():
     assert [(d.node_id, d.reason) for d in cycle] == [("c", "cycle involving nodes: c, a, b")]
     with pytest.raises(g.ShapeMismatch) as exc:
         g.infer_shapes(gr)
-    assert str(exc.value) == "unresolvable inputs (cycle or dangling reference): c, a, b"
+    assert str(exc.value) == "c: cycle involving nodes: c, a, b"
 
 
 def test_dangling_input_gives_its_one_diagnostic(tiny_detector):
@@ -171,7 +171,8 @@ def test_an_unknown_kind_is_one_diagnostic_and_a_shape_fault_naming_the_node(tin
     assert g.validate(gr) == [g.Diagnostic("bn0", "kind: expected one of " + ", ".join(g.KINDS)
                                            + ', got "foo"')]
     for infer in (g.infer_shapes, executor.compile):
-        with pytest.raises(g.GraphError, match="^bn0: unknown kind foo$"):
+        with pytest.raises(g.GraphError, match="^" + re.escape(
+                "bn0: kind: expected one of " + ", ".join(g.KINDS) + ', got "foo"') + "$"):
             infer(gr)
 
 
@@ -187,12 +188,47 @@ def test_an_input_count_its_kind_refuses_is_one_diagnostic_and_a_shape_fault_nam
     node = gr.nodes[index]
     node.inputs = inputs
     assert g.validate(gr) == [g.Diagnostic(node.id, f"inputs: {reason}")]
-    where = "^" + re.escape(f"{node.id}: {reason}") + "$"
+    where = "^" + re.escape(f"{node.id}: inputs: {reason}") + "$"
     for infer in (g.infer_shapes, executor.compile):
         with pytest.raises(g.GraphError, match=where):
             infer(gr)
     with pytest.raises(g.GraphError, match=where):
         executor.execute(gr, np.zeros(gr.input_shape, dtype=np.float32))
+
+
+_IN_MEMORY_FAULTS = {
+    "stride-missing": lambda gr: gr.node_by_id("conv0").attrs.pop("stride"),
+    "stride-a-string": lambda gr: gr.node_by_id("conv0").attrs.update(stride="2"),
+    "kernel-zero": lambda gr: gr.node_by_id("conv0").attrs.update(kernel=0),
+    "eps-below-zero": lambda gr: gr.node_by_id("bn0").attrs.update(eps=-10.0),
+    "unknown-kind": lambda gr: setattr(gr.node_by_id("bn0"), "kind", "foo"),
+    "two-inputs": lambda gr: setattr(gr.node_by_id("bn0"), "inputs", ["conv0", "input"]),
+}
+_ENTRY_POINTS = {
+    "infer_shapes": g.infer_shapes,
+    "compile": executor.compile,
+    "execute": lambda gr: executor.execute(gr, np.zeros(gr.input_shape, dtype=np.float32)),
+    "model_stats": frontend.model_stats,
+    "apply_passes": lambda gr: passes.apply_passes(gr, ["fuse-conv-bn", "decompose-leaky",
+                                                        "fold-scale"]),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS.values(), ids=_ENTRY_POINTS)
+@pytest.mark.parametrize("edit", _IN_MEMORY_FAULTS.values(), ids=_IN_MEMORY_FAULTS)
+def test_every_entry_point_raises_the_one_fault_validate_lists_in_its_words(
+        tiny_detector, edit, entry):
+    """A missing or wrong-typed attribute, an attribute out of its bound, an
+    unknown kind or a wrong input count of an in-memory graph: validate
+    lists it once, and each stage that reads shapes raises it as a
+    GraphError in the same words, not as a KeyError or TypeError."""
+    gr = tiny_detector.copy()
+    edit(gr)
+    diags = g.validate(gr)
+    assert len(diags) == 1
+    with pytest.raises(g.GraphError) as exc:
+        entry(gr)
+    assert str(exc.value) == str(diags[0])
 
 
 def _produce_act0_twice(nodes):
