@@ -21,6 +21,11 @@ measured in the same session; without --baseline, with the newest earlier
 BENCH_*.json in the repository root. Regressions come first. Each line
 gives the earlier side's quartiles, and with --baseline how many of the
 seed pairs of untraced runs the working tree won.
+
+The file also holds, under `code_lines`, each side's code lines per module
+of src/jetforge and their total, counted by scripts/code_lines.py of the
+working tree; with --baseline the modules whose count changed and the
+totals are printed too.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import code_lines  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # ten untraced runs per workload: enough pairs to tell a gain from the
@@ -89,6 +97,22 @@ def export(rev: str, into: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
     return commit
+
+
+def module_lines(checkout: str) -> dict[str, int]:
+    """Code lines of each module of src/jetforge in `checkout`, by file
+    name, and their sum under "total"."""
+    counts = {os.path.basename(p): code_lines.file_lines(p) for p in code_lines.modules(checkout)}
+    return {**counts, "total": sum(counts.values())}
+
+
+def lines_diff(old: dict[str, int], new: dict[str, int]) -> list[str]:
+    """One line per module whose code lines differ (a module on one side
+    only counts 0 on the other), then the totals."""
+    rows = [(name, old.get(name, 0), new.get(name, 0))
+            for name in sorted((set(old) | set(new)) - {"total"})]
+    rows = [row for row in rows if row[1] != row[2]] + [("total", old["total"], new["total"])]
+    return [f"{name}: {a} -> {b} ({b - a:+d})" for name, a, b in rows]
 
 
 def quartiles(values: list[float]) -> dict:
@@ -187,10 +211,11 @@ def main(argv=None) -> int:
             checkouts["baseline"] = os.path.join(tmp, "baseline")
             commit = export(args.baseline, checkouts["baseline"])
         results, machine = measure(checkouts, spec)
+        lines = {label: module_lines(path) for label, path in checkouts.items()}
 
     doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": spec["run_seconds"], "machine": machine,
            "command": " ".join(["python", "scripts/bench_report.py"] + (argv or sys.argv[1:])),
-           "workloads": results["change"]}
+           "workloads": results["change"], "code_lines": lines}
     if args.baseline:
         doc["baseline"] = {"commit": commit, "workloads": results["baseline"]}
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
@@ -200,6 +225,9 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
 
     if args.baseline:
+        print(f"code lines of src/jetforge against the baseline {commit[:12]}:")
+        for line in lines_diff(lines["baseline"], lines["change"]):
+            print("  " + line)
         name, old = f"the baseline {commit[:12]}", results["baseline"]
     elif (prev := previous_bench(args.pr)) is not None:
         name, old = prev

@@ -42,12 +42,20 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def modules(root: str = ROOT) -> list[str]:
+    """The modules of src/jetforge in the checkout at `root`."""
+    return sorted(glob.glob(os.path.join(root, "src", "jetforge", "*.py")))
+
+
+def file_lines(path: str) -> int:
+    with open(path, encoding="utf-8") as f:
+        return code_lines(f.read())
+
+
 def main(argv: list[str]) -> int:
-    paths = argv or sorted(glob.glob(os.path.join(ROOT, "src", "jetforge", "*.py")))
     total = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            n = code_lines(f.read())
+    for path in argv or modules():
+        n = file_lines(path)
         total += n
         print(f"{n:6d}  {os.path.relpath(path)}")
     print(f"{total:6d}  total")

@@ -110,6 +110,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """An integer >= 0, a seed or a warmup count; ValueError otherwise."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def unit_interval(text: str) -> float:
     """A number in [0, 1], a threshold on a confidence or an IoU; ValueError
     otherwise (NaN included)."""
@@ -317,8 +325,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.iters < 1:
-        raise CliError("need at least 1 iteration")
     graph = _load_model(args.model)
     _require_quantized(graph, args.mode)
     stats = bench.run_bench(graph, args.mode, iters=args.iters,
@@ -408,7 +414,7 @@ def cmd_pipeline(args) -> int:
             bench.run_bench(optimized, executor.F16, iters, warmup, variant="optimized"),
             bench.run_bench(quantized, executor.I8, iters, warmup, variant="optimized"),
         ]
-        bench.write_csv(out("bench.csv"), rows, meta)
+        bench.write_csv(os.path.join(out_dir, "bench.csv"), rows, meta)
 
         stage = "eval"
         if args.eval_manifest:
@@ -429,9 +435,10 @@ def cmd_pipeline(args) -> int:
         artifacts.write_json(os.path.join(out_dir, "pipeline_manifest.json"), {
             "meta": meta,
             "files": {os.path.basename(p): _sha256(p) for p in produced},
+            "timings": ["bench.csv"],  # latencies differ from run to run, so they are not hashed
             "pass_reports": [r.to_dict() for r in reports],
         })
-        print(f"pipeline complete: {len(produced) + 1} artifacts in {out_dir}")
+        print(f"pipeline complete: {len(produced) + 2} artifacts in {out_dir}")
         return EXIT_OK
     except CliError as e:
         raise CliError(f"pipeline aborted at stage '{stage}': {e}", code=e.code) from e
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"jetforge {__version__}")
     parser.add_argument("--config", help="INI config file ([section] per subcommand)")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = os.environ.get("JETFORGE_SEED", 0)  # argparse converts a string with type=int
+    seed = os.environ.get("JETFORGE_SEED", 0)  # argparse converts a string with the type
 
     p = sub.add_parser("convert", help="cfg + weights -> model container")
     p.add_argument("--cfg")
@@ -470,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="collect histograms and entropy-calibrate ranges")
     p.add_argument("-m", "--model")
     p.add_argument("--images", help="directory of calibration images")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--bins", type=int, default=2048)
-    p.add_argument("--levels", type=int, default=256)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--count", type=positive_int, default=1000)
+    p.add_argument("--bins", type=positive_int, default=2048)
+    p.add_argument("--levels", type=positive_int, default=256)
+    p.add_argument("--seed", type=non_negative_int, default=seed)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_calibrate)
 
@@ -503,8 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency microbenchmark")
     p.add_argument("-m", "--model")
     p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
-    p.add_argument("--iters", type=int, default=bench.DEFAULT_ITERS)
-    p.add_argument("--warmup", type=int, default=bench.DEFAULT_WARMUP)
+    p.add_argument("--iters", type=positive_int, default=bench.DEFAULT_ITERS)
+    p.add_argument("--warmup", type=non_negative_int, default=bench.DEFAULT_WARMUP)
     p.add_argument("--variant", default="model")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bench)
@@ -527,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     da.add_argument("-k", type=positive_int, default=9)
     da.add_argument("--net-w", dest="net_w", type=int, default=608)
     da.add_argument("--net-h", dest="net_h", type=int, default=352)
-    da.add_argument("--seed", type=int, default=seed)
+    da.add_argument("--seed", type=non_negative_int, default=seed)
     da.add_argument("-o", "--output")
     da.set_defaults(func=cmd_dataset_anchors)
 
@@ -538,10 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--eval-manifest", dest="eval_manifest")
     p.add_argument("--eval-images", dest="eval_images")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--warmup", type=int, default=1)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--count", type=positive_int, default=200)
+    p.add_argument("--iters", type=positive_int, default=5)
+    p.add_argument("--warmup", type=non_negative_int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=seed)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,6 +1,7 @@
 """Joint-dataset construction: COCO JSON and Visdrone annotation ingestion
 with the class remap / ignore rules, negative retention, manifest merging,
-IoU k-means anchor clustering and the 16:9 multi-scale resolution sampler.
+IoU k-means anchor clustering, and `fit_height`, the 16:9 network height
+for a width.
 """
 
 from __future__ import annotations
@@ -382,21 +383,8 @@ def anchor_boxes_from_manifest(manifest: Manifest, net_w: int = 608, net_h: int 
 
 
 # --------------------------------------------------------------------------
-# multi-scale resolution schedule
+# 16:9 network heights
 # --------------------------------------------------------------------------
-
-@dataclass
-class ResolutionSchedule:
-    w_min: int = 416
-    w_max: int = 960
-    h_min: int = 256
-    h_max: int = 544
-    period: int = 10
-    seed: int = 0
-
-    def widths(self) -> list[int]:
-        return list(range(self.w_min, self.w_max + 1, 32))
-
 
 def fit_height(w: int, h_min: int = 256, h_max: int = 544) -> int:
     """Multiple of 32 in [h_min, h_max] closest to w*9/16; ties take the
@@ -408,13 +396,3 @@ def fit_height(w: int, h_min: int = 256, h_max: int = 544) -> int:
                 abs(h - target) == abs(best - target) and h > best):
             best = h
     return best
-
-
-def sample_resolution(iteration: int, schedule: ResolutionSchedule) -> tuple[int, int]:
-    """(w, h) for this iteration; constant within each `period` block,
-    reseeded per block so lookups are random access."""
-    block = iteration // schedule.period
-    rng = np.random.default_rng([schedule.seed, block])
-    widths = schedule.widths()
-    w = widths[int(rng.integers(len(widths)))]
-    return w, fit_height(w, schedule.h_min, schedule.h_max)

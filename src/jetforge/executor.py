@@ -217,8 +217,7 @@ import numpy as np
 
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, KINDS, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
-                    QuantParams, _check_weights, _topo_order, conv_out_dim,
-                    infer_shapes)
+                    QuantParams, _check_weights, conv_out_dim, infer_shapes)
 
 F32 = "f32"
 F16 = "f16"
@@ -738,6 +737,7 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
         raise ExecutionError(f"unknown mode '{mode}'")
     if retention not in (RETAIN_ALL, RETAIN_HEADS):
         raise ExecutionError(f"unknown retention '{retention}'")
+    shapes = infer_shapes(graph)  # raises validate's first graph fault
     plan = plan or {}
     node_ids = {n.id for n in graph.nodes}
     for node_id, prec in plan.items():
@@ -746,10 +746,11 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
                                  f"but the graph has no such node")
         if prec not in MODES:
             raise ExecutionError(f"plan pins node '{node_id}' to unknown mode '{prec}'")
-    faults = _check_weights(graph, infer_shapes(graph))  # raises validate's first graph fault
+    faults = _check_weights(graph, shapes)
     if faults:
         raise ExecutionError("; ".join(map(str, faults)))
-    order = _topo_order(graph)[0]
+    producers = graph.producers()  # shapes lists the input, then each output in dataflow order
+    order = [producers[t] for t in list(shapes)[1:]]
     graph_qparams = graph.qparams or {}
     precision = {n.id: plan.get(n.id, mode) for n in order}
     weights_read: dict[tuple[str, str], np.ndarray] = {}

@@ -303,20 +303,28 @@ class Diagnostic:
         return f"{self.node_id}: {self.reason}"
 
 
-_NO_INPUT = Diagnostic("<graph>", "no input", ShapeMismatch)
+def _early_faults(graph: Graph) -> list[Diagnostic]:
+    """The faults past which no other check can run: no input (alone), or
+    each node field whose type is not the one `_NODE_FIELDS` gives it. An
+    exact-type test finds the nodes; `artifacts.faults` words their faults."""
+    if graph.input_id is None or graph.input_shape is None or not graph.nodes:
+        return [Diagnostic("<graph>", "no input", ShapeMismatch)]
+    return [Diagnostic(n.id if type(n.id) is str else f"nodes: {i}", ": ".join((*keys, fault)))
+            for i, n in enumerate(graph.nodes)
+            if not (type(n.id) is type(n.kind) is type(n.output) is str and type(n.attrs) is dict
+                    and type(n.inputs) is list and all(type(t) is str for t in n.inputs)
+                    and n.precision_class in (QUANTIZABLE, PLUGIN_ONLY))
+            for keys, fault in artifacts.faults(_node_to_json(n), _NODE_FIELDS)]
 
 
 def _faults(graph: Graph, shapes: dict):
-    """The graph's faults that shape inference refuses, lazily and in this
-    order: no input (alone); each node id used twice and each tensor
-    produced twice, the graph input counting as produced; each input that
-    nothing produces; each node's kind, input count or attribute its kind's
-    table refuses; the nodes a topological walk never reaches (a cycle);
-    and only when none of these, the first output-shape rule a node breaks.
-    With no fault, fills `shapes` with every tensor's shape."""
-    if graph.input_id is None or graph.input_shape is None or not graph.nodes:
-        yield _NO_INPUT
-        return
+    """The faults that shape inference refuses of a graph `_early_faults`
+    passes, lazily and in this order: each node id used twice and each
+    tensor produced twice, the graph input counting as produced; each input
+    that nothing produces; each node's kind, input count or attribute its
+    kind's table refuses; the nodes a topological walk never reaches (a
+    cycle); and only when none of these, the first output-shape rule a node
+    breaks. With no fault, fills `shapes` with every tensor's shape."""
     ids, produced, twice = set(), {graph.input_id}, []
     for n in graph.nodes:
         if n.id in ids:
@@ -356,7 +364,7 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
     input, a dangling input, a cycle and mismatched add or concat inputs,
     UnderflowShape for a window that leaves no output."""
     shapes: dict[str, TensorShape] = {}
-    for d in _faults(graph, shapes):
+    for d in _early_faults(graph) or _faults(graph, shapes):
         raise d.error(str(d))
     return shapes
 
@@ -369,10 +377,11 @@ def validate(graph: Graph) -> list[Diagnostic]:
     each head's input channel count and, when any weights are attached,
     each weight against its node, so skeleton graphs straight from the cfg
     parser validate before loading weights."""
+    diags = _early_faults(graph)
+    if diags:
+        return diags
     shapes: dict[str, TensorShape] = {}
     diags = list(_faults(graph, shapes))
-    if _NO_INPUT in diags:
-        return diags
     ishape = graph.input_shape
     if min(ishape) < 1:
         diags.append(Diagnostic("<graph>", f"input dims must be >= 1, got {ishape}"))
@@ -615,15 +624,6 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def _nodes(records: list[dict], anchor_count: int, path) -> list[LayerNode]:
-    """The nodes of the manifest, each checked against the node rules."""
-    nodes = [_node_from_json(d) for d in records]
-    for i, node in enumerate(nodes):
-        for field, reason in _node_faults(node, anchor_count)[:1]:
-            raise artifacts.ArtifactError(f"{path}: nodes: {i}: {field}: {reason}")
-    return nodes
-
-
 def load_container(path) -> Graph:
     """The graph a container holds. Reads the header and the manifest, checks
     them and the declared weight sizes against the file size, then reads
@@ -645,18 +645,12 @@ def load_container(path) -> Graph:
         manifest = artifacts.parse_json(f.read(mlen), path, _MANIFEST_FIELDS)
         inp = artifacts.check(manifest["input"], _INPUT_FIELDS, path, "input")
         meta = artifacts.check(manifest["metadata"], _METADATA_FIELDS, path, "metadata")
-        nodes = _nodes(manifest["nodes"], len(meta["anchors"]), path)
-
-        roles = {n.id: KINDS[n.kind].roles for n in nodes}
         lens: dict[tuple[str, str], int] = {}  # in blob order
         for i, e in enumerate(manifest["weights"]):
             key = (e["layer"], e["role"])
             if key in lens:
                 artifacts.reject(list(key), "a (layer, role) not listed before", path,
                                  "weights", i, "layer, role")
-            if e["role"] not in roles.get(e["layer"], ()):
-                artifacts.reject(list(key), "a node's id and a weight role its kind declares",
-                                 path, "weights", i, "layer, role")
             lens[key] = e["len"]
         want_floats, blob_bytes = sum(lens.values()), size - 16 - mlen
         if blob_bytes != want_floats * 4:
@@ -671,8 +665,8 @@ def load_container(path) -> Graph:
             arr.flags.writeable = False
 
     qp = manifest.get("qparams")
-    return Graph(
-        nodes=nodes,
+    graph = Graph(
+        nodes=[_node_from_json(d) for d in manifest["nodes"]],
         input_id=inp["id"],
         input_shape=TensorShape(*inp["shape"]),
         weights=weights,
@@ -684,3 +678,6 @@ def load_container(path) -> Graph:
         qparams=None if qp is None else {
             t: QuantParams.from_dict(d, path, "qparams", t) for t, d in qp.items()},
     )
+    for d in validate(graph)[:1]:
+        raise artifacts.ArtifactError(f"{path}: {d}")
+    return graph

@@ -66,9 +66,9 @@ def _pass(name: str):
     function keeps the body's name and docstring."""
     def register(body):
         def run(graph: Graph) -> tuple[Graph, PassReport]:
+            macs_before = frontend.model_stats(graph).total_macs  # refuses a faulty input
             out = graph.copy()
             report = PassReport(name, nodes_before=len(graph.nodes), nodes_after=0)
-            macs_before = frontend.model_stats(graph).total_macs
             body(out, report)
             report.nodes_after = len(out.nodes)
             report.mac_delta = frontend.model_stats(out).total_macs - macs_before

@@ -57,9 +57,10 @@ class CalibrationConfig:
     levels: int = 256
 
     def validate(self) -> None:
-        """Raise InvalidCalibrationConfig unless image_count >= 1,
+        """Raise InvalidCalibrationConfig unless image_count >= 1, seed >= 0,
         bin_count >= 2 and levels >= 1."""
         _require_at_least("image_count", self.image_count, 1)
+        _require_at_least("seed", self.seed, 0)
         _require_at_least("bin_count", self.bin_count, 2)
         _require_at_least("levels", self.levels, 1)
 

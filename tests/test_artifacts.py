@@ -51,7 +51,7 @@ def _container_doc(tiny_detector):
     has attributes, and a qparams record."""
     graph, _ = passes.apply_passes(tiny_detector, ["decompose-leaky"])
     manifest = g.graph_manifest(graph)
-    # load_container checks each node on its own, so the pool needs no place in the graph
+    # the pool reads the input and nothing reads the pool, so the graph stays valid
     manifest["nodes"].append({"id": "pool", "kind": g.MAXPOOL, "inputs": ["input"],
                               "output": "pool", "attrs": {"kernel": 2, "stride": 2}})
     manifest["qparams"] = {"input": g.QuantParams.from_range(-1.0, 1.0).to_dict()}
@@ -143,6 +143,8 @@ def test_every_field_of_every_reader_table_rejects_a_value_of_another_type(
         write(path, bad)
         # the keys into a JSON lines file start with the line's index
         where, named = (f"{path}:{keys[0] + 1}", keys[1:]) if lines else (path, keys)
+        if keys[:1] == ("nodes",) and len(keys) == 4:  # an attribute: validate names the node
+            named = (doc["nodes"][keys[1]]["id"], *keys[2:])
         message = f"{where}: {''.join(f'{k}: ' for k in named)}expected "
         with pytest.raises(artifacts.ArtifactError) as err:
             read(path)

@@ -83,3 +83,23 @@ def test_the_working_tree_copy_holds_uncommitted_edits_and_untracked_files(tmp_p
     files = {str(p.relative_to(into)): p.read_text() for p in into.rglob("*") if p.is_file()}
     assert files == {".gitignore": "*.log\n", os.path.join("src", "edited.py"): "edited\n",
                      os.path.join("src", "untracked.py"): "new\n"}
+
+
+def test_code_lines_of_both_trees_and_the_diff_of_their_totals(tmp_path):
+    """Each side's code lines per module of src/jetforge, counted as
+    scripts/code_lines.py counts them, and the modules that changed."""
+    bench_report = load_bench_report()
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree, modules in ((old, {"a.py": "x = 1\n", "gone.py": "y = 2\n"}),
+                          (new, {"a.py": '"""doc"""\n\n# note\nx = 1\ny = (2,\n     3)\n',
+                                 "b.py": "z = 3\n"})):
+        (tree / "src" / "jetforge").mkdir(parents=True)
+        for name, text in modules.items():
+            (tree / "src" / "jetforge" / name).write_text(text)
+    (new / "src" / "jetforge" / "notes.txt").write_text("not a module\n")
+    before, after = bench_report.module_lines(str(old)), bench_report.module_lines(str(new))
+    assert before == {"a.py": 1, "gone.py": 1, "total": 2}
+    assert after == {"a.py": 3, "b.py": 1, "total": 4}
+    assert bench_report.lines_diff(before, after) == [
+        "a.py: 1 -> 3 (+2)", "b.py: 0 -> 1 (+1)", "gone.py: 1 -> 0 (-1)", "total: 2 -> 4 (+2)"]
+    assert bench_report.lines_diff(before, before) == ["total: 2 -> 2 (+0)"]

@@ -255,8 +255,7 @@ def test_calibrate_deterministic_given_seed(optimized_container, tiny_files, tmp
     assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--count", "0", "image_count"), ("--bins", "1", "bin_count"), ("--levels", "0", "levels")])
+@pytest.mark.parametrize("flag,value,field", [("--bins", "1", "bin_count")])
 def test_calibrate_invalid_config_exits_invalid_without_output(
         optimized_container, tiny_files, tmp_path, capsys, flag, value, field):
     out = tmp_path / "ranges.json"
@@ -412,10 +411,10 @@ def test_pipeline_artifacts_equal_the_subcommands(tiny_files, tiny_container,
 
 
 def test_bench_zero_iters_rejected(tiny_container, tmp_path, capsys):
-    code = run(["bench", "-m", tiny_container, "--iters", "0",
-                "-o", tmp_path / "b.csv"])
-    assert code == 2
-    assert "at least 1 iteration" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "-m", tiny_container, "--iters", "0", "-o", tmp_path / "b.csv"])
+    assert exc.value.code == 2
+    assert "argument --iters: invalid positive_int value: '0'" in capsys.readouterr().err
 
 
 def test_bench_i8_requires_ranges(tiny_container, tmp_path):
@@ -505,26 +504,22 @@ def test_pipeline_end_to_end(tiny_files, tmp_path):
     assert names.issubset({p.name for p in out_dir.iterdir()})
 
     manifest = json.loads((out_dir / "pipeline_manifest.json").read_text())
-    assert set(manifest["files"]) == names - {"pipeline_manifest.json"}
+    assert set(manifest["files"]) == names - {"pipeline_manifest.json", "bench.csv"}
+    assert manifest["timings"] == ["bench.csv"]
 
     f32 = json.loads((out_dir / "eval_f32.json").read_text())
     i8 = json.loads((out_dir / "eval_i8.json").read_text())
     assert i8["map50"] >= f32["map50"] - 0.02
 
-    # second run: identical checksums except the bench CSV latency columns
+    # second run: an identical manifest; the bench CSV differs in its latency columns only
     out_dir2 = tmp_path / "run2"
     args[args.index(out_dir)] = out_dir2
     assert run(args) == 0
-    m2 = json.loads((out_dir2 / "pipeline_manifest.json").read_text())
-    for name in manifest["files"]:
-        if name == "bench.csv":
-            a = [r["nodes"] + "/" + r["macs"] + "/" + r["variant"]
-                 for r in bench.read_csv(out_dir / name)]
-            b = [r["nodes"] + "/" + r["macs"] + "/" + r["variant"]
-                 for r in bench.read_csv(out_dir2 / name)]
-            assert a == b
-        else:
-            assert manifest["files"][name] == m2["files"][name], name
+    assert ((out_dir2 / "pipeline_manifest.json").read_bytes()
+            == (out_dir / "pipeline_manifest.json").read_bytes())
+    a, b = ([(r["nodes"], r["macs"], r["variant"]) for r in bench.read_csv(d / "bench.csv")]
+            for d in (out_dir, out_dir2))
+    assert a == b
 
 
 def test_pipeline_missing_calib_aborts_at_calibrate(tiny_files, tmp_path, capsys):
@@ -596,8 +591,9 @@ def _ini(tmp_path, text):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("count = many", "[calibrate] count: invalid int value: 'many'"),
-    ("seed = 1.5", "[calibrate] seed: invalid int value: '1.5'")], ids=["count", "seed"])
+    ("count = many", "[calibrate] count: invalid positive_int value: 'many'"),
+    ("seed = 1.5", "[calibrate] seed: invalid non_negative_int value: '1.5'")],
+    ids=["count", "seed"])
 def test_config_value_of_the_wrong_type_exits_2_without_output(
         optimized_container, tiny_files, tmp_path, capsys, line, message):
     out = tmp_path / "ranges.json"
@@ -641,6 +637,15 @@ def test_env_seed_that_is_not_an_int_exits_2(optimized_container, tiny_files, tm
              "--count", "10", "-o", out])
     assert exc.value.code == cli.EXIT_USAGE
     assert not out.exists()
+
+
+def test_a_negative_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("JETFORGE_SEED", "-1")
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        run(["calibrate", "-m", missing, "--images", missing, "-o", tmp_path / "r.json"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --seed" in capsys.readouterr().err
 
 
 def test_config_seed_beats_env_seed(optimized_container, tiny_files, tmp_path, monkeypatch):
@@ -704,15 +709,14 @@ def _shift_kernel_lengths(entries):
 
 
 @pytest.mark.parametrize("case,message", [
-    ("kernel-lengths-shifted", "conv0: role 'kernel' has 215 values, expected 216; "
-                               "conv1: role 'kernel' has 577 values, expected 576"),
+    ("kernel-lengths-shifted", "conv0: role 'kernel' has 215 values, expected 216"),
     ("kernel-missing", "conv1: missing weights for role 'kernel'"),
     ("bias-missing", "conv0: missing weights for role 'bias'")])
 def test_detect_with_weights_that_disagree_with_their_nodes_exits_1_with_one_line(
         case, message, tiny_container, optimized_container, tiny_files, tmp_path, capsys):
-    """The container loads (its blob holds the floats its manifest lists),
-    but a weight is missing or of the wrong length for its node: compile
-    refuses it before any node runs."""
+    """The blob holds the floats the manifest lists, but a weight is
+    missing or of the wrong length for its node: the loader refuses it with
+    validate's first fault, before any node runs."""
     model = tmp_path / "bad.uir"
     if case == "kernel-lengths-shifted":
         _edit_weights(tiny_container, model, _shift_kernel_lengths)
@@ -723,14 +727,14 @@ def test_detect_with_weights_that_disagree_with_their_nodes_exits_1_with_one_lin
     image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
     out = tmp_path / "dets.jsonl"
     assert run(["detect", "-m", model, "-i", image, "-o", out]) == cli.EXIT_INVALID
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
     assert not out.exists()
 
 
 def test_detect_with_a_tensor_produced_twice_exits_1_naming_the_node_and_the_tensor(
         tiny_container, tiny_files, tmp_path, capsys):
-    """The loader checks no producers: compile's shape inference refuses
-    the second producer of a tensor before any node runs."""
+    """The loader's validate refuses the second producer of a tensor
+    before any node runs."""
     data = tiny_container.read_bytes()
     (length,) = struct.unpack_from("<Q", data, 8)
     manifest = json.loads(data[16:16 + length])
@@ -743,7 +747,7 @@ def test_detect_with_a_tensor_produced_twice_exits_1_naming_the_node_and_the_ten
     image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
     out = tmp_path / "dets.jsonl"
     assert run(["detect", "-m", model, "-i", image, "-o", out]) == cli.EXIT_INVALID
-    assert capsys.readouterr().err == "error: bn1: tensor 'act0' produced more than once\n"
+    assert capsys.readouterr().err == f"error: {model}: bn1: tensor 'act0' produced more than once\n"
     assert not out.exists()
 
 
@@ -757,9 +761,11 @@ def test_optimize_validates_once_and_lists_every_diagnostic(tiny_container, tmp_
         return validate(graph)
     monkeypatch.setattr(g, "validate", counted)
     assert run(["optimize", "-m", tiny_container, "-o", tmp_path / "ok.uir"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 2  # the loader's, then save_container's of the optimized graph
 
     diags = [g.Diagnostic("conv0", "first problem"), g.Diagnostic("conv1", "second problem")]
+    loaded = g.load_container(tiny_container)
+    monkeypatch.setattr(g, "load_container", lambda path: loaded)  # the loader validates too
     monkeypatch.setattr(g, "validate", lambda graph: diags)
     out = tmp_path / "x.uir"
     assert run(["optimize", "-m", tiny_container, "-o", out]) == cli.EXIT_INVALID
@@ -837,18 +843,18 @@ def test_malformed_artifact_exits_1_naming_the_file_and_line(
         elif case == "container-input-shape-of-two":
             manifest["input"]["shape"], field = [1, 3], "input: shape: "
         elif case == "container-node-stride-zero":
-            manifest["nodes"][0]["attrs"]["stride"], field = 0, "nodes: 0: attrs: stride: "
+            manifest["nodes"][0]["attrs"]["stride"], field = 0, "conv0: attrs: stride: "
         elif case == "container-anchors-not-pairs":
             manifest["metadata"]["anchors"], field = [[1]], "metadata: anchors: "
         elif case == "container-node-kind-unknown":
-            manifest["nodes"][1]["kind"], field = "foo", "nodes: 1: kind: "
+            manifest["nodes"][1]["kind"], field = "foo", f"{manifest['nodes'][1]['id']}: kind: "
         elif case == "container-node-without-inputs":
-            manifest["nodes"][1]["inputs"], field = [], "nodes: 1: inputs: "
+            manifest["nodes"][1]["inputs"], field = [], f"{manifest['nodes'][1]['id']}: inputs: "
         elif case in ("container-weight-layer-unknown", "container-weight-role-undeclared"):
             # one more float in the blob, so only the entry itself is at fault
             key = ("ghost", "kernel") if case.endswith("unknown") else ("conv0", "scale_factors")
             weights.append({"layer": key[0], "role": key[1], "len": 1})
-            extra, field = bytes(4), f"weights: {len(weights) - 1}: layer, role: "
+            extra, field = bytes(4), f"{key[0]}: weights for role '{key[1]}', which no node "
         else:
             manifest["input"]["id"], field = 5, "input: id: "
         blob = json.dumps(manifest).encode()
@@ -988,16 +994,28 @@ def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
     ("dataset-anchors", "-k", "k", "0"), ("dataset-anchors", "-k", "k", "-2"),
     ("detect", "--conf", "conf", "-0.1"), ("detect", "--conf", "conf", "1.5"),
     ("detect", "--nms", "nms", "-0.5"), ("detect", "--nms", "nms", "nan"),
-    ("eval", "--iou", "iou", "1.5"), ("eval", "--iou", "iou", "-1")])
+    ("eval", "--iou", "iou", "1.5"), ("eval", "--iou", "iou", "-1"),
+    ("dataset-anchors", "--seed", "seed", "-1"),
+    ("calibrate", "--count", "count", "0"), ("calibrate", "--seed", "seed", "-1"),
+    ("calibrate", "--bins", "bins", "0"), ("calibrate", "--levels", "levels", "0"),
+    ("bench", "--iters", "iters", "0"), ("bench", "--warmup", "warmup", "-1"),
+    ("pipeline", "--count", "count", "0"), ("pipeline", "--iters", "iters", "0"),
+    ("pipeline", "--warmup", "warmup", "-1"), ("pipeline", "--seed", "seed", "-1")])
 def test_a_count_below_one_or_a_threshold_outside_0_1_exits_2_as_flag_and_config_value(
         command, flag, key, value, tmp_path, capsys):
-    """Each used to give a wrong result silently: one anchor for k < 1, one
+    """Each used to give a wrong result silently (one anchor for k < 1, one
     box per class for a negative NMS threshold, no true positive for an IoU
-    threshold above 1. The value is refused before any file is read."""
+    threshold above 1) or fail late (a negative seed in numpy's sampler, no
+    bench iteration after four files were written). The value is refused
+    before any file is read."""
     out, missing = tmp_path / "out", tmp_path / "missing"
     argv = {"dataset-anchors": ["dataset", "anchors", "--manifest", missing],
             "detect": ["detect", "-m", missing, "-i", missing],
-            "eval": ["eval", "--dets", missing, "--manifest", missing]}[command] + ["-o", out]
+            "eval": ["eval", "--dets", missing, "--manifest", missing],
+            "calibrate": ["calibrate", "-m", missing, "--images", missing],
+            "bench": ["bench", "-m", missing],
+            "pipeline": ["pipeline", "--cfg", missing, "--weights", missing]}[command]
+    argv += ["--out-dir" if command == "pipeline" else "-o", out]
     with pytest.raises(SystemExit) as exc:
         run(argv + [flag, value])
     assert exc.value.code == cli.EXIT_USAGE
@@ -1006,6 +1024,20 @@ def test_a_count_below_one_or_a_threshold_outside_0_1_exits_2_as_flag_and_config
     assert run(["--config", ini] + argv) == cli.EXIT_USAGE
     assert f"[{command}] {key}: invalid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_with_no_bench_iteration_exits_2_and_writes_nothing(tiny_files, tmp_path,
+                                                                     capsys):
+    out_dir = tmp_path / "out"
+    argv = ["pipeline", "--cfg", tiny_files["cfg"], "--weights", tiny_files["weights"],
+            "--calib-dir", tiny_files["calib"], "--out-dir", out_dir, "--count", "4"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--iters", "0"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "argument --iters" in capsys.readouterr().err
+    assert run(["--config", _ini(tmp_path, "[pipeline]\niters = 0\n")] + argv) == cli.EXIT_USAGE
+    assert "[pipeline] iters: invalid" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("size", [0, 5, (3 << 20) + 5])

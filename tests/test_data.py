@@ -298,7 +298,7 @@ def test_anchor_boxes_from_manifest(coco_records):
 
 
 # --------------------------------------------------------------------------
-# resolution schedule
+# 16:9 network heights
 # --------------------------------------------------------------------------
 
 def test_fit_height_examples():
@@ -316,23 +316,3 @@ def test_fit_height_exhaustive():
             assert abs(h - target) <= abs(other - target)
             if abs(h - target) == abs(other - target):
                 assert h >= other  # ties toward the larger height
-
-
-def test_sample_resolution_block_constancy():
-    sched = data.ResolutionSchedule(seed=5)
-    first = data.sample_resolution(0, sched)
-    for it in range(10):
-        assert data.sample_resolution(it, sched) == first
-    widths = {data.sample_resolution(10 * b, sched)[0] for b in range(60)}
-    assert len(widths) > 3  # the sampler actually moves between blocks
-    for b in range(60):
-        w, h = data.sample_resolution(10 * b, sched)
-        assert w % 32 == 0 and 416 <= w <= 960
-        assert h == data.fit_height(w)
-
-
-def test_sample_resolution_deterministic():
-    sched = data.ResolutionSchedule(seed=11)
-    a = [data.sample_resolution(i, sched) for i in range(100)]
-    b = [data.sample_resolution(i, sched) for i in range(100)]
-    assert a == b

@@ -460,6 +460,20 @@ def test_execution_follows_the_dataflow_not_the_node_list(tiny_quantized, order)
             assert np.array_equal(got.buffers[head].data, buf.data), (mode, head)
 
 
+def test_compile_runs_the_nodes_in_the_order_infer_shapes_lists_their_outputs(tiny_detector):
+    """infer_shapes lists the input, then each node output in dataflow order
+    (the topological sweep's); compile takes its step order from that list
+    instead of sweeping the graph again."""
+    moved = tiny_detector.copy()
+    moved.nodes = [moved.nodes[i] for i in np.random.default_rng(3).permutation(len(moved.nodes))]
+    tensors = list(g.infer_shapes(moved))
+    assert tensors[0] == moved.input_id
+    assert tensors[1:] == [n.output for n in g._topo_order(moved)[0]]
+    assert tensors[1:] != [n.output for n in moved.nodes]
+    steps = [s.output for s in executor.compile(moved, retention=executor.RETAIN_ALL).steps]
+    assert steps == tensors[1:]
+
+
 # --------------------------------------------------------------------------
 # pad-free im2col
 # --------------------------------------------------------------------------

@@ -203,6 +203,11 @@ _IN_MEMORY_FAULTS = {
     "eps-below-zero": lambda gr: gr.node_by_id("bn0").attrs.update(eps=-10.0),
     "unknown-kind": lambda gr: setattr(gr.node_by_id("bn0"), "kind", "foo"),
     "two-inputs": lambda gr: setattr(gr.node_by_id("bn0"), "inputs", ["conv0", "input"]),
+    "attrs-none": lambda gr: setattr(gr.node_by_id("conv0"), "attrs", None),
+    "kind-a-list": lambda gr: setattr(gr.node_by_id("bn0"), "kind", ["batchnorm"]),
+    "inputs-a-string": lambda gr: setattr(gr.node_by_id("bn0"), "inputs", "conv0"),
+    "output-a-number": lambda gr: setattr(gr.node_by_id("yolo12"), "output", 3),
+    "id-none": lambda gr: setattr(gr.node_by_id("act0"), "id", None),
 }
 _ENTRY_POINTS = {
     "infer_shapes": g.infer_shapes,
@@ -219,9 +224,10 @@ _ENTRY_POINTS = {
 def test_every_entry_point_raises_the_one_fault_validate_lists_in_its_words(
         tiny_detector, edit, entry):
     """A missing or wrong-typed attribute, an attribute out of its bound, an
-    unknown kind or a wrong input count of an in-memory graph: validate
-    lists it once, and each stage that reads shapes raises it as a
-    GraphError in the same words, not as a KeyError or TypeError."""
+    unknown kind, a wrong input count or a node field not of its type of an
+    in-memory graph: validate lists it once, and each stage that reads
+    shapes raises it as a GraphError in the same words, not as a KeyError
+    or TypeError."""
     gr = tiny_detector.copy()
     edit(gr)
     diags = g.validate(gr)
@@ -467,9 +473,9 @@ def test_container_input_shape_or_id_malformed(tmp_path, field, value):
 
 
 @pytest.mark.parametrize("edit,where", [
-    (lambda nodes: nodes[0]["attrs"].pop("stride"), "nodes: 0: attrs: missing stride"),
-    (lambda nodes: nodes[1]["attrs"].pop("eps"), "nodes: 1: attrs: missing eps"),
-    (lambda nodes: nodes[9].update(inputs=["act2"]), "nodes: 9: inputs: add needs"),
+    (lambda nodes: nodes[0]["attrs"].pop("stride"), "conv0: attrs: missing stride"),
+    (lambda nodes: nodes[1]["attrs"].pop("eps"), "bn0: attrs: missing eps"),
+    (lambda nodes: nodes[9].update(inputs=["act2"]), "add3: inputs: add needs"),
     (lambda nodes: nodes[0].update(kind=["conv"]), "nodes: 0: kind: expected a string")],
     ids=["missing-stride", "missing-eps", "add-of-one-input", "kind-not-a-string"])
 def test_container_node_without_what_its_kind_needs(tmp_path, tiny_detector, edit, where):
@@ -478,6 +484,52 @@ def test_container_node_without_what_its_kind_needs(tmp_path, tiny_detector, edi
     _edit_manifest(path, lambda m: edit(m["nodes"]))
     with pytest.raises(ArtifactError, match="^" + re.escape(f"{path}: {where}")):
         g.load_container(path)
+
+
+def _node(manifest, nid) -> dict:
+    return next(n for n in manifest["nodes"] if n["id"] == nid)
+
+
+def _trade_conv5_weight_lens(manifest):
+    # the kernel's and the bias's declared lengths swap; the blob total stays
+    entry = {e["role"]: e for e in manifest["weights"] if e["layer"] == "conv5"}
+    entry["kernel"]["len"], entry["bias"]["len"] = entry["bias"]["len"], entry["kernel"]["len"]
+
+
+_CONTAINER_GRAPH_FAULTS = {
+    "conv2-out-ch-9": lambda m: _node(m, "conv2")["attrs"].update(out_ch=9),
+    "conv5-weight-lengths-traded": _trade_conv5_weight_lens,
+    "input-never-produced": lambda m: _node(m, "conv1").update(inputs=["ghost"]),
+    "head-num-classes": lambda m: _node(m, "yolo6")["attrs"].update(num_classes=5),
+    "weight-role-undeclared": lambda m: m["weights"].append(
+        {"layer": "conv0", "role": "scale_factors", "len": 0}),
+    "conv-stride-zero": lambda m: _node(m, "conv0")["attrs"].update(stride=0),
+}
+
+
+@pytest.mark.parametrize("edit", _CONTAINER_GRAPH_FAULTS.values(), ids=_CONTAINER_GRAPH_FAULTS)
+def test_a_container_loads_exactly_when_save_container_would_write_its_graph(
+        tiny_detector, tmp_path, monkeypatch, capsys, edit):
+    """The loader reads the format, then refuses the graph with the first
+    fault validate lists; the CLI exits 1 with that one line."""
+    path = tmp_path / "x.uir"
+    g.save_container(tiny_detector, path)
+    _edit_manifest(path, edit)
+    with monkeypatch.context() as m:
+        m.setattr(g, "validate", lambda graph: [])
+        held = g.load_container(path)  # the graph the file holds, unjudged
+    diags = g.validate(held)
+    assert diags
+    with pytest.raises(g.GraphError, match="^refusing to save invalid graph: "):
+        g.save_container(held, tmp_path / "y.uir")
+    with pytest.raises(ArtifactError) as exc:
+        g.load_container(path)
+    assert str(exc.value) == f"{path}: {diags[0]}"
+    for argv in (["detect", "-m", str(path), "-i", str(tmp_path / "frame.ppm")],
+                 ["optimize", "-m", str(path), "-o", str(tmp_path / "y.uir")]):
+        assert cli.main(argv) == cli.EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {path}: {diags[0]}\n"
+    assert not (tmp_path / "y.uir").exists()
 
 
 # --------------------------------------------------------------------------
@@ -539,12 +591,13 @@ def test_an_attr_the_node_rules_refuse_fails_load_and_validate_alike(
     _edit_manifest(path, lambda m: m["nodes"][i]["attrs"].update({key: value}))
     assert cli.main(["optimize", "-m", str(path)]) == cli.EXIT_INVALID
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {path}: nodes: {i}: attrs: {key}: "), err
+    node = graph.nodes[i].id
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: {node}: attrs: {key}: "), err
 
     edited = graph.copy()
     edited.nodes[i].attrs[key] = value
-    diags = [d for d in g.validate(edited) if d.node_id == graph.nodes[i].id]
-    assert diags and err[0] == f"error: {path}: nodes: {i}: {diags[0].reason}"
+    diags = [d for d in g.validate(edited) if d.node_id == node]
+    assert diags and err[0] == f"error: {path}: {diags[0]}"
 
 
 def test_validate_reports_every_refused_attr_of_a_node_without_raising(tiny_detector):

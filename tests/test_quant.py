@@ -292,7 +292,7 @@ def test_scan_memory_stays_flat():
 
 @pytest.mark.parametrize("field,value", [
     ("image_count", 0), ("image_count", -1), ("bin_count", 0), ("bin_count", 1),
-    ("levels", 0), ("levels", -3), ("levels", 2.5),
+    ("levels", 0), ("levels", -3), ("levels", 2.5), ("seed", -1),
 ])
 def test_invalid_calibration_config_fails_loudly(field, value):
     config = quant.CalibrationConfig(image_count=1)
