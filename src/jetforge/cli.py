@@ -414,7 +414,7 @@ def cmd_pipeline(args) -> int:
             bench.run_bench(optimized, executor.F16, iters, warmup, variant="optimized"),
             bench.run_bench(quantized, executor.I8, iters, warmup, variant="optimized"),
         ]
-        bench.write_csv(os.path.join(out_dir, "bench.csv"), rows, meta)
+        bench.write_csv(out("bench.csv"), rows, meta)
 
         stage = "eval"
         if args.eval_manifest:
@@ -434,11 +434,12 @@ def cmd_pipeline(args) -> int:
 
         artifacts.write_json(os.path.join(out_dir, "pipeline_manifest.json"), {
             "meta": meta,
-            "files": {os.path.basename(p): _sha256(p) for p in produced},
+            "files": {os.path.basename(p): _sha256(p) for p in produced
+                      if os.path.basename(p) != "bench.csv"},
             "timings": ["bench.csv"],  # latencies differ from run to run, so they are not hashed
             "pass_reports": [r.to_dict() for r in reports],
         })
-        print(f"pipeline complete: {len(produced) + 2} artifacts in {out_dir}")
+        print(f"pipeline complete: {len(produced) + 1} artifacts in {out_dir}")
         return EXIT_OK
     except CliError as e:
         raise CliError(f"pipeline aborted at stage '{stage}': {e}", code=e.code) from e

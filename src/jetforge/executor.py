@@ -728,7 +728,7 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
     modes, for traces of `retention`; a conv tail none of whose inner
     tensors the retention keeps is fused (see "Fused conv tails" above).
     Raises on an unknown mode, retention or plan entry; on the first
-    structural, attribute or shape fault `validate` lists, as infer_shapes'
+    structural, field, attribute or shape fault `validate` lists, as infer_shapes'
     GraphError in validate's words; on a weight that is missing or of the
     wrong length or a negative bn_var (naming the node and the role, as
     validate does); and MissingQParams for a range an i8 node needs; all

@@ -7,15 +7,19 @@ Shape inference, validation, the container loader, the cfg reader, the
 passes and the model stats all read it; executor's `OPS` declares how each
 kind runs.
 
-One structural checker: `_faults` lists what shape inference cannot get
-past (no input, a node id or tensor used twice, an input nothing
-produces, a node's kind, input count or attribute its table refuses, a
-cycle, then the first output-shape rule broken). `infer_shapes` raises the
-first of these and `validate` lists them all, in the same words, and adds
-the rules that only it checks: input dims, the rules between fields, each
-head's channel count and the weights. Compile, execute, the passes and the
-model stats start from `infer_shapes`, so each refuses every structural
-and attribute fault `validate` lists, as a GraphError in its words.
+One graph checker: `_early_faults` lists what no other check can get past
+(no input, a node field not of its type), and `_faults` what shape
+inference cannot get past (a node id or tensor used twice, an input
+nothing produces, a node's kind, input count or attribute its table
+refuses, a cycle, then the first output-shape rule broken). `infer_shapes`
+raises the first of these and `validate` lists them all, in the same
+words, and adds the rules that only it checks: input dims, the rules
+between fields, each head's channel count and the weights. Compile,
+execute, the passes and the model stats start from `infer_shapes`, so each
+refuses every structural, field and attribute fault `validate` lists, as a
+GraphError in its words. `load_container` checks only the file's format
+and then refuses a graph `validate` faults, so a container loads exactly
+when `save_container` would write its graph.
 
 Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
 immutable after construction: rewrite passes copy, never mutate in place.
@@ -358,8 +362,10 @@ def _faults(graph: Graph, shapes: dict):
 
 
 def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
-    """Every tensor's shape; order-independent over valid topo orders.
-    Raises the first fault `validate` lists (see `_faults`) in its words:
+    """Every tensor's shape, the same over any valid order of the node
+    list; the dict lists the input, then each node output in dataflow
+    order (the order `_topo_order` gives). Raises the first fault
+    `validate` lists (see `_early_faults` and `_faults`) in its words:
     a GraphError whose text is the Diagnostic's, ShapeMismatch for no
     input, a dangling input, a cycle and mismatched add or concat inputs,
     UnderflowShape for a window that leaves no output."""
@@ -370,9 +376,9 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
 
 
 def validate(graph: Graph) -> list[Diagnostic]:
-    """Every fault of the graph; an empty list means it is sound. First
-    every fault `_faults` lists (infer_shapes raises the first of them);
-    then input dims below 1 or an h or w that is no multiple of 32, and
+    """Every fault of the graph; an empty list means it is sound. Only the
+    `_early_faults` when there are any; else every fault `_faults` lists
+    (infer_shapes raises the first of them); then input dims below 1 or an h or w that is no multiple of 32, and
     each rule between fields a node breaks; then, when the shapes resolve,
     each head's input channel count and, when any weights are attached,
     each weight against its node, so skeleton graphs straight from the cfg
@@ -626,9 +632,12 @@ def save_container(graph: Graph, path, tool_meta: dict | None = None) -> None:
 
 def load_container(path) -> Graph:
     """The graph a container holds. Reads the header and the manifest, checks
-    them and the declared weight sizes against the file size, then reads
-    each weight from the file into its own read-only float32 array, so the
-    weights are held once."""
+    them against their field tables, refuses a (layer, role) listed twice,
+    checks the declared weight sizes against the file size, then reads each
+    weight from the file into its own read-only float32 array, so the
+    weights are held once. Raises ArtifactError `<path>: <diagnostic>` with
+    the first fault `validate` lists of the graph, so a container loads
+    exactly when `save_container` would write its graph."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         header = f.read(16)
