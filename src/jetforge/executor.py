@@ -727,12 +727,12 @@ def compile(graph: Graph, mode: str = F32, plan: dict[str, str] | None = None,
     """Prepare `graph` to run in `mode`, with `plan` pinning nodes to other
     modes, for traces of `retention`; a conv tail none of whose inner
     tensors the retention keeps is fused (see "Fused conv tails" above).
-    Raises on an unknown mode, retention or plan entry; on the first
-    structural, field, attribute or shape fault `validate` lists, as infer_shapes'
-    GraphError in validate's words; on a weight that is missing or of the
-    wrong length or a negative bn_var (naming the node and the role, as
-    validate does); and MissingQParams for a range an i8 node needs; all
-    before any node runs."""
+    Raises on an unknown mode or retention; on the first structural,
+    field, attribute or shape fault `validate` lists, as infer_shapes'
+    GraphError in validate's words; on an unknown plan entry; on a weight
+    that is missing or of the wrong length or a negative bn_var (naming the
+    node and the role, as validate does); and MissingQParams for a range an
+    i8 node needs; all before any node runs."""
     if mode not in MODES:
         raise ExecutionError(f"unknown mode '{mode}'")
     if retention not in (RETAIN_ALL, RETAIN_HEADS):

@@ -378,11 +378,12 @@ def infer_shapes(graph: Graph) -> dict[str, TensorShape]:
 def validate(graph: Graph) -> list[Diagnostic]:
     """Every fault of the graph; an empty list means it is sound. Only the
     `_early_faults` when there are any; else every fault `_faults` lists
-    (infer_shapes raises the first of them); then input dims below 1 or an h or w that is no multiple of 32, and
-    each rule between fields a node breaks; then, when the shapes resolve,
-    each head's input channel count and, when any weights are attached,
-    each weight against its node, so skeleton graphs straight from the cfg
-    parser validate before loading weights."""
+    (infer_shapes raises the first of them); then input dims below 1 or an
+    h or w that is no multiple of 32, and each rule between fields a node
+    breaks; then, when the shapes resolve, each head's input channel count
+    and, when any weights are attached, each weight against its node, so
+    skeleton graphs straight from the cfg parser validate before loading
+    weights. `load_container` refuses a file whose graph has a fault here."""
     diags = _early_faults(graph)
     if diags:
         return diags

@@ -628,15 +628,15 @@ def test_config_key_that_is_no_option_exits_2_listing_the_keys(tiny_container, t
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
 def test_env_seed_that_is_not_an_int_exits_2(optimized_container, tiny_files, tmp_path,
-                                             monkeypatch, value):
-    monkeypatch.setenv("JETFORGE_SEED", value)
+                                             monkeypatch):
     out = tmp_path / "r.json"
-    with pytest.raises(SystemExit) as exc:
-        run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
-             "--count", "10", "-o", out])
-    assert exc.value.code == cli.EXIT_USAGE
+    for value in ("abc", "-1"):  # not an integer; an integer below 0
+        monkeypatch.setenv("JETFORGE_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
+                 "--count", "10", "-o", out])
+        assert exc.value.code == cli.EXIT_USAGE
     assert not out.exists()
 
 
@@ -739,7 +739,8 @@ def test_detect_with_a_tensor_produced_twice_exits_1_naming_the_node_and_the_ten
     image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
     out = tmp_path / "dets.jsonl"
     assert run(["detect", "-m", model, "-i", image, "-o", out]) == cli.EXIT_INVALID
-    assert capsys.readouterr().err == f"error: {model}: bn1: tensor 'act0' produced more than once\n"
+    assert (capsys.readouterr().err
+            == f"error: {model}: bn1: tensor 'act0' produced more than once\n")
     assert not out.exists()
 
 
