@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
-IMAGE_EXTENSIONS = (".ppm", ".pgm", ".f32", ".raw", ".bin", ".tensor")
-
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_USAGE):
@@ -154,9 +152,10 @@ def _sha256(path) -> str:
 
 def _list_images(directory) -> list[str]:
     _require_file(directory, "image directory")
-    names = sorted(n for n in os.listdir(directory) if n.lower().endswith(IMAGE_EXTENSIONS))
+    names = sorted(n for n in os.listdir(directory)
+                   if n.lower().endswith(tensorio.INPUT_EXTENSIONS))
     if not names:
-        raise CliError(f"no images (ppm/pgm/raw) in {directory}")
+        raise CliError(f"no images ({', '.join(tensorio.INPUT_EXTENSIONS)}) in {directory}")
     return [os.path.join(directory, n) for n in names]
 
 
@@ -533,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     da = dsub.add_parser("anchors", help="recluster anchors over a manifest")
     da.add_argument("--manifest")
     da.add_argument("-k", type=positive_int, default=9)
-    da.add_argument("--net-w", dest="net_w", type=int, default=608)
-    da.add_argument("--net-h", dest="net_h", type=int, default=352)
+    da.add_argument("--net-w", dest="net_w", type=positive_int, default=608)
+    da.add_argument("--net-h", dest="net_h", type=positive_int, default=352)
     da.add_argument("--seed", type=non_negative_int, default=seed)
     da.add_argument("-o", "--output")
     da.set_defaults(func=cmd_dataset_anchors)

@@ -369,7 +369,11 @@ def kmeans_anchors(boxes, k: int, seed: int = 0) -> AnchorResult:
 
 def anchor_boxes_from_manifest(manifest: Manifest, net_w: int = 608, net_h: int = 352
                                ) -> np.ndarray:
-    """Non-ignore box sizes rescaled into network-input (letterbox) pixels."""
+    """Non-ignore box sizes rescaled into network-input (letterbox) pixels.
+    Raises DataError for a net size below 1, which would scale every box to
+    nothing."""
+    if net_w < 1 or net_h < 1:
+        raise DataError(f"net size must be at least 1x1, got {net_w}x{net_h}")
     out = []
     for rec in manifest.records:
         scale = min(net_w / rec.width, net_h / rec.height)

@@ -2,8 +2,14 @@
 region are neither true nor false positives, mirroring crowd/ignored-region
 annotations in the training data.
 
-AP uses all-points interpolation (area under the non-increasing precision
-envelope). mAP averages classes that have at least one ground-truth box.
+Matching is greedy, per image and class, detections taken by confidence
+descending (as the VOC and COCO evaluators match). AP uses all-points
+interpolation (area under the non-increasing precision envelope). mAP
+averages classes that have at least one ground-truth box.
+
+`evaluate` is the one reader of the class list (`CLASS_NAMES`): it checks
+the detections' class ids against it and scores its classes in its order,
+and a report lists the classes it holds.
 """
 
 from __future__ import annotations
@@ -145,14 +151,15 @@ class EvalReport:
         }
 
     def table(self) -> str:
+        """One row per class the report holds (the keys of `gt_counts`, in
+        their order), AP "-" for a class with no ground truth, then the
+        mAP row."""
         rows = [("class", "AP", "GT", "TP", "FP", "ignored")]
-        for name in CLASS_NAMES:
+        for name, gt in self.gt_counts.items():
             ap = self.per_class_ap.get(name)
-            rows.append((name, "-" if ap is None else f"{ap:.4f}",
-                         str(self.gt_counts.get(name, 0)),
-                         str(self.tp_counts.get(name, 0)),
-                         str(self.fp_counts.get(name, 0)),
-                         str(self.ignored_counts.get(name, 0))))
+            rows.append((name, "-" if ap is None else f"{ap:.4f}", str(gt),
+                         str(self.tp_counts[name]), str(self.fp_counts[name]),
+                         str(self.ignored_counts[name])))
         rows.append(("mAP@0.5", f"{self.map50:.4f}", "", "", "", ""))
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -167,68 +174,60 @@ def evaluate(detections: list[dict], manifest: Manifest,
     """Score a detection list (dicts with image/class/confidence/bbox)
     against a dataset manifest. Raises EvalError for an `iou_thresh`
     outside [0, 1] (NaN included) and for a manifest with two records for
-    one image, which scoring would collapse into one."""
+    one image, which scoring would collapse into one.
+
+    The report holds every class of `CLASS_NAMES`, in that order. Each
+    class is one list of (confidence, is_tp) over its detections that are
+    not ignored, matched image by image in sorted image order, then sorted
+    by confidence descending (stable, so ties keep image order): its TP
+    and FP counts and its AP are read off that list."""
     if not 0.0 <= iou_thresh <= 1.0:
         raise EvalError(f"IoU threshold must be in [0, 1], got {iou_thresh}")
-    by_image = {}
+    boxes: dict[tuple[str, str], list] = {}  # (image, label) -> bboxes in record order
+    images = set()
     for rec in manifest.records:
-        if by_image.setdefault(rec.image, rec) is not rec:
+        if rec.image in images:
             raise EvalError(f"image '{rec.image}' has more than one record")
+        images.add(rec.image)
+        for b in rec.boxes:
+            boxes.setdefault((rec.image, b["label"]), []).append(b["bbox"])
     groups: dict[tuple[str, int], list[dict]] = {}  # (image, class id) -> dets in list order
     for det in detections:
-        if det["image"] not in by_image:
+        if det["image"] not in images:
             raise UnknownImage(f"detection references unknown image '{det['image']}'")
         if not 0 <= int(det["class"]) < len(CLASS_NAMES):
             raise UnknownClassId(f"class id {det['class']} out of range")
         groups.setdefault((det["image"], int(det["class"])), []).append(det)
 
-    per_class_ap: dict[str, float] = {}
-    gt_counts: dict[str, int] = {}
-    tp_counts: dict[str, int] = {}
-    fp_counts: dict[str, int] = {}
-    ignored_counts: dict[str, int] = {}
-
+    report = EvalReport(per_class_ap={}, map50=0.0, gt_counts={}, tp_counts={}, fp_counts={},
+                        ignored_counts={},
+                        config={"iou_thresh": iou_thresh, "apply_ignore": apply_ignore,
+                                "ignore_overlap": DEFAULT_IGNORE_OVERLAP})
     for cid, cname in enumerate(CLASS_NAMES):
-        outcomes: list[tuple[float, int, int]] = []  # (confidence, order, is_tp)
-        total_gt = 0
-        tp_total = fp_total = ign_total = 0
-        order = 0
-        for image in sorted(by_image):
-            rec = by_image[image]
-            gts = [b["bbox"] for b in rec.boxes if b["label"] == cname]
-            regions = ([b["bbox"] for b in rec.boxes if b["label"] == IGNORE]
-                       if apply_ignore else [])
+        outcomes: list[tuple[float, bool]] = []
+        total_gt = ignored = 0
+        for image in sorted(images):
+            gts = boxes.get((image, cname), [])
+            regions = boxes.get((image, IGNORE), []) if apply_ignore else []
             total_gt += len(gts)
-            dets = sorted(groups.get((image, cid), ()),
-                          key=lambda d: -d["confidence"])  # stable on ties
+            dets = sorted(groups.get((image, cid), ()), key=lambda d: -d["confidence"])
             result = match_detections(dets, gts, regions, iou_thresh)
             for det, label in zip(dets, result.det_labels):
                 if label == IGNORED:
-                    ign_total += 1
-                    continue
-                is_tp = 1 if label == TP else 0
-                tp_total += is_tp
-                fp_total += 1 - is_tp
-                outcomes.append((det["confidence"], order, is_tp))
-                order += 1
-
-        gt_counts[cname] = total_gt
-        tp_counts[cname] = tp_total
-        fp_counts[cname] = fp_total
-        ignored_counts[cname] = ign_total
-        if total_gt == 0:
-            continue  # class absent from this dataset: skipped from mAP
-        outcomes.sort(key=lambda t: (-t[0], t[1]))
-        flags = np.array([t[2] for t in outcomes], dtype=np.float64)
-        per_class_ap[cname] = average_precision(flags, total_gt)
-
-    map50 = (sum(per_class_ap.values()) / len(per_class_ap)) if per_class_ap else 0.0
-    return EvalReport(
-        per_class_ap=per_class_ap, map50=map50, gt_counts=gt_counts,
-        tp_counts=tp_counts, fp_counts=fp_counts, ignored_counts=ignored_counts,
-        config={"iou_thresh": iou_thresh, "apply_ignore": apply_ignore,
-                "ignore_overlap": DEFAULT_IGNORE_OVERLAP},
-    )
+                    ignored += 1
+                else:
+                    outcomes.append((det["confidence"], label == TP))
+        outcomes.sort(key=lambda o: -o[0])
+        flags = [is_tp for _, is_tp in outcomes]
+        report.gt_counts[cname] = total_gt
+        report.tp_counts[cname] = tp = sum(flags)
+        report.fp_counts[cname] = len(flags) - tp
+        report.ignored_counts[cname] = ignored
+        if total_gt:  # a class absent from this dataset is skipped from mAP
+            report.per_class_ap[cname] = average_precision(flags, total_gt)
+    aps = report.per_class_ap
+    report.map50 = sum(aps.values()) / len(aps) if aps else 0.0
+    return report
 
 
 def save_report(path, report: EvalReport, meta: dict | None = None) -> None:

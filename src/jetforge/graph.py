@@ -21,8 +21,11 @@ GraphError in its words. `load_container` checks only the file's format
 and then refuses a graph `validate` faults, so a container loads exactly
 when `save_container` would write its graph.
 
-Layout is N,C,H,W row-major with batch fixed to 1. Graphs are treated as
-immutable after construction: rewrite passes copy, never mutate in place.
+Layout is N,C,H,W row-major. A graph's shapes are those of one image
+(n = 1); the executor runs a batch of n >= 1 images on them. Rewrite
+passes copy a graph and never edit their input, but a graph may be edited
+in memory (its nodes, weights and ranges): `execute` recompiles a cached
+program when what it read has changed (see executor).
 `Graph.copy` copies nodes but shares weight arrays, so no code writes a
 weight array in place; a changed weight is a new array bound to its key.
 Every weight a loader reads or a pass makes is read-only: darknet weights

@@ -3,9 +3,13 @@ inlining), leaky-ReLU decomposition into natively quantizable layers,
 scale-into-conv folding, leaky->ReLU swapping, and precision planning.
 
 All passes are pure: they copy the graph, never mutate the input, and leave
-non-matching patterns untouched. Applying any pass twice equals applying it
-once. The copy shares the input's weight arrays; passes only rebind
-`weights[key]` to new arrays and never write an array in place.
+non-matching patterns untouched. The copy shares the input's weight arrays;
+passes only rebind `weights[key]` to new arrays and never write an array in
+place. The folds walk the graph in dataflow order and leave the node list
+in that order, so every pass rewrites the same nodes into the same weights
+whatever the order of the node list, and applying it twice equals applying
+it once; fuse-conv-bn folds a batchnorm behind a linear activation only on
+a second run, after the first has inlined the activation.
 
 Every pass runs the same way: `_pass(name)` enters a body in `PASSES`, and
 the entered function copies the graph, creates the `PassReport`, runs the
@@ -30,7 +34,7 @@ import numpy as np
 from . import executor, frontend
 from .executor import F16, F32, I8
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, KINDS, LEAKY, LINEAR, PLUGIN_ONLY, RELU,
-                    SCALE, Graph, LayerNode, activation_node)
+                    SCALE, Graph, LayerNode, activation_node, infer_shapes)
 
 LEAKY_AS_PLUGIN = "leaky_as_plugin"
 LEAKY_NATIVE = "leaky_native"
@@ -86,16 +90,18 @@ def _fold_into_conv(out: Graph, report: PassReport, matches, fold) -> None:
     and attrs, with numpy's floating-point warnings off; the node's
     consumers are rewired to the conv's output.
 
-    One sweep in list order over a live producer map and per-tensor consumer
-    lists (one entry per input slot). On a topologically ordered node list,
-    which the frontend, the container loader and every pass produce, a fold
-    changes only what later nodes see, so the sweep folds the same nodes in
-    the same order as rescanning from the start after every fold.
+    One sweep in dataflow order (the order `infer_shapes` lists the
+    outputs, which `compile` runs) over a live producer map and per-tensor
+    consumer lists (one entry per input slot), leaving the node list in
+    that order, whatever the order it had. In dataflow order a fold changes
+    only what later nodes see, so on a topologically ordered list the sweep
+    folds the same nodes in the same order as rescanning it from the start
+    after every fold.
     """
     producers = out.producers()
     consumers = out.consumers()
     kept = []
-    for node in out.nodes:
+    for node in [producers[t] for t in list(infer_shapes(out))[1:]]:
         conv = producers.get(node.inputs[0]) if matches(node) else None
         if (conv is None or conv.kind != CONV or conv.attrs.get("act", LINEAR) != LINEAR
                 or len(consumers[conv.output]) != 1):

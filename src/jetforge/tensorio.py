@@ -12,6 +12,11 @@ import struct
 import numpy as np
 
 
+RAW_TENSOR_EXTENSIONS = (".f32", ".raw", ".bin", ".tensor")
+# the file names a directory of inputs is listed by
+INPUT_EXTENSIONS = (".ppm", ".pgm", *RAW_TENSOR_EXTENSIONS)
+
+
 class ImageFormatError(Exception):
     pass
 
@@ -99,9 +104,9 @@ def image_to_nchw(img: np.ndarray) -> np.ndarray:
 
 
 def load_input(path, channels: int = 3) -> np.ndarray:
-    """Load either a raw tensor dump (.f32/.raw/.bin) or a PPM/PGM image."""
-    name = str(path).lower()
-    if name.endswith((".f32", ".raw", ".bin", ".tensor")):
+    """Load a raw tensor dump (a name ending in one of
+    RAW_TENSOR_EXTENSIONS, any case) or else a PPM/PGM image."""
+    if str(path).lower().endswith(RAW_TENSOR_EXTENSIONS):
         return load_raw_tensor(path)
     img = load_image(path)
     if channels == 3 and img.shape[2] == 1:

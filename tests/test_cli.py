@@ -277,6 +277,24 @@ def test_calibrate_without_output_exits_2_before_calibrating(
     assert "calibrate needs -o/--output" in capsys.readouterr().err
 
 
+def test_an_image_directory_is_listed_by_every_input_extension_which_its_error_names(
+        optimized_container, tmp_path, capsys):
+    """The error used to name ppm/pgm/raw alone, though .f32, .bin and
+    .tensor files are listed too."""
+    images, out = tmp_path / "images", tmp_path / "ranges.json"
+    images.mkdir()
+    (images / "notes.txt").write_text("not an input\n")
+    assert run(["calibrate", "-m", optimized_container, "--images", images,
+                "-o", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: no images (.ppm, .pgm, .f32, .raw, .bin, .tensor) in {images}\n")
+    assert not out.exists()
+    for ext in tensorio.INPUT_EXTENSIONS:
+        (images / f"x{ext.upper()}").touch()
+    assert cli._list_images(images) == sorted(
+        str(images / f"x{ext.upper()}") for ext in tensorio.INPUT_EXTENSIONS)
+
+
 def test_quantize_without_output_exits_2(optimized_container, ranges_file, capsys):
     code = run(["quantize", "-m", optimized_container, "--ranges", ranges_file])
     assert code == cli.EXIT_USAGE
@@ -989,6 +1007,7 @@ def test_default_size_that_is_not_wxh_exits_2(tmp_path, capsys):
     ("detect", "--nms", "nms", "-0.5"), ("detect", "--nms", "nms", "nan"),
     ("eval", "--iou", "iou", "1.5"), ("eval", "--iou", "iou", "-1"),
     ("dataset-anchors", "--seed", "seed", "-1"),
+    ("dataset-anchors", "--net-w", "net_w", "0"), ("dataset-anchors", "--net-h", "net_h", "-64"),
     ("calibrate", "--count", "count", "0"), ("calibrate", "--seed", "seed", "-1"),
     ("calibrate", "--bins", "bins", "0"), ("calibrate", "--levels", "levels", "0"),
     ("bench", "--iters", "iters", "0"), ("bench", "--warmup", "warmup", "-1"),
@@ -999,8 +1018,8 @@ def test_a_count_below_one_or_a_threshold_outside_0_1_exits_2_as_flag_and_config
     """Each used to give a wrong result silently (one anchor for k < 1, one
     box per class for a negative NMS threshold, no true positive for an IoU
     threshold above 1) or fail late (a negative seed in numpy's sampler, no
-    bench iteration after four files were written). The value is refused
-    before any file is read."""
+    bench iteration after four files were written, "no boxes to cluster"
+    for a net size below 1). The value is refused before any file is read."""
     out, missing = tmp_path / "out", tmp_path / "missing"
     argv = {"dataset-anchors": ["dataset", "anchors", "--manifest", missing],
             "detect": ["detect", "-m", missing, "-i", missing],

@@ -237,6 +237,14 @@ def test_kmeans_refuses_fewer_than_one_cluster(k):
         data.kmeans_anchors(boxes, k)
 
 
+@pytest.mark.parametrize("net_w,net_h", [(0, 352), (608, -64)])
+def test_anchor_boxes_refuse_a_net_size_below_one(coco_records, net_w, net_h):
+    """It used to scale every box to nothing, so k-means found no boxes."""
+    with pytest.raises(data.DataError,
+                       match=f"^net size must be at least 1x1, got {net_w}x{net_h}$"):
+        data.anchor_boxes_from_manifest(data.merge([coco_records]), net_w, net_h)
+
+
 def brute_force_two_clusters(boxes):
     """Best 2-partition by mean IoU, centroids = coordinate means."""
     boxes = np.asarray(boxes, dtype=np.float64)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetforge import evaluation
-from jetforge.data import AnnotationRecord, Manifest, merge
+from jetforge.data import CLASS_NAMES, IGNORE, AnnotationRecord, Manifest, merge
 
 
 def manifest_from(records):
@@ -249,3 +253,116 @@ def test_report_table_renders(three_image_setup):
     report = evaluation.evaluate(dets, manifest)
     table = report.table()
     assert "person" in table and "mAP@0.5" in table and "0.7500" in table
+
+
+# --------------------------------------------------------------------------
+# differential: evaluate against a reference loop
+# --------------------------------------------------------------------------
+
+def reference_evaluate(detections, manifest, iou_thresh, apply_ignore):
+    """The to_dict() of a report by the earlier loop: ground truth and ignore
+    regions rebuilt per image and class, running tp/fp/ignored counters, and
+    outcomes sorted by (-confidence, insertion order)."""
+    by_image = {rec.image: rec for rec in manifest.records}
+    groups = {}
+    for d in detections:
+        groups.setdefault((d["image"], int(d["class"])), []).append(d)
+    per_class_ap, gt_counts, tp_counts, fp_counts, ignored_counts = {}, {}, {}, {}, {}
+    for cid, cname in enumerate(CLASS_NAMES):
+        outcomes = []  # (confidence, order, is_tp)
+        total_gt = tp_total = fp_total = ign_total = order = 0
+        for image in sorted(by_image):
+            rec = by_image[image]
+            gts = [b["bbox"] for b in rec.boxes if b["label"] == cname]
+            regions = ([b["bbox"] for b in rec.boxes if b["label"] == IGNORE]
+                       if apply_ignore else [])
+            total_gt += len(gts)
+            dets = sorted(groups.get((image, cid), ()), key=lambda d: -d["confidence"])
+            result = evaluation.match_detections(dets, gts, regions, iou_thresh)
+            for d, label in zip(dets, result.det_labels):
+                if label == evaluation.IGNORED:
+                    ign_total += 1
+                    continue
+                is_tp = 1 if label == evaluation.TP else 0
+                tp_total += is_tp
+                fp_total += 1 - is_tp
+                outcomes.append((d["confidence"], order, is_tp))
+                order += 1
+        gt_counts[cname] = total_gt
+        tp_counts[cname] = tp_total
+        fp_counts[cname] = fp_total
+        ignored_counts[cname] = ign_total
+        if total_gt == 0:
+            continue
+        outcomes.sort(key=lambda t: (-t[0], t[1]))
+        flags = np.array([t[2] for t in outcomes], dtype=np.float64)
+        per_class_ap[cname] = evaluation.average_precision(flags, total_gt)
+    map50 = (sum(per_class_ap.values()) / len(per_class_ap)) if per_class_ap else 0.0
+    return {"per_class_ap": per_class_ap, "map50": map50, "gt_counts": gt_counts,
+            "tp_counts": tp_counts, "fp_counts": fp_counts, "ignored_counts": ignored_counts,
+            "config": {"iou_thresh": iou_thresh, "apply_ignore": apply_ignore,
+                       "ignore_overlap": evaluation.DEFAULT_IGNORE_OVERLAP}}
+
+
+def reference_table(doc):
+    """The earlier table: one row for each name of CLASS_NAMES."""
+    rows = [("class", "AP", "GT", "TP", "FP", "ignored")]
+    for name in CLASS_NAMES:
+        ap = doc["per_class_ap"].get(name)
+        rows.append((name, "-" if ap is None else f"{ap:.4f}",
+                     *(str(doc[k].get(name, 0))
+                       for k in ("gt_counts", "tp_counts", "fp_counts", "ignored_counts"))))
+    rows.append(("mAP@0.5", f"{doc['map50']:.4f}", "", "", "", ""))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+# boxes on a coarse grid overlap often; a detection either copies a box of
+# its image (IoU 1), shifts one, or lands anywhere; few distinct confidences
+# make ties between images, with TP and FP mixed
+_BBOX = st.builds(lambda x, y, w, h: [x, y, w, h], st.sampled_from([0, 10, 20, 40]),
+                  st.sampled_from([0, 10, 20, 40]), st.sampled_from([10, 20, 30]),
+                  st.sampled_from([10, 20, 30]))
+# labels of only three classes, so the other three have no ground truth
+_LABEL = st.sampled_from(CLASS_NAMES[:3] + [IGNORE])
+
+
+@st.composite
+def _eval_case(draw):
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=4,
+                          unique=True))
+    records = [AnnotationRecord(image=n, width=100, height=100, source="synthetic",
+                                boxes=draw(st.lists(st.builds(
+                                    lambda bbox, label: {"bbox": bbox, "label": label},
+                                    _BBOX, _LABEL), max_size=5)))
+               for n in names]
+    dets = []
+    for _ in range(draw(st.integers(0, 12))):
+        rec = draw(st.sampled_from(records))
+        kind = draw(st.sampled_from(["copy", "shift", "any"]))
+        if kind != "any" and rec.boxes:
+            x, y, w, h = draw(st.sampled_from(rec.boxes))["bbox"]
+            if kind == "shift":
+                x, y = x + draw(st.sampled_from([-5, 2, 5])), y + draw(st.sampled_from([-2, 4]))
+            bbox = [x, y, w, h]
+        else:
+            bbox = draw(_BBOX)
+        dets.append({"image": rec.image, "class": draw(st.integers(0, len(CLASS_NAMES) - 1)),
+                     "confidence": draw(st.sampled_from([0.3, 0.5, 0.5, 0.9])), "bbox": bbox})
+    iou = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return Manifest(records=records, summary={}), dets, iou, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_eval_case())
+def test_evaluate_gives_the_reference_loops_report_and_table(case):
+    """Equal to_dict() JSON and table() text; derandomized, so a run is
+    repeatable. A copy whose class-level sort puts tied TPs first fails it."""
+    manifest, dets, iou, apply_ignore = case
+    report = evaluation.evaluate(dets, manifest, iou_thresh=iou, apply_ignore=apply_ignore)
+    want = reference_evaluate(dets, manifest, iou, apply_ignore)
+    assert json.dumps(report.to_dict()) == json.dumps(want)
+    assert report.table() == reference_table(want)

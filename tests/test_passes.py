@@ -414,6 +414,44 @@ def test_pass_idempotence(rng):
         outputs_close(once, twice, x, rtol=0, atol=0)
 
 
+def scale_chain():
+    """conv c -> scale s1 (factor 2) -> scale s2 (factor 3), listed in
+    dataflow order."""
+    conv = g.conv_node("c", ["input"], "c", out_ch=4, kernel=3, stride=1, pad=1,
+                       has_bias=False)
+    s1 = g.LayerNode("s1", g.SCALE, ["c"], "s1", {"factor": 2.0})
+    s2 = g.LayerNode("s2", g.SCALE, ["s1"], "s2", {"factor": 3.0})
+    gr = g.Graph(nodes=[conv, s1, s2], input_shape=g.TensorShape(1, 2, 32, 32))
+    gr.weights[("c", "kernel")] = np.full(4 * 2 * 9, 0.1, dtype=np.float32)
+    return gr
+
+
+def assert_same_nodes_and_weights(got, want, what):
+    """The same nodes, in any list order, and the same weight bytes."""
+    assert (sorted(got.nodes, key=lambda n: n.id)
+            == sorted(want.nodes, key=lambda n: n.id)), what
+    assert weights_digest(got) == weights_digest(want), what
+
+
+def test_every_pass_gives_the_sorted_lists_result_on_any_order_of_the_node_list(
+        tiny_detector, rng):
+    """A fold used to follow the node list, so on [s2, s1, c] fold-scale
+    folded s1 alone (kernel x2), and a second run s2 (x6)."""
+    chain = scale_chain()
+    cases = [(chain, [chain.nodes[i] for i in (2, 1, 0)])]
+    for _ in range(3):
+        chained = with_chains(tiny_detector.copy(), rng)
+        cases += [(chained, [chained.nodes[i] for i in rng.permutation(len(chained.nodes))])
+                  for _ in range(3)]
+    for ordered, nodes in cases:
+        shuffled = ordered.copy()
+        shuffled.nodes = [n.copy() for n in nodes]
+        for name, run in passes.PASSES.items():
+            once, _ = run(shuffled)
+            assert_same_nodes_and_weights(once, run(ordered)[0], name)
+            assert_same_nodes_and_weights(run(once)[0], once, name)
+
+
 def test_pass_composition_preserves_semantics(rng):
     for _ in range(5):
         gr = random_conv_bn_net(rng, size=2)
