@@ -22,13 +22,15 @@ import math
 import re
 from typing import Callable, NamedTuple
 
+from . import Error
+
 # the unified class set; list order fixes the id assignment. A label in a
 # dataset manifest or the VisDrone category map is one of these or IGNORE
 CLASS_NAMES = ["person", "car", "bicycle", "motorbike", "bus", "truck"]
 IGNORE = "ignore"
 
 
-class ArtifactError(Exception):
+class ArtifactError(Error):
     pass
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import executor, frontend
+from . import Error, executor, frontend
 from .graph import Graph
 
 DEFAULT_ITERS = 200
@@ -20,7 +20,7 @@ DEFAULT_WARMUP = 20
 CSV_COLUMNS = ["variant", "mode", "median_ns", "p5_ns", "p95_ns", "nodes", "macs"]
 
 
-class BenchError(Exception):
+class BenchError(Error):
     pass
 
 

@@ -7,9 +7,12 @@ subcommand (`dataset-merge` and `dataset-anchors` for the dataset tools), keyed
 by the option's dest name (`pass_names`, `ignore_eval`, `calib_dir`, ...). Config
 values are converted and checked like flags; list inputs (`-i`, `--coco`,
 `--visdrone`) are command-line only. Precedence: command-line flag > config
-file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes: 0 success,
-1 validation/diagnostic failure or a malformed cfg, JSON artifact or image, 2
-I/O or usage errors, a bad config value or unknown config key included.
+file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes, decided
+by `_exit_code` alone: 0 success; 1 for any `jetforge.Error` (a validation or
+diagnostic failure, a malformed cfg, JSON artifact or image, bytes that are
+not UTF-8); 2 for any `OSError` on a named path and for usage errors, a bad
+config value or unknown config key included. A pipeline stage exits as its
+subcommand would.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, artifacts, bench, data, detect, evaluation, executor
-from . import frontend, passes, quant, tensorio
+from . import Error, __version__, artifacts, bench, data, detect, evaluation
+from . import executor, frontend, passes, quant, tensorio
 from . import graph as graphlib
 
 EXIT_OK = 0
@@ -32,10 +35,19 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
+class CliError(Error):
     def __init__(self, message, code=EXIT_USAGE):
         super().__init__(message)
         self.code = code
+
+
+def _exit_code(e: Exception) -> int:
+    """The one failure rule: a CliError's own code, 2 for an OSError (a path
+    that is missing, a directory where a file is needed, ...), 1 for any
+    other jetforge.Error (an input the library refuses)."""
+    if isinstance(e, CliError):
+        return e.code
+    return EXIT_USAGE if isinstance(e, OSError) else EXIT_INVALID
 
 
 # output locations, then parsed entries that are not options of the subcommand
@@ -61,14 +73,14 @@ def _tool_meta(args) -> dict:
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     """Makes the subcommand's section of the --config file the defaults of
     its parser, each value converted and checked like the flag's own."""
-    _require_file(args.config, "config file")
     names = [args.command] + ([args.dataset_command] if args.command == "dataset" else [])
     section = "-".join(names)
     ini = configparser.ConfigParser()
     try:
-        ini.read(args.config)
+        with open(args.config, "r", encoding="utf-8") as f:
+            ini.read_file(f)
         items = ini.items(section) if ini.has_section(section) else []
-    except configparser.Error as e:
+    except (OSError, configparser.Error, UnicodeDecodeError) as e:
         raise CliError(f"config file {args.config}: {e}") from e
     for name in names:
         parser = next(a for a in parser._actions
@@ -161,7 +173,6 @@ def _list_images(directory) -> list[str]:
 
 def _load_image(path, graph: graphlib.Graph) -> np.ndarray:
     """An image or raw tensor file as h,w,c floats with `graph`'s input channels."""
-    _require_file(path, "image")
     x = tensorio.load_input(path, channels=graph.input_shape.c)
     if x.shape[0] != 1:
         raise CliError(f"{path}: raw tensor with n={x.shape[0]}, expected one image (n=1)",
@@ -180,7 +191,11 @@ def _convert(cfg_path, weights_path) -> graphlib.Graph:
     _require_file(cfg_path, "cfg file")
     _require_file(weights_path, "weights file")
     with open(cfg_path, "r", encoding="utf-8") as f:
-        graph = frontend.parse_cfg(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise frontend.FrontendError(f"{cfg_path}: not UTF-8: {e.reason}") from None
+    graph = frontend.parse_cfg(text)
     with open(weights_path, "rb") as f:
         return frontend.load_weights(f.read(), graph)
 
@@ -340,10 +355,8 @@ def cmd_bench(args) -> int:
 def cmd_dataset_merge(args) -> int:
     lists = []
     for path in args.coco:
-        _require_file(path, "coco json")
         lists.append(data.ingest_coco(path))
     for directory in args.visdrone:
-        _require_file(directory, "visdrone annotation dir")
         lists.append(data.ingest_visdrone(
             directory, images_dir=args.visdrone_images,
             default_size=args.default_size, categories_path=args.category_map))
@@ -398,7 +411,6 @@ def cmd_pipeline(args) -> int:
         graphlib.save_container(optimized, out("model_opt.uir"), meta)
 
         stage = "calibrate"
-        _require_file(args.calib_dir, "calibration directory")
         cal_cfg = quant.CalibrationConfig(image_count=args.count, seed=args.seed)
         qparams = _calibrate(optimized, args.calib_dir, cal_cfg, out("ranges.json"), meta)
 
@@ -420,7 +432,6 @@ def cmd_pipeline(args) -> int:
             if graph.metadata.class_names != data.CLASS_NAMES:
                 raise CliError(f"eval scores the classes {data.CLASS_NAMES}, "
                                f"the model has {graph.metadata.class_names}", code=EXIT_INVALID)
-            _require_file(args.eval_manifest, "eval manifest")
             manifest = data.load_manifest(args.eval_manifest)
             images_dir = args.eval_images or os.path.dirname(args.eval_manifest)
             images = {rec.image: os.path.join(images_dir, rec.image) for rec in manifest.records}
@@ -440,11 +451,8 @@ def cmd_pipeline(args) -> int:
         })
         print(f"pipeline complete: {len(produced) + 1} artifacts in {out_dir}")
         return EXIT_OK
-    except CliError as e:
-        raise CliError(f"pipeline aborted at stage '{stage}': {e}", code=e.code) from e
-    except Exception as e:
-        raise CliError(f"pipeline aborted at stage '{stage}': {e}",
-                       code=EXIT_INVALID) from e
+    except (Error, OSError) as e:
+        raise CliError(f"pipeline aborted at stage '{stage}': {e}", code=_exit_code(e)) from e
 
 
 # --------------------------------------------------------------------------
@@ -562,18 +570,9 @@ def main(argv=None) -> int:
             _apply_config(parser, args)
             args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as e:
+    except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (artifacts.ArtifactError, frontend.FrontendError, graphlib.GraphError,
-            passes.PassError, quant.QuantError, data.DataError, evaluation.EvalError,
-            detect.DetectError, bench.BenchError, executor.ExecutionError,
-            tensorio.ImageFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(e)
 
 
 if __name__ == "__main__":

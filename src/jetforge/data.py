@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, tensorio
+from . import Error, artifacts, tensorio
 # CLASS_NAMES, the unified class set, lives with the label test of
 # artifacts; the frontend names a 6-class network's outputs with it
 from .artifacts import (BBOX, CLASS_NAMES, IGNORE, INTEGER, LABEL, POSITIVE_INTEGER, STRING,
@@ -31,7 +31,7 @@ COCO_REMAP = {
 }
 
 
-class DataError(Exception):
+class DataError(Error):
     pass
 
 
@@ -172,28 +172,31 @@ def ingest_visdrone(annotation_dir, images_dir=None, default_size=None,
                                source="visdrone")
         path = os.path.join(annotation_dir, fname)
         with open(path, "r", encoding="utf-8") as f:
-            for line_no, raw in enumerate(f, start=1):
-                line = raw.strip().rstrip(",")  # visdrone files end lines with a comma
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 8:
-                    raise MalformedLine(path, line_no, f"expected 8 fields, got {len(fields)}")
-                try:
-                    x, y, w, h = box = [artifacts.decimal(v) for v in fields[:4]]
-                    if not all(map(math.isfinite, box)):
-                        raise ValueError
-                except ValueError:
-                    raise MalformedLine(path, line_no, "box: expected 4 finite decimal numbers, "
-                                        f"got {','.join(fields[:4])}") from None
-                category = fields[5].strip()
-                if category not in remap:
-                    raise UnknownCategory(f"{path}:{line_no}: category '{category}'")
-                bbox = _clip_box(x, y, w, h, width, height)
-                if bbox is None:
-                    warnings.warn(f"{path}:{line_no}: dropping zero-area box")
-                    continue
-                rec.boxes.append({"bbox": bbox, "label": remap[category]})
+            try:
+                for line_no, raw in enumerate(f, start=1):
+                    line = raw.strip().rstrip(",")  # visdrone files end lines with a comma
+                    if not line:
+                        continue
+                    fields = line.split(",")
+                    if len(fields) != 8:
+                        raise MalformedLine(path, line_no, f"expected 8 fields, got {len(fields)}")
+                    try:
+                        x, y, w, h = box = [artifacts.decimal(v) for v in fields[:4]]
+                        if not all(map(math.isfinite, box)):
+                            raise ValueError
+                    except ValueError:
+                        raise MalformedLine(path, line_no, "box: expected 4 finite decimal numbers, "
+                                            f"got {','.join(fields[:4])}") from None
+                    category = fields[5].strip()
+                    if category not in remap:
+                        raise UnknownCategory(f"{path}:{line_no}: category '{category}'")
+                    bbox = _clip_box(x, y, w, h, width, height)
+                    if bbox is None:
+                        warnings.warn(f"{path}:{line_no}: dropping zero-area box")
+                        continue
+                    rec.boxes.append({"bbox": bbox, "label": remap[category]})
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: not UTF-8: {e.reason}") from None
         records.append(rec)
     return records
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts, executor, tensorio
+from . import Error, artifacts, executor, tensorio
 from .graph import Graph
 
 DEFAULT_NMS_IOU = 0.45
@@ -21,7 +21,7 @@ DEMO_CONF_THRESHOLD = 0.25
 LETTERBOX_PAD_VALUE = 0.5
 
 
-class DetectError(Exception):
+class DetectError(Error):
     pass
 
 

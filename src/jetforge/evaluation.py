@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts
+from . import Error, artifacts
 from .data import CLASS_NAMES, IGNORE, Manifest
 from .detect import corners
 
@@ -30,7 +30,7 @@ DEFAULT_IOU_THRESH = 0.5
 DEFAULT_IGNORE_OVERLAP = 0.5
 
 
-class EvalError(Exception):
+class EvalError(Error):
     pass
 
 

@@ -215,6 +215,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import Error
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONCAT, CONV, KINDS, LEAKY, LINEAR,
                     MAXPOOL, RELU, SCALE, UPSAMPLE, YOLO_HEAD, Graph,
                     QuantParams, _check_weights, conv_out_dim, infer_shapes)
@@ -248,7 +249,7 @@ _TILE_COLS = 16
 _PAD_MIN_MACS = 10**6
 
 
-class ExecutionError(Exception):
+class ExecutionError(Error):
     pass
 
 

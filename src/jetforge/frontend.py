@@ -20,12 +20,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import Error
 from . import graph as g
 from .artifacts import decimal
 from .data import CLASS_NAMES
 
 
-class FrontendError(Exception):
+class FrontendError(Error):
     pass
 
 

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import artifacts
+from . import Error, artifacts
 from .artifacts import (BOOLEAN, COUNT, INTEGER, NUMBER, OBJECT, POSITIVE_INTEGER, STRING, STRINGS,
                         Field, finite_number, optional)
 
@@ -70,7 +70,7 @@ QUANTIZABLE = "quantizable"
 PLUGIN_ONLY = "plugin_only"
 
 
-class GraphError(Exception):
+class GraphError(Error):
     pass
 
 

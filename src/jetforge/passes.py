@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import executor, frontend
+from . import Error, executor, frontend
 from .executor import F16, F32, I8
 from .graph import (ACTIVATION, ADD, BATCHNORM, CONV, KINDS, LEAKY, LINEAR, PLUGIN_ONLY, RELU,
                     SCALE, Graph, LayerNode, activation_node, infer_shapes)
@@ -40,7 +40,7 @@ LEAKY_AS_PLUGIN = "leaky_as_plugin"
 LEAKY_NATIVE = "leaky_native"
 
 
-class PassError(Exception):
+class PassError(Error):
     pass
 
 

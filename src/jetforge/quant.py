@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifacts
+from . import Error, artifacts
 from .executor import ExecutionError, execute
 from .graph import Graph, QuantParams, infer_shapes
 
@@ -29,7 +29,7 @@ SCAN_CHUNK = 64
 CALIBRATION_BATCH_BYTES = 3 * 2 ** 20
 
 
-class QuantError(Exception):
+class QuantError(Error):
     pass
 
 

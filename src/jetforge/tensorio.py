@@ -11,13 +11,14 @@ import struct
 
 import numpy as np
 
+from . import Error
 
 RAW_TENSOR_EXTENSIONS = (".f32", ".raw", ".bin", ".tensor")
 # the file names a directory of inputs is listed by
 INPUT_EXTENSIONS = (".ppm", ".pgm", *RAW_TENSOR_EXTENSIONS)
 
 
-class ImageFormatError(Exception):
+class ImageFormatError(Error):
     pass
 
 

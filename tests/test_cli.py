@@ -1,12 +1,17 @@
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
 
+import jetforge
 from jetforge import bench, cli, data, detect, executor, fixtures, frontend, quant, tensorio
 from jetforge import graph as g
 
@@ -571,6 +576,88 @@ def test_pipeline_eval_refuses_a_model_without_the_unified_classes(tmp_path, mon
     assert "pipeline aborted at stage 'eval'" in err
     assert str(data.CLASS_NAMES) in err and "['class0', 'class1', 'class2']" in err
     assert not list(out_dir.glob("dets_*")) and not list(out_dir.glob("eval_*"))
+
+
+def _paths(tmp_path, tiny_files, tiny_container, optimized_container):
+    """The inputs of the failure cases: the tiny model's files, a directory,
+    a regular file, and three text files that hold bytes that are not UTF-8."""
+    p = types.SimpleNamespace(**tiny_files, model=tiny_container, opt=optimized_container,
+                              dir=tmp_path / "a_dir", file=tmp_path / "a_file",
+                              out=tmp_path / "out", bad_cfg=tmp_path / "bad.cfg",
+                              bad_ini=tmp_path / "bad.ini", visdrone=tmp_path / "visdrone")
+    p.dir.mkdir()
+    p.visdrone.mkdir()
+    p.file.write_text("a file\n")
+    p.bad_txt = p.visdrone / "0001.txt"
+    for path in (p.bad_cfg, p.bad_ini, p.bad_txt):
+        path.write_bytes(b"\xff\xfe[net]\n")
+    return p
+
+
+def _convert_argv(p, cfg=None, output=None):
+    return ["convert", "--cfg", cfg or p.cfg, "--weights", p.weights, "-o", output or p.out]
+
+
+def _pipeline_argv(p, calib_dir=None, out_dir=None):
+    return ["pipeline", "--cfg", p.cfg, "--weights", p.weights, "--calib-dir",
+            calib_dir or p.calib, "--out-dir", out_dir or p.out, "--count", "2",
+            "--iters", "1", "--warmup", "0"]
+
+
+# case: (exit code, p -> (argv, what the one error line names))
+_FAILURES = {
+    "convert-output-is-a-directory": (2, lambda p: (_convert_argv(p, output=p.dir), p.dir)),
+    "detect-image-is-a-directory": (2, lambda p: (["detect", "-m", p.model, "-i", p.dir], p.dir)),
+    "eval-dets-is-a-directory": (2, lambda p: (
+        ["eval", "--dets", p.dir, "--manifest", p.manifest], p.dir)),
+    "dataset-merge-coco-is-a-directory": (2, lambda p: (
+        ["dataset", "merge", "--coco", p.dir, "-o", p.out], p.dir)),
+    "calibrate-images-is-a-file": (2, lambda p: (
+        ["calibrate", "-m", p.opt, "--images", p.file, "-o", p.out], p.file)),
+    "pipeline-out-dir-is-a-file": (2, lambda p: (_pipeline_argv(p, out_dir=p.file), p.file)),
+    "pipeline-calib-dir-is-a-file": (2, lambda p: (_pipeline_argv(p, calib_dir=p.file), p.file)),
+    "config-is-a-directory": (2, lambda p: (
+        ["--config", p.dir, *_convert_argv(p)], f"config file {p.dir}")),
+    "config-not-utf8": (2, lambda p: (
+        ["--config", p.bad_ini, *_convert_argv(p)], f"config file {p.bad_ini}")),
+    "cfg-not-utf8": (1, lambda p: (_convert_argv(p, cfg=p.bad_cfg), f"{p.bad_cfg}: not UTF-8: ")),
+    "visdrone-annotation-not-utf8": (1, lambda p: (
+        ["dataset", "merge", "--visdrone", p.visdrone, "--default-size", "64x64", "-o", p.out],
+        f"{p.bad_txt}: not UTF-8: ")),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_a_path_the_command_cannot_use_exits_with_one_line_naming_it(
+        case, tmp_path, tiny_files, tiny_container, optimized_container, capsys):
+    code, make = _FAILURES[case]
+    argv, named = make(_paths(tmp_path, tiny_files, tiny_container, optimized_container))
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(named) in err and "Traceback" not in err
+
+
+def test_pipeline_lets_a_bug_in_a_stage_propagate(tiny_files, tmp_path, monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("a bug in calibration")
+    monkeypatch.setattr(cli.quant, "calibrate_graph", bug)
+    p = types.SimpleNamespace(**tiny_files, out=tmp_path / "out")
+    with pytest.raises(TypeError, match="a bug in calibration"):
+        run(_pipeline_argv(p))
+
+
+def test_every_error_of_the_package_derives_from_jetforge_error():
+    errors = []
+    for info in pkgutil.iter_modules(jetforge.__path__):
+        module = importlib.import_module(f"jetforge.{info.name}")
+        errors += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                   if issubclass(cls, Exception) and cls.__module__ == module.__name__]
+    assert {cls.__name__ for cls in errors} >= {
+        "ArtifactError", "FrontendError", "GraphError", "PassError", "QuantError", "DataError",
+        "EvalError", "DetectError", "BenchError", "ExecutionError", "ImageFormatError",
+        "CliError"}
+    assert [cls for cls in errors if not issubclass(cls, jetforge.Error)] == []
 
 
 def test_convert_invalid_graph_lists_every_diagnostic(tiny_files, tmp_path, monkeypatch,
