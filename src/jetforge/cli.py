@@ -1,18 +1,22 @@
 """Command line front door: convert, optimize, calibrate, quantize, detect,
 eval, bench, dataset and the end-to-end pipeline.
 
-`build_parser` declares every option once: its type, choices and default.
-An INI config file (`--config`) sets defaults for them, one section per
-subcommand (`dataset-merge` and `dataset-anchors` for the dataset tools), keyed
-by the option's dest name (`pass_names`, `ignore_eval`, `calib_dir`, ...). Config
-values are converted and checked like flags; list inputs (`-i`, `--coco`,
-`--visdrone`) are command-line only. Precedence: command-line flag > config
-file > JETFORGE_SEED (for `--seed`) > declared default. Exit codes, decided
-by `_exit_code` alone: 0 success; 1 for any `jetforge.Error` (a validation or
-diagnostic failure, a malformed cfg, JSON artifact or image, bytes that are
-not UTF-8); 2 for any `OSError` on a named path and for usage errors, a bad
-config value or unknown config key included. A pipeline stage exits as its
-subcommand would.
+`build_parser` declares every option once: its type, choices, default, and
+whether the subcommand cannot run without it (`required=True`). `main` parses
+once. Before that parse, an INI config file (`--config`) becomes the
+subcommand's defaults, one section per subcommand (`dataset-merge` and
+`dataset-anchors` for the dataset tools), keyed by the option's dest name
+(`pass_names`, `ignore_eval`, `calib_dir`, ...); a required option the section
+sets counts as given. Config values are converted and checked like flags;
+list inputs (`-i`, `--coco`, `--visdrone`) are command-line only. A required
+option given neither way exits 2 naming its flag before any file is read or
+written. Precedence: command-line flag > config file > JETFORGE_SEED (for
+`--seed`) > declared default. Exit codes, decided by `_exit_code` alone: 0
+success; 1 for any `jetforge.Error` (a validation or diagnostic failure, a
+malformed cfg, JSON artifact or image, bytes that are not UTF-8); 2 for any
+`OSError` on a named path (the system's line, a missing file included) and
+for usage errors, a bad config value or unknown config key included. A
+pipeline stage exits as its subcommand would.
 """
 
 from __future__ import annotations
@@ -70,21 +74,33 @@ def _tool_meta(args) -> dict:
     return {"tool": f"jetforge {__version__}", "config": echo}
 
 
-def _apply_config(parser: argparse.ArgumentParser, args) -> None:
-    """Makes the subcommand's section of the --config file the defaults of
-    its parser, each value converted and checked like the flag's own."""
-    names = [args.command] + ([args.dataset_command] if args.command == "dataset" else [])
+def _apply_config(parser: argparse.ArgumentParser, argv) -> None:
+    """Makes the subcommand's section of the --config file named in `argv`
+    the defaults of its parser, each value converted and checked like the
+    flag's own; an option the section sets is no longer required as a flag.
+    A subcommand name that is unknown or left out is the parse's to report."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    pre.add_argument("names", nargs="*")
+    known, _ = pre.parse_known_args(argv)
+    if known.config is None:
+        return
+    names = known.names[:2] if known.names[:1] == ["dataset"] else known.names[:1]
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        if name not in sub.choices:
+            return
+        parser = sub.choices[name]
+    if any(isinstance(a, argparse._SubParsersAction) for a in parser._actions):
+        return  # no subcommand, or `dataset` without its tool
     section = "-".join(names)
     ini = configparser.ConfigParser()
     try:
-        with open(args.config, "r", encoding="utf-8") as f:
+        with open(known.config, "r", encoding="utf-8") as f:
             ini.read_file(f)
         items = ini.items(section) if ini.has_section(section) else []
     except (OSError, configparser.Error, UnicodeDecodeError) as e:
-        raise CliError(f"config file {args.config}: {e}") from e
-    for name in names:
-        parser = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+        raise CliError(f"config file {known.config}: {e}") from e
     options = {a.dest: a for a in parser._actions if a.option_strings and a.nargs is None}
     defaults = {}
     for key, raw in items:
@@ -101,6 +117,7 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
             raise CliError(f"[{section}] {key}: invalid choice {raw!r} "
                            f"(choose from {', '.join(action.choices)})")
         defaults[key] = value
+        action.required = False
     parser.set_defaults(**defaults)
 
 
@@ -143,17 +160,6 @@ def _require_quantized(graph: graphlib.Graph, mode) -> None:
                        code=EXIT_INVALID)
 
 
-def _require_file(path, what: str):
-    if not path or not os.path.exists(path):
-        raise CliError(f"{what} not found: {path}")
-    return path
-
-
-def _load_model(path) -> graphlib.Graph:
-    _require_file(path, "model container")
-    return graphlib.load_container(path)
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -163,7 +169,6 @@ def _sha256(path) -> str:
 
 
 def _list_images(directory) -> list[str]:
-    _require_file(directory, "image directory")
     names = sorted(n for n in os.listdir(directory)
                    if n.lower().endswith(tensorio.INPUT_EXTENSIONS))
     if not names:
@@ -188,8 +193,6 @@ def _load_image(path, graph: graphlib.Graph) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _convert(cfg_path, weights_path) -> graphlib.Graph:
-    _require_file(cfg_path, "cfg file")
-    _require_file(weights_path, "weights file")
     with open(cfg_path, "r", encoding="utf-8") as f:
         try:
             text = f.read()
@@ -253,8 +256,6 @@ def _evaluate(dets_path, manifest: data.Manifest, path, tool_meta: dict,
 # --------------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
-    if not args.output:
-        raise CliError("convert needs -o/--output")
     graph = _convert(args.cfg, args.weights)
     graphlib.save_container(graph, args.output, _tool_meta(args))
     stats = frontend.model_stats(graph)
@@ -269,7 +270,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    graph = _load_model(args.model)
+    graph = graphlib.load_container(args.model)
     names = [p.strip() for p in args.pass_names.split(",") if p.strip()]
     graph, reports = passes.apply_passes(graph, names)
     if args.output:
@@ -292,9 +293,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if not args.output:
-        raise CliError("calibrate needs -o/--output")
-    graph = _load_model(args.model)
+    graph = graphlib.load_container(args.model)
     cfg = quant.CalibrationConfig(image_count=args.count, seed=args.seed,
                                   bin_count=args.bins, levels=args.levels)
     qparams = _calibrate(graph, args.images, cfg, args.output, _tool_meta(args))
@@ -303,10 +302,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if not args.output:
-        raise CliError("quantize needs -o/--output")
-    graph = _load_model(args.model)
-    _require_file(args.ranges, "ranges file")
+    graph = graphlib.load_container(args.model)
     qparams, _meta = quant.load_ranges(args.ranges)
     _quantize(graph, qparams, args.output, _tool_meta(args))
     print(f"wrote {args.output}")
@@ -314,7 +310,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    graph = _load_model(args.model)
+    graph = graphlib.load_container(args.model)
     _require_quantized(graph, args.mode)
     per_image = _detect(graph, {os.path.basename(p): p for p in args.images}, args.mode,
                         args.conf, args.nms, args.output, _tool_meta(args))
@@ -328,8 +324,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.dets, "detections file")
-    _require_file(args.manifest, "manifest")
     report = _evaluate(args.dets, data.load_manifest(args.manifest), args.output,
                        _tool_meta(args), args.iou, args.ignore_eval == "on")
     print(report.table())
@@ -339,7 +333,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    graph = _load_model(args.model)
+    graph = graphlib.load_container(args.model)
     _require_quantized(graph, args.mode)
     stats = bench.run_bench(graph, args.mode, iters=args.iters,
                             warmup=args.warmup, variant=args.variant)
@@ -370,7 +364,6 @@ def cmd_dataset_merge(args) -> int:
 
 
 def cmd_dataset_anchors(args) -> int:
-    _require_file(args.manifest, "manifest")
     manifest = data.load_manifest(args.manifest)
     boxes = data.anchor_boxes_from_manifest(manifest, args.net_w, args.net_h)
     result = data.kmeans_anchors(boxes, args.k, seed=args.seed)
@@ -390,8 +383,6 @@ def cmd_dataset_anchors(args) -> int:
 
 def cmd_pipeline(args) -> int:
     out_dir = args.out_dir
-    if not out_dir:
-        raise CliError("pipeline needs --out-dir")
     os.makedirs(out_dir, exist_ok=True)
     meta = _tool_meta(args)
     produced = []
@@ -469,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     seed = os.environ.get("JETFORGE_SEED", 0)  # argparse converts a string with the type
 
     p = sub.add_parser("convert", help="cfg + weights -> model container")
-    p.add_argument("--cfg")
-    p.add_argument("--weights")
-    p.add_argument("-o", "--output")
+    p.add_argument("--cfg", required=True)
+    p.add_argument("--weights", required=True)
+    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("optimize", help="apply rewrite passes")
-    p.add_argument("-m", "--model")
+    p.add_argument("-m", "--model", required=True)
     p.add_argument("--passes", dest="pass_names", default="fuse-conv-bn",
                    help="comma list: fuse-conv-bn,decompose-leaky,fold-scale,relu-swap")
     p.add_argument("-o", "--output")
@@ -483,23 +474,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("calibrate", help="collect histograms and entropy-calibrate ranges")
-    p.add_argument("-m", "--model")
-    p.add_argument("--images", help="directory of calibration images")
+    p.add_argument("-m", "--model", required=True)
+    p.add_argument("--images", required=True, help="directory of calibration images")
     p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--bins", type=positive_int, default=2048)
     p.add_argument("--levels", type=positive_int, default=256)
     p.add_argument("--seed", type=non_negative_int, default=seed)
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("quantize", help="attach calibrated ranges to a container")
-    p.add_argument("-m", "--model")
-    p.add_argument("--ranges")
-    p.add_argument("-o", "--output")
+    p.add_argument("-m", "--model", required=True)
+    p.add_argument("--ranges", required=True)
+    p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("detect", help="run detection on images")
-    p.add_argument("-m", "--model")
+    p.add_argument("-m", "--model", required=True)
     p.add_argument("-i", "--images", nargs="+", required=True)
     p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
     p.add_argument("--conf", type=unit_interval, default=detect.DEMO_CONF_THRESHOLD)
@@ -508,15 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score detections against a manifest")
-    p.add_argument("--dets")
-    p.add_argument("--manifest")
+    p.add_argument("--dets", required=True)
+    p.add_argument("--manifest", required=True)
     p.add_argument("--iou", type=unit_interval, default=evaluation.DEFAULT_IOU_THRESH)
     p.add_argument("--ignore-eval", dest="ignore_eval", choices=("on", "off"), default="on")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="latency microbenchmark")
-    p.add_argument("-m", "--model")
+    p.add_argument("-m", "--model", required=True)
     p.add_argument("--mode", choices=executor.MODES, default=executor.F32)
     p.add_argument("--iters", type=positive_int, default=bench.DEFAULT_ITERS)
     p.add_argument("--warmup", type=non_negative_int, default=bench.DEFAULT_WARMUP)
@@ -538,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     dm.set_defaults(func=cmd_dataset_merge)
 
     da = dsub.add_parser("anchors", help="recluster anchors over a manifest")
-    da.add_argument("--manifest")
+    da.add_argument("--manifest", required=True)
     da.add_argument("-k", type=positive_int, default=9)
     da.add_argument("--net-w", dest="net_w", type=positive_int, default=608)
     da.add_argument("--net-h", dest="net_h", type=positive_int, default=352)
@@ -547,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     da.set_defaults(func=cmd_dataset_anchors)
 
     p = sub.add_parser("pipeline", help="convert -> optimize -> calibrate -> quantize -> bench -> eval")
-    p.add_argument("--cfg")
-    p.add_argument("--weights")
-    p.add_argument("--calib-dir", dest="calib_dir")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--cfg", required=True)
+    p.add_argument("--weights", required=True)
+    p.add_argument("--calib-dir", dest="calib_dir", required=True)
+    p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--eval-manifest", dest="eval_manifest")
     p.add_argument("--eval-images", dest="eval_images")
     p.add_argument("--count", type=positive_int, default=200)
@@ -564,11 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            _apply_config(parser, args)
-            args = parser.parse_args(argv)
+        _apply_config(parser, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (Error, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -41,10 +41,6 @@ class EmptyCalibrationSet(QuantError):
     pass
 
 
-class MissingRanges(QuantError):
-    pass
-
-
 class InvalidCalibrationConfig(QuantError):
     pass
 
@@ -435,9 +431,6 @@ _RANGES_FIELDS = {"tensors": artifacts.OBJECT, "meta": artifacts.optional(artifa
 
 
 def load_ranges(path) -> tuple[dict[str, QuantParams], dict]:
-    try:
-        doc = artifacts.read_json(path, _RANGES_FIELDS)
-    except FileNotFoundError:
-        raise MissingRanges(f"ranges file not found: {path}")
+    doc = artifacts.read_json(path, _RANGES_FIELDS)
     return ({t: QuantParams.from_dict(d, path, "tensors", t) for t, d in doc["tensors"].items()},
             doc.get("meta", {}))

@@ -7,6 +7,7 @@ maxval 255, normalized to [0, 1] on load.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -76,9 +77,10 @@ def load_image(path) -> np.ndarray:
         if maxval != 255:
             raise ImageFormatError(f"{path}: only maxval 255 supported, got {maxval}")
         channels = 3 if magic == b"P6" else 1
-        payload = f.read(width * height * channels)
-        if len(payload) != width * height * channels:
-            raise ImageFormatError(f"{path}: pixel payload truncated")
+        want, left = width * height * channels, os.fstat(f.fileno()).st_size - f.tell()
+        if left < want:  # checked before reading: the header's sizes may be any size
+            raise ImageFormatError(f"{path}: payload holds {left} bytes, header implies {want}")
+        payload = f.read(want)
     img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return img.astype(np.float32) / 255.0
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import inspect
@@ -276,10 +277,11 @@ def test_calibrate_without_output_exits_2_before_calibrating(
     def never(*args, **kwargs):
         raise AssertionError("calibrate_graph ran before the -o/--output check")
     monkeypatch.setattr(cli.quant, "calibrate_graph", never)
-    code = run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
-                "--count", "10"])
-    assert code == cli.EXIT_USAGE
-    assert "calibrate needs -o/--output" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["calibrate", "-m", optimized_container, "--images", tiny_files["calib"],
+             "--count", "10"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "the following arguments are required: -o/--output" in capsys.readouterr().err
 
 
 def test_an_image_directory_is_listed_by_every_input_extension_which_its_error_names(
@@ -301,9 +303,10 @@ def test_an_image_directory_is_listed_by_every_input_extension_which_its_error_n
 
 
 def test_quantize_without_output_exits_2(optimized_container, ranges_file, capsys):
-    code = run(["quantize", "-m", optimized_container, "--ranges", ranges_file])
-    assert code == cli.EXIT_USAGE
-    assert "quantize needs -o/--output" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["quantize", "-m", optimized_container, "--ranges", ranges_file])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "the following arguments are required: -o/--output" in capsys.readouterr().err
 
 
 def test_quantize_ranges_missing_a_tensor_exits_1(optimized_container, ranges_file,
@@ -660,6 +663,115 @@ def test_every_error_of_the_package_derives_from_jetforge_error():
     assert [cls for cls in errors if not issubclass(cls, jetforge.Error)] == []
 
 
+# every option a subcommand cannot run without, as (config section, first flag)
+_REQUIRED = [
+    ("convert", "--cfg"), ("convert", "--weights"), ("convert", "-o"),
+    ("optimize", "-m"), ("detect", "-m"), ("detect", "-i"), ("bench", "-m"),
+    ("calibrate", "-m"), ("calibrate", "--images"), ("calibrate", "-o"),
+    ("quantize", "-m"), ("quantize", "--ranges"), ("quantize", "-o"),
+    ("eval", "--dets"), ("eval", "--manifest"),
+    ("dataset-merge", "-o"), ("dataset-anchors", "--manifest"),
+    ("pipeline", "--cfg"), ("pipeline", "--weights"), ("pipeline", "--calib-dir"),
+    ("pipeline", "--out-dir")]
+
+
+def _subparser(section) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    for name in section.split("-"):
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+def _option(section, flag) -> argparse.Action:
+    return next(a for a in _subparser(section)._actions if flag in a.option_strings)
+
+
+def _runs(p, ranges):
+    """section -> (its words, its required options as flag -> value, the
+    rest of a run that succeeds and writes p.out)."""
+    image = sorted(p.eval_dir.glob("*.ppm"))[0]
+    coco = os.path.join(FIXTURES, "coco_fixture.json")
+    dets, boxes = p.dir / "dets.jsonl", p.dir / "coco.jsonl"
+    detect.write_detections_jsonl(dets, {}, {})
+    data.save_manifest(boxes, data.merge([data.ingest_coco(coco)]), {})
+    return {
+        "convert": (["convert"], {"--cfg": p.cfg, "--weights": p.weights, "-o": p.out}, []),
+        "optimize": (["optimize"], {"-m": p.model}, ["-o", p.out]),
+        "detect": (["detect"], {"-m": p.model, "-i": image}, ["-o", p.out]),
+        "bench": (["bench"], {"-m": p.model}, ["--iters", "1", "--warmup", "0", "-o", p.out]),
+        "calibrate": (["calibrate"], {"-m": p.opt, "--images": p.calib, "-o": p.out},
+                      ["--count", "2"]),
+        "quantize": (["quantize"], {"-m": p.opt, "--ranges": ranges, "-o": p.out}, []),
+        "eval": (["eval"], {"--dets": dets, "--manifest": p.manifest}, ["-o", p.out]),
+        "dataset-merge": (["dataset", "merge"], {"-o": p.out}, ["--coco", coco]),
+        "dataset-anchors": (["dataset", "anchors"], {"--manifest": boxes},
+                            ["-k", "2", "-o", p.out]),
+        "pipeline": (["pipeline"], {"--cfg": p.cfg, "--weights": p.weights,
+                                    "--calib-dir": p.calib, "--out-dir": p.out},
+                     ["--count", "2", "--iters", "1", "--warmup", "0"]),
+    }
+
+
+def _argv(words, required, rest, without):
+    return [*words, *(w for flag, value in required.items() if flag != without
+                      for w in (flag, value)), *rest]
+
+
+def test_the_required_options_are_the_ones_the_parser_declares():
+    declared = {(section, a.option_strings[0]) for section in {s for s, _ in _REQUIRED}
+                for a in _subparser(section)._actions if a.required and a.option_strings}
+    assert declared == set(_REQUIRED)
+
+
+@pytest.mark.parametrize("section,flag", _REQUIRED, ids=[f"{s}{f}" for s, f in _REQUIRED])
+def test_a_required_option_left_out_exits_2_naming_its_flag_before_any_file_is_touched(
+        section, flag, tmp_path, tiny_files, tiny_container, optimized_container, ranges_file,
+        capsys):
+    p = _paths(tmp_path, tiny_files, tiny_container, optimized_container)
+    words, required, rest = _runs(p, ranges_file)[section]
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        run(_argv(words, required, rest, without=flag))
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    flags = "/".join(_option(section, flag).option_strings)
+    assert err.splitlines()[-1].endswith(f"error: the following arguments are required: {flags}")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and not p.out.exists()
+
+
+@pytest.mark.parametrize("section,flag", [c for c in _REQUIRED if c != ("detect", "-i")],
+                         ids=[f"{s}{f}" for s, f in _REQUIRED if (s, f) != ("detect", "-i")])
+def test_a_required_option_set_in_the_config_file_needs_no_flag(
+        section, flag, tmp_path, tiny_files, tiny_container, optimized_container, ranges_file):
+    p = _paths(tmp_path, tiny_files, tiny_container, optimized_container)
+    words, required, rest = _runs(p, ranges_file)[section]
+    ini = _ini(tmp_path, f"[{section}]\n{_option(section, flag).dest} = {required[flag]}\n")
+    assert run(["--config", ini, *_argv(words, required, rest, without=flag)]) == 0
+    assert p.out.exists()
+
+
+def test_quantize_with_a_missing_ranges_file_exits_2_with_the_system_line(
+        optimized_container, tmp_path, capsys):
+    missing, out = tmp_path / "absent.json", tmp_path / "q.uir"
+    assert run(["quantize", "-m", optimized_container, "--ranges", missing,
+                "-o", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not out.exists()
+
+
+def test_detect_conf_is_never_taken_for_config(tiny_container, tiny_files, tmp_path):
+    image = sorted(tiny_files["eval_dir"].glob("*.ppm"))[0]
+    ini = _ini(tmp_path, "[detect]\nconf = 0.5\n")
+    out = tmp_path / "dets.jsonl"
+    for config in ([], ["--config", ini]):
+        assert run([*config, "detect", "-m", tiny_container, "-i", image,
+                    "--conf", "0.25", "-o", out]) == 0
+        meta = json.loads(out.read_text().splitlines()[0])["_meta"]
+        assert meta["config"]["conf"] == 0.25
+
+
 def test_convert_invalid_graph_lists_every_diagnostic(tiny_files, tmp_path, monkeypatch,
                                                      capsys):
     diags = [g.Diagnostic("conv0", "first problem"), g.Diagnostic("conv1", "second problem")]
@@ -1002,6 +1114,15 @@ def test_malformed_image_exits_1_naming_the_file(command, name, payload, tiny_co
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
     assert not out.exists()
+
+
+def test_pnm_header_larger_than_the_file_exits_1_with_one_line(tiny_container, tmp_path,
+                                                              capsys):
+    huge = tmp_path / "huge.ppm"
+    huge.write_bytes(b"P6\n99999 99999\n255\n\x00")  # 20 bytes
+    assert run(["detect", "-m", tiny_container, "-i", huge]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: {huge}: payload holds 1 bytes, header implies {99999 * 99999 * 3}\n")
 
 
 @pytest.mark.parametrize("command", ["detect", "calibrate"])

@@ -741,7 +741,7 @@ def test_ranges_file_with_a_record_from_range_did_not_write(tmp_path):
 
 
 def test_missing_ranges_file(tmp_path):
-    with pytest.raises(quant.MissingRanges):
+    with pytest.raises(FileNotFoundError):
         quant.load_ranges(tmp_path / "absent.json")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,20 @@ def test_truncated_pixels(tmp_path):
     path = tmp_path / "x.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)  # needs 12 bytes
     with pytest.raises(tensorio.ImageFormatError):
+        tensorio.load_image(path)
+
+
+@pytest.mark.parametrize("width,height", [(64, 64), (99999, 99999)],
+                         ids=["64x64", "99999x99999"])
+def test_pnm_header_larger_than_the_file_is_refused_naming_both_sizes(tmp_path, width, height):
+    """The header's payload size is checked against the file's before the
+    payload is read, so a header of any size asks for no more memory."""
+    path = tmp_path / "big.ppm"
+    header = b"P6\n%d %d\n255\n" % (width, height)
+    path.write_bytes(header + bytes(20 - len(header)))  # a 20-byte file
+    message = (f"{path}: payload holds {20 - len(header)} bytes, "
+               f"header implies {width * height * 3}")
+    with pytest.raises(tensorio.ImageFormatError, match="^" + re.escape(message) + "$"):
         tensorio.load_image(path)
 
 
